@@ -21,8 +21,8 @@ from .adapters import (
     lora_forward,
     merge_weights,
     scaled_lora_forward,
-    trainable_param_count,
 )
+from .nn import trainable_param_count
 from .losses import LossWeights, SemanticMaskSet
 from .evalmetrics import DepthEvalReport, Trajectory, ate_5frame, depth_metrics, median_scale
 

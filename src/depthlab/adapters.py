@@ -213,14 +213,3 @@ def merge_weights(layer: FrozenLinear, adapter) -> FrozenLinear:
     merged = layer.weight.data + adapter.delta()
     bias = layer.bias.data.copy() if layer.bias is not None else None
     return FrozenLinear(merged, bias)
-
-
-def trainable_param_count(module: Module) -> tuple[int, int]:
-    """(trainable, total) parameter counts over every tensor in the module."""
-    trainable = 0
-    total = 0
-    for _, p in module.named_parameters():
-        total += p.size
-        if p.requires_grad:
-            trainable += p.size
-    return trainable, total

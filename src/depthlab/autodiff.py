@@ -609,11 +609,26 @@ def upsample_nearest2x(a) -> Tensor:
 
 
 # -- convolutions -------------------------------------------------------------------------------
-# Forward accumulates one kernel tap at a time, in (input-channel, kernel-row,
-# kernel-column) order, vectorized over output pixels. Each output element
-# therefore sees the exact left-to-right float64 addition chain a naive
-# per-pixel loop would produce, which keeps the forward bit-identical to a
-# plain loop implementation.
+# Both convolutions read their input through one padded-pitch layout
+# (_PitchGrid). The input is padded once into a zero buffer with spare zero
+# rows below it, and each channel's rows are read as one flat run whose row
+# pitch is the padded width. Output pixel (oy, ox) of tap (i, j) reads run
+# element (oy*sh + i)*pitch + ox*sw + j, so the window of a tap over every
+# output row is a (C, ho, cols) view of the buffer, cols = ceil(pitch/sw):
+# at stride 1 one contiguous run per channel, and no per-tap copy is made.
+#
+# Forward computes on that (ho, cols) grid, then crops the columns at or
+# past wo, which read right-hand padding or wrap into the next row. Each
+# kept output element accumulates one kernel tap at a time, in
+# (input-channel, kernel-row, kernel-column) order, starting from zero: the
+# exact left-to-right float64 addition chain a naive per-pixel loop makes.
+# Grid columns are independent elements, so the discarded ones never enter a
+# kept element's chain, and the forward stays bit-identical to a plain loop
+# implementation.
+#
+# Backward has no order contract. It zero-pads the output gradient to the
+# grid, so the discarded columns contribute exact zeros, and contracts whole
+# channel blocks per tap on the same views.
 
 
 def _conv_geometry(hp: int, wp: int, kh: int, kw: int, sh: int, sw: int) -> tuple[int, int]:
@@ -628,6 +643,44 @@ def _pair(v) -> tuple[int, int]:
     return int(v), int(v)
 
 
+class _PitchGrid:
+    """Padded-pitch geometry of one convolution over a (C, H, W) input."""
+
+    def __init__(self, x_shape, kh: int, kw: int, stride, padding):
+        _, self.h, self.w = x_shape
+        self.sh, self.sw = _pair(stride)
+        self.ph, self.pw = _pair(padding)
+        hp, self.pitch = self.h + 2 * self.ph, self.w + 2 * self.pw
+        self.ho, self.wo = _conv_geometry(hp, self.pitch, kh, kw, self.sh, self.sw)
+        self.cols = -(-self.pitch // self.sw)
+        # spare rows below the padded input: the last tap's run starts at
+        # (kh-1)*pitch + kw-1 and spans ho*sh rows
+        self.rows = self.ho * self.sh + kh
+
+    def pad(self, data: np.ndarray) -> np.ndarray:
+        """Zero buffer (C, rows, pitch) holding data at the padding offset."""
+        return np.pad(data, ((0, 0), (self.ph, self.rows - self.ph - self.h), (self.pw, self.pw)))
+
+    def unpad(self, buf: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(buf[:, self.ph : self.ph + self.h, self.pw : self.pw + self.w])
+
+    def window(self, buf: np.ndarray, i: int, j: int) -> np.ndarray:
+        """View (C, ho, cols) of the buffer elements tap (i, j) reads."""
+        c = buf.shape[0]
+        start = i * self.pitch + j
+        run = buf.reshape(c, -1)[:, start : start + self.ho * self.sh * self.pitch]
+        return run.reshape(c, self.ho, self.sh * self.pitch)[:, :, : self.pitch : self.sw]
+
+    def crop(self, out: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(out[:, :, : self.wo])
+
+    def widen(self, g: np.ndarray) -> np.ndarray:
+        """Output gradient zero-padded from (C, ho, wo) to the grid."""
+        gq = np.zeros(g.shape[:2] + (self.cols,))
+        gq[:, :, : self.wo] = g
+        return gq
+
+
 def conv2d(x, kernel, stride=1, padding=0) -> Tensor:
     """Cross-correlation of a (C_in, H, W) input with a (C_out, C_in, kh, kw) kernel."""
     x, kernel = as_tensor(x), as_tensor(kernel)
@@ -638,40 +691,33 @@ def conv2d(x, kernel, stride=1, padding=0) -> Tensor:
         raise ValueError(f"conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"conv2d kernel extents must be odd, got {kh}x{kw}")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
-    hp, wp = xp.shape[1], xp.shape[2]
-    ho, wo = _conv_geometry(hp, wp, kh, kw, sh, sw)
+    grid = _PitchGrid(x.shape, kh, kw, stride, padding)
+    xb = grid.pad(x.data)
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    wins = [grid.window(xb, i, j) for i, j in taps]
     kd = kernel.data
-    out = np.zeros((c_out, ho, wo))
+    out = np.zeros((c_out, grid.ho, grid.cols))
     for ci in range(c_in):
-        for i in range(kh):
-            for j in range(kw):
-                win = xp[ci, i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw]
-                out += kd[:, ci, i, j][:, None, None] * win[None, :, :]
+        for (i, j), win in zip(taps, wins):
+            out += kd[:, ci, i, j][:, None, None] * win[ci]
 
     def bw(g):
-        # gradients need no fixed accumulation order; contract whole channel
-        # blocks per tap for speed
+        gq = grid.widen(g).reshape(c_out, -1)
         gx = None
         gk = None
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    acc = np.tensordot(kd[:, :, i, j], g, axes=(0, 0))
-                    gxp[:, i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw] += acc
-            gx = np.ascontiguousarray(gxp[:, ph : ph + x.shape[1], pw : pw + x.shape[2]])
+            gb = np.zeros_like(xb)
+            for i, j in taps:
+                win = grid.window(gb, i, j)
+                win += (kd[:, :, i, j].T @ gq).reshape(win.shape)
+            gx = grid.unpad(gb)
         if kernel.requires_grad:
             gk = np.empty_like(kd)
-            for i in range(kh):
-                for j in range(kw):
-                    win = xp[:, i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw]
-                    gk[:, :, i, j] = np.tensordot(g, win, axes=([1, 2], [1, 2]))
+            for (i, j), win in zip(taps, wins):
+                gk[:, :, i, j] = gq @ win.reshape(c_in, -1).T
         return (gx, gk)
 
-    return Tensor._from_op(out, (x, kernel), bw)
+    return Tensor._from_op(grid.crop(out), (x, kernel), bw)
 
 
 def depthwise_conv2d(x, kernel, stride=1, padding=0) -> Tensor:
@@ -684,36 +730,31 @@ def depthwise_conv2d(x, kernel, stride=1, padding=0) -> Tensor:
         raise ValueError(f"depthwise_conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"depthwise_conv2d kernel extents must be odd, got {kh}x{kw}")
-    sh, sw = _pair(stride)
-    ph, pw = _pair(padding)
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
-    hp, wp = xp.shape[1], xp.shape[2]
-    ho, wo = _conv_geometry(hp, wp, kh, kw, sh, sw)
+    grid = _PitchGrid(x.shape, kh, kw, stride, padding)
+    xb = grid.pad(x.data)
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
     kd = kernel.data
-    out = np.zeros((c, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            win = xp[:, i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw]
-            out += kd[:, i, j][:, None, None] * win
+    out = np.zeros((c, grid.ho, grid.cols))
+    for i, j in taps:
+        out += kd[:, i, j][:, None, None] * grid.window(xb, i, j)
 
     def bw(g):
+        gq = grid.widen(g)
         gx = None
         gk = None
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    gxp[:, i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw] += kd[:, i, j][:, None, None] * g
-            gx = np.ascontiguousarray(gxp[:, ph : ph + x.shape[1], pw : pw + x.shape[2]])
+            gb = np.zeros_like(xb)
+            for i, j in taps:
+                win = grid.window(gb, i, j)
+                win += kd[:, i, j][:, None, None] * gq
+            gx = grid.unpad(gb)
         if kernel.requires_grad:
-            gk = np.zeros_like(kd)
-            for i in range(kh):
-                for j in range(kw):
-                    win = xp[:, i : i + sh * (ho - 1) + 1 : sh, j : j + sw * (wo - 1) + 1 : sw]
-                    gk[:, i, j] = np.sum(g * win, axis=(1, 2))
+            gk = np.empty_like(kd)
+            for i, j in taps:
+                gk[:, i, j] = np.einsum("chw,chw->c", gq, grid.window(xb, i, j))
         return (gx, gk)
 
-    return Tensor._from_op(out, (x, kernel), bw)
+    return Tensor._from_op(grid.crop(out), (x, kernel), bw)
 
 
 # -- bilinear sampling --------------------------------------------------------------------------
@@ -845,12 +886,3 @@ def gradient_check(f, leaves, eps: float = 1e-6, tol: float = 1e-5) -> tuple[boo
         analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
         worst = builtins.max(worst, max_relative_error(analytic, numeric))
     return worst <= tol, worst
-
-
-# public aliases matching the operation names used elsewhere
-exp = texp
-log = tlog
-absolute = tabs
-sin = tsin
-cos = tcos
-sqrt = tsqrt

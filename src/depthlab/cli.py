@@ -15,11 +15,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .adapters import trainable_param_count
 from .config import TrainConfig, apply_env_overrides, config_from_pairs, config_to_text, load_config
 from .evalmetrics import ate_5frame
 from .formats import SceneOnDisk, read_trajectory, write_scene
 from .geometry import CameraModel
+from .nn import trainable_param_count
 from .scene import SCENE_KINDS, generate_scene
 from .train import (
     ModelBundle,
@@ -168,6 +168,8 @@ def _cmd_gradcheck(args) -> int:
     img = Tensor(rng.uniform(-1, 1, (2, 5, 5)), requires_grad=True)
     ker = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
     checks.append(("conv2d", lambda: ad.tsum(ad.conv2d(img, ker, padding=1)), [img, ker]))
+    weights = Tensor(rng.standard_normal((3, 3, 3)))
+    checks.append(("conv2d_stride2", lambda: ad.tsum(ad.conv2d(img, ker, stride=2, padding=1) * weights), [img, ker]))
     dker = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
     checks.append(("depthwise", lambda: ad.tsum(ad.depthwise_conv2d(img, dker, padding=1)), [img, dker]))
     sm = Tensor(rng.standard_normal((4, 5)), requires_grad=True)

@@ -41,7 +41,7 @@ class Module:
             p.zero_grad()
 
 
-def parameter_count(module: Module) -> tuple[int, int]:
+def trainable_param_count(module: Module) -> tuple[int, int]:
     """(trainable, total) element counts over the module's parameters."""
     trainable = 0
     total = 0

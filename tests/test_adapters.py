@@ -17,10 +17,9 @@ from depthlab.adapters import (
     lora_forward,
     merge_weights,
     scaled_lora_forward,
-    trainable_param_count,
 )
 from depthlab.autodiff import Tensor
-from depthlab.nn import frozen_checksums
+from depthlab.nn import frozen_checksums, trainable_param_count
 from depthlab.optim import Adam
 
 from oracles import fd_gradient, rel_err

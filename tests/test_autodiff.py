@@ -68,6 +68,25 @@ class TestConv2d:
             ref = conv2d_loops(x, k, stride=stride, padding=padding)
             np.testing.assert_array_equal(ours, ref)
 
+    @pytest.mark.parametrize(
+        "x_shape, k_shape, stride, padding",
+        [
+            ((3, 7, 7), (4, 3, 3, 3), 2, 1),  # padded width 9: 5 grid columns, 4 kept
+            ((12, 4, 4), (3, 12, 1, 1), 1, 0),
+            ((3, 4, 4), (12, 3, 1, 1), 1, 0),
+            ((2, 8, 8), (1, 2, 7, 7), 1, 3),
+            ((2, 3, 3), (3, 2, 5, 5), 1, 1),
+            ((25, 16, 16), (14, 25, 3, 3), 1, 1),
+        ],
+        ids=["stride2_odd_width", "mixer_reduce", "mixer_restore", "spatial_attention", "kernel_fills_input", "decoder_conv3"],
+    )
+    def test_matches_loop_oracle_at_layout_edges(self, x_shape, k_shape, stride, padding):
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal(x_shape)
+        k = rng.standard_normal(k_shape)
+        ours = ad.conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding).data
+        np.testing.assert_array_equal(ours, conv2d_loops(x, k, stride=stride, padding=padding))
+
     def test_rejects_oversized_kernel(self):
         with pytest.raises(ValueError, match="larger than"):
             ad.conv2d(Tensor(np.zeros((1, 3, 3))), Tensor(np.zeros((1, 1, 5, 5))))
@@ -85,6 +104,20 @@ class TestConv2d:
 
         def f(xv, kv):
             return float(np.sum(conv2d_loops(xv, kv, padding=1)))
+
+        assert rel_err(tx.grad, fd_gradient(f, [x, k], 0)) <= 1e-6
+        assert rel_err(tk.grad, fd_gradient(f, [x, k], 1)) <= 1e-6
+
+    def test_strided_gradients_vs_finite_differences(self):
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((2, 5, 8))
+        k = rng.standard_normal((3, 2, 3, 3))
+        weights = rng.standard_normal((3, 3, 4))
+        tx, tk = leaf(x), leaf(k)
+        ad.tsum(ad.conv2d(tx, tk, stride=2, padding=1) * Tensor(weights)).backward()
+
+        def f(xv, kv):
+            return float(np.sum(weights * conv2d_loops(xv, kv, stride=2, padding=1)))
 
         assert rel_err(tx.grad, fd_gradient(f, [x, k], 0)) <= 1e-6
         assert rel_err(tk.grad, fd_gradient(f, [x, k], 1)) <= 1e-6
@@ -112,6 +145,27 @@ class TestDepthwiseConv2d:
         k = rng.standard_normal((4, 3, 3))
         ours = ad.depthwise_conv2d(Tensor(x), Tensor(k), padding=1).data
         np.testing.assert_array_equal(ours, depthwise_conv2d_loops(x, k, padding=1))
+
+    def test_matches_loop_oracle_at_stride_two(self):
+        rng = np.random.default_rng(29)
+        x = rng.standard_normal((3, 6, 7))
+        k = rng.standard_normal((3, 3, 3))
+        ours = ad.depthwise_conv2d(Tensor(x), Tensor(k), stride=2, padding=1).data
+        np.testing.assert_array_equal(ours, depthwise_conv2d_loops(x, k, stride=2, padding=1))
+
+    def test_strided_gradients_vs_finite_differences(self):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((2, 5, 8))
+        k = rng.standard_normal((2, 3, 3))
+        weights = rng.standard_normal((2, 3, 4))
+        tx, tk = leaf(x), leaf(k)
+        ad.tsum(ad.depthwise_conv2d(tx, tk, stride=2, padding=1) * Tensor(weights)).backward()
+
+        def f(xv, kv):
+            return float(np.sum(weights * depthwise_conv2d_loops(xv, kv, stride=2, padding=1)))
+
+        assert rel_err(tx.grad, fd_gradient(f, [x, k], 0)) <= 1e-6
+        assert rel_err(tk.grad, fd_gradient(f, [x, k], 1)) <= 1e-6
 
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ValueError, match="channel mismatch"):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab import autodiff as ad
-from depthlab.adapters import InitScheme, trainable_param_count
+from depthlab.adapters import InitScheme
 from depthlab.autodiff import Tensor
 from depthlab.blocks import (
     ChannelAttention,
@@ -20,7 +20,7 @@ from depthlab.blocks import (
     initial_disparity_logit,
     reconstruct,
 )
-from depthlab.nn import parameter_count
+from depthlab.nn import trainable_param_count
 
 from oracles import fd_gradient, rel_err
 
@@ -63,7 +63,7 @@ class TestSeparableResidualBlock:
     def test_depthwise_branch_cheaper_than_dense(self):
         c = 8
         block = SeparableResidualBlock(c, rng())
-        depthwise_total, _ = parameter_count(block.depthwise)
+        depthwise_total, _ = trainable_param_count(block.depthwise)
         dense_equivalent = (c // 4) * (c // 4) * 3 * 3 + (c // 4)
         assert depthwise_total < dense_equivalent
 
