@@ -15,12 +15,8 @@ from .adapters import (
     InitScheme,
     InitVariant,
     LowRankAdapter,
-    ScaledLowRankAdapter,
-    init_plain_adapter,
-    init_scaled_adapter,
-    lora_forward,
+    make_adapter,
     merge_weights,
-    scaled_lora_forward,
 )
 from .nn import trainable_param_count
 from .losses import LossWeights, SemanticMaskSet
@@ -37,11 +33,7 @@ __all__ = [
     "InitScheme",
     "InitVariant",
     "LowRankAdapter",
-    "ScaledLowRankAdapter",
-    "init_plain_adapter",
-    "init_scaled_adapter",
-    "lora_forward",
-    "scaled_lora_forward",
+    "make_adapter",
     "merge_weights",
     "trainable_param_count",
     "LossWeights",

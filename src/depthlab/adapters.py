@@ -1,16 +1,20 @@
 """Parameter-efficient adaptation of frozen linear layers.
 
-Two adapter flavors over a frozen base weight W0:
+One adapter class, LowRankAdapter, adds a trainable rank-r update to a
+frozen m x n base weight W0:
 
-* LowRankAdapter: h = W0 x + B A x, with trainable A (r x n) and B (m x r).
-* ScaledLowRankAdapter: h = W0 x + diag(b) B diag(a) A x, where a (r,) and
-  b (m,) are random scaling vectors drawn once and frozen for the whole
-  training run.
+* plain: h = W0 x + B A x, with trainable A (r x n) and B (m x r);
+* scaled: h = W0 x + diag(b) B diag(a) A x, where a (r,) and b (m,) are
+  random scaling vectors drawn once and frozen for the whole run. A plain
+  adapter is the same class with both scales left out (None), so it keeps
+  exactly the parameters A and B.
 
-B starts at zero in both, so a freshly initialized adapter leaves the base
-layer's output bit-identical on the first forward pass, and the adapter
-delta can always be merged into a plain dense layer with no inference
-overhead.
+B starts at zero, so a freshly made adapter leaves the base layer's
+output bit-identical on the first forward pass. The low-rank branch is
+added to W0 x before the frozen bias, so an adapted layer groups its sum
+as the merged dense layer does, (W0 x + delta x) + b against
+(W0 + delta) x + b, and with B = 0 the sum W0 x + 0 is exact. The delta
+can always be merged into a plain dense layer with no inference overhead.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import Module
+from .nn import Module, linear
 
 
 class InitVariant(str, Enum):
@@ -74,13 +78,11 @@ class FrozenLinear(Module):
     def in_features(self) -> int:
         return self.weight.shape[1]
 
-    def __call__(self, x: Tensor) -> Tensor:
-        single = x.ndim == 1
-        x2 = ad.reshape(x, (1, x.shape[0])) if single else x
-        y = ad.matmul(x2, self.weight.T)
-        if self.bias is not None:
-            y = y + ad.broadcast_to(ad.reshape(self.bias, (1, self.out_features)), y.shape)
-        return ad.reshape(y, (y.shape[1],)) if single else y
+    def __call__(self, x: Tensor, adapter: LowRankAdapter | None = None) -> Tensor:
+        """x W0^T (+ the adapter's low-rank branch) (+ the frozen bias)."""
+        if adapter is not None:
+            _check_adapter_shapes(self, adapter)
+        return linear(x, self.weight, self.bias, adapter)
 
 
 def _check_rank(m: int, n: int, r: int) -> None:
@@ -89,74 +91,78 @@ def _check_rank(m: int, n: int, r: int) -> None:
 
 
 class LowRankAdapter(Module):
-    """Trainable rank-r update delta = B A for an m x n base weight."""
+    """Trainable rank-r update delta = diag(b) B diag(a) A for an m x n base
+    weight, or B A when the frozen scales a (r,) and b (m,) are left out."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
+    def __init__(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        scale_down: np.ndarray | None = None,
+        scale_up: np.ndarray | None = None,
+    ):
         a = np.asarray(a, dtype=np.float64)
         b = np.asarray(b, dtype=np.float64)
         if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[1]:
             raise ValueError(f"incompatible low-rank factors A {a.shape}, B {b.shape}")
         _check_rank(b.shape[0], a.shape[1], a.shape[0])
+        if (scale_down is None) != (scale_up is None):
+            raise ValueError("give both frozen scales (scale_down, scale_up) or neither")
         self.down = Tensor(a, requires_grad=True)  # A: (r, n)
         self.up = Tensor(b, requires_grad=True)  # B: (m, r)
-
-    @property
-    def rank(self) -> int:
-        return self.down.shape[0]
-
-    def delta(self) -> np.ndarray:
-        return self.up.data @ self.down.data
-
-
-class ScaledLowRankAdapter(Module):
-    """Low-rank update with frozen random row scales: delta = diag(b) B diag(a) A."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, scale_down: np.ndarray, scale_up: np.ndarray):
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[1]:
-            raise ValueError(f"incompatible low-rank factors A {a.shape}, B {b.shape}")
-        _check_rank(b.shape[0], a.shape[1], a.shape[0])
-        self.down = Tensor(a, requires_grad=True)  # A: (r, n)
-        self.up = Tensor(b, requires_grad=True)  # B: (m, r)
-        self.scale_down = Tensor(scale_down, requires_grad=False)  # a: (r,)
-        self.scale_up = Tensor(scale_up, requires_grad=False)  # b: (m,)
-        if self.scale_down.shape != (a.shape[0],):
+        self.scale_down = None if scale_down is None else Tensor(scale_down, requires_grad=False)  # a: (r,)
+        self.scale_up = None if scale_up is None else Tensor(scale_up, requires_grad=False)  # b: (m,)
+        if self.scale_down is not None and self.scale_down.shape != (a.shape[0],):
             raise ValueError(f"scale_down shape {self.scale_down.shape} does not match rank {a.shape[0]}")
-        if self.scale_up.shape != (b.shape[0],):
+        if self.scale_up is not None and self.scale_up.shape != (b.shape[0],):
             raise ValueError(f"scale_up shape {self.scale_up.shape} does not match output dim {b.shape[0]}")
 
     @property
     def rank(self) -> int:
         return self.down.shape[0]
 
+    def __call__(self, rows: Tensor) -> Tensor:
+        """The low-rank branch for (rows, n) inputs; gradients reach only A and B."""
+        h = ad.matmul(rows, self.down.T)
+        if self.scale_down is not None:
+            h = h * ad.broadcast_to(ad.reshape(self.scale_down, (1, h.shape[1])), h.shape)
+        h = ad.matmul(h, self.up.T)
+        if self.scale_up is not None:
+            h = h * ad.broadcast_to(ad.reshape(self.scale_up, (1, h.shape[1])), h.shape)
+        return h
+
     def delta(self) -> np.ndarray:
-        return (self.scale_up.data[:, None] * self.up.data) @ (self.scale_down.data[:, None] * self.down.data)
+        up, down = self.up.data, self.down.data
+        if self.scale_up is not None:
+            up = self.scale_up.data[:, None] * up
+            down = self.scale_down.data[:, None] * down
+        return up @ down
 
 
-def init_scaled_adapter(m: int, n: int, r: int, scheme: InitScheme) -> ScaledLowRankAdapter:
-    """Draw A and the frozen scales per the scheme; B starts at zero.
+def make_adapter(mode: str, m: int, n: int, rank: int, scheme: InitScheme) -> LowRankAdapter | None:
+    """Adapter for an m x n weight: None for "none", else A drawn per the
+    scheme and B zero, plus frozen scales a and b for "scaled".
 
-    Draw order is fixed (A, then a, then b) so a seed pins every value.
-    Fan-in: n for A, r for the rank-sized scale, m for the output-sized one.
+    Draw order is fixed (A, then a, then b) so a seed pins every value; a
+    plain adapter takes only the first draw, so its A equals the scaled
+    one's. Fan-in: n for A, r for the rank-sized scale, m for the
+    output-sized one.
     """
-    _check_rank(m, n, r)
+    if mode not in ("none", "plain", "scaled"):
+        raise ValueError(f"unknown adapter mode '{mode}' (expected none, plain, scaled)")
+    if mode == "none":
+        return None
+    _check_rank(m, n, rank)
     rng = np.random.default_rng(scheme.seed)
-    a = scheme.draw(rng, (r, n), fan_in=n)
-    scale_down = scheme.draw(rng, (r,), fan_in=r)
+    a = scheme.draw(rng, (rank, n), fan_in=n)
+    if mode == "plain":
+        return LowRankAdapter(a, np.zeros((m, rank)))
+    scale_down = scheme.draw(rng, (rank,), fan_in=rank)
     scale_up = scheme.draw(rng, (m,), fan_in=m)
-    return ScaledLowRankAdapter(a, np.zeros((m, r)), scale_down, scale_up)
+    return LowRankAdapter(a, np.zeros((m, rank)), scale_down, scale_up)
 
 
-def init_plain_adapter(m: int, n: int, r: int, scheme: InitScheme) -> LowRankAdapter:
-    """Plain low-rank adapter: A drawn per the scheme, B zero."""
-    _check_rank(m, n, r)
-    rng = np.random.default_rng(scheme.seed)
-    a = scheme.draw(rng, (r, n), fan_in=n)
-    return LowRankAdapter(a, np.zeros((m, r)))
-
-
-def _check_adapter_shapes(layer: FrozenLinear, adapter) -> None:
+def _check_adapter_shapes(layer: FrozenLinear, adapter: LowRankAdapter) -> None:
     m, n = layer.weight.shape
     if adapter.down.shape[1] != n or adapter.up.shape[0] != m:
         raise ValueError(
@@ -164,50 +170,7 @@ def _check_adapter_shapes(layer: FrozenLinear, adapter) -> None:
         )
 
 
-def lora_forward(layer: FrozenLinear, adapter: LowRankAdapter, x: Tensor) -> Tensor:
-    """h = W0 x + B (A x), plus the layer's frozen bias if present."""
-    _check_adapter_shapes(layer, adapter)
-    x = ad.as_tensor(x)
-    single = x.ndim == 1
-    x2 = ad.reshape(x, (1, x.shape[0])) if single else x
-    base = ad.matmul(x2, layer.weight.T)
-    delta = ad.matmul(ad.matmul(x2, adapter.down.T), adapter.up.T)
-    y = base + delta
-    if layer.bias is not None:
-        y = y + ad.broadcast_to(ad.reshape(layer.bias, (1, layer.out_features)), y.shape)
-    return ad.reshape(y, (y.shape[1],)) if single else y
-
-
-def scaled_lora_forward(layer: FrozenLinear, adapter: ScaledLowRankAdapter, x: Tensor) -> Tensor:
-    """h = W0 x + diag(b) B diag(a) (A x); gradients reach only A and B."""
-    _check_adapter_shapes(layer, adapter)
-    x = ad.as_tensor(x)
-    single = x.ndim == 1
-    x2 = ad.reshape(x, (1, x.shape[0])) if single else x
-    rows = x2.shape[0]
-    r = adapter.rank
-    m = layer.out_features
-    base = ad.matmul(x2, layer.weight.T)
-    h = ad.matmul(x2, adapter.down.T)
-    h = h * ad.broadcast_to(ad.reshape(adapter.scale_down, (1, r)), (rows, r))
-    h = ad.matmul(h, adapter.up.T)
-    h = h * ad.broadcast_to(ad.reshape(adapter.scale_up, (1, m)), (rows, m))
-    y = base + h
-    if layer.bias is not None:
-        y = y + ad.broadcast_to(ad.reshape(layer.bias, (1, m)), y.shape)
-    return ad.reshape(y, (y.shape[1],)) if single else y
-
-
-def adapter_forward(layer: FrozenLinear, adapter, x: Tensor) -> Tensor:
-    """Dispatch on adapter flavor; None means the plain frozen layer."""
-    if adapter is None:
-        return layer(x)
-    if isinstance(adapter, ScaledLowRankAdapter):
-        return scaled_lora_forward(layer, adapter, x)
-    return lora_forward(layer, adapter, x)
-
-
-def merge_weights(layer: FrozenLinear, adapter) -> FrozenLinear:
+def merge_weights(layer: FrozenLinear, adapter: LowRankAdapter) -> FrozenLinear:
     """Fold the adapter delta into a plain dense layer (same frozen bias)."""
     _check_adapter_shapes(layer, adapter)
     merged = layer.weight.data + adapter.delta()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .adapters import FrozenLinear, InitScheme, adapter_forward, init_plain_adapter, init_scaled_adapter
+from .adapters import FrozenLinear, InitScheme, make_adapter
 from .autodiff import Tensor
 from .nn import Conv2d, DepthwiseConv2d, LayerNorm, Linear, Module
 
@@ -26,16 +26,6 @@ def sinusoidal_positions(n_tokens: int, dim: int) -> np.ndarray:
     angle = pos / np.power(10_000.0, (2.0 * (i // 2)) / dim)
     table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
     return table
-
-
-def make_adapter(mode: str, m: int, n: int, rank: int, scheme: InitScheme):
-    if mode == "none":
-        return None
-    if mode == "plain":
-        return init_plain_adapter(m, n, rank, scheme)
-    if mode == "scaled":
-        return init_scaled_adapter(m, n, rank, scheme)
-    raise ValueError(f"unknown adapter mode '{mode}' (expected none, plain, scaled)")
 
 
 class ChannelAttention(Module):
@@ -137,9 +127,9 @@ class TransformerBlock(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self._attention(self.norm1(x))
-        h = adapter_forward(self.fc1, self.adapter1, self.norm2(x))
+        h = self.fc1(self.norm2(x), self.adapter1)
         h = ad.gelu(h)
-        h = adapter_forward(self.fc2, self.adapter2, h)
+        h = self.fc2(h, self.adapter2)
         return x + h
 
 
@@ -328,13 +318,19 @@ class PoseNet(Module):
         self.output_scale = output_scale
 
     @staticmethod
-    def _solved_flow(gray_t: np.ndarray, gray_s: np.ndarray):
+    def _gradients(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Central-difference image gradients (gx, gy), zero on the border."""
+        gx = np.zeros_like(gray)
+        gy = np.zeros_like(gray)
+        gx[:, 1:-1] = 0.5 * (gray[:, 2:] - gray[:, :-2])
+        gy[1:-1, :] = 0.5 * (gray[2:, :] - gray[:-2, :])
+        return gx, gy
+
+    @classmethod
+    def _solved_flow(cls, gray_t: np.ndarray, gray_s: np.ndarray):
         """Least-squares mean flow (u, v) plus a radial expansion term."""
         h, w = gray_t.shape
-        gx = np.zeros_like(gray_t)
-        gy = np.zeros_like(gray_t)
-        gx[:, 1:-1] = 0.5 * (gray_t[:, 2:] - gray_t[:, :-2])
-        gy[1:-1, :] = 0.5 * (gray_t[2:, :] - gray_t[:-2, :])
+        gx, gy = cls._gradients(gray_t)
         dm = gray_t - gray_s
         gxx = float((gx * gx).mean())
         gyy = float((gy * gy).mean())
@@ -361,10 +357,7 @@ class PoseNet(Module):
         gray_t = target.mean(axis=0)
         gray_s = source.mean(axis=0)
         dm = diff.mean(axis=0)
-        gx = np.zeros_like(gray_t)
-        gy = np.zeros_like(gray_t)
-        gx[:, 1:-1] = 0.5 * (gray_t[:, 2:] - gray_t[:, :-2])
-        gy[1:-1, :] = 0.5 * (gray_t[2:, :] - gray_t[:-2, :])
+        gx, gy = cls._gradients(gray_t)
         feats = np.concatenate([target, source, diff, (gx * dm)[None], (gy * dm)[None]], axis=0)
 
         # pyramid of least-squares flows: coarse levels keep multi-pixel

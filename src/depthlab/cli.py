@@ -23,6 +23,7 @@ from .nn import trainable_param_count
 from .scene import SCENE_KINDS, generate_scene
 from .train import (
     ModelBundle,
+    anchored_trajectory,
     evaluate_scene,
     load_model,
     parse_log_line,
@@ -140,11 +141,8 @@ def _cmd_eval_pose(args) -> int:
     model, _ = load_model(args.checkpoint, image_hw=(scene.cam.height, scene.cam.width))
     pred = predicted_trajectory(model, scene)
     if args.gt_trajectory:
-        gt = read_trajectory(args.gt_trajectory)
-        base = gt.poses[0].inverse()
-        from .evalmetrics import Trajectory
-
-        gt = Trajectory(gt.indices, tuple(base.compose(p) for p in gt.poses))
+        gt = read_trajectory(args.gt_trajectory)  # camera-to-world poses
+        gt = anchored_trajectory(gt.indices, [p.inverse() for p in gt.poses])
     else:
         gt = reference_trajectory(scene)
     mean, segments = ate_5frame(pred, gt)

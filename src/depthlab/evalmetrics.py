@@ -33,19 +33,6 @@ class DepthEvalReport:
     f_scale: float
     n_pixels: int
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "abs_rel": self.abs_rel,
-            "sq_rel": self.sq_rel,
-            "rmse": self.rmse,
-            "rmse_log": self.rmse_log,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "delta3": self.delta3,
-            "f_scale": self.f_scale,
-            "n_pixels": self.n_pixels,
-        }
-
 
 @dataclass(frozen=True)
 class Trajectory:

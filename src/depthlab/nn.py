@@ -61,6 +61,24 @@ def frozen_checksums(module: Module) -> dict[str, str]:
     return sums
 
 
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, branch=None) -> Tensor:
+    """y = x W^T (+ branch(rows)) (+ b) for one row vector or a batch of rows.
+
+    `branch`, when given, maps the (rows, in) input to a (rows, out) term
+    that is added before the bias, so an adapted layer sums in the same
+    order as W0 x + delta x + b.
+    """
+    x = ad.as_tensor(x)
+    single = x.ndim == 1
+    rows = ad.reshape(x, (1, x.shape[0])) if single else x
+    y = ad.matmul(rows, weight.T)
+    if branch is not None:
+        y = y + branch(rows)
+    if bias is not None:
+        y = y + ad.broadcast_to(ad.reshape(bias, (1, bias.shape[0])), y.shape)
+    return ad.reshape(y, (y.shape[1],)) if single else y
+
+
 class Linear(Module):
     """Trainable affine map y = x W^T + b for row-vector inputs."""
 
@@ -70,13 +88,7 @@ class Linear(Module):
         self.bias = Tensor(rng.uniform(-bound, bound, size=out_features), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        single = x.ndim == 1
-        if single:
-            x = ad.reshape(x, (1, x.shape[0]))
-        y = ad.matmul(x, self.weight.T)
-        if self.bias is not None:
-            y = y + ad.broadcast_to(ad.reshape(self.bias, (1, self.bias.shape[0])), y.shape)
-        return ad.reshape(y, (y.shape[1],)) if single else y
+        return linear(x, self.weight, self.bias)
 
 
 class Conv2d(Module):

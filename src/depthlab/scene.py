@@ -35,9 +35,6 @@ class SyntheticScene:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def camera_to_world(self, k: int) -> PoseSE3:
-        return self.poses[k].inverse()
-
 
 class _NoiseField:
     """Smooth bandlimited noise over world points: random cosine waves per

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import losses
 from .adapters import InitScheme, InitVariant
 from .autodiff import Tensor
 from .blocks import DecompositionNet, PoseNet, ToyDepthNet, disparity_to_depth, reconstruct
@@ -184,12 +185,12 @@ def step_loss(model: ModelBundle, scene, t: int, weights, cache: "_FrameCache | 
             else:
                 i_warp = ad.slice_axis(warped, 0, 0, 3)
                 warped_reflectance = ad.slice_axis(warped, 0, 3, 6)
-                scale_refl.append(_masked_l1(r_t, warped_reflectance, v))
+                scale_refl.append(losses.reflectance_consistency_loss(r_t, warped_reflectance, v))
             if cfg.source_aggregation == "min":
                 scale_maps.append(_photometric_map(i_warp, img_t, cfg.alpha, v))
                 scale_valid.append(v)
             else:
-                scale_synth.append(_photometric_scalar(i_warp, img_t, cfg.alpha, v))
+                scale_synth.append(losses.synthesis_loss(i_warp, img_t, alpha=cfg.alpha, validity=v))
         if cfg.source_aggregation == "min":
             combined = scale_maps[0]
             for other in scale_maps[1:]:
@@ -223,18 +224,6 @@ def step_loss(model: ModelBundle, scene, t: int, weights, cache: "_FrameCache | 
         "loss": total.item(),
     }
     return total, parts
-
-
-def _masked_l1(r_t: Tensor, warped: Tensor, validity: np.ndarray) -> Tensor:
-    from .losses import reflectance_consistency_loss
-
-    return reflectance_consistency_loss(r_t, warped, validity)
-
-
-def _photometric_scalar(a: Tensor, b: Tensor, alpha: float, validity: np.ndarray) -> Tensor:
-    from .losses import synthesis_loss
-
-    return synthesis_loss(a, b, alpha=alpha, validity=validity)
 
 
 def validation_abs_rel(model: ModelBundle, scene, frames=None, cap: float = 150.0) -> float:
@@ -373,11 +362,15 @@ def predicted_trajectory(model: ModelBundle, scene) -> Trajectory:
     return Trajectory(tuple(range(len(scene))), tuple(poses))
 
 
+def anchored_trajectory(indices, world_to_camera) -> Trajectory:
+    """Camera path re-expressed in the first frame's camera coordinates."""
+    base = world_to_camera[0]
+    return Trajectory(tuple(indices), tuple(base.compose(p.inverse()) for p in world_to_camera))
+
+
 def reference_trajectory(scene) -> Trajectory:
     """Ground-truth camera path re-expressed in frame-0 camera coordinates."""
-    base = scene.poses[0]
-    poses = [base.compose(p.inverse()) for p in scene.poses]
-    return Trajectory(tuple(range(len(scene))), tuple(poses))
+    return anchored_trajectory(range(len(scene)), scene.poses)
 
 
 def evaluate_pose(model: ModelBundle, scene) -> tuple[float, list[float]]:

@@ -11,12 +11,8 @@ from depthlab.adapters import (
     InitScheme,
     InitVariant,
     LowRankAdapter,
-    ScaledLowRankAdapter,
-    init_plain_adapter,
-    init_scaled_adapter,
-    lora_forward,
+    make_adapter,
     merge_weights,
-    scaled_lora_forward,
 )
 from depthlab.autodiff import Tensor
 from depthlab.nn import frozen_checksums, trainable_param_count
@@ -27,7 +23,7 @@ from oracles import fd_gradient, rel_err
 
 def random_setup(rng, m=6, n=5, r=3, bias=True):
     layer = FrozenLinear.random(m, n, rng, bias=bias)
-    adapter = ScaledLowRankAdapter(
+    adapter = LowRankAdapter(
         rng.standard_normal((r, n)),
         rng.standard_normal((m, r)),
         rng.standard_normal(r),
@@ -42,14 +38,14 @@ class TestPlainForward:
         layer = FrozenLinear.random(4, 3, rng)
         adapter = LowRankAdapter(rng.standard_normal((2, 3)), np.zeros((4, 2)))
         x = rng.standard_normal(3)
-        np.testing.assert_array_equal(lora_forward(layer, adapter, Tensor(x)).data, layer(Tensor(x)).data)
+        np.testing.assert_array_equal(layer(Tensor(x), adapter).data, layer(Tensor(x)).data)
 
     def test_identity_factors_pass_input_through(self):
         n = 4
         layer = FrozenLinear(np.zeros((n, n)), None)
         adapter = LowRankAdapter(np.eye(n), np.eye(n))
         x = np.arange(1.0, n + 1.0)
-        np.testing.assert_array_equal(lora_forward(layer, adapter, Tensor(x)).data, x)
+        np.testing.assert_array_equal(layer(Tensor(x), adapter).data, x)
 
     def test_matches_dense_merge(self):
         rng = np.random.default_rng(2)
@@ -58,7 +54,7 @@ class TestPlainForward:
             adapter = LowRankAdapter(rng.standard_normal((3, 5)), rng.standard_normal((6, 3)))
             x = rng.standard_normal(5)
             dense = (layer.weight.data + adapter.up.data @ adapter.down.data) @ x + layer.bias.data
-            got = lora_forward(layer, adapter, Tensor(x)).data
+            got = layer(Tensor(x), adapter).data
             assert np.max(np.abs(got - dense)) <= 1e-12
 
 
@@ -66,9 +62,9 @@ class TestScaledForward:
     def test_fresh_adapter_matches_base_bitwise(self):
         rng = np.random.default_rng(3)
         layer = FrozenLinear.random(8, 5, rng)
-        adapter = init_scaled_adapter(8, 5, 3, InitScheme(seed=11))
+        adapter = make_adapter("scaled", 8, 5, 3, InitScheme(seed=11))
         x = rng.standard_normal(5)
-        got = scaled_lora_forward(layer, adapter, Tensor(x)).data
+        got = layer(Tensor(x), adapter).data
         np.testing.assert_array_equal(got, layer(Tensor(x)).data)
 
     def test_unit_scales_equal_plain_adapter(self):
@@ -77,11 +73,11 @@ class TestScaledForward:
         a = rng.standard_normal((3, 5))
         b = rng.standard_normal((6, 3))
         plain = LowRankAdapter(a, b)
-        scaled = ScaledLowRankAdapter(a, b, np.ones(3), np.ones(6))
+        scaled = LowRankAdapter(a, b, np.ones(3), np.ones(6))
         x = rng.standard_normal(5)
         np.testing.assert_allclose(
-            scaled_lora_forward(layer, scaled, Tensor(x)).data,
-            lora_forward(layer, plain, Tensor(x)).data,
+            layer(Tensor(x), scaled).data,
+            layer(Tensor(x), plain).data,
             atol=1e-14,
         )
 
@@ -94,26 +90,26 @@ class TestScaledForward:
                 adapter.scale_down.data
             ) @ adapter.down.data
             dense = dense_w @ x + layer.bias.data
-            got = scaled_lora_forward(layer, adapter, Tensor(x)).data
+            got = layer(Tensor(x), adapter).data
             assert np.max(np.abs(got - dense)) <= 1e-12
 
     def test_batched_rows(self):
         rng = np.random.default_rng(6)
         layer, adapter = random_setup(rng)
         xs = rng.standard_normal((4, 5))
-        batched = scaled_lora_forward(layer, adapter, Tensor(xs)).data
+        batched = layer(Tensor(xs), adapter).data
         for i in range(4):
-            single = scaled_lora_forward(layer, adapter, Tensor(xs[i])).data
+            single = layer(Tensor(xs[i]), adapter).data
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
     def test_fresh_adapter_gradient_wrt_input_equals_base(self):
         rng = np.random.default_rng(7)
         layer = FrozenLinear.random(6, 5, rng)
-        adapter = init_scaled_adapter(6, 5, 2, InitScheme(seed=0))
+        adapter = make_adapter("scaled", 6, 5, 2, InitScheme(seed=0))
         x = rng.standard_normal(5)
 
         tx1 = Tensor(x, requires_grad=True)
-        ad.tsum(scaled_lora_forward(layer, adapter, tx1)).backward()
+        ad.tsum(layer(tx1, adapter)).backward()
         tx2 = Tensor(x, requires_grad=True)
         ad.tsum(layer(tx2)).backward()
         np.testing.assert_array_equal(tx1.grad, tx2.grad)
@@ -122,7 +118,7 @@ class TestScaledForward:
         rng = np.random.default_rng(8)
         layer, adapter = random_setup(rng)
         x = rng.standard_normal(5)
-        out = ad.tsum(scaled_lora_forward(layer, adapter, Tensor(x)))
+        out = ad.tsum(layer(Tensor(x), adapter))
         out.backward()
         assert adapter.down.grad is not None and adapter.up.grad is not None
         assert layer.weight.grad is None and adapter.scale_down.grad is None
@@ -139,7 +135,7 @@ class TestScaledForward:
             h = w @ x + layer.bias.data
             return float(np.sum((h - target) ** 2))
 
-        h = scaled_lora_forward(layer, adapter, Tensor(x))
+        h = layer(Tensor(x), adapter)
         diff = h - Tensor(target)
         ad.tsum(diff * diff).backward()
         a0, b0 = adapter.down.data.copy(), adapter.up.data.copy()
@@ -150,42 +146,64 @@ class TestScaledForward:
 class TestInit:
     def test_up_matrix_starts_at_zero(self):
         for seed in range(5):
-            adapter = init_scaled_adapter(7, 5, 3, InitScheme(seed=seed))
+            adapter = make_adapter("scaled", 7, 5, 3, InitScheme(seed=seed))
             np.testing.assert_array_equal(adapter.up.data, np.zeros((7, 3)))
 
     def test_same_seed_bit_identical(self):
         s = InitScheme(variant=InitVariant.KAIMING_UNIFORM, seed=123)
-        a1 = init_scaled_adapter(6, 4, 2, s)
-        a2 = init_scaled_adapter(6, 4, 2, s)
+        a1 = make_adapter("scaled", 6, 4, 2, s)
+        a2 = make_adapter("scaled", 6, 4, 2, s)
         np.testing.assert_array_equal(a1.down.data, a2.down.data)
         np.testing.assert_array_equal(a1.scale_down.data, a2.scale_down.data)
         np.testing.assert_array_equal(a1.scale_up.data, a2.scale_up.data)
 
     def test_kaiming_uniform_bound(self):
-        adapter = init_scaled_adapter(64, 64, 4, InitScheme(seed=77))
+        adapter = make_adapter("scaled", 64, 64, 4, InitScheme(seed=77))
         assert np.max(np.abs(adapter.down.data)) <= np.sqrt(6.0 / 64.0)
 
     def test_variants_differ(self):
         draws = {
-            v: init_scaled_adapter(6, 6, 2, InitScheme(variant=v, seed=5)).down.data.tobytes()
+            v: make_adapter("scaled", 6, 6, 2, InitScheme(variant=v, seed=5)).down.data.tobytes()
             for v in InitVariant
         }
         assert len(set(draws.values())) == 3
 
     def test_uniform_variant_range(self):
-        adapter = init_scaled_adapter(16, 16, 4, InitScheme(variant=InitVariant.UNIFORM, seed=3))
+        adapter = make_adapter("scaled", 16, 16, 4, InitScheme(variant=InitVariant.UNIFORM, seed=3))
         assert adapter.down.data.min() >= 0.0 and adapter.down.data.max() <= 1.0
 
     def test_invalid_rank_rejected(self):
         with pytest.raises(ValueError, match="rank"):
-            init_scaled_adapter(4, 3, 5, InitScheme())
+            make_adapter("scaled", 4, 3, 5, InitScheme())
+
+    def test_plain_draws_same_down_matrix_as_scaled(self):
+        for variant in InitVariant:
+            s = InitScheme(variant=variant, seed=8)
+            plain = make_adapter("plain", 7, 5, 3, s)
+            scaled = make_adapter("scaled", 7, 5, 3, s)
+            np.testing.assert_array_equal(plain.down.data, scaled.down.data)
+            np.testing.assert_array_equal(plain.up.data, np.zeros((7, 3)))
+            assert [name for name, _ in plain.named_parameters()] == ["down", "up"]
+
+    def test_modes(self):
+        assert make_adapter("none", 4, 3, 5, InitScheme()) is None
+        with pytest.raises(ValueError, match="adapter mode"):
+            make_adapter("giant", 4, 3, 2, InitScheme())
+
+    def test_scales_given_both_or_neither(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((2, 3)), rng.standard_normal((4, 2))
+        with pytest.raises(ValueError, match="both"):
+            LowRankAdapter(a, b, scale_down=np.ones(2))
+        with pytest.raises(ValueError, match="both"):
+            LowRankAdapter(a, b, scale_up=np.ones(4))
 
 
 class TestMerge:
     def test_fresh_adapter_merges_to_base(self):
         rng = np.random.default_rng(10)
         layer = FrozenLinear.random(5, 4, rng)
-        adapter = init_scaled_adapter(5, 4, 2, InitScheme(seed=1))
+        adapter = make_adapter("scaled", 5, 4, 2, InitScheme(seed=1))
         merged = merge_weights(layer, adapter)
         np.testing.assert_array_equal(merged.weight.data, layer.weight.data)
 
@@ -195,7 +213,7 @@ class TestMerge:
             layer, adapter = random_setup(rng)
             merged = merge_weights(layer, adapter)
             x = rng.standard_normal(5)
-            a_out = scaled_lora_forward(layer, adapter, Tensor(x)).data
+            a_out = layer(Tensor(x), adapter).data
             m_out = merged(Tensor(x)).data
             scale = max(1.0, np.max(np.abs(a_out)))
             assert np.max(np.abs(a_out - m_out)) / scale <= 1e-10
@@ -211,7 +229,7 @@ class TestMerge:
 class TestParamCounts:
     def test_single_adapter_counts(self):
         layer = FrozenLinear.random(64, 64, np.random.default_rng(0))
-        adapter = init_scaled_adapter(64, 64, 4, InitScheme(seed=0))
+        adapter = make_adapter("scaled", 64, 64, 4, InitScheme(seed=0))
         trainable, total = trainable_param_count(adapter)
         assert trainable == 4 * 64 + 64 * 4  # A and B
         assert total - trainable == 4 + 64  # frozen scales
@@ -219,17 +237,19 @@ class TestParamCounts:
         assert lt == 0 and lt_total == 64 * 64 + 64
 
     def test_ratio_for_384_square(self):
-        r, m = 4, 384
-        trainable = r * m + m * r
-        assert trainable == 3072
-        assert abs(trainable / (m * m) - 0.0208) <= 1e-3
+        layer = FrozenLinear.random(384, 384, np.random.default_rng(0), bias=False)
+        adapter = make_adapter("plain", 384, 384, 4, InitScheme(seed=0))
+        trainable, total = trainable_param_count(adapter)
+        assert trainable == total == 3072
+        _, dense = trainable_param_count(layer)
+        assert abs(trainable / dense - 0.0208) <= 1e-3
 
 
 class TestFrozenIntegrity:
     def test_frozen_bytes_unchanged_across_adam_steps(self):
         rng = np.random.default_rng(13)
         layer, _ = random_setup(rng)
-        adapter = init_scaled_adapter(6, 5, 3, InitScheme(seed=2))
+        adapter = make_adapter("scaled", 6, 5, 3, InitScheme(seed=2))
         xs = rng.standard_normal((8, 5))
         ys = rng.standard_normal((8, 6))
 
@@ -248,7 +268,7 @@ class TestFrozenIntegrity:
         opt = Adam([("A", adapter.down), ("B", adapter.up)], lr=1e-2)
         for _ in range(50):
             opt.zero_grad()
-            h = scaled_lora_forward(layer, adapter, Tensor(xs))
+            h = layer(Tensor(xs), adapter)
             diff = h - Tensor(ys)
             ad.tmean(diff * diff).backward()
             opt.step()

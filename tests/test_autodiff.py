@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from depthlab import autodiff as ad
 from depthlab.autodiff import Tensor
+from depthlab.nn import Conv2d, DepthwiseConv2d, trainable_param_count
 
 from oracles import FD_EPS, conv2d_loops, depthwise_conv2d_loops, fd_gradient, rel_err
 
@@ -133,11 +134,11 @@ class TestDepthwiseConv2d:
         np.testing.assert_array_equal(out.data, x)
 
     def test_parameter_count_vs_dense(self):
-        c, k = 8, 3
-        depthwise_params = c * k * k
-        dense_params = c * c * k * k
-        assert depthwise_params == 72
-        assert dense_params == 576
+        rng = np.random.default_rng(0)
+        depthwise = DepthwiseConv2d(8, 3, rng, padding=1, bias=False)
+        dense = Conv2d(8, 8, 3, rng, padding=1, bias=False)
+        assert trainable_param_count(depthwise) == (72, 72)
+        assert trainable_param_count(dense) == (576, 576)
 
     def test_matches_loop_oracle_exactly(self):
         rng = np.random.default_rng(5)

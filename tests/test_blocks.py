@@ -141,10 +141,11 @@ class TestToyDepthNet:
         for d in disps:
             assert np.all(d.data > 0.0) and np.all(d.data < 1.0)
 
-    def test_fresh_adapters_leave_output_bit_identical(self):
+    @pytest.mark.parametrize("mode", ["plain", "scaled"])
+    def test_fresh_adapters_leave_output_bit_identical(self, mode):
         image = np.random.default_rng(3).uniform(0, 1, (3, 16, 16))
         kwargs = dict(embed_dim=32, depth_blocks=2, mixer_after=(1,), rank=2, scheme=InitScheme(seed=5))
-        with_adapters = ToyDepthNet((16, 16), np.random.default_rng(9), adapter_mode="scaled", **kwargs)
+        with_adapters = ToyDepthNet((16, 16), np.random.default_rng(9), adapter_mode=mode, **kwargs)
         without = ToyDepthNet((16, 16), np.random.default_rng(9), adapter_mode="none", **kwargs)
         out_a = with_adapters(Tensor(image))
         out_b = without(Tensor(image))
