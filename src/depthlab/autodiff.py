@@ -3,14 +3,18 @@
 A small eager engine: every operation allocates a new Tensor that records
 its parent tensors plus a closure mapping the upstream adjoint to parent
 adjoints. ``backward()`` on a scalar output walks the graph in reverse
-topological order and accumulates gradients into every grad-enabled tensor
-reachable from the output. Repeated backward calls accumulate; use
-``zero_grad`` between steps.
+topological order and accumulates gradients into the ``.grad`` of every
+grad-enabled leaf (a tensor no op produced) reachable from the output. An
+intermediate tensor's adjoint is dropped once its closure has run, so its
+``.grad`` stays None. Repeated backward calls accumulate on the leaves; use
+``zero_grad`` between steps. The graph holds only what the closures read.
 
-Values are conceptually immutable once created (gradients and explicit
-leaf reassignment via ``Tensor.assign`` are the exceptions); a graph
-instance belongs to a single thread. Reductions use a fixed summation
-order, so reruns are bit-identical.
+Values are immutable once created: an op's output may be a view of its
+input (``permute``, ``broadcast_to``, ``reshape``), and closures keep their
+inputs' arrays by reference, so writing into a ``.data`` array in place
+would corrupt other tensors and later gradients. ``Tensor.assign`` replaces
+a leaf's array instead. A graph instance belongs to a single thread.
+Reductions use a fixed summation order, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -148,7 +152,10 @@ class Tensor:
     # -- backward ------------------------------------------------------------------
 
     def backward(self) -> None:
-        """Populate .grad of every grad-enabled tensor reachable from this scalar."""
+        """Accumulate d(self)/d(leaf) into .grad of every grad-enabled leaf
+        reachable from this scalar; repeated calls add to the leaves' .grad.
+        Tensors computed by ops keep .grad None: each adjoint is freed once
+        its node's closure has run."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar output, shape is {self.shape}")
         order = _topological_order(self)
@@ -157,9 +164,9 @@ class Tensor:
             g = adjoint.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
             if node._bw is None:
+                if node.requires_grad:
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._bw(g)):
                 if pg is None or not parent.requires_grad:
@@ -517,7 +524,7 @@ def permute(a, axes) -> Tensor:
     def bw(g):
         return (np.transpose(g, inverse),)
 
-    return Tensor._from_op(np.ascontiguousarray(np.transpose(a.data, axes)), (a,), bw)
+    return Tensor._from_op(np.transpose(a.data, axes), (a,), bw)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -558,10 +565,11 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
 
 
 def broadcast_to(a, shape) -> Tensor:
-    """Materialized broadcast; backward sums over the broadcast axes."""
+    """Read-only broadcast view of the input; backward sums over the
+    broadcast axes."""
     a = as_tensor(a)
     shape = tuple(shape)
-    out_data = np.ascontiguousarray(np.broadcast_to(a.data, shape))
+    out_data = np.broadcast_to(a.data, shape)
     added = len(shape) - a.ndim
     if added < 0:
         raise ValueError(f"cannot broadcast {a.shape} to smaller rank {shape}")
@@ -628,7 +636,10 @@ def upsample_nearest2x(a) -> Tensor:
 #
 # Backward has no order contract. It zero-pads the output gradient to the
 # grid, so the discarded columns contribute exact zeros, and contracts whole
-# channel blocks per tap on the same views.
+# channel blocks per tap on the same views. The closure keeps no padded
+# buffer: the kernel gradient re-pads the input, which the graph holds
+# anyway as a parent, so between forward and backward only the output and
+# the parents stay allocated.
 
 
 def _conv_geometry(hp: int, wp: int, kh: int, kw: int, sh: int, sw: int) -> tuple[int, int]:
@@ -706,15 +717,16 @@ def conv2d(x, kernel, stride=1, padding=0) -> Tensor:
         gx = None
         gk = None
         if x.requires_grad:
-            gb = np.zeros_like(xb)
+            gb = np.zeros((c_in, grid.rows, grid.pitch))
             for i, j in taps:
                 win = grid.window(gb, i, j)
                 win += (kd[:, :, i, j].T @ gq).reshape(win.shape)
             gx = grid.unpad(gb)
         if kernel.requires_grad:
+            xb = grid.pad(x.data)
             gk = np.empty_like(kd)
-            for (i, j), win in zip(taps, wins):
-                gk[:, :, i, j] = gq @ win.reshape(c_in, -1).T
+            for i, j in taps:
+                gk[:, :, i, j] = gq @ grid.window(xb, i, j).reshape(c_in, -1).T
         return (gx, gk)
 
     return Tensor._from_op(grid.crop(out), (x, kernel), bw)
@@ -743,12 +755,13 @@ def depthwise_conv2d(x, kernel, stride=1, padding=0) -> Tensor:
         gx = None
         gk = None
         if x.requires_grad:
-            gb = np.zeros_like(xb)
+            gb = np.zeros((c, grid.rows, grid.pitch))
             for i, j in taps:
                 win = grid.window(gb, i, j)
                 win += kd[:, i, j][:, None, None] * gq
             gx = grid.unpad(gb)
         if kernel.requires_grad:
+            xb = grid.pad(x.data)
             gk = np.empty_like(kd)
             for i, j in taps:
                 gk[:, i, j] = np.einsum("chw,chw->c", gq, grid.window(xb, i, j))

@@ -270,18 +270,9 @@ def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
             sums = {"loss": 0.0, "reconstruction": 0.0, "reflectance": 0.0, "synthesis": 0.0, "smoothness": 0.0}
             for start in range(0, len(targets), config.batch_size):
                 batch = targets[start : start + config.batch_size]
-                cache = _FrameCache(model, scene)
-                batch_total = None
-                for t in batch:
-                    total, parts = step_loss(model, scene, t, weights, cache=cache)
-                    if not np.isfinite(total.data):
-                        _abort_with_checkpoint(model, config, step, checkpoint_path)
-                    batch_total = total if batch_total is None else batch_total + total
+                for parts in _optimizer_step(model, scene, batch, weights, opt, step, checkpoint_path):
                     for key in sums:
                         sums[key] += parts[key]
-                (batch_total * (1.0 / len(batch))).backward()
-                opt.step()
-                opt.zero_grad()
                 step += 1
             after = frozen_checksums(model)
             if after != frozen_before:
@@ -308,6 +299,25 @@ def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
     if checkpoint_path:
         save_model(checkpoint_path, model, config, step)
     return model, records
+
+
+def _optimizer_step(model, scene, batch, weights, opt, step, checkpoint_path) -> list[dict[str, float]]:
+    """One Adam step on the mean loss over the batch's targets; returns each
+    target's loss parts. The step's graph is local, so it is freed on return,
+    before the next step's forward or the epoch's validation runs."""
+    cache = _FrameCache(model, scene)
+    batch_total = None
+    batch_parts = []
+    for t in batch:
+        total, parts = step_loss(model, scene, t, weights, cache=cache)
+        if not np.isfinite(total.data):
+            _abort_with_checkpoint(model, model.config, step, checkpoint_path)
+        batch_total = total if batch_total is None else batch_total + total
+        batch_parts.append(parts)
+    (batch_total * (1.0 / len(batch))).backward()
+    opt.step()
+    opt.zero_grad()
+    return batch_parts
 
 
 def _abort_with_checkpoint(model, config, step, checkpoint_path):

@@ -1,6 +1,8 @@
 """Engine tests: forward semantics, loop-oracle exactness for the
 convolutions, and finite-difference agreement for every differentiable op."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -385,6 +387,54 @@ class TestBackward:
             return x.grad.copy()
 
         np.testing.assert_array_equal(run(), run())
+
+
+class TestRetention:
+    """The graph keeps only what backward closures read."""
+
+    def test_gradients_land_on_leaves_only(self):
+        x = leaf([1.0, 2.0, 3.0])
+        w = leaf([2.0, -1.0, 0.5])
+        y = x * w
+        z = ad.tsum(y * y)
+        z.backward()
+        assert y.grad is None and z.grad is None
+        # d/dx sum((x w)^2) = 2 x w^2 and d/dw = 2 w x^2, exact for these values
+        np.testing.assert_array_equal(x.grad, [8.0, 4.0, 1.5])
+        np.testing.assert_array_equal(w.grad, [4.0, -8.0, 9.0])
+
+    def test_permute_and_transpose_are_views(self):
+        a = leaf(np.arange(24.0).reshape(2, 3, 4))
+        p = ad.permute(a, (2, 0, 1))
+        np.testing.assert_array_equal(p.data, np.transpose(a.data, (2, 0, 1)))
+        assert np.shares_memory(p.data, a.data)
+        m = leaf(np.arange(6.0).reshape(2, 3))
+        assert np.shares_memory(m.T.data, m.data)
+
+    def test_broadcast_is_a_read_only_view(self):
+        a = leaf([[1.0], [2.0]])
+        b = ad.broadcast_to(a, (3, 2, 4))
+        np.testing.assert_array_equal(b.data, np.broadcast_to(a.data, (3, 2, 4)))
+        assert np.shares_memory(b.data, a.data)
+        assert not b.data.flags.writeable
+
+    @pytest.mark.parametrize(
+        "op, k_shape", [(ad.conv2d, (2, 16, 3, 3)), (ad.depthwise_conv2d, (16, 3, 3))], ids=["conv2d", "depthwise"]
+    )
+    def test_conv_forward_holds_no_padded_buffer(self, op, k_shape):
+        rng = np.random.default_rng(5)
+        x = leaf(rng.standard_normal((16, 32, 32)))
+        k = leaf(rng.standard_normal(k_shape))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op(x, k, stride=1, padding=1)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the padded input would be (16 channels, 32 + 3 rows, 34 pitch)
+        # float64 = 152,320 bytes; 16 KiB covers the Tensor and its closure
+        assert held - out.data.nbytes < 16 * 1024
 
 
 def _sq(t):
