@@ -1,19 +1,29 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A small eager engine: every operation allocates a new Tensor that records
-its parent tensors plus a closure mapping the upstream adjoint to parent
-adjoints. ``backward()`` on a scalar output walks the graph in reverse
-topological order and accumulates gradients into the ``.grad`` of every
-grad-enabled leaf (a tensor no op produced) reachable from the output. An
-intermediate tensor's adjoint is dropped once its closure has run, so its
-``.grad`` stays None. Repeated backward calls accumulate on the leaves; use
-``zero_grad`` between steps. The graph holds only what the closures read.
+A small eager engine. Each grad-enabled tensor owns one graph node,
+separate from its value: an op output's node holds the nodes of its
+parents (None for a parent that needs no gradient) and a closure mapping
+the upstream adjoint to parent adjoints; a grad-enabled leaf (a tensor no
+op produced) gets a node on first use that points back to the leaf weakly,
+so the graph holds no reference cycle and keeps no leaf alive.
+``backward()`` on a scalar output walks the nodes in reverse topological
+order and accumulates gradients into the ``.grad`` of every leaf reachable
+from the output. An intermediate tensor's adjoint is dropped once its
+closure has run, so its ``.grad`` stays None. Repeated backward calls
+accumulate on the leaves; use ``zero_grad`` between steps.
+
+Because nodes hold nodes, not tensors, the graph keeps an array alive only
+where a closure reads it. A closure captures the arrays, shapes and flags
+its backward reads and never a ``Tensor``; an operand's array is captured
+only when the other operand's gradient needs it. An intermediate's array is
+therefore freed once no code and no closure refers to it, even while the
+graph lives.
 
 Values are immutable once created: an op's output may be a view of its
-input (``permute``, ``broadcast_to``, ``reshape``), and closures keep their
-inputs' arrays by reference, so writing into a ``.data`` array in place
-would corrupt other tensors and later gradients. ``Tensor.assign`` replaces
-a leaf's array instead. A graph instance belongs to a single thread.
+input (``permute``, ``broadcast_to``, ``reshape``), and closures keep
+arrays by reference, so writing into a ``.data`` array in place would
+corrupt other tensors and later gradients. ``Tensor.assign`` replaces a
+leaf's array instead. A graph instance belongs to a single thread.
 Reductions use a fixed summation order, so reruns are bit-identical.
 """
 
@@ -21,6 +31,7 @@ from __future__ import annotations
 
 import builtins
 import math
+import weakref
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -29,27 +40,52 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-class Tensor:
-    """Dense row-major float64 array plus an optional gradient record."""
+class _Node:
+    """Graph record of one grad-enabled tensor. An op node has parent nodes
+    and a closure; a leaf node has neither and a weak reference to its leaf."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bw")
+    __slots__ = ("parents", "bw", "leaf")
+
+    def __init__(self, parents: tuple["_Node | None", ...] = (), bw=None, leaf: "weakref.ref | None" = None):
+        self.parents = parents
+        self.bw = bw
+        self.leaf = leaf
+
+
+class Tensor:
+    """Dense row-major float64 array plus an optional gradient record.
+
+    ``data`` is the value. ``_node`` is the graph record: set by the op that
+    produced a grad-enabled tensor, made on first use for a grad-enabled
+    leaf, None otherwise. The graph refers to nodes, never to tensors, so
+    dropping an intermediate tensor frees its array unless a closure reads
+    it."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._bw = None
+        self._node: _Node | None = None
 
     # -- construction helpers -------------------------------------------------
+
+    def _graph_node(self) -> _Node | None:
+        """This tensor's node, made here for a grad-enabled leaf; None when
+        no gradient flows to it."""
+        if not self.requires_grad:
+            return None
+        if self._node is None:
+            self._node = _Node(leaf=weakref.ref(self))
+        return self._node
 
     @staticmethod
     def _from_op(data: np.ndarray, parents: tuple["Tensor", ...], bw) -> "Tensor":
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
-            out._parents = parents
-            out._bw = bw
+            out._node = _Node(tuple(p._graph_node() for p in parents), bw)
         return out
 
     # -- basic introspection ---------------------------------------------------
@@ -79,7 +115,7 @@ class Tensor:
 
     def assign(self, new_data) -> None:
         """Replace the value of a leaf tensor (between graph builds)."""
-        if self._parents:
+        if self._node is not None and self._node.leaf is None:
             raise ValueError("assign is only valid on leaf tensors")
         arr = np.asarray(new_data, dtype=np.float64)
         if arr.shape != self.data.shape:
@@ -158,18 +194,22 @@ class Tensor:
         its node's closure has run."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar output, shape is {self.shape}")
-        order = _topological_order(self)
-        adjoint: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        root = self._graph_node()
+        if root is None:
+            return
+        order = _topological_order(root)
+        adjoint: dict[int, np.ndarray] = {id(root): np.ones_like(self.data)}
         for node in reversed(order):
             g = adjoint.pop(id(node), None)
             if g is None:
                 continue
-            if node._bw is None:
-                if node.requires_grad:
-                    node.grad = g if node.grad is None else node.grad + g
+            if node.bw is None:
+                leaf = node.leaf()
+                if leaf is not None:  # a dropped leaf has no .grad to set
+                    leaf.grad = g if leaf.grad is None else leaf.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._bw(g)):
-                if pg is None or not parent.requires_grad:
+            for parent, pg in zip(node.parents, node.bw(g)):
+                if pg is None or parent is None:
                     continue
                 key = id(parent)
                 if key in adjoint:
@@ -178,11 +218,12 @@ class Tensor:
                     adjoint[key] = pg
 
 
-def _topological_order(root: Tensor) -> list[Tensor]:
-    """Post-order of the DAG below root; independent of construction interleaving."""
-    order: list[Tensor] = []
+def _topological_order(root: _Node) -> list[_Node]:
+    """Post-order of the node DAG below root; independent of construction
+    interleaving."""
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -192,8 +233,8 @@ def _topological_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen:
+        for parent in node.parents:
+            if parent is not None and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
@@ -225,9 +266,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_binary_shapes(a, b, "add")
+    a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+        return (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape))
 
     return Tensor._from_op(a.data + b.data, (a, b), bw)
 
@@ -235,9 +277,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_binary_shapes(a, b, "sub")
+    a_shape, b_shape = a.shape, b.shape
 
     def bw(g):
-        return (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
+        return (_unbroadcast(g, a_shape), _unbroadcast(-g, b_shape))
 
     return Tensor._from_op(a.data - b.data, (a, b), bw)
 
@@ -245,53 +288,62 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_binary_shapes(a, b, "mul")
-    ad, bd = a.data, b.data
+    a_shape, b_shape = a.shape, b.shape
+    # each operand's gradient reads the other operand only
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
 
     def bw(g):
-        ga = _unbroadcast(g * bd, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * ad, b.shape) if b.requires_grad else None
+        ga = None if bd is None else _unbroadcast(g * bd, a_shape)
+        gb = None if ad is None else _unbroadcast(g * ad, b_shape)
         return (ga, gb)
 
-    return Tensor._from_op(ad * bd, (a, b), bw)
+    return Tensor._from_op(a.data * b.data, (a, b), bw)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _check_binary_shapes(a, b, "div")
-    ad, bd = a.data, b.data
+    a_shape, b_shape = a.shape, b.shape
+    a_grad = a.requires_grad
+    bd = b.data
+    ad = a.data if b.requires_grad else None  # only the divisor's gradient reads a
 
     def bw(g):
-        ga = _unbroadcast(g / bd, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(-g * ad / (bd * bd), b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g / bd, a_shape) if a_grad else None
+        gb = None if ad is None else _unbroadcast(-g * ad / (bd * bd), b_shape)
         return (ga, gb)
 
-    return Tensor._from_op(ad / bd, (a, b), bw)
+    return Tensor._from_op(a.data / bd, (a, b), bw)
 
 
 # -- elementwise unary ops ---------------------------------------------------------
 
 
-def _unary(a, fwd, dfn) -> Tensor:
+def _unary(a, fwd, dfn, of_output: bool = False) -> Tensor:
+    """Elementwise op whose local derivative dfn reads one array: the input,
+    or the output when of_output. The closure keeps only that array."""
     a = as_tensor(a)
     out_data = fwd(a.data)
+    kept = out_data if of_output else a.data
 
     def bw(g):
-        return (g * dfn(a.data, out_data),)
+        return (g * dfn(kept),)
 
     return Tensor._from_op(out_data, (a,), bw)
 
 
 def texp(a) -> Tensor:
-    return _unary(a, np.exp, lambda x, y: y)
+    return _unary(a, np.exp, lambda y: y, of_output=True)
 
 
 def tlog(a) -> Tensor:
-    return _unary(a, np.log, lambda x, y: 1.0 / x)
+    return _unary(a, np.log, lambda x: 1.0 / x)
 
 
 def tabs(a) -> Tensor:
     # subgradient at 0 is 0 (np.sign(0) == 0)
-    return _unary(a, np.abs, lambda x, y: np.sign(x))
+    return _unary(a, np.abs, np.sign)
 
 
 def sigmoid(a) -> Tensor:
@@ -303,34 +355,34 @@ def sigmoid(a) -> Tensor:
         out[~pos] = ex / (1.0 + ex)
         return out
 
-    return _unary(a, fwd, lambda x, y: y * (1.0 - y))
+    return _unary(a, fwd, lambda y: y * (1.0 - y), of_output=True)
 
 
 def relu(a) -> Tensor:
-    # derivative at 0 defined as 0
-    return _unary(a, lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0).astype(np.float64))
+    # derivative at 0 defined as 0; y > 0 exactly where x > 0
+    return _unary(a, lambda x: np.maximum(x, 0.0), lambda y: (y > 0).astype(np.float64), of_output=True)
 
 
 def gelu(a) -> Tensor:
     def fwd(x):
         return 0.5 * x * (1.0 + _erf(x * _INV_SQRT2))
 
-    def dfn(x, y):
+    def dfn(x):
         return 0.5 * (1.0 + _erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
     return _unary(a, fwd, dfn)
 
 
 def tsin(a) -> Tensor:
-    return _unary(a, np.sin, lambda x, y: np.cos(x))
+    return _unary(a, np.sin, np.cos)
 
 
 def tcos(a) -> Tensor:
-    return _unary(a, np.cos, lambda x, y: -np.sin(x))
+    return _unary(a, np.cos, lambda x: -np.sin(x))
 
 
 def tsqrt(a) -> Tensor:
-    return _unary(a, np.sqrt, lambda x, y: 0.5 / y)
+    return _unary(a, np.sqrt, lambda y: 0.5 / y, of_output=True)
 
 
 # -- matmul ---------------------------------------------------------------------------
@@ -342,14 +394,16 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul needs 2-d operands, got shapes {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
+    # each operand's gradient reads the other operand only
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
 
     def bw(g):
-        ga = g @ bd.T if a.requires_grad else None
-        gb = ad.T @ g if b.requires_grad else None
+        ga = None if bd is None else g @ bd.T
+        gb = None if ad is None else ad.T @ g
         return (ga, gb)
 
-    return Tensor._from_op(ad @ bd, (a, b), bw)
+    return Tensor._from_op(a.data @ b.data, (a, b), bw)
 
 
 # -- reductions --------------------------------------------------------------------------
@@ -386,9 +440,10 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     axes = _normalize_axes(axis, a.ndim)
     _check_nonempty(a, axes, "sum")
     out_data = np.sum(a.data, axis=axes, keepdims=keepdims)
+    a_shape = a.shape
 
     def bw(g):
-        return (_expand_reduced(np.asarray(g), a.shape, axes, keepdims).copy(),)
+        return (_expand_reduced(np.asarray(g), a_shape, axes, keepdims).copy(),)
 
     return Tensor._from_op(out_data, (a,), bw)
 
@@ -401,9 +456,10 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     for ax in axes:
         count *= a.shape[ax]
     out_data = np.sum(a.data, axis=axes, keepdims=keepdims) / count
+    a_shape = a.shape
 
     def bw(g):
-        return (_expand_reduced(np.asarray(g) / count, a.shape, axes, keepdims).copy(),)
+        return (_expand_reduced(np.asarray(g) / count, a_shape, axes, keepdims).copy(),)
 
     return Tensor._from_op(out_data, (a,), bw)
 
@@ -413,23 +469,26 @@ def tmax(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     axes = _normalize_axes(axis, a.ndim)
     _check_nonempty(a, axes, "max")
-    moved = np.moveaxis(a.data, axes, range(a.ndim - len(axes), a.ndim))
+    tail = range(a.ndim - len(axes), a.ndim)
+    moved = np.moveaxis(a.data, axes, tail)
     lead_shape = moved.shape[: a.ndim - len(axes)]
+    reduced_shape = moved.shape[a.ndim - len(axes) :]
     flat = moved.reshape(lead_shape + (-1,))
     idx = np.argmax(flat, axis=-1)
     out_data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
     if keepdims:
         for ax in sorted(axes):
             out_data = np.expand_dims(out_data, ax)
+    a_shape = a.shape
 
     def bw(g):
-        gmoved = np.zeros_like(flat)
         gval = np.asarray(g)
         if keepdims:
             gval = gval.reshape(lead_shape)
-        np.put_along_axis(gmoved, idx[..., None], gval[..., None], axis=-1)
-        back = np.moveaxis(gmoved.reshape(moved.shape), range(a.ndim - len(axes), a.ndim), axes)
-        return (back,)
+        full = np.zeros(a_shape)
+        at = np.indices(lead_shape, sparse=True) + np.unravel_index(idx, reduced_shape)
+        np.moveaxis(full, axes, tail)[at] = gval
+        return (full,)
 
     return Tensor._from_op(out_data, (a,), bw)
 
@@ -486,14 +545,16 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv_std
     out_data = xhat * gain.data + bias.data
+    gain_grad, bias_grad = gain.requires_grad, bias.requires_grad
+    gd = gain.data if x.requires_grad else None  # only the input's gradient reads the gain
 
     def bw(g):
         lead_axes = tuple(range(g.ndim - 1))
-        ggain = np.sum(g * xhat, axis=lead_axes) if gain.requires_grad else None
-        gbias = np.sum(g, axis=lead_axes) if bias.requires_grad else None
+        ggain = np.sum(g * xhat, axis=lead_axes) if gain_grad else None
+        gbias = np.sum(g, axis=lead_axes) if bias_grad else None
         gx = None
-        if x.requires_grad:
-            gxhat = g * gain.data
+        if gd is not None:
+            gxhat = g * gd
             m1 = np.mean(gxhat, axis=-1, keepdims=True)
             m2 = np.mean(gxhat * xhat, axis=-1, keepdims=True)
             gx = inv_std * (gxhat - m1 - xhat * m2)
@@ -509,9 +570,10 @@ def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     shape = tuple(shape)
     out_data = a.data.reshape(shape)
+    a_shape = a.shape
 
     def bw(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(a_shape),)
 
     return Tensor._from_op(out_data, (a,), bw)
 
@@ -534,11 +596,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    needs_grad = [t.requires_grad for t in tensors]
 
     def bw(g):
         grads = []
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
+        for needed, start, stop in zip(needs_grad, offsets[:-1], offsets[1:]):
+            if needed:
                 sl = [slice(None)] * g.ndim
                 sl[axis] = slice(int(start), int(stop))
                 grads.append(np.ascontiguousarray(g[tuple(sl)]))
@@ -555,9 +618,10 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
     sl = [slice(None)] * a.ndim
     sl[axis] = slice(start, stop)
     sl = tuple(sl)
+    a_shape = a.shape
 
     def bw(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(a_shape)
         full[sl] = g
         return (full,)
 
@@ -580,10 +644,11 @@ def broadcast_to(a, shape) -> Tensor:
     for src, dst in zip(expanded, shape):
         if src != dst and src != 1:
             raise ValueError(f"cannot broadcast {a.shape} to {shape}")
+    a_shape = a.shape
 
     def bw(g):
         gg = np.sum(g, axis=summed_axes, keepdims=True) if summed_axes else g
-        return (gg.reshape(a.shape),)
+        return (gg.reshape(a_shape),)
 
     return Tensor._from_op(out_data, (a,), bw)
 
@@ -637,9 +702,10 @@ def upsample_nearest2x(a) -> Tensor:
 # Backward has no order contract. It zero-pads the output gradient to the
 # grid, so the discarded columns contribute exact zeros, and contracts whole
 # channel blocks per tap on the same views. The closure keeps no padded
-# buffer: the kernel gradient re-pads the input, which the graph holds
-# anyway as a parent, so between forward and backward only the output and
-# the parents stay allocated.
+# buffer. It keeps the input array only when the kernel needs a gradient,
+# and re-pads it there; it keeps the kernel array only when the input needs
+# one. A frozen convolution over a grad-enabled input so holds only its
+# kernel between forward and backward.
 
 
 def _conv_geometry(hp: int, wp: int, kh: int, kw: int, sh: int, sw: int) -> tuple[int, int]:
@@ -706,25 +772,27 @@ def conv2d(x, kernel, stride=1, padding=0) -> Tensor:
     xb = grid.pad(x.data)
     taps = [(i, j) for i in range(kh) for j in range(kw)]
     wins = [grid.window(xb, i, j) for i, j in taps]
-    kd = kernel.data
     out = np.zeros((c_out, grid.ho, grid.cols))
     for ci in range(c_in):
         for (i, j), win in zip(taps, wins):
-            out += kd[:, ci, i, j][:, None, None] * win[ci]
+            out += kernel.data[:, ci, i, j][:, None, None] * win[ci]
+    kd = kernel.data if x.requires_grad else None
+    xd = x.data if kernel.requires_grad else None
+    k_shape = kernel.shape
 
     def bw(g):
         gq = grid.widen(g).reshape(c_out, -1)
         gx = None
         gk = None
-        if x.requires_grad:
+        if kd is not None:
             gb = np.zeros((c_in, grid.rows, grid.pitch))
             for i, j in taps:
                 win = grid.window(gb, i, j)
                 win += (kd[:, :, i, j].T @ gq).reshape(win.shape)
             gx = grid.unpad(gb)
-        if kernel.requires_grad:
-            xb = grid.pad(x.data)
-            gk = np.empty_like(kd)
+        if xd is not None:
+            xb = grid.pad(xd)
+            gk = np.empty(k_shape)
             for i, j in taps:
                 gk[:, :, i, j] = gq @ grid.window(xb, i, j).reshape(c_in, -1).T
         return (gx, gk)
@@ -745,24 +813,26 @@ def depthwise_conv2d(x, kernel, stride=1, padding=0) -> Tensor:
     grid = _PitchGrid(x.shape, kh, kw, stride, padding)
     xb = grid.pad(x.data)
     taps = [(i, j) for i in range(kh) for j in range(kw)]
-    kd = kernel.data
     out = np.zeros((c, grid.ho, grid.cols))
     for i, j in taps:
-        out += kd[:, i, j][:, None, None] * grid.window(xb, i, j)
+        out += kernel.data[:, i, j][:, None, None] * grid.window(xb, i, j)
+    kd = kernel.data if x.requires_grad else None
+    xd = x.data if kernel.requires_grad else None
+    k_shape = kernel.shape
 
     def bw(g):
         gq = grid.widen(g)
         gx = None
         gk = None
-        if x.requires_grad:
+        if kd is not None:
             gb = np.zeros((c, grid.rows, grid.pitch))
             for i, j in taps:
                 win = grid.window(gb, i, j)
                 win += kd[:, i, j][:, None, None] * gq
             gx = grid.unpad(gb)
-        if kernel.requires_grad:
-            xb = grid.pad(x.data)
-            gk = np.empty_like(kd)
+        if xd is not None:
+            xb = grid.pad(xd)
+            gk = np.empty(k_shape)
             for i, j in taps:
                 gk[:, i, j] = np.einsum("chw,chw->c", gq, grid.window(xb, i, j))
         return (gx, gk)
@@ -828,10 +898,16 @@ def bilinear_sample(source, grid) -> tuple[Tensor, Tensor]:
         vals.append(val)
         out += wgt[None, :, :] * val
 
+    # the source gradient reads the corners, the grid gradient their values
+    if not source.requires_grad:
+        corners = None
+    if not grid.requires_grad:
+        vals = None
+
     def bw(g):
         gsrc = None
         ggrid = None
-        if source.requires_grad:
+        if corners is not None:
             # bincount over flattened indices is much faster than np.add.at
             acc = np.zeros((c, h * w))
             for yc, xc, wgt, ok in corners:
@@ -840,7 +916,7 @@ def bilinear_sample(source, grid) -> tuple[Tensor, Tensor]:
                 for ch in range(c):
                     acc[ch] += np.bincount(idx, weights=contrib[ch], minlength=h * w)
             gsrc = acc.reshape(c, h, w)
-        if grid.requires_grad:
+        if vals is not None:
             v00, v01, v10, v11 = vals
             du = (1.0 - wy)[None] * (v01 - v00) + wy[None] * (v11 - v10)
             dv = (1.0 - wx)[None] * (v10 - v00) + wx[None] * (v11 - v01)

@@ -1,7 +1,9 @@
 """Engine tests: forward semantics, loop-oracle exactness for the
 convolutions, and finite-difference agreement for every differentiable op."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -232,6 +234,33 @@ class TestReductions:
         ad.tmax(x).backward()
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("axis, keepdims", [((1, 2), False), (0, True), ((0, 2), False)])
+    def test_max_over_axes_routes_each_gradient_to_its_argmax(self, axis, keepdims):
+        rng = np.random.default_rng(9)
+        xv = rng.standard_normal((3, 4, 5))
+        x = leaf(xv)
+        out = ad.tmax(x, axis=axis, keepdims=keepdims)
+        np.testing.assert_array_equal(out.data, np.max(xv, axis=axis, keepdims=keepdims))
+        weight = rng.standard_normal(out.shape)
+        ad.tsum(out * weight).backward()
+        axes = (axis,) if isinstance(axis, int) else axis
+        expected = np.zeros_like(xv)
+        flat_weight = weight.reshape(-1)
+        # loop reference: each output element's weight lands on the first
+        # maximal input element of its reduction window
+        kept = [ax for ax in range(3) if ax not in axes]
+        for n, lead in enumerate(np.ndindex(*(xv.shape[ax] for ax in kept))):
+            window = [slice(None)] * 3
+            for ax, i in zip(kept, lead):
+                window[ax] = i
+            sub = xv[tuple(window)]
+            hit = np.unravel_index(np.argmax(sub), sub.shape)
+            at = list(window)
+            for ax, i in zip(axes, hit):
+                at[ax] = i
+            expected[tuple(at)] = flat_weight[n]
+        np.testing.assert_array_equal(x.grad, expected)
+
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=30))
     @settings(deadline=None, max_examples=50)
     def test_median_matches_sorted_lower_middle(self, values):
@@ -388,6 +417,56 @@ class TestBackward:
 
         np.testing.assert_array_equal(run(), run())
 
+    def test_assign_only_on_leaves(self):
+        x = leaf([1.0, 2.0])
+        y = x * 2.0
+        with pytest.raises(ValueError, match="leaf"):
+            y.assign([0.0, 0.0])
+        x.assign([3.0, 4.0])
+        np.testing.assert_array_equal(x.data, [3.0, 4.0])
+
+
+# op, then one shape per operand; every operand takes values in [0.5, 1.5],
+# so divisors stay away from zero and grid coordinates inside the source
+_MIXED_CASES = {
+    "mul": (lambda a, b: a * b, [(2, 3), (2, 3)]),
+    "mul_scalar": (lambda a, b: a * b, [(2, 3), ()]),
+    "div": (lambda a, b: a / b, [(2, 3), (2, 3)]),
+    "matmul": (ad.matmul, [(2, 3), (3, 4)]),
+    "layer_norm": (ad.layer_norm, [(2, 4), (4,), (4,)]),
+    "conv2d": (lambda x, k: ad.conv2d(x, k, padding=1), [(2, 5, 5), (3, 2, 3, 3)]),
+    "depthwise": (lambda x, k: ad.depthwise_conv2d(x, k, stride=2, padding=1), [(2, 5, 5), (2, 3, 3)]),
+    "bilinear": (lambda s, g: ad.bilinear_sample(s, g)[0], [(2, 4, 4), (2, 3, 3)]),
+}
+
+
+@pytest.mark.parametrize(
+    "name, operand",
+    [(name, i) for name, (_, shapes) in _MIXED_CASES.items() for i in range(len(shapes))],
+)
+def test_single_grad_operand_matches_all_grad(name, operand):
+    """An operand that alone requires grad gets exactly the gradient it gets
+    when every operand does; the constant operands' .grad stays None."""
+    op, shapes = _MIXED_CASES[name]
+    rng = np.random.default_rng(sum(map(ord, name)))
+    arrays = [rng.uniform(0.5, 1.5, size=shape) for shape in shapes]
+    weight = None
+
+    def run(flags):
+        nonlocal weight
+        tensors = [Tensor(a, requires_grad=f) for a, f in zip(arrays, flags)]
+        out = op(*tensors)
+        if weight is None:
+            weight = rng.standard_normal(out.shape)
+        ad.tsum(out * weight).backward()
+        return tensors
+
+    every = run([True] * len(shapes))
+    alone = run([i == operand for i in range(len(shapes))])
+    assert every[operand].grad is not None
+    np.testing.assert_array_equal(alone[operand].grad, every[operand].grad)
+    assert all(t.grad is None for i, t in enumerate(alone) if i != operand)
+
 
 class TestRetention:
     """The graph keeps only what backward closures read."""
@@ -435,6 +514,64 @@ class TestRetention:
         # the padded input would be (16 channels, 32 + 3 rows, 34 pitch)
         # float64 = 152,320 bytes; 16 KiB covers the Tensor and its closure
         assert held - out.data.nbytes < 16 * 1024
+
+    def test_chained_add_frees_the_middle_array(self):
+        x = leaf([1.0, 2.0, 3.0])
+        y = x + 1.0
+        z = y + 2.0
+        middle = weakref.ref(y.data)
+        del y
+        gc.collect()
+        assert middle() is None
+        ad.tsum(z).backward()
+        np.testing.assert_array_equal(x.grad, np.ones(3))
+
+    def test_frozen_matmul_keeps_no_input_rows(self):
+        x = leaf(np.arange(6.0).reshape(2, 3))
+        w = Tensor(np.arange(12.0).reshape(4, 3))  # frozen (out, in) weight
+        rows = x * 2.0
+        out = ad.matmul(rows, w.T)
+        held = weakref.ref(rows.data)
+        del rows
+        gc.collect()
+        assert held() is None
+        ad.tsum(out).backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * np.ones((2, 4)) @ w.data)
+
+    def test_graph_is_freed_by_reference_counting(self):
+        # a leaf's node refers back to it weakly: no cycle outlives the graph
+        gc.disable()
+        try:
+            x = leaf(np.ones(8))
+            out = ad.tsum(x * x)
+            out.backward()
+            np.testing.assert_array_equal(x.grad, np.full(8, 2.0))
+            value = weakref.ref(x.data)
+            del x, out
+            assert value() is None
+        finally:
+            gc.enable()
+
+    def test_leaf_gradients_unchanged_when_intermediates_are_freed(self):
+        rng = np.random.default_rng(8)
+        xv, wv, cv = rng.standard_normal((3, 4)), rng.standard_normal((5, 4)), rng.standard_normal((3, 5))
+
+        def grad(drop):
+            x, w, c = leaf(xv), Tensor(wv), Tensor(cv)
+            m = ad.matmul(x, w.T)
+            h = m + 1.0
+            out = ad.tsum(h * c)
+            refs = [weakref.ref(m.data), weakref.ref(h.data)]
+            if drop:
+                del m, h
+                gc.collect()
+                assert all(r() is None for r in refs)
+            out.backward()
+            return x.grad
+
+        kept = grad(drop=False)
+        np.testing.assert_array_equal(grad(drop=True), kept)
+        np.testing.assert_allclose(kept, cv @ wv, atol=1e-12)
 
 
 def _sq(t):
