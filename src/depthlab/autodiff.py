@@ -40,6 +40,11 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
+class TrainingDiverged(RuntimeError):
+    """A non-finite loss, pose or gradient, or a warp with no valid pixel:
+    the step cannot be taken and the parameters hold their last good state."""
+
+
 class _Node:
     """Graph record of one grad-enabled tensor. An op node has parent nodes
     and a closure; a leaf node has neither and a weak reference to its leaf."""
@@ -898,11 +903,15 @@ def bilinear_sample(source, grid) -> tuple[Tensor, Tensor]:
         vals.append(val)
         out += wgt[None, :, :] * val
 
-    # the source gradient reads the corners, the grid gradient their values
+    # the source gradient reads the corners, the grid gradient the slopes
+    # of the sampled values along u and v
     if not source.requires_grad:
         corners = None
-    if not grid.requires_grad:
-        vals = None
+    du = dv = None
+    if grid.requires_grad:
+        v00, v01, v10, v11 = vals
+        du = (1.0 - wy)[None] * (v01 - v00) + wy[None] * (v11 - v10)
+        dv = (1.0 - wx)[None] * (v10 - v00) + wx[None] * (v11 - v01)
 
     def bw(g):
         gsrc = None
@@ -916,10 +925,7 @@ def bilinear_sample(source, grid) -> tuple[Tensor, Tensor]:
                 for ch in range(c):
                     acc[ch] += np.bincount(idx, weights=contrib[ch], minlength=h * w)
             gsrc = acc.reshape(c, h, w)
-        if vals is not None:
-            v00, v01, v10, v11 = vals
-            du = (1.0 - wy)[None] * (v01 - v00) + wy[None] * (v11 - v10)
-            dv = (1.0 - wx)[None] * (v10 - v00) + wx[None] * (v11 - v01)
+        if du is not None:
             gu = np.sum(g * du, axis=0) * valid
             gv = np.sum(g * dv, axis=0) * valid
             ggrid = np.stack([gu, gv], axis=0)

@@ -386,7 +386,7 @@ class PoseNet(Module):
         pooled = ad.concat([ad.tmean(x, axis=(1, 2)), Tensor(stats)], axis=0)
         out = self.head(pooled) * self.output_scale
         if not np.all(np.isfinite(out.data)):
-            raise ValueError("pose head produced non-finite output")
+            raise ad.TrainingDiverged("pose head produced non-finite output")
         return out
 
 

@@ -95,13 +95,6 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-def resave_checkpoint(path_in, path_out) -> None:
-    """Load and save again; used to verify the byte-identical round trip."""
-    ck = load_checkpoint(path_in)
-    named = [(name, ck.tensors[name], ck.frozen[name]) for name in ck.names]
-    save_checkpoint(path_out, named, ck.config, ck.step)
-
-
 def restore_module(module, checkpoint: Checkpoint, prefix: str) -> None:
     """Copy checkpoint tensors into a module's parameters by name."""
     for name, tensor in module.named_parameters():

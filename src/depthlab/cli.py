@@ -2,7 +2,9 @@
 
 Subcommands: gen-scene, train, eval-depth, eval-pose, gradcheck, params,
 report. Exit codes: 0 success, 2 validation failure (bad arguments,
-malformed config, shape mismatches), 1 runtime error.
+malformed config, shape mismatches), 1 runtime error. A diverged training
+run is a runtime error: it exits 1 and leaves the last good state in
+``<checkpoint>.last_good``.
 """
 
 from __future__ import annotations

@@ -129,29 +129,34 @@ def reflectance_consistency_loss(r_t, r_warped, validity=None) -> Tensor:
     return _masked_pixel_mean(per_pixel, _validity_array(validity))
 
 
-def _photometric(a: Tensor, b: Tensor, alpha: float, validity: np.ndarray | None) -> Tensor:
-    ssim_mean, ssim_map = ssim(a, b)
-    if validity is None:
-        ssim_term = ssim_mean
-    else:
-        ssim_term = _masked_pixel_mean(ssim_map, validity)
-    l1_map = ad.tmean(ad.tabs(a - b), axis=0)
-    l1_term = _masked_pixel_mean(l1_map, validity)
-    return alpha * ((1.0 - ssim_term) * 0.5) + (1.0 - alpha) * l1_term
+def photometric(a, b, alpha: float = 0.85, validity=None, per_pixel: bool = False) -> Tensor:
+    """The SSIM/L1 mix alpha*(1-SSIM)/2 + (1-alpha)*L1 of two images.
+
+    Per pixel it is an (H, W) map with the channels averaged. Otherwise each
+    part is first averaged over the valid pixels (all when validity is
+    None) and the two means are mixed.
+    """
+    a = _as_image(a)
+    b = _as_image(b)
+    _, ssim_part = ssim(a, b)
+    l1_part = ad.tmean(ad.tabs(a - b), axis=0)
+    if not per_pixel:
+        mask = _validity_array(validity)
+        ssim_part = _masked_pixel_mean(ssim_part, mask)
+        l1_part = _masked_pixel_mean(l1_part, mask)
+    return alpha * ((1.0 - ssim_part) * 0.5) + (1.0 - alpha) * l1_part
 
 
 def reconstruction_loss(target_hat, target, source_hat, source, alpha: float = 0.85) -> Tensor:
     """Fidelity of the decomposition reconstructions for a frame pair: the
     target branch plus the source branch, each an SSIM/L1 mix."""
-    branch_t = _photometric(_as_image(target_hat), _as_image(target), alpha, None)
-    branch_s = _photometric(_as_image(source_hat), _as_image(source), alpha, None)
-    return branch_t + branch_s
+    return photometric(target_hat, target, alpha) + photometric(source_hat, source, alpha)
 
 
 def synthesis_loss(warped_hat, target, alpha: float = 0.85, validity=None) -> Tensor:
     """SSIM/L1 mix between the warped-and-relit source frame and the target,
     over valid pixels."""
-    return _photometric(_as_image(warped_hat), _as_image(target), alpha, _validity_array(validity))
+    return photometric(warped_hat, target, alpha, validity)
 
 
 def masked_smoothness_loss(depth, image, masks: SemanticMaskSet) -> Tensor:
@@ -196,7 +201,8 @@ def total_loss(
     smoothness: Tensor,
     weights: LossWeights,
 ) -> Tensor:
-    """Weighted sum of the four loss terms; rejects non-finite inputs by name."""
+    """Weighted sum of the four loss terms; a non-finite term raises
+    ``TrainingDiverged`` naming it."""
     terms = {
         "reconstruction": reconstruction,
         "reflectance": reflectance,
@@ -205,7 +211,7 @@ def total_loss(
     }
     for name, term in terms.items():
         if not np.isfinite(term.data).all():
-            raise ValueError(f"loss term '{name}' is not finite")
+            raise ad.TrainingDiverged(f"loss term '{name}' is not finite")
     return (
         weights.reconstruction * reconstruction
         + weights.reflectance * reflectance

@@ -1,14 +1,15 @@
 """Bias-corrected Adam over trainable leaf tensors.
 
 Frozen tensors never enter the optimizer; a non-finite gradient rejects
-the whole step with the offending parameter named.
+the whole step, before any update, with ``TrainingDiverged`` naming the
+offending parameter.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, TrainingDiverged
 
 
 def adam_update(value, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -45,7 +46,7 @@ class Adam:
         """Apply one update from the accumulated gradients (missing grads count as zero)."""
         for name, p in self.params:
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise ValueError(f"non-finite gradient for parameter '{name}'; step rejected")
+                raise TrainingDiverged(f"non-finite gradient for parameter '{name}'; step rejected")
         self.t += 1
         for i, (name, p) in enumerate(self.params):
             grad = p.grad if p.grad is not None else np.zeros_like(p.data)

@@ -223,28 +223,6 @@ def relative_pose(scene: SyntheticScene, t: int, s: int) -> PoseSE3:
     return scene.poses[s].compose(scene.poses[t].inverse())
 
 
-def covisibility_mask(scene: SyntheticScene, t: int, s: int, tol: float = 0.05) -> np.ndarray:
-    """Pixels of frame t whose surface point is visible in frame s.
-
-    A target point is co-visible when its reprojection lands inside frame s
-    and the source depth there matches the transformed point's depth within
-    a relative tolerance (occlusion test)."""
-    cam = scene.cam
-    pose = relative_pose(scene, t, s)
-    pts = cam.pixel_rays() * scene.depths[t]
-    moved = pose.apply(pts)
-    z = moved[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = cam.fx * moved[0] / z + cam.cx
-        v = cam.fy * moved[1] / z + cam.cy
-    inside = (z > 1e-6) & (u >= 0) & (u <= cam.width - 1) & (v >= 0) & (v <= cam.height - 1)
-    ui = np.clip(np.round(u).astype(int), 0, cam.width - 1)
-    vi = np.clip(np.round(v).astype(int), 0, cam.height - 1)
-    source_z = scene.depths[s][vi, ui]
-    consistent = np.abs(source_z - z) <= tol * np.abs(z)
-    return inside & consistent
-
-
 def gt_trajectory(scene: SyntheticScene):
     """Camera-to-world trajectory of the ground-truth path."""
     from .evalmetrics import Trajectory

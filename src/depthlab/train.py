@@ -1,13 +1,15 @@
 """End-to-end training loop and evaluation orchestration.
 
-For every target frame the loop predicts multi-scale disparity, relative
-poses to the two adjacent source frames, and reflectance/shading
-decompositions; warps each source's reconstructed frame (and its
-reflectance) into the target view with the predicted depth and pose; and
-minimizes the weighted sum of reconstruction, reflectance-consistency,
-warped-synthesis, and mask-guided smoothness terms. Runs are deterministic
-given the config seed, and frozen parameters are checksum-verified every
-epoch.
+For every target frame the loop predicts multi-scale depth and poses each
+source frame once. It warps the source, or with the reflectance/shading
+decomposition on the stack of its reconstruction and reflectance, into
+the target view once per scale, and one aggregation over the sources (the
+mean of per-source losses or the per-pixel minimum) gives the synthesis
+term. It minimizes the weighted sum of reconstruction,
+reflectance-consistency, synthesis and mask-guided smoothness terms.
+Divergence raises ``TrainingDiverged`` after saving the last good state.
+Runs are deterministic given the config seed, and frozen parameters are
+checksum-verified every epoch.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .adapters import InitScheme, InitVariant
-from .autodiff import Tensor
+from .autodiff import Tensor, TrainingDiverged
 from .blocks import DecompositionNet, PoseNet, ToyDepthNet, disparity_to_depth, reconstruct
 from .checkpoint import load_checkpoint, restore_module, save_checkpoint
 from .config import TrainConfig
 from .evalmetrics import DepthEvalReport, Trajectory, ate_5frame, evaluate_depth
 from .geometry import PoseSE3, rotation_from_axis_angle, warp_frame
+# bench/spans.py wraps these names in this module, ssim included though unused here
 from .losses import SemanticMaskSet, masked_smoothness_loss, reconstruction_loss, ssim, total_loss
 from .nn import Module, frozen_checksums
 from .optim import Adam
@@ -82,18 +85,8 @@ class EpochRecord:
         )
 
 
-def _elementwise_min(a: Tensor, b: Tensor) -> Tensor:
-    pick_a = a.data <= b.data
-    return ad.mask_fill(a, ~pick_a, 0.0) + ad.mask_fill(b, pick_a, 0.0)
-
-
-def _photometric_map(a: Tensor, b: Tensor, alpha: float, validity: np.ndarray) -> Tensor:
-    """Per-pixel alpha*(1-SSIM)/2 + (1-alpha)*L1 map; invalid pixels get a
-    large constant so a per-pixel minimum ignores them."""
-    _, ssim_map = ssim(a, b)
-    l1_map = ad.tmean(ad.tabs(a - b), axis=0)
-    pix = alpha * ((1.0 - ssim_map) * 0.5) + (1.0 - alpha) * l1_map
-    return ad.mask_fill(pix, validity < 0.5, 1e6)
+def _mean(terms: list[Tensor]) -> Tensor:
+    return sum(terms[1:], terms[0]) / len(terms)
 
 
 def _upsampled_depths(model: ModelBundle, image: Tensor) -> list[Tensor]:
@@ -131,90 +124,60 @@ class _FrameCache:
 
 
 def step_loss(model: ModelBundle, scene, t: int, weights, cache: "_FrameCache | None" = None):
-    """Assemble the full objective for one target frame."""
+    """Assemble the full objective for one target frame; returns the total
+    and its parts as floats.
+
+    Per source: pose it once and build what gets warped, the frame or the
+    [reconstruction, reflectance] stack, plus its reconstruction term. Per
+    scale: warp each source once, then form one synthesis aggregation and,
+    with the decomposition on, the reflectance term. Every term is a mean
+    over sources, then over scales. With the decomposition bypassed the
+    reconstruction and reflectance terms are 0.
+    """
     cfg = model.config
-    cam = scene.cam
     cache = cache or _FrameCache(model, scene)
-    stride = cfg.triplet_stride
-    sources = [t - stride, t + stride]
+    decompose = not cfg.bypass_decomposition
     img_t = cache.image(t)
-    masks = SemanticMaskSet(scene.labels[t])
-
     depths = _upsampled_depths(model, img_t)
-
-    if cfg.bypass_decomposition:
-        r_t = s_t = i_t_hat = None
-    else:
+    if decompose:
         r_t, s_t = cache.decomp(t)
         i_t_hat = reconstruct(r_t, s_t)
 
+    sources = []  # (pose, stack to warp) per source
     recon_terms = []
-    refl_terms = []
-    synth_terms = []
-    synth_maps = []
-
-    per_source = []
-    for s in sources:
+    for s in (t - cfg.triplet_stride, t + cfg.triplet_stride):
         img_s = cache.image(s)
         pose6 = model.pose(img_t, img_s)
         rot = rotation_from_axis_angle(ad.reshape(ad.slice_axis(pose6, 0, 0, 3), (3,)))
         trans = ad.reshape(ad.slice_axis(pose6, 0, 3, 6), (3,))
-        if cfg.bypass_decomposition:
-            sample_stack = img_s
-        else:
+        stack = img_s
+        if decompose:
             r_s, s_s = cache.decomp(s)
             i_s_hat = reconstruct(r_s, s_s)
             recon_terms.append(reconstruction_loss(i_t_hat, img_t, i_s_hat, img_s, cfg.alpha))
             # one bilinear pass carries both the reconstructed frame (for the
             # synthesis term) and the reflectance (for the consistency term)
-            sample_stack = ad.concat([i_s_hat, r_s], axis=0)
-        per_source.append((img_s, rot, trans, sample_stack))
+            stack = ad.concat([i_s_hat, r_s], axis=0)
+        sources.append(((rot, trans), stack))
 
+    synth_terms = []
+    refl_terms = []
     for depth in depths:
-        scale_synth = []
-        scale_maps = []
-        scale_valid = []
-        scale_refl = []
-        for img_s, rot, trans, sample_stack in per_source:
-            warped, validity = warp_frame(sample_stack, depth, (rot, trans), cam)
-            v = validity.data
-            if v.sum() == 0:
-                raise RuntimeError("warp produced an empty validity mask; pose diverged")
-            if cfg.bypass_decomposition:
-                i_warp = warped
-            else:
-                i_warp = ad.slice_axis(warped, 0, 0, 3)
-                warped_reflectance = ad.slice_axis(warped, 0, 3, 6)
-                scale_refl.append(losses.reflectance_consistency_loss(r_t, warped_reflectance, v))
-            if cfg.source_aggregation == "min":
-                scale_maps.append(_photometric_map(i_warp, img_t, cfg.alpha, v))
-                scale_valid.append(v)
-            else:
-                scale_synth.append(losses.synthesis_loss(i_warp, img_t, alpha=cfg.alpha, validity=v))
-        if cfg.source_aggregation == "min":
-            combined = scale_maps[0]
-            for other in scale_maps[1:]:
-                combined = _elementwise_min(combined, other)
-            any_valid = np.clip(np.sum(scale_valid, axis=0), 0.0, 1.0)
-            synth_maps.append(ad.tsum(combined * Tensor(any_valid)) / max(1.0, any_valid.sum()))
-        else:
-            synth_terms.append(sum(scale_synth[1:], scale_synth[0]) / len(scale_synth))
-        if scale_refl:
-            refl_terms.append(sum(scale_refl[1:], scale_refl[0]) / len(scale_refl))
+        warps = [warp_frame(stack, depth, pose, scene.cam) for pose, stack in sources]
+        if any(validity.data.sum() == 0 for _, validity in warps):
+            raise TrainingDiverged("warp produced an empty validity mask; pose diverged")
+        frames = [(ad.slice_axis(w, 0, 0, 3) if decompose else w, v.data) for w, v in warps]
+        synth_terms.append(_synthesis(cfg.source_aggregation, frames, img_t, cfg.alpha))
+        if decompose:
+            refl_terms.append(
+                _mean([losses.reflectance_consistency_loss(r_t, ad.slice_axis(w, 0, 3, 6), v.data) for w, v in warps])
+            )
 
-    smooth_terms = [masked_smoothness_loss(depth, img_t, masks) for depth in depths]
-
-    n_scales = len(depths)
-    synth_list = synth_maps if cfg.source_aggregation == "min" else synth_terms
-    synthesis = sum(synth_list[1:], synth_list[0]) / n_scales
-    smoothness = sum(smooth_terms[1:], smooth_terms[0]) / n_scales
-    if cfg.bypass_decomposition:
-        reconstruction = Tensor(0.0)
-        reflectance = Tensor(0.0)
-    else:
-        reconstruction = sum(recon_terms[1:], recon_terms[0]) / len(recon_terms)
-        reflectance = sum(refl_terms[1:], refl_terms[0]) / n_scales
-
+    masks = SemanticMaskSet(scene.labels[t])
+    synthesis = _mean(synth_terms)
+    smoothness = _mean([masked_smoothness_loss(depth, img_t, masks) for depth in depths])
+    reconstruction = _mean(recon_terms) if decompose else Tensor(0.0)
+    reflectance = _mean(refl_terms) if decompose else Tensor(0.0)
     total = total_loss(reconstruction, reflectance, synthesis, smoothness, weights)
     parts = {
         "reconstruction": float(reconstruction.data),
@@ -224,6 +187,22 @@ def step_loss(model: ModelBundle, scene, t: int, weights, cache: "_FrameCache | 
         "loss": total.item(),
     }
     return total, parts
+
+
+def _synthesis(aggregation: str, frames: list[tuple[Tensor, np.ndarray]], target: Tensor, alpha: float) -> Tensor:
+    """One scale's synthesis term from the (warped frame, validity) of every
+    source: the mean of the per-source masked SSIM/L1 losses, or (min) the
+    per-pixel minimum over sources, where a source's invalid pixels never
+    win, averaged over pixels valid in any source."""
+    if aggregation == "mean":
+        return _mean([losses.synthesis_loss(frame, target, alpha=alpha, validity=v) for frame, v in frames])
+    maps = [ad.mask_fill(losses.photometric(frame, target, alpha, per_pixel=True), v < 0.5, 1e6) for frame, v in frames]
+    combined = maps[0]
+    for pix in maps[1:]:
+        pick = combined.data <= pix.data
+        combined = ad.mask_fill(combined, ~pick, 0.0) + ad.mask_fill(pix, pick, 0.0)
+    any_valid = np.clip(np.sum([v for _, v in frames], axis=0), 0.0, 1.0)
+    return ad.tsum(combined * Tensor(any_valid)) / max(1.0, any_valid.sum())
 
 
 def validation_abs_rel(model: ModelBundle, scene, frames=None, cap: float = 150.0) -> float:
@@ -304,28 +283,28 @@ def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
 def _optimizer_step(model, scene, batch, weights, opt, step, checkpoint_path) -> list[dict[str, float]]:
     """One Adam step on the mean loss over the batch's targets; returns each
     target's loss parts. The step's graph is local, so it is freed on return,
-    before the next step's forward or the epoch's validation runs."""
+    before the next step's forward or the epoch's validation runs. On
+    divergence no parameter has moved yet (Adam rejects a step before any
+    update), so ``<checkpoint>.last_good`` holds the previous step's state."""
     cache = _FrameCache(model, scene)
     batch_total = None
     batch_parts = []
-    for t in batch:
-        total, parts = step_loss(model, scene, t, weights, cache=cache)
-        if not np.isfinite(total.data):
-            _abort_with_checkpoint(model, model.config, step, checkpoint_path)
-        batch_total = total if batch_total is None else batch_total + total
-        batch_parts.append(parts)
-    (batch_total * (1.0 / len(batch))).backward()
-    opt.step()
+    try:
+        for t in batch:
+            total, parts = step_loss(model, scene, t, weights, cache=cache)
+            batch_total = total if batch_total is None else batch_total + total
+            batch_parts.append(parts)
+        (batch_total * (1.0 / len(batch))).backward()
+        opt.step()
+    except TrainingDiverged as exc:
+        message = f"training diverged after {step} good steps: {exc}"
+        if checkpoint_path:
+            rescue = f"{checkpoint_path}.last_good"
+            save_model(rescue, model, model.config, step)
+            message += f"; last good state in {rescue}"
+        raise TrainingDiverged(message) from exc
     opt.zero_grad()
     return batch_parts
-
-
-def _abort_with_checkpoint(model, config, step, checkpoint_path):
-    if checkpoint_path:
-        rescue = str(checkpoint_path) + ".last_good"
-        save_model(rescue, model, config, step)
-        raise RuntimeError(f"training diverged (non-finite loss) at step {step}; last good state in {rescue}")
-    raise RuntimeError(f"training diverged (non-finite loss) at step {step}")
 
 
 def save_model(path, model: ModelBundle, config: TrainConfig, step: int) -> None:

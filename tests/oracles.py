@@ -2,10 +2,15 @@
 
 Everything here is written as plain scalar loops over numpy arrays (or
 direct closed forms), deliberately sharing no code with the package under
-test. Finite differences are central, step 1e-6 unless stated.
+test. Finite differences are central, step 1e-6 unless stated. The two
+helpers at the end are test-only drivers of package code: a checkpoint
+re-save and a ground-truth co-visibility raster.
 """
 
 import numpy as np
+
+from depthlab.checkpoint import load_checkpoint, save_checkpoint
+from depthlab.scene import relative_pose
 
 FD_EPS = 1e-6
 
@@ -267,3 +272,32 @@ def ate_grid_search(pred_positions, gt_positions):
             step /= 100.0
         segments.append(window_score(pw, gw, best_s))
     return float(np.mean(segments)), segments
+
+
+def resave_checkpoint(path_in, path_out) -> None:
+    """Load and save again; used to verify the byte-identical round trip."""
+    ck = load_checkpoint(path_in)
+    named = [(name, ck.tensors[name], ck.frozen[name]) for name in ck.names]
+    save_checkpoint(path_out, named, ck.config, ck.step)
+
+
+def covisibility_mask(scene, t, s, tol=0.05):
+    """Pixels of frame t whose surface point is visible in frame s.
+
+    A target point is co-visible when its reprojection lands inside frame s
+    and the source depth there matches the transformed point's depth within
+    a relative tolerance (occlusion test)."""
+    cam = scene.cam
+    pose = relative_pose(scene, t, s)
+    pts = cam.pixel_rays() * scene.depths[t]
+    moved = pose.apply(pts)
+    z = moved[2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = cam.fx * moved[0] / z + cam.cx
+        v = cam.fy * moved[1] / z + cam.cy
+    inside = (z > 1e-6) & (u >= 0) & (u <= cam.width - 1) & (v >= 0) & (v <= cam.height - 1)
+    ui = np.clip(np.round(u).astype(int), 0, cam.width - 1)
+    vi = np.clip(np.round(v).astype(int), 0, cam.height - 1)
+    source_z = scene.depths[s][vi, ui]
+    consistent = np.abs(source_z - z) <= tol * np.abs(z)
+    return inside & consistent

@@ -515,6 +515,22 @@ class TestRetention:
         # float64 = 152,320 bytes; 16 KiB covers the Tensor and its closure
         assert held - out.data.nbytes < 16 * 1024
 
+    def test_grid_only_bilinear_keeps_two_slope_arrays(self):
+        rng = np.random.default_rng(6)
+        source = Tensor(rng.uniform(size=(8, 32, 32)))  # frozen: no corner indices kept
+        grid = leaf(rng.uniform(0.0, 31.0, size=(2, 32, 32)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out, valid = ad.bilinear_sample(source, grid)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the grid gradient reads du and dv, two (C, Ho, Wo) arrays of
+        # 65,536 bytes each, not the four corner values they are formed from
+        extra = held - out.data.nbytes - valid.data.nbytes
+        assert 2 * out.data.nbytes <= extra < 3 * out.data.nbytes
+
     def test_chained_add_frees_the_middle_array(self):
         x = leaf([1.0, 2.0, 3.0])
         y = x + 1.0

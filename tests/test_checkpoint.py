@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from depthlab.autodiff import Tensor
-from depthlab.checkpoint import load_checkpoint, resave_checkpoint, save_checkpoint
+from depthlab.checkpoint import load_checkpoint, save_checkpoint
 from depthlab.config import (
     TrainConfig,
     apply_env_overrides,
@@ -12,6 +12,8 @@ from depthlab.config import (
     load_config,
     parse_config_text,
 )
+
+from oracles import resave_checkpoint
 
 
 class TestConfig:

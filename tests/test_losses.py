@@ -128,6 +128,14 @@ class TestSynthesisLoss:
             got = L.synthesis_loss(Tensor(a), Tensor(b), alpha=0.85, validity=validity).item()
             assert abs(got - photometric_loss_loops(a, b, 0.85, validity)) <= 1e-12
 
+    def test_per_pixel_form_matches_loop_oracle(self):
+        rng = np.random.default_rng(13)
+        a, b = rand_image(rng), rand_image(rng)
+        got = L.photometric(Tensor(a), Tensor(b), 0.85, per_pixel=True).data
+        expected = 0.85 * (1.0 - ssim_map_loops(a, b)) / 2.0 + 0.15 * np.abs(a - b).mean(axis=0)
+        assert got.shape == (8, 8)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
 
 class TestSmoothnessLoss:
     def test_constant_depth_is_zero(self):
@@ -190,7 +198,7 @@ class TestTotalLoss:
         assert abs(got.item() - 1.403) <= 1e-12
 
     def test_nonfinite_term_rejected_by_name(self):
-        with pytest.raises(ValueError, match="synthesis"):
+        with pytest.raises(ad.TrainingDiverged, match="synthesis"):
             L.total_loss(Tensor(0.0), Tensor(0.0), Tensor(np.nan), Tensor(0.0), LossWeights())
 
     def test_gradients_flow_through_all_terms(self):

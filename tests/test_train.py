@@ -1,14 +1,22 @@
 """The training loop end to end on a tiny scene: finite records, bit-identical
-reruns down to the checkpoint bytes, and the batched min-reprojection path."""
+reruns down to the checkpoint bytes, the batched min-reprojection path, the
+objective's exact value in every aggregation/decomposition combination, and
+the divergence path."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from depthlab import cli, losses
+from depthlab import train as train_module
+from depthlab.autodiff import Tensor, TrainingDiverged
 from depthlab.config import TrainConfig
+from depthlab.formats import write_scene
 from depthlab.geometry import CameraModel
 from depthlab.scene import generate_scene
-from depthlab.train import ModelBundle, step_loss, train
+from depthlab.train import ModelBundle, load_model, step_loss, train
 
 SMALL = dict(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2, epochs=2)
 
@@ -53,3 +61,96 @@ def test_batched_min_reprojection_runs(scene, tmp_path):
     parts = [step_loss(initial, scene, t, config.loss_weights())[1] for t in (1, 2)]
     for key in parts[0]:
         assert getattr(records[0], key) == (parts[0][key] + parts[1][key]) / 2, key
+
+
+# step_loss parts for target 1 at the initial weights, by (source_aggregation,
+# bypass_decomposition); any change to the objective's arithmetic moves them
+INITIAL_PARTS = {
+    ("mean", False): dict(
+        reconstruction=0.6448707536095221,
+        reflectance=0.004455167731040325,
+        synthesis=0.3508844494078944,
+        smoothness=0.01595473027916155,
+        loss=0.48079749786684434,
+    ),
+    ("mean", True): dict(
+        reconstruction=0.0,
+        reflectance=0.0,
+        synthesis=0.3244468638685466,
+        smoothness=0.01595473027916155,
+        loss=0.32449472805938406,
+    ),
+    ("min", False): dict(
+        reconstruction=0.6448707536095221,
+        reflectance=0.004455167731040325,
+        synthesis=0.3391941301586866,
+        smoothness=0.01595473027916155,
+        loss=0.4691071786176365,
+    ),
+    ("min", True): dict(
+        reconstruction=0.0,
+        reflectance=0.0,
+        synthesis=0.28090007982411747,
+        smoothness=0.01595473027916155,
+        loss=0.28094794401495493,
+    ),
+}
+
+
+@pytest.mark.parametrize("aggregation, bypass", list(INITIAL_PARTS))
+def test_step_loss_parts_are_pinned(scene, aggregation, bypass):
+    config = TrainConfig(**SMALL, source_aggregation=aggregation, bypass_decomposition=bypass)
+    _, parts = step_loss(ModelBundle(config, (16, 16)), scene, 1, config.loss_weights())
+    assert parts == INITIAL_PARTS[aggregation, bypass]
+
+
+@pytest.fixture
+def nan_synthesis_at_step_2(monkeypatch):
+    """The objective's synthesis term turns NaN on its second evaluation,
+    which at batch 1 is the second optimizer step."""
+    calls = []
+
+    def total_loss(reconstruction, reflectance, synthesis, smoothness, weights):
+        calls.append(None)
+        if len(calls) == 2:
+            synthesis = Tensor(np.nan)
+        return losses.total_loss(reconstruction, reflectance, synthesis, smoothness, weights)
+
+    monkeypatch.setattr(train_module, "total_loss", total_loss)
+
+
+def _parameters(path):
+    model, step = load_model(path)
+    return {name: p.data for name, p in model.named_parameters()}, step
+
+
+def test_divergence_leaves_the_state_after_the_last_good_step(scene, tmp_path, nan_synthesis_at_step_2):
+    checkpoint = tmp_path / "model.npz"
+    with pytest.raises(TrainingDiverged, match="synthesis"):
+        train(scene, TrainConfig(**SMALL), checkpoint_path=checkpoint)
+    assert not checkpoint.exists()
+    rescued, step = _parameters(f"{checkpoint}.last_good")
+    assert step == 1
+
+    # three frames leave target 1 alone, so one epoch is exactly the first step
+    first_only = dataclasses.replace(
+        scene, frames=scene.frames[:3], depths=scene.depths[:3], labels=scene.labels[:3]
+    )
+    reference = tmp_path / "one_step.npz"
+    train(first_only, TrainConfig(**{**SMALL, "epochs": 1}), checkpoint_path=reference)
+    expected, _ = _parameters(reference)
+    assert rescued.keys() == expected.keys()
+    for name in expected:
+        np.testing.assert_array_equal(rescued[name], expected[name], err_msg=name)
+
+
+def test_cli_reports_divergence_as_a_runtime_failure(scene, tmp_path, capsys, nan_synthesis_at_step_2):
+    write_scene(tmp_path / "scene", scene)
+    checkpoint = tmp_path / "model.npz"
+    small = ["embed_dim=32", "depth_blocks=1", "mixer_after=1", "rank=2", "epochs=2"]  # SMALL
+    argv = ["train", "--scene", str(tmp_path / "scene"), "--checkpoint", str(checkpoint)]
+    argv += [arg for item in small for arg in ("--set", item)]
+
+    assert cli.main(argv) == 1
+    assert "diverged" in capsys.readouterr().err
+    assert load_model(f"{checkpoint}.last_good")[1] == 1
