@@ -70,14 +70,6 @@ class FrozenLinear(Module):
         b = rng.uniform(-bound, bound, size=m) if bias else None
         return FrozenLinear(w, b)
 
-    @property
-    def out_features(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_features(self) -> int:
-        return self.weight.shape[1]
-
     def __call__(self, x: Tensor, adapter: LowRankAdapter | None = None) -> Tensor:
         """x W0^T (+ the adapter's low-rank branch) (+ the frozen bias)."""
         if adapter is not None:
@@ -116,10 +108,6 @@ class LowRankAdapter(Module):
             raise ValueError(f"scale_down shape {self.scale_down.shape} does not match rank {a.shape[0]}")
         if self.scale_up is not None and self.scale_up.shape != (b.shape[0],):
             raise ValueError(f"scale_up shape {self.scale_up.shape} does not match output dim {b.shape[0]}")
-
-    @property
-    def rank(self) -> int:
-        return self.down.shape[0]
 
     def __call__(self, rows: Tensor) -> Tensor:
         """The low-rank branch for (rows, n) inputs; gradients reach only A and B."""

@@ -162,28 +162,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    # -- method sugar ------------------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def max(self, axis=None, keepdims=False):
-        return tmax(self, axis=axis, keepdims=keepdims)
-
-    def median(self, axis=None):
-        return tmedian(self, axis=axis)
-
-    def abs(self):
-        return tabs(self)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
     @property
     def T(self):
         if self.ndim != 2:
@@ -246,11 +224,6 @@ def _topological_order(root: _Node) -> list[_Node]:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 # -- elementwise binary ops ------------------------------------------------------
@@ -496,19 +469,6 @@ def tmax(a, axis=None, keepdims: bool = False) -> Tensor:
         return (full,)
 
     return Tensor._from_op(out_data, (a,), bw)
-
-
-def tmedian(a, axis=None) -> Tensor:
-    """Median with the lower-middle rule for even counts. Not differentiable:
-    the result is a fresh constant tensor outside the gradient graph."""
-    a = as_tensor(a)
-    axes = _normalize_axes(axis, a.ndim)
-    _check_nonempty(a, axes, "median")
-    moved = np.moveaxis(a.data, axes, range(a.ndim - len(axes), a.ndim))
-    lead_shape = moved.shape[: a.ndim - len(axes)]
-    flat = np.sort(moved.reshape(lead_shape + (-1,)), axis=-1)
-    n = flat.shape[-1]
-    return Tensor(flat[..., (n - 1) // 2])
 
 
 def lower_median(values: np.ndarray) -> float:
@@ -972,7 +932,8 @@ def gradient_check(f, leaves, eps: float = 1e-6, tol: float = 1e-5) -> tuple[boo
 
     Returns (all-within-tol, worst relative error).
     """
-    zero_grads(leaves)
+    for leaf in leaves:
+        leaf.zero_grad()
     out = f()
     out.backward()
     worst = 0.0

@@ -32,8 +32,8 @@ class ChannelAttention(Module):
     """Per-channel gates in (0, 1): sigmoid of a shared bottleneck MLP applied
     to the global average- and max-pooled descriptors."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, bottleneck: int = 16):
-        hidden = max(1, channels // bottleneck)
+    def __init__(self, channels: int, rng: np.random.Generator):
+        hidden = max(1, channels // 16)
         self.squeeze = Linear(channels, hidden, rng)
         self.expand = Linear(hidden, channels, rng)
 
@@ -47,8 +47,8 @@ class ChannelAttention(Module):
 class SpatialAttention(Module):
     """Per-pixel gates in (0, 1) from a 7x7 conv over channel-pooled maps."""
 
-    def __init__(self, rng: np.random.Generator, kernel: int = 7):
-        self.conv = Conv2d(2, 1, kernel, rng, padding=kernel // 2)
+    def __init__(self, rng: np.random.Generator):
+        self.conv = Conv2d(2, 1, 7, rng, padding=3)
 
     def __call__(self, x: Tensor) -> Tensor:
         stats = ad.concat([ad.tmean(x, axis=0, keepdims=True), ad.tmax(x, axis=0, keepdims=True)], axis=0)
@@ -63,14 +63,14 @@ class SeparableResidualBlock(Module):
     restore conv collapses the branch to an exact identity.
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator, reduction: int = 4, attention_bottleneck: int = 16):
+    def __init__(self, channels: int, rng: np.random.Generator, reduction: int = 4):
         if channels % reduction != 0:
             raise ValueError(f"channels {channels} not divisible by reduction {reduction}")
         mid = channels // reduction
         self.reduce = Conv2d(channels, mid, 1, rng)
         self.depthwise = DepthwiseConv2d(mid, 3, rng, padding=1)
         self.restore = Conv2d(mid, channels, 1, rng)
-        self.channel_attention = ChannelAttention(channels, rng, bottleneck=attention_bottleneck)
+        self.channel_attention = ChannelAttention(channels, rng)
         self.spatial_attention = SpatialAttention(rng)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -95,12 +95,12 @@ class TransformerBlock(Module):
         if dim % heads != 0:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
         self.heads = heads
-        self.norm1 = LayerNorm(dim, trainable=False)
+        self.norm1 = LayerNorm(dim)
         self.wq = FrozenLinear.random(dim, dim, rng)
         self.wk = FrozenLinear.random(dim, dim, rng)
         self.wv = FrozenLinear.random(dim, dim, rng)
         self.wo = FrozenLinear.random(dim, dim, rng)
-        self.norm2 = LayerNorm(dim, trainable=False)
+        self.norm2 = LayerNorm(dim)
         hidden = 4 * dim
         self.fc1 = FrozenLinear.random(hidden, dim, rng)
         self.fc2 = FrozenLinear.random(dim, hidden, rng)
@@ -145,23 +145,13 @@ class DepthDecoder(Module):
     Each upsampling stage concatenates a shallow conv feature of the
     average-pooled input image at its resolution, so fine disparity
     structure can lock onto image content rather than the token grid alone.
-    Disparity-head biases start at head_bias so the initial prediction sits
-    near the geometric middle of the depth range instead of the harmonic
-    extreme that a zero-logit sigmoid would give."""
+    Disparity-head biases start at initial_disparity_logit so the initial
+    prediction sits near the geometric middle of the depth range instead of
+    the harmonic extreme that a zero-logit sigmoid would give."""
 
-    def __init__(
-        self,
-        in_dim: int,
-        rng: np.random.Generator,
-        widths: tuple[int, ...] = (28, 22, 18, 14),
-        skip: int = 7,
-        head_bias: float | None = None,
-        d_min: float = 0.1,
-        d_max: float = 100.0,
-    ):
-        if head_bias is None:
-            head_bias = initial_disparity_logit(d_min, d_max)
-        w0, w1, w2, w3 = widths
+    def __init__(self, in_dim: int, rng: np.random.Generator, d_min: float = 0.1, d_max: float = 100.0):
+        w0, w1, w2, w3 = 28, 22, 18, 14
+        skip = 7
         self.proj = Conv2d(in_dim, w0, 1, rng)
         self.skip2 = Conv2d(3, skip, 3, rng, padding=1)
         self.skip1 = Conv2d(3, skip, 3, rng, padding=1)
@@ -173,6 +163,7 @@ class DepthDecoder(Module):
         self.head2 = Conv2d(w1, 1, 3, rng, padding=1)
         self.head1 = Conv2d(w2, 1, 3, rng, padding=1)
         self.head0 = Conv2d(w3, 1, 3, rng, padding=1)
+        head_bias = initial_disparity_logit(d_min, d_max)
         for head in (self.head0, self.head1, self.head2, self.head3):
             head.bias.assign(head.bias.data + head_bias)
 
@@ -222,7 +213,6 @@ class ToyDepthNet(Module):
         adapter_mode: str = "scaled",
         rank: int = 4,
         scheme: InitScheme = InitScheme(),
-        adapter_blocks: tuple[int, ...] | None = None,
         d_min: float = 0.1,
         d_max: float = 100.0,
     ):
@@ -237,14 +227,10 @@ class ToyDepthNet(Module):
         n_tokens = self.grid_hw[0] * self.grid_hw[1]
         self.embed = FrozenLinear.random(embed_dim, 3 * patch * patch, rng)
         self.positions = Tensor(sinusoidal_positions(n_tokens, embed_dim))
-        blocks = []
-        for i in range(1, depth_blocks + 1):
-            adapted = adapter_blocks is None or i in adapter_blocks
-            mode = adapter_mode if adapted else "none"
-            blocks.append(
-                TransformerBlock(embed_dim, heads, rng, mode, rank, InitScheme(scheme.variant, scheme.seed + 10 * i))
-            )
-        self.blocks = blocks
+        self.blocks = [
+            TransformerBlock(embed_dim, heads, rng, adapter_mode, rank, InitScheme(scheme.variant, scheme.seed + 10 * i))
+            for i in range(1, depth_blocks + 1)
+        ]
         self.mixer_after = tuple(sorted(mixer_after))
         self.mixers = [SeparableResidualBlock(embed_dim, rng) for _ in self.mixer_after]
         self.decoder = DepthDecoder(embed_dim, rng, d_min=d_min, d_max=d_max)
@@ -309,13 +295,13 @@ class PoseNet(Module):
     """
 
     N_STATS = 13
+    output_scale = 0.1
 
-    def __init__(self, rng: np.random.Generator, output_scale: float = 0.1):
+    def __init__(self, rng: np.random.Generator):
         self.conv1 = Conv2d(11, 8, 3, rng, stride=2, padding=1)
         self.conv2 = Conv2d(8, 10, 3, rng, stride=2, padding=1)
         self.conv3 = Conv2d(10, 12, 3, rng, stride=2, padding=1)
         self.head = Linear(12 + self.N_STATS, 6, rng)
-        self.output_scale = output_scale
 
     @staticmethod
     def _gradients(gray: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

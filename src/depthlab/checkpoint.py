@@ -32,16 +32,10 @@ class Checkpoint:
 
 
 def save_checkpoint(path, named_tensors, config: TrainConfig, step: int) -> None:
-    """named_tensors: iterable of (name, Tensor|array, frozen_flag) or
-    (name, Tensor) pairs (flag inferred from requires_grad)."""
+    """named_tensors: iterable of (name, Tensor|array, frozen_flag)."""
     entries = []
     payloads = []
-    for item in named_tensors:
-        if len(item) == 3:
-            name, tensor, frozen = item
-        else:
-            name, tensor = item
-            frozen = not tensor.requires_grad
+    for name, tensor, frozen in named_tensors:
         data = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor, dtype=np.float64)
         entries.append({"name": name, "shape": list(data.shape), "frozen": bool(frozen)})
         payloads.append(np.ascontiguousarray(data, dtype="<f8").tobytes())

@@ -4,7 +4,9 @@ Subcommands: gen-scene, train, eval-depth, eval-pose, gradcheck, params,
 report. Exit codes: 0 success, 2 validation failure (bad arguments,
 malformed config, shape mismatches), 1 runtime error. A diverged training
 run is a runtime error: it exits 1 and leaves the last good state in
-``<checkpoint>.last_good``.
+``<checkpoint>.last_good``. The train and params configs layer the
+--config file, then DEPTHLAB_* environment variables, then --set
+overrides: a later source wins.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig, apply_env_overrides, config_from_pairs, config_to_text, load_config
-from .evalmetrics import ate_5frame
+from .evalmetrics import DEPTH_CAP, ate_5frame
 from .formats import SceneOnDisk, read_trajectory, write_scene
 from .geometry import CameraModel
 from .nn import trainable_param_count
@@ -59,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-depth", help="depth metrics of a checkpoint on a scene")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scene", required=True)
-    p.add_argument("--cap", type=float, default=150.0)
+    p.add_argument("--cap", type=float, default=DEPTH_CAP)
 
     p = sub.add_parser("eval-pose", help="5-frame-segment trajectory error of a checkpoint")
     p.add_argument("--checkpoint", required=True)
@@ -83,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_cli_config(args) -> TrainConfig:
     cfg = load_config(args.config) if args.config else TrainConfig()
+    cfg = apply_env_overrides(cfg, os.environ)
     overrides = {}
     for item in args.set:
         if "=" not in item:
@@ -91,7 +94,7 @@ def _load_cli_config(args) -> TrainConfig:
         overrides[key.strip()] = value
     if overrides:
         cfg = config_from_pairs(overrides, cfg)
-    return apply_env_overrides(cfg, os.environ)
+    return cfg
 
 
 def _cmd_gen_scene(args) -> int:

@@ -2,7 +2,9 @@
 and environment-variable overrides.
 
 Every field is addressable from a config file line "name=value" and from
-the environment as DEPTHLAB_<NAME>; unknown keys are rejected.
+the environment as DEPTHLAB_<NAME>; unknown keys are rejected. The command
+line applies the file, then the environment, then its --set overrides, so
+an explicit --set beats a stale environment variable.
 """
 
 from __future__ import annotations
@@ -59,11 +61,12 @@ class TrainConfig:
             raise ValueError(f"loss_scales must be in 1..4, got {self.loss_scales}")
         if not (0.0 < self.d_min < self.d_max):
             raise ValueError(f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}")
-        LossWeights(self.alpha, self.w_reconstruction, self.w_reflectance, self.w_synthesis, self.w_smoothness)
+        if not (0.0 <= self.alpha <= 1.0):
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        self.loss_weights()  # validates the term weights
 
     def loss_weights(self) -> LossWeights:
         return LossWeights(
-            alpha=self.alpha,
             reconstruction=self.w_reconstruction,
             reflectance=self.w_reflectance,
             synthesis=self.w_synthesis,

@@ -186,6 +186,19 @@ def write_scene(directory, scene) -> None:
         fh.write(f"kind={scene.kind}\nframes={len(scene)}\nseed={scene.seed}\n")
 
 
+def _all_or_none(directory, names: list[str], read):
+    """Every named raster read in order, or None when none exists; a partial
+    set would pair frames with other frames' rasters, so it is rejected."""
+    paths = [os.path.join(directory, name) for name in names]
+    present = [os.path.exists(path) for path in paths]
+    if not any(present):
+        return None
+    if not all(present):
+        missing = names[present.index(False)]
+        raise ValueError(f"scene directory {directory} has some rasters of this kind but lacks {missing}")
+    return tuple(read(path) for path in paths)
+
+
 class SceneOnDisk:
     """Scene-shaped view over a directory written by write_scene (or any
     matching external data): frames, depths, labels, poses, cam."""
@@ -202,16 +215,8 @@ class SceneOnDisk:
         if not ids:
             raise ValueError(f"no frame_*.ppm files in {directory}")
         self.frames = tuple(read_ppm(os.path.join(directory, f"frame_{k:03d}.ppm")) for k in ids)
-        self.depths = tuple(
-            read_pfm(os.path.join(directory, f"depth_{k:03d}.pfm"))
-            for k in ids
-            if os.path.exists(os.path.join(directory, f"depth_{k:03d}.pfm"))
-        ) or None
-        self.labels = tuple(
-            read_pgm(os.path.join(directory, f"labels_{k:03d}.pgm"))
-            for k in ids
-            if os.path.exists(os.path.join(directory, f"labels_{k:03d}.pgm"))
-        ) or None
+        self.depths = _all_or_none(directory, [f"depth_{k:03d}.pfm" for k in ids], read_pfm)
+        self.labels = _all_or_none(directory, [f"labels_{k:03d}.pgm" for k in ids], read_pgm)
 
     def __len__(self) -> int:
         return len(self.frames)

@@ -41,11 +41,6 @@ class CameraModel:
                 f"principal point ({self.cx}, {self.cy}) outside image {self.width}x{self.height}"
             )
 
-    def intrinsics(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
     def pixel_rays(self) -> np.ndarray:
         """K^-1 applied to every homogeneous pixel center, shape (3, H, W)."""
         u, v = np.meshgrid(np.arange(self.width, dtype=np.float64), np.arange(self.height, dtype=np.float64))

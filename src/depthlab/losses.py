@@ -22,17 +22,14 @@ SSIM_C2 = 0.03**2
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Balance alpha for the SSIM/L1 mix plus one weight per loss term."""
+    """One weight per loss term."""
 
-    alpha: float = 0.85
     reconstruction: float = 0.2
     reflectance: float = 0.2
     synthesis: float = 1.0
     smoothness: float = 0.003
 
     def __post_init__(self):
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         for name in ("reconstruction", "reflectance", "synthesis", "smoothness"):
             if getattr(self, name) < 0:
                 raise ValueError(f"loss weight {name} must be nonnegative")
@@ -51,9 +48,6 @@ class SemanticMaskSet:
         if lab.min() < 0:
             raise ValueError("labels must be nonnegative")
         object.__setattr__(self, "labels", lab)
-
-    def indicator(self, label: int) -> np.ndarray:
-        return (self.labels == label).astype(np.float64)
 
 
 def _as_image(x) -> Tensor:
@@ -110,14 +104,6 @@ def _masked_pixel_mean(per_pixel: Tensor, validity: np.ndarray | None) -> Tensor
     return ad.tsum(per_pixel * Tensor(mask)) / count
 
 
-def _validity_array(validity) -> np.ndarray | None:
-    if validity is None:
-        return None
-    if isinstance(validity, Tensor):
-        return validity.data
-    return np.asarray(validity, dtype=np.float64)
-
-
 def reflectance_consistency_loss(r_t, r_warped, validity=None) -> Tensor:
     """Mean absolute reflectance difference between the target frame and the
     warped source frame, over valid pixels."""
@@ -126,7 +112,7 @@ def reflectance_consistency_loss(r_t, r_warped, validity=None) -> Tensor:
     if r_t.shape != r_warped.shape:
         raise ValueError(f"reflectance shapes differ: {r_t.shape} vs {r_warped.shape}")
     per_pixel = ad.tmean(ad.tabs(r_t - r_warped), axis=0)
-    return _masked_pixel_mean(per_pixel, _validity_array(validity))
+    return _masked_pixel_mean(per_pixel, validity)
 
 
 def photometric(a, b, alpha: float = 0.85, validity=None, per_pixel: bool = False) -> Tensor:
@@ -141,9 +127,8 @@ def photometric(a, b, alpha: float = 0.85, validity=None, per_pixel: bool = Fals
     _, ssim_part = ssim(a, b)
     l1_part = ad.tmean(ad.tabs(a - b), axis=0)
     if not per_pixel:
-        mask = _validity_array(validity)
-        ssim_part = _masked_pixel_mean(ssim_part, mask)
-        l1_part = _masked_pixel_mean(l1_part, mask)
+        ssim_part = _masked_pixel_mean(ssim_part, validity)
+        l1_part = _masked_pixel_mean(l1_part, validity)
     return alpha * ((1.0 - ssim_part) * 0.5) + (1.0 - alpha) * l1_part
 
 
@@ -153,10 +138,10 @@ def reconstruction_loss(target_hat, target, source_hat, source, alpha: float = 0
     return photometric(target_hat, target, alpha) + photometric(source_hat, source, alpha)
 
 
-def synthesis_loss(warped_hat, target, alpha: float = 0.85, validity=None) -> Tensor:
-    """SSIM/L1 mix between the warped-and-relit source frame and the target,
-    over valid pixels."""
-    return photometric(warped_hat, target, alpha, validity)
+def synthesis_loss(warped_hat, target, alpha: float = 0.85, validity=None, per_pixel: bool = False) -> Tensor:
+    """SSIM/L1 mix between the warped-and-relit source frame and the target:
+    over valid pixels, or the (H, W) map when per_pixel."""
+    return photometric(warped_hat, target, alpha, validity, per_pixel)
 
 
 def masked_smoothness_loss(depth, image, masks: SemanticMaskSet) -> Tensor:

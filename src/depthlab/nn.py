@@ -31,15 +31,6 @@ class Module:
                     elif isinstance(item, Tensor):
                         yield f"{name}.{i}", item
 
-    def parameters(self, trainable_only: bool = False):
-        for _, p in self.named_parameters():
-            if not trainable_only or p.requires_grad:
-                yield p
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
 
 def trainable_param_count(module: Module) -> tuple[int, int]:
     """(trainable, total) element counts over the module's parameters."""
@@ -82,10 +73,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, branch=None) -
 class Linear(Module):
     """Trainable affine map y = x W^T + b for row-vector inputs."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         bound = 1.0 / np.sqrt(in_features)
         self.weight = Tensor(rng.uniform(-bound, bound, size=(out_features, in_features)), requires_grad=True)
-        self.bias = Tensor(rng.uniform(-bound, bound, size=out_features), requires_grad=True) if bias else None
+        self.bias = Tensor(rng.uniform(-bound, bound, size=out_features), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -101,15 +92,14 @@ class Conv2d(Module):
         stride: int = 1,
         padding: int = 0,
         bias: bool = True,
-        trainable: bool = True,
     ):
         fan_in = in_channels * kernel_size * kernel_size
         bound = 1.0 / np.sqrt(fan_in)
         self.weight = Tensor(
             rng.uniform(-bound, bound, size=(out_channels, in_channels, kernel_size, kernel_size)),
-            requires_grad=trainable,
+            requires_grad=True,
         )
-        self.bias = Tensor(rng.uniform(-bound, bound, size=out_channels), requires_grad=trainable) if bias else None
+        self.bias = Tensor(rng.uniform(-bound, bound, size=out_channels), requires_grad=True) if bias else None
         self.stride = stride
         self.padding = padding
 
@@ -138,10 +128,12 @@ class DepthwiseConv2d(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, trainable: bool = True, eps: float = 1e-5):
-        self.gain = Tensor(np.ones(dim), requires_grad=trainable)
-        self.bias = Tensor(np.zeros(dim), requires_grad=trainable)
-        self.eps = eps
+    """Frozen layer norm over the last axis: unit gain and zero bias, as in
+    the frozen encoder it belongs to."""
+
+    def __init__(self, dim: int):
+        self.gain = Tensor(np.ones(dim))
+        self.bias = Tensor(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias, eps=self.eps)
+        return ad.layer_norm(x, self.gain, self.bias)

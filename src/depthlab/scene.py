@@ -218,11 +218,6 @@ def generate_scene(
     )
 
 
-def relative_pose(scene: SyntheticScene, t: int, s: int) -> PoseSE3:
-    """Ground-truth transform taking frame-t camera points to frame s."""
-    return scene.poses[s].compose(scene.poses[t].inverse())
-
-
 def gt_trajectory(scene: SyntheticScene):
     """Camera-to-world trajectory of the ground-truth path."""
     from .evalmetrics import Trajectory

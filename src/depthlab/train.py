@@ -25,7 +25,7 @@ from .autodiff import Tensor, TrainingDiverged
 from .blocks import DecompositionNet, PoseNet, ToyDepthNet, disparity_to_depth, reconstruct
 from .checkpoint import load_checkpoint, restore_module, save_checkpoint
 from .config import TrainConfig
-from .evalmetrics import DepthEvalReport, Trajectory, ate_5frame, evaluate_depth
+from .evalmetrics import DEPTH_CAP, DepthEvalReport, Trajectory, ate_5frame, evaluate_depth
 from .geometry import PoseSE3, rotation_from_axis_angle, warp_frame
 # bench/spans.py wraps these names in this module, ssim included though unused here
 from .losses import SemanticMaskSet, masked_smoothness_loss, reconstruction_loss, ssim, total_loss
@@ -123,9 +123,9 @@ class _FrameCache:
         return self.decomps[k]
 
 
-def step_loss(model: ModelBundle, scene, t: int, weights, cache: "_FrameCache | None" = None):
-    """Assemble the full objective for one target frame; returns the total
-    and its parts as floats.
+def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = None):
+    """Assemble the full objective for one target frame, weighted by the
+    model config's loss weights; returns the total and its parts as floats.
 
     Per source: pose it once and build what gets warped, the frame or the
     [reconstruction, reflectance] stack, plus its reconstruction term. Per
@@ -178,7 +178,7 @@ def step_loss(model: ModelBundle, scene, t: int, weights, cache: "_FrameCache | 
     smoothness = _mean([masked_smoothness_loss(depth, img_t, masks) for depth in depths])
     reconstruction = _mean(recon_terms) if decompose else Tensor(0.0)
     reflectance = _mean(refl_terms) if decompose else Tensor(0.0)
-    total = total_loss(reconstruction, reflectance, synthesis, smoothness, weights)
+    total = total_loss(reconstruction, reflectance, synthesis, smoothness, cfg.loss_weights())
     parts = {
         "reconstruction": float(reconstruction.data),
         "reflectance": float(reflectance.data),
@@ -196,7 +196,9 @@ def _synthesis(aggregation: str, frames: list[tuple[Tensor, np.ndarray]], target
     win, averaged over pixels valid in any source."""
     if aggregation == "mean":
         return _mean([losses.synthesis_loss(frame, target, alpha=alpha, validity=v) for frame, v in frames])
-    maps = [ad.mask_fill(losses.photometric(frame, target, alpha, per_pixel=True), v < 0.5, 1e6) for frame, v in frames]
+    maps = [
+        ad.mask_fill(losses.synthesis_loss(frame, target, alpha, per_pixel=True), v < 0.5, 1e6) for frame, v in frames
+    ]
     combined = maps[0]
     for pix in maps[1:]:
         pick = combined.data <= pix.data
@@ -205,14 +207,19 @@ def _synthesis(aggregation: str, frames: list[tuple[Tensor, np.ndarray]], target
     return ad.tsum(combined * Tensor(any_valid)) / max(1.0, any_valid.sum())
 
 
-def validation_abs_rel(model: ModelBundle, scene, frames=None, cap: float = 150.0) -> float:
+def _depth_reports(model: ModelBundle, scene, frames, cap: float) -> list[DepthEvalReport]:
+    """Predict each frame's depth and score it against the ground truth."""
+    reports = []
+    for k in frames:
+        depth = model.predict_depth(Tensor(scene.frames[k]))
+        reports.append(evaluate_depth(depth.data, scene.depths[k], cap=cap))
+    return reports
+
+
+def validation_abs_rel(model: ModelBundle, scene, frames=None) -> float:
     """Mean median-scaled Abs Rel over the given frames (default: all)."""
     ids = range(len(scene)) if frames is None else frames
-    scores = []
-    for k in ids:
-        depth = model.predict_depth(Tensor(scene.frames[k]))
-        scores.append(evaluate_depth(depth.data, scene.depths[k], cap=cap).abs_rel)
-    return float(np.mean(scores))
+    return float(np.mean([r.abs_rel for r in _depth_reports(model, scene, ids, DEPTH_CAP)]))
 
 
 def _validation_frames(targets: list[int]) -> list[int]:
@@ -231,7 +238,6 @@ def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
     opt = Adam(
         trainables, lr=config.lr, beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps
     )
-    weights = config.loss_weights()
     frozen_before = frozen_checksums(model)
 
     stride = config.triplet_stride
@@ -249,7 +255,7 @@ def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
             sums = {"loss": 0.0, "reconstruction": 0.0, "reflectance": 0.0, "synthesis": 0.0, "smoothness": 0.0}
             for start in range(0, len(targets), config.batch_size):
                 batch = targets[start : start + config.batch_size]
-                for parts in _optimizer_step(model, scene, batch, weights, opt, step, checkpoint_path):
+                for parts in _optimizer_step(model, scene, batch, opt, step, checkpoint_path):
                     for key in sums:
                         sums[key] += parts[key]
                 step += 1
@@ -280,7 +286,7 @@ def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
     return model, records
 
 
-def _optimizer_step(model, scene, batch, weights, opt, step, checkpoint_path) -> list[dict[str, float]]:
+def _optimizer_step(model, scene, batch, opt, step, checkpoint_path) -> list[dict[str, float]]:
     """One Adam step on the mean loss over the batch's targets; returns each
     target's loss parts. The step's graph is local, so it is freed on return,
     before the next step's forward or the epoch's validation runs. On
@@ -291,7 +297,7 @@ def _optimizer_step(model, scene, batch, weights, opt, step, checkpoint_path) ->
     batch_parts = []
     try:
         for t in batch:
-            total, parts = step_loss(model, scene, t, weights, cache=cache)
+            total, parts = step_loss(model, scene, t, cache=cache)
             batch_total = total if batch_total is None else batch_total + total
             batch_parts.append(parts)
         (batch_total * (1.0 / len(batch))).backward()
@@ -324,12 +330,9 @@ def load_model(path, image_hw=None) -> tuple[ModelBundle, int]:
     return model, ck.step
 
 
-def evaluate_scene(model: ModelBundle, scene, cap: float = 150.0):
+def evaluate_scene(model: ModelBundle, scene, cap: float = DEPTH_CAP):
     """Per-frame depth reports plus mean aggregates and the 5-frame ATE."""
-    reports: list[DepthEvalReport] = []
-    for k in range(len(scene)):
-        depth = model.predict_depth(Tensor(scene.frames[k]))
-        reports.append(evaluate_depth(depth.data, scene.depths[k], cap=cap))
+    reports = _depth_reports(model, scene, range(len(scene)), cap)
     aggregate = {
         key: float(np.mean([getattr(r, key) for r in reports]))
         for key in ("abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3")

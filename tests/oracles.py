@@ -2,15 +2,15 @@
 
 Everything here is written as plain scalar loops over numpy arrays (or
 direct closed forms), deliberately sharing no code with the package under
-test. Finite differences are central, step 1e-6 unless stated. The two
+test. Finite differences are central, step 1e-6 unless stated. The
 helpers at the end are test-only drivers of package code: a checkpoint
-re-save and a ground-truth co-visibility raster.
+re-save, the ground-truth relative pose of a frame pair and a
+ground-truth co-visibility raster.
 """
 
 import numpy as np
 
 from depthlab.checkpoint import load_checkpoint, save_checkpoint
-from depthlab.scene import relative_pose
 
 FD_EPS = 1e-6
 
@@ -279,6 +279,11 @@ def resave_checkpoint(path_in, path_out) -> None:
     ck = load_checkpoint(path_in)
     named = [(name, ck.tensors[name], ck.frozen[name]) for name in ck.names]
     save_checkpoint(path_out, named, ck.config, ck.step)
+
+
+def relative_pose(scene, t, s):
+    """Ground-truth transform taking frame-t camera points to frame s."""
+    return scene.poses[s].compose(scene.poses[t].inverse())
 
 
 def covisibility_mask(scene, t, s, tol=0.05):

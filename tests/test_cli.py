@@ -42,14 +42,23 @@ def test_params_counts_adapter_parameters(capsys):
     assert scaled[1] - plain[1] == 4 * ((4 + 896) + (4 + 224)) == 4_512
 
 
-def test_eval_pose_gt_trajectory_file_matches_scene_path(tmp_path, capsys):
+def _scene_dir(tmp_path):
     cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
     scene_dir = tmp_path / "scene"
     write_scene(scene_dir, generate_scene("two_spheres", 6, 0, cam))
+    return scene_dir
+
+
+def _untrained_checkpoint(tmp_path):
     config = TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2)
     checkpoint = tmp_path / "model.npz"
     save_model(checkpoint, ModelBundle(config, (16, 16)), config, 0)
-    argv = ["eval-pose", "--checkpoint", str(checkpoint), "--scene", str(scene_dir)]
+    return checkpoint
+
+
+def test_eval_pose_gt_trajectory_file_matches_scene_path(tmp_path, capsys):
+    scene_dir = _scene_dir(tmp_path)
+    argv = ["eval-pose", "--checkpoint", str(_untrained_checkpoint(tmp_path)), "--scene", str(scene_dir)]
 
     assert cli.main(argv) == 0
     from_scene = capsys.readouterr().out
@@ -57,3 +66,50 @@ def test_eval_pose_gt_trajectory_file_matches_scene_path(tmp_path, capsys):
     from_file = capsys.readouterr().out
     assert from_file == from_scene
     assert from_scene.splitlines()[0] == "segment\tate" and from_scene.splitlines()[-1].startswith("mean\t")
+
+
+def test_set_overrides_a_stale_environment_variable(capsys, monkeypatch):
+    explicit = _full_model_counts(capsys, "plain")
+    monkeypatch.setenv("DEPTHLAB_ADAPTER", "none")
+    assert _full_model_counts(capsys, "plain") == explicit
+    assert cli.main(["params", "--size", "16"]) == 0
+    assert "full_model\ttrainable=92214\t" in capsys.readouterr().out  # the environment still applies
+
+
+def test_train_rejects_an_unknown_config_key(tmp_path, capsys):
+    argv = ["train", "--scene", str(tmp_path), "--checkpoint", str(tmp_path / "m.ckpt"), "--set", "no_such_key=1"]
+    assert cli.main(argv) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_report_on_an_empty_log_is_a_validation_failure(tmp_path, capsys):
+    log = tmp_path / "train.log"
+    log.write_text("")
+    assert cli.main(["report", "--log", str(log)]) == 2
+    assert "holds no records" in capsys.readouterr().err
+
+
+def test_train_log_then_report_prints_one_row_per_epoch(tmp_path, capsys):
+    scene_dir = _scene_dir(tmp_path)
+    log = tmp_path / "train.log"
+    small = ["embed_dim=32", "depth_blocks=1", "mixer_after=1", "rank=2", "epochs=2"]
+    argv = ["train", "--scene", str(scene_dir), "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(log)]
+    assert cli.main(argv + [arg for item in small for arg in ("--set", item)]) == 0
+    capsys.readouterr()
+
+    assert cli.main(["report", "--log", str(log)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split("\t") == [
+        "epoch", "step", "lr", "loss", "reconstruction", "reflectance", "synthesis", "smoothness", "val_abs_rel"
+    ]
+    assert [row.split("\t")[:2] for row in rows] == [["1", "4"], ["2", "8"]]  # 4 targets per epoch, batch 1
+
+
+def test_eval_depth_prints_frames_mean_and_ate(tmp_path, capsys):
+    argv = ["eval-depth", "--checkpoint", str(_untrained_checkpoint(tmp_path)), "--scene", str(_scene_dir(tmp_path))]
+    assert cli.main(argv) == 0
+    header, *rows, mean, ate = capsys.readouterr().out.splitlines()
+    assert header.split("\t")[:2] == ["frame", "abs_rel"]
+    assert [row.split("\t")[0] for row in rows] == ["0", "1", "2", "3", "4", "5"]
+    assert mean.split("\t")[0] == "mean" and mean.split("\t")[-1] == "-"
+    assert ate.split("\t")[0] == "ate_5frame" and float(ate.split("\t")[1]) >= 0.0

@@ -148,6 +148,15 @@ class TestSceneDirectory:
         np.testing.assert_allclose(loaded.poses[2].rotation, scene.poses[2].rotation, atol=1e-9)
         np.testing.assert_allclose(loaded.poses[2].translation, scene.poses[2].translation, atol=1e-9)
 
+    @pytest.mark.parametrize("missing", ["depth_002.pfm", "labels_002.pgm"])
+    def test_partial_rasters_rejected_by_name(self, tmp_path, missing):
+        cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
+        directory = tmp_path / "scene"
+        write_scene(directory, generate_scene("two_spheres", 6, seed=5, cam=cam))
+        (directory / missing).unlink()
+        with pytest.raises(ValueError, match=missing):
+            SceneOnDisk(directory)
+
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises((ValueError, FileNotFoundError)):
             SceneOnDisk(tmp_path / "nope")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from depthlab import autodiff as ad
 from depthlab import losses as L
 from depthlab.autodiff import Tensor
+from depthlab.config import TrainConfig
 from depthlab.losses import LossWeights, SemanticMaskSet
 
 from oracles import (
@@ -214,7 +215,7 @@ class TestTotalLoss:
 
     def test_weight_validation(self):
         with pytest.raises(ValueError, match="alpha"):
-            LossWeights(alpha=1.5)
+            TrainConfig(alpha=1.5)
         with pytest.raises(ValueError, match="nonnegative"):
             LossWeights(smoothness=-0.1)
 

@@ -6,9 +6,9 @@ import pytest
 
 from depthlab.autodiff import Tensor
 from depthlab.geometry import CameraModel, DepthMap, warp_frame
-from depthlab.scene import generate_scene, gt_trajectory, relative_pose
+from depthlab.scene import generate_scene, gt_trajectory
 
-from oracles import covisibility_mask
+from oracles import covisibility_mask, relative_pose
 
 CAM = CameraModel(fx=64.0, fy=64.0, cx=31.5, cy=31.5, width=64, height=64)
 

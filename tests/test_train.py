@@ -58,7 +58,7 @@ def test_batched_min_reprojection_runs(scene, tmp_path):
     # the first epoch's one step evaluates both targets before any update, so
     # its record is the mean of each target's parts at the initial weights
     initial = ModelBundle(config, (16, 16))
-    parts = [step_loss(initial, scene, t, config.loss_weights())[1] for t in (1, 2)]
+    parts = [step_loss(initial, scene, t)[1] for t in (1, 2)]
     for key in parts[0]:
         assert getattr(records[0], key) == (parts[0][key] + parts[1][key]) / 2, key
 
@@ -100,8 +100,23 @@ INITIAL_PARTS = {
 @pytest.mark.parametrize("aggregation, bypass", list(INITIAL_PARTS))
 def test_step_loss_parts_are_pinned(scene, aggregation, bypass):
     config = TrainConfig(**SMALL, source_aggregation=aggregation, bypass_decomposition=bypass)
-    _, parts = step_loss(ModelBundle(config, (16, 16)), scene, 1, config.loss_weights())
+    _, parts = step_loss(ModelBundle(config, (16, 16)), scene, 1)
     assert parts == INITIAL_PARTS[aggregation, bypass]
+
+
+@pytest.mark.parametrize("aggregation", ["mean", "min"])
+def test_every_synthesis_term_goes_through_synthesis_loss(scene, monkeypatch, aggregation):
+    calls = []
+    original = losses.synthesis_loss
+
+    def synthesis_loss(*args, **kwargs):
+        calls.append(kwargs.get("per_pixel", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(losses, "synthesis_loss", synthesis_loss)
+    config = TrainConfig(**SMALL, source_aggregation=aggregation)
+    step_loss(ModelBundle(config, (16, 16)), scene, 1)
+    assert calls == [aggregation == "min"] * (2 * config.loss_scales)  # 2 sources per scale
 
 
 @pytest.fixture
