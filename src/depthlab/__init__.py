@@ -19,7 +19,7 @@ from .adapters import (
     merge_weights,
 )
 from .nn import trainable_param_count
-from .losses import LossWeights, SemanticMaskSet
+from .losses import SemanticMaskSet
 from .evalmetrics import DepthEvalReport, Trajectory, ate_5frame, depth_metrics, median_scale
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "make_adapter",
     "merge_weights",
     "trainable_param_count",
-    "LossWeights",
     "SemanticMaskSet",
     "DepthEvalReport",
     "Trajectory",

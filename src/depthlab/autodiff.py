@@ -877,13 +877,14 @@ def bilinear_sample(source, grid) -> tuple[Tensor, Tensor]:
         gsrc = None
         ggrid = None
         if corners is not None:
-            # bincount over flattened indices is much faster than np.add.at
-            acc = np.zeros((c, h * w))
+            # bincount over flattened indices is much faster than np.add.at;
+            # channel ch's pixels are offset by ch*h*w, so one call per
+            # corner fills every channel and each bin still sums in pixel order
+            offsets = np.arange(c)[:, None] * (h * w)
+            acc = np.zeros(c * h * w)
             for yc, xc, wgt, ok in corners:
-                idx = (yc * w + xc).ravel()
-                contrib = (g * wgt[None, :, :]).reshape(c, -1)
-                for ch in range(c):
-                    acc[ch] += np.bincount(idx, weights=contrib[ch], minlength=h * w)
+                idx = (offsets + (yc * w + xc).ravel()).ravel()
+                acc += np.bincount(idx, weights=(g * wgt[None, :, :]).ravel(), minlength=c * h * w)
             gsrc = acc.reshape(c, h, w)
         if du is not None:
             gu = np.sum(g * du, axis=0) * valid

@@ -110,17 +110,12 @@ class TransformerBlock(Module):
         )
 
     def _attention(self, x: Tensor) -> Tensor:
-        n, d = x.shape
-        dh = d // self.heads
+        dh = x.shape[1] // self.heads
         scale = 1.0 / np.sqrt(dh)
-        q = ad.permute(ad.reshape(self.wq(x), (n, self.heads, dh)), (1, 0, 2))
-        k = ad.permute(ad.reshape(self.wk(x), (n, self.heads, dh)), (1, 0, 2))
-        v = ad.permute(ad.reshape(self.wv(x), (n, self.heads, dh)), (1, 0, 2))
+        q, k, v = self.wq(x), self.wk(x), self.wv(x)
         outs = []
-        for i in range(self.heads):
-            qi = ad.reshape(ad.slice_axis(q, 0, i, i + 1), (n, dh))
-            ki = ad.reshape(ad.slice_axis(k, 0, i, i + 1), (n, dh))
-            vi = ad.reshape(ad.slice_axis(v, 0, i, i + 1), (n, dh))
+        for i in range(self.heads):  # head i owns columns i*dh:(i+1)*dh
+            qi, ki, vi = (ad.slice_axis(p, 1, i * dh, (i + 1) * dh) for p in (q, k, v))
             att = ad.softmax(ad.matmul(qi, ki.T) * scale)
             outs.append(ad.matmul(att, vi))
         return self.wo(ad.concat(outs, axis=1))

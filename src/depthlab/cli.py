@@ -12,6 +12,7 @@ overrides: a later source wins.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -30,7 +31,6 @@ from .train import (
     anchored_trajectory,
     evaluate_scene,
     load_model,
-    parse_log_line,
     predicted_trajectory,
     reference_trajectory,
     save_model,
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key=value config file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="config override")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--log", default=None)
+    p.add_argument("--log", default=None, help="append one JSON record per epoch")
 
     p = sub.add_parser("eval-depth", help="depth metrics of a checkpoint on a scene")
     p.add_argument("--checkpoint", required=True)
@@ -219,7 +219,7 @@ def _cmd_report(args) -> int:
         for line in fh:
             line = line.strip()
             if line:
-                rows.append(parse_log_line(line))
+                rows.append(json.loads(line))
     if not rows:
         raise ValueError(f"log file {args.log} holds no records")
     keys = list(rows[0].keys())

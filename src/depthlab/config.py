@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, fields
 
-from .losses import LossWeights
+from .losses import LOSS_TERMS
 
 ENV_PREFIX = "DEPTHLAB_"
 
@@ -63,15 +63,13 @@ class TrainConfig:
             raise ValueError(f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        self.loss_weights()  # validates the term weights
+        for name, weight in self.loss_weights().items():
+            if weight < 0:
+                raise ValueError(f"loss weight {name} must be nonnegative")
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            reconstruction=self.w_reconstruction,
-            reflectance=self.w_reflectance,
-            synthesis=self.w_synthesis,
-            smoothness=self.w_smoothness,
-        )
+    def loss_weights(self) -> dict[str, float]:
+        """The ``w_<term>`` fields keyed by ``losses.LOSS_TERMS``."""
+        return {name: getattr(self, f"w_{name}") for name in LOSS_TERMS}
 
     def decay_epoch(self) -> int:
         """Epoch after which the learning rate is multiplied by lr_decay."""

@@ -68,6 +68,8 @@ def default_valid_mask(gt: np.ndarray) -> np.ndarray:
 def median_scale(pred, gt, valid_mask=None, cap: float = DEPTH_CAP):
     """Scale the prediction by median(gt)/median(pred) over valid pixels,
     then cap the scaled prediction. Returns (scaled_array, f_scale)."""
+    if not cap > 0:  # also rejects NaN
+        raise ValueError(f"median_scale: depth cap must be positive, got {cap}")
     p = _depth_values(pred)
     g = _depth_values(gt)
     if p.shape != g.shape:

@@ -19,20 +19,8 @@ from .autodiff import Tensor
 SSIM_C1 = 0.01**2  # unit dynamic range
 SSIM_C2 = 0.03**2
 
-
-@dataclass(frozen=True)
-class LossWeights:
-    """One weight per loss term."""
-
-    reconstruction: float = 0.2
-    reflectance: float = 0.2
-    synthesis: float = 1.0
-    smoothness: float = 0.003
-
-    def __post_init__(self):
-        for name in ("reconstruction", "reflectance", "synthesis", "smoothness"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"loss weight {name} must be nonnegative")
+# the objective's terms, in the order they are checked, summed and logged
+LOSS_TERMS = ("reconstruction", "reflectance", "synthesis", "smoothness")
 
 
 @dataclass(frozen=True)
@@ -179,27 +167,11 @@ def masked_smoothness_loss(depth, image, masks: SemanticMaskSet) -> Tensor:
     return (term_x + term_y) / n_terms
 
 
-def total_loss(
-    reconstruction: Tensor,
-    reflectance: Tensor,
-    synthesis: Tensor,
-    smoothness: Tensor,
-    weights: LossWeights,
-) -> Tensor:
-    """Weighted sum of the four loss terms; a non-finite term raises
-    ``TrainingDiverged`` naming it."""
-    terms = {
-        "reconstruction": reconstruction,
-        "reflectance": reflectance,
-        "synthesis": synthesis,
-        "smoothness": smoothness,
-    }
-    for name, term in terms.items():
-        if not np.isfinite(term.data).all():
+def total_loss(terms: dict[str, Tensor], weights: dict[str, float]) -> Tensor:
+    """Weighted sum of the ``LOSS_TERMS``, left to right; a non-finite term
+    raises ``TrainingDiverged`` naming it."""
+    for name in LOSS_TERMS:
+        if not np.isfinite(terms[name].data).all():
             raise ad.TrainingDiverged(f"loss term '{name}' is not finite")
-    return (
-        weights.reconstruction * reconstruction
-        + weights.reflectance * reflectance
-        + weights.synthesis * synthesis
-        + weights.smoothness * smoothness
-    )
+    weighted = [weights[name] * terms[name] for name in LOSS_TERMS]
+    return sum(weighted[1:], weighted[0])

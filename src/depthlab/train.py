@@ -14,7 +14,8 @@ checksum-verified every epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,14 +76,6 @@ class EpochRecord:
     synthesis: float
     smoothness: float
     val_abs_rel: float
-
-    def as_line(self) -> str:
-        return (
-            f"epoch={self.epoch} step={self.step} lr={self.lr:.8g} loss={self.loss:.8g} "
-            f"reconstruction={self.reconstruction:.8g} reflectance={self.reflectance:.8g} "
-            f"synthesis={self.synthesis:.8g} smoothness={self.smoothness:.8g} "
-            f"val_abs_rel={self.val_abs_rel:.8g}"
-        )
 
 
 def _mean(terms: list[Tensor]) -> Tensor:
@@ -174,18 +167,13 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
             )
 
     masks = SemanticMaskSet(scene.labels[t])
-    synthesis = _mean(synth_terms)
-    smoothness = _mean([masked_smoothness_loss(depth, img_t, masks) for depth in depths])
-    reconstruction = _mean(recon_terms) if decompose else Tensor(0.0)
-    reflectance = _mean(refl_terms) if decompose else Tensor(0.0)
-    total = total_loss(reconstruction, reflectance, synthesis, smoothness, cfg.loss_weights())
-    parts = {
-        "reconstruction": float(reconstruction.data),
-        "reflectance": float(reflectance.data),
-        "synthesis": float(synthesis.data),
-        "smoothness": float(smoothness.data),
-        "loss": total.item(),
-    }
+    smooth_terms = [masked_smoothness_loss(depth, img_t, masks) for depth in depths]
+    # only a bypassed decomposition leaves a list empty
+    per_term = (recon_terms, refl_terms, synth_terms, smooth_terms)
+    terms = {name: _mean(ts) if ts else Tensor(0.0) for name, ts in zip(losses.LOSS_TERMS, per_term)}
+    total = total_loss(terms, cfg.loss_weights())
+    parts = {name: float(term.data) for name, term in terms.items()}
+    parts["loss"] = total.item()
     return total, parts
 
 
@@ -252,12 +240,12 @@ def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
         for epoch in range(1, config.epochs + 1):
             if epoch == config.decay_epoch() + 1:
                 opt.lr = opt.lr * config.lr_decay
-            sums = {"loss": 0.0, "reconstruction": 0.0, "reflectance": 0.0, "synthesis": 0.0, "smoothness": 0.0}
+            sums: dict[str, float] = {}
             for start in range(0, len(targets), config.batch_size):
                 batch = targets[start : start + config.batch_size]
                 for parts in _optimizer_step(model, scene, batch, opt, step, checkpoint_path):
-                    for key in sums:
-                        sums[key] += parts[key]
+                    for key, value in parts.items():
+                        sums[key] = sums.get(key, 0.0) + value
                 step += 1
             after = frozen_checksums(model)
             if after != frozen_before:
@@ -267,16 +255,12 @@ def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
                 epoch=epoch,
                 step=step,
                 lr=opt.lr,
-                loss=sums["loss"] / len(targets),
-                reconstruction=sums["reconstruction"] / len(targets),
-                reflectance=sums["reflectance"] / len(targets),
-                synthesis=sums["synthesis"] / len(targets),
-                smoothness=sums["smoothness"] / len(targets),
+                **{key: value / len(targets) for key, value in sums.items()},
                 val_abs_rel=validation_abs_rel(model, scene, frames=_validation_frames(targets)),
             )
             records.append(record)
             if log_fh:
-                log_fh.write(record.as_line() + "\n")
+                log_fh.write(json.dumps(asdict(record)) + "\n")
                 log_fh.flush()
     finally:
         if log_fh:
@@ -318,13 +302,10 @@ def save_model(path, model: ModelBundle, config: TrainConfig, step: int) -> None
     save_checkpoint(path, named, config, step)
 
 
-def load_model(path, image_hw=None) -> tuple[ModelBundle, int]:
+def load_model(path, image_hw: tuple[int, int]) -> tuple[ModelBundle, int]:
+    """Rebuild the model a checkpoint holds; the checkpoint does not record
+    the image size, so the caller passes it."""
     ck = load_checkpoint(path)
-    if image_hw is None:
-        pos = ck.tensors["depth.positions"]
-        n_tokens = pos.shape[0]
-        side = int(round(np.sqrt(n_tokens)))
-        image_hw = (side * ck.config.patch, side * ck.config.patch)
     model = ModelBundle(ck.config, image_hw)
     restore_module(model, ck, prefix="")
     return model, ck.step
@@ -367,11 +348,3 @@ def reference_trajectory(scene) -> Trajectory:
 
 def evaluate_pose(model: ModelBundle, scene) -> tuple[float, list[float]]:
     return ate_5frame(predicted_trajectory(model, scene), reference_trajectory(scene))
-
-
-def parse_log_line(line: str) -> dict[str, float]:
-    out = {}
-    for part in line.split():
-        key, value = part.split("=", 1)
-        out[key] = float(value)
-    return out

@@ -374,6 +374,35 @@ class TestBilinearSample:
         ad.tsum(out).backward()
         np.testing.assert_array_equal(src.grad, np.ones((1, 4, 4)))
 
+    def test_source_gradient_matches_loop_scatter(self):
+        rng = np.random.default_rng(43)
+        c, h, w = 3, 5, 6
+        src = leaf(rng.uniform(0.0, 1.0, size=(c, h, w)))
+        grid = np.stack([rng.uniform(-1.5, w + 0.5, (4, 7)), rng.uniform(-1.5, h + 0.5, (4, 7))])
+        upstream = rng.standard_normal((c, 4, 7))
+        out, _ = ad.bilinear_sample(src, Tensor(grid))
+        ad.tsum(out * Tensor(upstream)).backward()
+
+        # each corner scatters in pixel order, then the corners add in order
+        expected = np.zeros((c, h, w))
+        for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            part = np.zeros((c, h, w))
+            for i in range(4):
+                for j in range(7):
+                    u, v = grid[0, i, j], grid[1, i, j]
+                    if not (0.0 <= u <= w - 1.0 and 0.0 <= v <= h - 1.0):
+                        continue
+                    x0, y0 = int(np.floor(u)), int(np.floor(v))
+                    x, y = x0 + dx, y0 + dy
+                    if x >= w or y >= h:
+                        continue
+                    wx, wy = u - x0, v - y0
+                    weight = (wx if dx else 1.0 - wx) * (wy if dy else 1.0 - wy)
+                    for ch in range(c):
+                        part[ch, y, x] += upstream[ch, i, j] * weight
+            expected += part
+        np.testing.assert_array_equal(src.grad, expected)
+
 
 class TestBackward:
     def test_square(self):

@@ -113,3 +113,16 @@ def test_eval_depth_prints_frames_mean_and_ate(tmp_path, capsys):
     assert [row.split("\t")[0] for row in rows] == ["0", "1", "2", "3", "4", "5"]
     assert mean.split("\t")[0] == "mean" and mean.split("\t")[-1] == "-"
     assert ate.split("\t")[0] == "ate_5frame" and float(ate.split("\t")[1]) >= 0.0
+
+
+def test_eval_depth_rejects_a_non_positive_cap(tmp_path, capsys):
+    argv = ["eval-depth", "--checkpoint", str(_untrained_checkpoint(tmp_path)), "--scene", str(_scene_dir(tmp_path))]
+    assert cli.main(argv + ["--cap", "-1"]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_report_on_a_malformed_line_is_a_validation_failure(tmp_path, capsys):
+    log = tmp_path / "train.log"
+    log.write_text("epoch=1 step=4\n")
+    assert cli.main(["report", "--log", str(log)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -80,6 +80,11 @@ class TestMedianScale:
         with pytest.raises(ValueError, match="median"):
             median_scale(np.zeros((2, 2)), gt)
 
+    @pytest.mark.parametrize("cap", [0.0, -1.0, np.nan])
+    def test_non_positive_cap_rejected(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            median_scale(np.ones((2, 2)), np.ones((2, 2)), cap=cap)
+
 
 class TestDepthMetrics:
     def test_perfect_prediction(self):

@@ -9,7 +9,7 @@ from depthlab import autodiff as ad
 from depthlab import losses as L
 from depthlab.autodiff import Tensor
 from depthlab.config import TrainConfig
-from depthlab.losses import LossWeights, SemanticMaskSet
+from depthlab.losses import SemanticMaskSet
 
 from oracles import (
     photometric_loss_loops,
@@ -188,19 +188,24 @@ class TestSmoothnessLoss:
 
 
 class TestTotalLoss:
+    @staticmethod
+    def terms(*values):
+        return dict(zip(L.LOSS_TERMS, values, strict=True))
+
     def test_all_zero_terms(self):
         z = Tensor(0.0)
-        got = L.total_loss(z, z, z, z, LossWeights())
+        got = L.total_loss(self.terms(z, z, z, z), TrainConfig().loss_weights())
         assert got.item() == 0.0
 
     def test_unit_terms_with_default_weights(self):
         one = Tensor(1.0)
-        got = L.total_loss(one, one, one, one, LossWeights())
+        got = L.total_loss(self.terms(one, one, one, one), TrainConfig().loss_weights())
         assert abs(got.item() - 1.403) <= 1e-12
 
     def test_nonfinite_term_rejected_by_name(self):
+        terms = self.terms(Tensor(0.0), Tensor(0.0), Tensor(np.nan), Tensor(0.0))
         with pytest.raises(ad.TrainingDiverged, match="synthesis"):
-            L.total_loss(Tensor(0.0), Tensor(0.0), Tensor(np.nan), Tensor(0.0), LossWeights())
+            L.total_loss(terms, TrainConfig().loss_weights())
 
     def test_gradients_flow_through_all_terms(self):
         rng = np.random.default_rng(18)
@@ -209,7 +214,7 @@ class TestTotalLoss:
         masks = SemanticMaskSet(np.zeros((8, 8), dtype=np.int64))
         smooth = L.masked_smoothness_loss(d, img, masks)
         zero = Tensor(0.0)
-        total = L.total_loss(zero, zero, zero, smooth, LossWeights())
+        total = L.total_loss(self.terms(zero, zero, zero, smooth), TrainConfig().loss_weights())
         total.backward()
         assert d.grad is not None and np.any(d.grad != 0.0)
 
@@ -217,7 +222,7 @@ class TestTotalLoss:
         with pytest.raises(ValueError, match="alpha"):
             TrainConfig(alpha=1.5)
         with pytest.raises(ValueError, match="nonnegative"):
-            LossWeights(smoothness=-0.1)
+            TrainConfig(w_smoothness=-0.1)
 
 
 class TestDeterminismAndPositivity:

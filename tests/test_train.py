@@ -4,6 +4,7 @@ objective's exact value in every aggregation/decomposition combination, and
 the divergence path."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from depthlab.config import TrainConfig
 from depthlab.formats import write_scene
 from depthlab.geometry import CameraModel
 from depthlab.scene import generate_scene
-from depthlab.train import ModelBundle, load_model, step_loss, train
+from depthlab.train import ModelBundle, load_model, save_model, step_loss, train
 
 SMALL = dict(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2, epochs=2)
 
@@ -47,6 +48,31 @@ def test_records_finite_and_reruns_bit_identical(scene, tmp_path):
     _assert_finite(records)
     assert records == again
     assert checkpoint == checkpoint_again
+
+
+def test_log_holds_one_json_record_per_epoch(scene, tmp_path):
+    log = tmp_path / "train.log"
+    _, records = train(scene, TrainConfig(**SMALL), log_path=log)
+    lines = log.read_text().splitlines()
+    assert [json.loads(line) for line in lines] == [dataclasses.asdict(r) for r in records]
+
+
+def test_non_square_model_round_trips_through_its_checkpoint(tmp_path):
+    config = TrainConfig(**SMALL)
+    model = ModelBundle(config, (16, 32))
+    rng = np.random.default_rng(4)
+    for _, p in model.named_parameters():
+        p.assign(p.data + rng.standard_normal(p.shape))  # unlike any fresh model
+    path = tmp_path / "wide.npz"
+    save_model(path, model, config, 3)
+
+    loaded, step = load_model(path, (16, 32))
+    assert step == 3
+    expected = dict(model.named_parameters())
+    got = dict(loaded.named_parameters())
+    assert got.keys() == expected.keys()
+    for name in expected:
+        np.testing.assert_array_equal(got[name].data, expected[name].data, err_msg=name)
 
 
 def test_batched_min_reprojection_runs(scene, tmp_path):
@@ -125,17 +151,17 @@ def nan_synthesis_at_step_2(monkeypatch):
     which at batch 1 is the second optimizer step."""
     calls = []
 
-    def total_loss(reconstruction, reflectance, synthesis, smoothness, weights):
+    def total_loss(terms, weights):
         calls.append(None)
         if len(calls) == 2:
-            synthesis = Tensor(np.nan)
-        return losses.total_loss(reconstruction, reflectance, synthesis, smoothness, weights)
+            terms = {**terms, "synthesis": Tensor(np.nan)}
+        return losses.total_loss(terms, weights)
 
     monkeypatch.setattr(train_module, "total_loss", total_loss)
 
 
 def _parameters(path):
-    model, step = load_model(path)
+    model, step = load_model(path, (16, 16))
     return {name: p.data for name, p in model.named_parameters()}, step
 
 
@@ -168,4 +194,4 @@ def test_cli_reports_divergence_as_a_runtime_failure(scene, tmp_path, capsys, na
 
     assert cli.main(argv) == 1
     assert "diverged" in capsys.readouterr().err
-    assert load_model(f"{checkpoint}.last_good")[1] == 1
+    assert load_model(f"{checkpoint}.last_good", (16, 16))[1] == 1
