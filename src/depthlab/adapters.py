@@ -29,6 +29,9 @@ from .autodiff import Tensor
 from .nn import Module, linear
 
 
+ADAPTER_MODES = ("none", "plain", "scaled")
+
+
 class InitVariant(str, Enum):
     UNIFORM = "uniform"
     KAIMING_NORMAL = "kaiming_normal"
@@ -136,8 +139,8 @@ def make_adapter(mode: str, m: int, n: int, rank: int, scheme: InitScheme) -> Lo
     one's. Fan-in: n for A, r for the rank-sized scale, m for the
     output-sized one.
     """
-    if mode not in ("none", "plain", "scaled"):
-        raise ValueError(f"unknown adapter mode '{mode}' (expected none, plain, scaled)")
+    if mode not in ADAPTER_MODES:
+        raise ValueError(f"unknown adapter mode '{mode}' (expected {', '.join(ADAPTER_MODES)})")
     if mode == "none":
         return None
     _check_rank(m, n, rank)

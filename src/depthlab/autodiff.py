@@ -650,9 +650,9 @@ def upsample_nearest2x(a) -> Tensor:
 # Both convolutions read their input through one padded-pitch layout
 # (_PitchGrid). The input is padded once into a zero buffer with spare zero
 # rows below it, and each channel's rows are read as one flat run whose row
-# pitch is the padded width. Output pixel (oy, ox) of tap (i, j) reads run
-# element (oy*sh + i)*pitch + ox*sw + j, so the window of a tap over every
-# output row is a (C, ho, cols) view of the buffer, cols = ceil(pitch/sw):
+# pitch is the padded width. At stride s, output pixel (oy, ox) of tap
+# (i, j) reads run element (oy*s + i)*pitch + ox*s + j, so the window of a
+# tap over every output row is a (C, ho, cols) view, cols = ceil(pitch/s):
 # at stride 1 one contiguous run per channel, and no per-tap copy is made.
 #
 # Forward computes on that (ho, cols) grid, then crops the columns at or
@@ -673,45 +673,40 @@ def upsample_nearest2x(a) -> Tensor:
 # kernel between forward and backward.
 
 
-def _conv_geometry(hp: int, wp: int, kh: int, kw: int, sh: int, sw: int) -> tuple[int, int]:
+def _conv_geometry(hp: int, wp: int, kh: int, kw: int, stride: int) -> tuple[int, int]:
     if kh > hp or kw > wp:
         raise ValueError(f"kernel ({kh}x{kw}) larger than padded input ({hp}x{wp})")
-    return (hp - kh) // sh + 1, (wp - kw) // sw + 1
-
-
-def _pair(v) -> tuple[int, int]:
-    if isinstance(v, (tuple, list)):
-        return int(v[0]), int(v[1])
-    return int(v), int(v)
+    return (hp - kh) // stride + 1, (wp - kw) // stride + 1
 
 
 class _PitchGrid:
     """Padded-pitch geometry of one convolution over a (C, H, W) input."""
 
-    def __init__(self, x_shape, kh: int, kw: int, stride, padding):
+    def __init__(self, x_shape, kh: int, kw: int, stride: int, padding: int):
         _, self.h, self.w = x_shape
-        self.sh, self.sw = _pair(stride)
-        self.ph, self.pw = _pair(padding)
-        hp, self.pitch = self.h + 2 * self.ph, self.w + 2 * self.pw
-        self.ho, self.wo = _conv_geometry(hp, self.pitch, kh, kw, self.sh, self.sw)
-        self.cols = -(-self.pitch // self.sw)
+        self.stride, self.padding = stride, padding
+        hp, self.pitch = self.h + 2 * padding, self.w + 2 * padding
+        self.ho, self.wo = _conv_geometry(hp, self.pitch, kh, kw, stride)
+        self.cols = -(-self.pitch // stride)
         # spare rows below the padded input: the last tap's run starts at
-        # (kh-1)*pitch + kw-1 and spans ho*sh rows
-        self.rows = self.ho * self.sh + kh
+        # (kh-1)*pitch + kw-1 and spans ho*stride rows
+        self.rows = self.ho * stride + kh
 
     def pad(self, data: np.ndarray) -> np.ndarray:
         """Zero buffer (C, rows, pitch) holding data at the padding offset."""
-        return np.pad(data, ((0, 0), (self.ph, self.rows - self.ph - self.h), (self.pw, self.pw)))
+        p = self.padding
+        return np.pad(data, ((0, 0), (p, self.rows - p - self.h), (p, p)))
 
     def unpad(self, buf: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(buf[:, self.ph : self.ph + self.h, self.pw : self.pw + self.w])
+        p = self.padding
+        return np.ascontiguousarray(buf[:, p : p + self.h, p : p + self.w])
 
     def window(self, buf: np.ndarray, i: int, j: int) -> np.ndarray:
         """View (C, ho, cols) of the buffer elements tap (i, j) reads."""
         c = buf.shape[0]
         start = i * self.pitch + j
-        run = buf.reshape(c, -1)[:, start : start + self.ho * self.sh * self.pitch]
-        return run.reshape(c, self.ho, self.sh * self.pitch)[:, :, : self.pitch : self.sw]
+        run = buf.reshape(c, -1)[:, start : start + self.ho * self.stride * self.pitch]
+        return run.reshape(c, self.ho, self.stride * self.pitch)[:, :, : self.pitch : self.stride]
 
     def crop(self, out: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(out[:, :, : self.wo])

@@ -15,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .adapters import FrozenLinear, InitScheme, make_adapter
+from .adapters import FrozenLinear, InitScheme, InitVariant, make_adapter
 from .autodiff import Tensor
+from .config import TrainConfig
 from .nn import Conv2d, DepthwiseConv2d, LayerNorm, Linear, Module
 
 
@@ -144,7 +145,7 @@ class DepthDecoder(Module):
     prediction sits near the geometric middle of the depth range instead of
     the harmonic extreme that a zero-logit sigmoid would give."""
 
-    def __init__(self, in_dim: int, rng: np.random.Generator, d_min: float = 0.1, d_max: float = 100.0):
+    def __init__(self, in_dim: int, rng: np.random.Generator, d_min: float, d_max: float):
         w0, w1, w2, w3 = 28, 22, 18, 14
         skip = 7
         self.proj = Conv2d(in_dim, w0, 1, rng)
@@ -173,11 +174,9 @@ class DepthDecoder(Module):
         return disp
 
     def __call__(self, feat: Tensor, image: Tensor) -> list[Tensor]:
-        h, w = image.shape[1:]
-        gh = feat.shape[1]
-        img = image.data
-        pool2 = Tensor(_avgpool_image(img, h // (2 * gh))) if h // (2 * gh) > 1 else image
-        pool1 = Tensor(_avgpool_image(img, h // (4 * gh))) if h // (4 * gh) > 1 else image
+        # feat is the 1/8-resolution token grid (patch 8)
+        pool2 = Tensor(_avgpool_image(image.data, 4))
+        pool1 = Tensor(_avgpool_image(image.data, 2))
         f3 = ad.relu(self.proj(feat))
         f2 = ad.relu(self.conv1(ad.concat([ad.upsample_nearest2x(f3), ad.relu(self.skip2(pool2))], axis=0)))
         f1 = ad.relu(self.conv2(ad.concat([ad.upsample_nearest2x(f2), ad.relu(self.skip1(pool1))], axis=0)))
@@ -196,39 +195,31 @@ class ToyDepthNet(Module):
     blocks, plus the disparity decoder. Output disparities are in (0, 1) at
     four scales with halving resolutions, finest first."""
 
-    def __init__(
-        self,
-        image_hw: tuple[int, int],
-        rng: np.random.Generator,
-        embed_dim: int = 224,
-        depth_blocks: int = 4,
-        heads: int = 4,
-        patch: int = 8,
-        mixer_after: tuple[int, ...] = (2, 4),
-        adapter_mode: str = "scaled",
-        rank: int = 4,
-        scheme: InitScheme = InitScheme(),
-        d_min: float = 0.1,
-        d_max: float = 100.0,
-    ):
+    def __init__(self, config: TrainConfig, image_hw: tuple[int, int], rng: np.random.Generator):
         h, w = image_hw
+        patch, dim, n_blocks, mixer_after = config.patch, config.embed_dim, config.depth_blocks, config.mixer_after
+        if patch != 8:
+            raise ValueError(f"patch must be 8, got {patch}: the decoder's three 2x stages upsample by 8")
         if h % patch or w % patch:
             raise ValueError(f"image {h}x{w} not divisible by patch {patch}")
-        if any(i < 1 or i > depth_blocks for i in mixer_after):
-            raise ValueError(f"mixer positions {mixer_after} outside 1..{depth_blocks}")
+        if any(i < 1 or i > n_blocks for i in mixer_after):
+            raise ValueError(f"mixer positions {mixer_after} outside 1..{n_blocks}")
+        if len(set(mixer_after)) != len(mixer_after):
+            raise ValueError(f"mixer positions {mixer_after} repeat a position")
         self.patch = patch
         self.grid_hw = (h // patch, w // patch)
-        self.embed_dim = embed_dim
+        self.embed_dim = dim
         n_tokens = self.grid_hw[0] * self.grid_hw[1]
-        self.embed = FrozenLinear.random(embed_dim, 3 * patch * patch, rng)
-        self.positions = Tensor(sinusoidal_positions(n_tokens, embed_dim))
+        self.embed = FrozenLinear.random(dim, 3 * patch * patch, rng)
+        self.positions = Tensor(sinusoidal_positions(n_tokens, dim))
+        variant = InitVariant(config.init)
         self.blocks = [
-            TransformerBlock(embed_dim, heads, rng, adapter_mode, rank, InitScheme(scheme.variant, scheme.seed + 10 * i))
-            for i in range(1, depth_blocks + 1)
+            TransformerBlock(dim, config.heads, rng, config.adapter, config.rank, InitScheme(variant, config.seed + 10 * i))
+            for i in range(1, n_blocks + 1)
         ]
         self.mixer_after = tuple(sorted(mixer_after))
-        self.mixers = [SeparableResidualBlock(embed_dim, rng) for _ in self.mixer_after]
-        self.decoder = DepthDecoder(embed_dim, rng, d_min=d_min, d_max=d_max)
+        self.mixers = [SeparableResidualBlock(dim, rng) for _ in self.mixer_after]
+        self.decoder = DepthDecoder(dim, rng, config.d_min, config.d_max)
 
     def _tokens(self, image: Tensor) -> Tensor:
         c, h, w = image.shape
@@ -267,7 +258,7 @@ def initial_disparity_logit(d_min: float, d_max: float) -> float:
     return float(np.log(disp / (1.0 - disp)))
 
 
-def disparity_to_depth(disp: Tensor, d_min: float = 0.1, d_max: float = 100.0) -> Tensor:
+def disparity_to_depth(disp: Tensor, d_min: float, d_max: float) -> Tensor:
     """Monotone map from sigmoid disparity in (0, 1) to depth in [d_min, d_max]:
     depth = 1 / (1/d_max + (1/d_min - 1/d_max) * disp)."""
     disp = ad.as_tensor(disp)
@@ -327,11 +318,6 @@ class PoseNet(Module):
         z_flow = float((radial * dm).mean()) / rr
         return u_flow, v_flow, z_flow, gxx, gyy, gxy
 
-    @staticmethod
-    def _downsample(gray: np.ndarray) -> np.ndarray:
-        h, w = gray.shape
-        return gray.reshape(h // 2, 2, w // 2, 2).mean(axis=(1, 3))
-
     @classmethod
     def _pair_features(cls, target: np.ndarray, source: np.ndarray):
         diff = target - source
@@ -352,7 +338,7 @@ class PoseNet(Module):
             u, v, z, gxx, gyy, gxy = cls._solved_flow(t_level, s_level)
             stats.extend([u * scale, v * scale, z * scale])
             if min(t_level.shape) >= 16:
-                t_level, s_level = cls._downsample(t_level), cls._downsample(s_level)
+                t_level, s_level = _avgpool_image(t_level[None], 2)[0], _avgpool_image(s_level[None], 2)[0]
                 scale *= 2.0
         stats.extend([gxx, gyy, gxy, float(dm.mean())])
         return feats, np.array(stats)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, fields
 
+from .adapters import ADAPTER_MODES, InitVariant
 from .losses import LOSS_TERMS
 
 ENV_PREFIX = "DEPTHLAB_"
@@ -29,13 +30,13 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     rank: int = 4
-    adapter: str = "scaled"  # none | plain | scaled
-    init: str = "kaiming_uniform"  # uniform | kaiming_normal | kaiming_uniform
+    adapter: str = "scaled"  # one of adapters.ADAPTER_MODES
+    init: str = "kaiming_uniform"  # an adapters.InitVariant value
     mixer_after: tuple[int, ...] = (2, 4)
     embed_dim: int = 224
     depth_blocks: int = 4
     heads: int = 4
-    patch: int = 8
+    patch: int = 8  # only 8: the depth decoder has three 2x stages
     alpha: float = 0.85
     w_reconstruction: float = 0.2
     w_reflectance: float = 0.2
@@ -51,9 +52,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.triplet_stride < 1:
             raise ValueError("epochs, batch_size, and triplet_stride must be >= 1")
-        if self.adapter not in ("none", "plain", "scaled"):
-            raise ValueError(f"adapter must be none, plain, or scaled, got '{self.adapter}'")
-        if self.init not in ("uniform", "kaiming_normal", "kaiming_uniform"):
+        if self.adapter not in ADAPTER_MODES:
+            raise ValueError(f"adapter must be one of {', '.join(ADAPTER_MODES)}, got '{self.adapter}'")
+        if self.init not in [v.value for v in InitVariant]:
             raise ValueError(f"unknown init scheme '{self.init}'")
         if self.source_aggregation not in ("mean", "min"):
             raise ValueError(f"source_aggregation must be mean or min, got '{self.source_aggregation}'")

@@ -103,7 +103,7 @@ def reflectance_consistency_loss(r_t, r_warped, validity=None) -> Tensor:
     return _masked_pixel_mean(per_pixel, validity)
 
 
-def photometric(a, b, alpha: float = 0.85, validity=None, per_pixel: bool = False) -> Tensor:
+def photometric(a, b, alpha: float, validity=None, per_pixel: bool = False) -> Tensor:
     """The SSIM/L1 mix alpha*(1-SSIM)/2 + (1-alpha)*L1 of two images.
 
     Per pixel it is an (H, W) map with the channels averaged. Otherwise each
@@ -120,13 +120,13 @@ def photometric(a, b, alpha: float = 0.85, validity=None, per_pixel: bool = Fals
     return alpha * ((1.0 - ssim_part) * 0.5) + (1.0 - alpha) * l1_part
 
 
-def reconstruction_loss(target_hat, target, source_hat, source, alpha: float = 0.85) -> Tensor:
+def reconstruction_loss(target_hat, target, source_hat, source, alpha: float) -> Tensor:
     """Fidelity of the decomposition reconstructions for a frame pair: the
     target branch plus the source branch, each an SSIM/L1 mix."""
     return photometric(target_hat, target, alpha) + photometric(source_hat, source, alpha)
 
 
-def synthesis_loss(warped_hat, target, alpha: float = 0.85, validity=None, per_pixel: bool = False) -> Tensor:
+def synthesis_loss(warped_hat, target, alpha: float, validity=None, per_pixel: bool = False) -> Tensor:
     """SSIM/L1 mix between the warped-and-relit source frame and the target:
     over valid pixels, or the (H, W) map when per_pixel."""
     return photometric(warped_hat, target, alpha, validity, per_pixel)

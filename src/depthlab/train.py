@@ -21,7 +21,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses
-from .adapters import InitScheme, InitVariant
 from .autodiff import Tensor, TrainingDiverged
 from .blocks import DecompositionNet, PoseNet, ToyDepthNet, disparity_to_depth, reconstruct
 from .checkpoint import load_checkpoint, restore_module, save_checkpoint
@@ -41,20 +40,7 @@ class ModelBundle(Module):
 
     def __init__(self, config: TrainConfig, image_hw: tuple[int, int]):
         rng = np.random.default_rng(config.seed)
-        self.depth = ToyDepthNet(
-            image_hw,
-            rng,
-            embed_dim=config.embed_dim,
-            depth_blocks=config.depth_blocks,
-            heads=config.heads,
-            patch=config.patch,
-            mixer_after=config.mixer_after,
-            adapter_mode=config.adapter,
-            rank=config.rank,
-            scheme=InitScheme(InitVariant(config.init), config.seed),
-            d_min=config.d_min,
-            d_max=config.d_max,
-        )
+        self.depth = ToyDepthNet(config, image_hw, rng)
         self.pose = PoseNet(rng)
         self.decomp = DecompositionNet(rng)
         self.config = config

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthlab import autodiff as ad
-from depthlab.adapters import InitScheme
 from depthlab.autodiff import Tensor
 from depthlab.blocks import (
     ChannelAttention,
@@ -20,6 +19,7 @@ from depthlab.blocks import (
     initial_disparity_logit,
     reconstruct,
 )
+from depthlab.config import TrainConfig
 from depthlab.nn import trainable_param_count
 
 from oracles import fd_gradient, rel_err
@@ -131,12 +131,17 @@ class TestAttention:
 
 class TestToyDepthNet:
     def test_four_scales_with_halving_resolutions(self):
-        net = ToyDepthNet((32, 32), rng(), embed_dim=64, depth_blocks=2, mixer_after=(1,))
+        net = ToyDepthNet(TrainConfig(embed_dim=64, depth_blocks=2, mixer_after=(1,)), (32, 32), rng())
         disps = net(Tensor(np.random.default_rng(1).uniform(0, 1, (3, 32, 32))))
         assert [d.shape for d in disps] == [(32, 32), (16, 16), (8, 8), (4, 4)]
 
+    def test_non_square_image_keeps_its_aspect_at_every_scale(self):
+        net = ToyDepthNet(TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,)), (16, 32), rng())
+        disps = net(Tensor(np.random.default_rng(1).uniform(0, 1, (3, 16, 32))))
+        assert [d.shape for d in disps] == [(16, 32), (8, 16), (4, 8), (2, 4)]
+
     def test_outputs_strictly_inside_unit_interval(self):
-        net = ToyDepthNet((16, 16), rng(), embed_dim=32, depth_blocks=1, mixer_after=(1,))
+        net = ToyDepthNet(TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,)), (16, 16), rng())
         disps = net(Tensor(np.random.default_rng(2).uniform(0, 1, (3, 16, 16))))
         for d in disps:
             assert np.all(d.data > 0.0) and np.all(d.data < 1.0)
@@ -144,16 +149,16 @@ class TestToyDepthNet:
     @pytest.mark.parametrize("mode", ["plain", "scaled"])
     def test_fresh_adapters_leave_output_bit_identical(self, mode):
         image = np.random.default_rng(3).uniform(0, 1, (3, 16, 16))
-        kwargs = dict(embed_dim=32, depth_blocks=2, mixer_after=(1,), rank=2, scheme=InitScheme(seed=5))
-        with_adapters = ToyDepthNet((16, 16), np.random.default_rng(9), adapter_mode=mode, **kwargs)
-        without = ToyDepthNet((16, 16), np.random.default_rng(9), adapter_mode="none", **kwargs)
+        kwargs = dict(embed_dim=32, depth_blocks=2, mixer_after=(1,), rank=2, seed=5)
+        with_adapters = ToyDepthNet(TrainConfig(adapter=mode, **kwargs), (16, 16), np.random.default_rng(9))
+        without = ToyDepthNet(TrainConfig(adapter="none", **kwargs), (16, 16), np.random.default_rng(9))
         out_a = with_adapters(Tensor(image))
         out_b = without(Tensor(image))
         for da, db in zip(out_a, out_b):
             np.testing.assert_array_equal(da.data, db.data)
 
     def test_end_to_end_gradcheck_small(self):
-        net = ToyDepthNet((16, 16), rng(), embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2)
+        net = ToyDepthNet(TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2), (16, 16), rng())
         image = np.random.default_rng(4).uniform(0.2, 0.8, (3, 16, 16))
         adapter = net.blocks[0].adapter1
         out = ad.tsum(net(Tensor(image))[0])
@@ -172,7 +177,7 @@ class TestToyDepthNet:
 
     def test_rejects_bad_patch_geometry(self):
         with pytest.raises(ValueError, match="divisible"):
-            ToyDepthNet((30, 30), rng())
+            ToyDepthNet(TrainConfig(), (30, 30), rng())
 
 
 class TestDisparityToDepth:
@@ -194,7 +199,7 @@ class TestDisparityToDepth:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="disparity"):
-            disparity_to_depth(Tensor(np.array([1.5])))
+            disparity_to_depth(Tensor(np.array([1.5])), 0.1, 100.0)
 
     def test_initial_logit_hits_geometric_mean(self):
         logit = initial_disparity_logit(2.0, 20.0)

@@ -42,6 +42,16 @@ def test_params_counts_adapter_parameters(capsys):
     assert scaled[1] - plain[1] == 4 * ((4 + 896) + (4 + 224)) == 4_512
 
 
+def test_params_rejects_a_repeated_mixer_position(capsys):
+    assert cli.main(["params", "--size", "64", "--set", "mixer_after=2,2"]) == 2
+    assert "repeat" in capsys.readouterr().err
+
+
+def test_params_rejects_a_patch_the_decoder_cannot_restore(capsys):
+    assert cli.main(["params", "--size", "64", "--set", "patch=4"]) == 2
+    assert "2x stages" in capsys.readouterr().err
+
+
 def _scene_dir(tmp_path):
     cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
     scene_dir = tmp_path / "scene"
