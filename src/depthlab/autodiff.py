@@ -655,18 +655,22 @@ def upsample_nearest2x(a) -> Tensor:
 # tap over every output row is a (C, ho, cols) view, cols = ceil(pitch/s):
 # at stride 1 one contiguous run per channel, and no per-tap copy is made.
 #
-# Forward computes on that (ho, cols) grid, then crops the columns at or
-# past wo, which read right-hand padding or wrap into the next row. Each
-# kept output element accumulates one kernel tap at a time, in
-# (input-channel, kernel-row, kernel-column) order, starting from zero: the
-# exact left-to-right float64 addition chain a naive per-pixel loop makes.
-# Grid columns are independent elements, so the discarded ones never enter a
-# kept element's chain, and the forward stays bit-identical to a plain loop
-# implementation.
+# conv2d forward computes on that (ho, cols) grid, then crops the columns at
+# or past wo, which read right-hand padding or wrap into the next row. It
+# adds one BLAS product per tap, (C_out, C_in) @ (C_in, ho*cols), so a 1x1
+# conv is a single GEMM. Each output element is a length-K dot product,
+# K = C_in*kh*kw, summed in whatever order BLAS picks: there is no order
+# contract, and it differs from a per-pixel loop by at most
+# K*eps*sum(|x||k|) over its window. Reruns at a fixed BLAS build are
+# bit-identical; OpenBLAS threads split a product over output blocks, not
+# over K, so one and two threads give the same bits. depthwise_conv2d has
+# no channel sum to hand to BLAS; it adds one tap at a time in
+# (kernel-row, kernel-column) order from zero, and stays bit-identical to a
+# plain loop.
 #
-# Backward has no order contract. It zero-pads the output gradient to the
-# grid, so the discarded columns contribute exact zeros, and contracts whole
-# channel blocks per tap on the same views. The closure keeps no padded
+# Backward has no order contract either. It zero-pads the output gradient to
+# the grid, so the discarded columns contribute exact zeros, and contracts
+# whole channel blocks per tap on the same views. The closure keeps no padded
 # buffer. It keeps the input array only when the kernel needs a gradient,
 # and re-pads it there; it keeps the kernel array only when the input needs
 # one. A frozen convolution over a grad-enabled input so holds only its
@@ -731,11 +735,9 @@ def conv2d(x, kernel, stride=1, padding=0) -> Tensor:
     grid = _PitchGrid(x.shape, kh, kw, stride, padding)
     xb = grid.pad(x.data)
     taps = [(i, j) for i in range(kh) for j in range(kw)]
-    wins = [grid.window(xb, i, j) for i, j in taps]
-    out = np.zeros((c_out, grid.ho, grid.cols))
-    for ci in range(c_in):
-        for (i, j), win in zip(taps, wins):
-            out += kernel.data[:, ci, i, j][:, None, None] * win[ci]
+    out = np.zeros((c_out, grid.ho * grid.cols))
+    for i, j in taps:
+        out += kernel.data[:, :, i, j] @ grid.window(xb, i, j).reshape(c_in, -1)
     kd = kernel.data if x.requires_grad else None
     xd = x.data if kernel.requires_grad else None
     k_shape = kernel.shape
@@ -757,7 +759,7 @@ def conv2d(x, kernel, stride=1, padding=0) -> Tensor:
                 gk[:, :, i, j] = gq @ grid.window(xb, i, j).reshape(c_in, -1).T
         return (gx, gk)
 
-    return Tensor._from_op(grid.crop(out), (x, kernel), bw)
+    return Tensor._from_op(grid.crop(out.reshape(c_out, grid.ho, grid.cols)), (x, kernel), bw)
 
 
 def depthwise_conv2d(x, kernel, stride=1, padding=0) -> Tensor:

@@ -93,8 +93,8 @@ class TransformerBlock(Module):
     linears carry the (optional) adapters."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, adapter_mode: str, rank: int, scheme: InitScheme):
-        if dim % heads != 0:
-            raise ValueError(f"dim {dim} not divisible by heads {heads}")
+        if heads < 1 or dim % heads != 0:
+            raise ValueError(f"heads must be >= 1 and divide dim {dim}, got {heads}")
         self.heads = heads
         self.norm1 = LayerNorm(dim)
         self.wq = FrozenLinear.random(dim, dim, rng)

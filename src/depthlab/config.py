@@ -10,6 +10,7 @@ an explicit --set beats a stale environment variable.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, fields
 
 from .adapters import ADAPTER_MODES, InitVariant
@@ -52,6 +53,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.triplet_stride < 1:
             raise ValueError("epochs, batch_size, and triplet_stride must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
         if self.adapter not in ADAPTER_MODES:
             raise ValueError(f"adapter must be one of {', '.join(ADAPTER_MODES)}, got '{self.adapter}'")
         if self.init not in [v.value for v in InitVariant]:

@@ -62,6 +62,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="loss_scales"):
             TrainConfig(loss_scales=9)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_a_non_finite_or_non_positive_lr(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            TrainConfig(lr=lr)
+
     def test_env_overrides(self):
         cfg = apply_env_overrides(TrainConfig(), {"DEPTHLAB_SEED": "42", "DEPTHLAB_LR": "0.5", "HOME": "/x"})
         assert cfg.seed == 42 and cfg.lr == 0.5

@@ -1,5 +1,7 @@
 """Command-line entry point, called in-process through cli.main(argv)."""
 
+import pytest
+
 from depthlab import cli
 from depthlab.config import TrainConfig
 from depthlab.formats import write_scene
@@ -52,6 +54,12 @@ def test_params_rejects_a_patch_the_decoder_cannot_restore(capsys):
     assert "2x stages" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("heads", ["0", "-4"])
+def test_params_rejects_heads_below_one(capsys, heads):
+    assert cli.main(["params", "--size", "16", "--set", f"heads={heads}"]) == 2
+    assert "heads" in capsys.readouterr().err
+
+
 def _scene_dir(tmp_path):
     cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
     scene_dir = tmp_path / "scene"
@@ -90,6 +98,14 @@ def test_train_rejects_an_unknown_config_key(tmp_path, capsys):
     argv = ["train", "--scene", str(tmp_path), "--checkpoint", str(tmp_path / "m.ckpt"), "--set", "no_such_key=1"]
     assert cli.main(argv) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_train_rejects_a_nan_lr_before_any_step(tmp_path, capsys):
+    scene_dir = _scene_dir(tmp_path)
+    argv = ["train", "--scene", str(scene_dir), "--checkpoint", str(tmp_path / "m.ckpt"), "--set", "lr=nan"]
+    assert cli.main(argv) == 2
+    assert "lr" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["scene"]
 
 
 def test_report_on_an_empty_log_is_a_validation_failure(tmp_path, capsys):

@@ -96,28 +96,28 @@ INITIAL_PARTS = {
         reconstruction=0.6448707536095221,
         reflectance=0.004455167731040325,
         synthesis=0.3508844494078944,
-        smoothness=0.01595473027916155,
+        smoothness=0.01595473027916154,
         loss=0.48079749786684434,
     ),
     ("mean", True): dict(
         reconstruction=0.0,
         reflectance=0.0,
         synthesis=0.3244468638685466,
-        smoothness=0.01595473027916155,
+        smoothness=0.01595473027916154,
         loss=0.32449472805938406,
     ),
     ("min", False): dict(
         reconstruction=0.6448707536095221,
         reflectance=0.004455167731040325,
-        synthesis=0.3391941301586866,
-        smoothness=0.01595473027916155,
-        loss=0.4691071786176365,
+        synthesis=0.33919413015868666,
+        smoothness=0.01595473027916154,
+        loss=0.4691071786176366,
     ),
     ("min", True): dict(
         reconstruction=0.0,
         reflectance=0.0,
         synthesis=0.28090007982411747,
-        smoothness=0.01595473027916155,
+        smoothness=0.01595473027916154,
         loss=0.28094794401495493,
     ),
 }
