@@ -116,10 +116,10 @@ class LowRankAdapter(Module):
         """The low-rank branch for (rows, n) inputs; gradients reach only A and B."""
         h = ad.matmul(rows, self.down.T)
         if self.scale_down is not None:
-            h = h * ad.broadcast_to(ad.reshape(self.scale_down, (1, h.shape[1])), h.shape)
+            h = h * self.scale_down
         h = ad.matmul(h, self.up.T)
         if self.scale_up is not None:
-            h = h * ad.broadcast_to(ad.reshape(self.scale_up, (1, h.shape[1])), h.shape)
+            h = h * self.scale_up
         return h
 
     def delta(self) -> np.ndarray:

@@ -20,10 +20,10 @@ therefore freed once no code and no closure refers to it, even while the
 graph lives.
 
 Values are immutable once created: an op's output may be a view of its
-input (``permute``, ``broadcast_to``, ``reshape``), and closures keep
-arrays by reference, so writing into a ``.data`` array in place would
-corrupt other tensors and later gradients. ``Tensor.assign`` replaces a
-leaf's array instead. A graph instance belongs to a single thread.
+input (``permute``, ``reshape``), and closures keep arrays by reference,
+so writing into a ``.data`` array in place would corrupt other tensors
+and later gradients. ``Tensor.assign`` replaces a leaf's array instead.
+A graph instance belongs to a single thread.
 Reductions use a fixed summation order, so reruns are bit-identical.
 """
 
@@ -227,18 +227,25 @@ def as_tensor(x) -> Tensor:
 
 
 # -- elementwise binary ops ------------------------------------------------------
-# Broadcast rule: equal shapes, or one side is a single element.
+# Broadcast rule: numpy's. Shapes align from the right and each axis pair is
+# equal or has a 1. An operand's gradient is summed, in one keepdims sum, over
+# the axes broadcasting added or stretched; the graph keeps no expanded copy
+# of a small operand.
 
 
 def _check_binary_shapes(a: Tensor, b: Tensor, opname: str) -> None:
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
-        raise ValueError(f"{opname}: shapes {a.shape} and {b.shape} are not equal and neither is a scalar")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ValueError(f"{opname}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
-    return np.sum(g).reshape(shape)  # the only mismatch allowed is scalar-vs-tensor
+    expanded = (1,) * (g.ndim - len(shape)) + shape
+    axes = tuple(i for i, (src, dst) in enumerate(zip(expanded, g.shape)) if src == 1 and dst != 1)
+    return np.sum(g, axis=axes, keepdims=True).reshape(shape)
 
 
 def add(a, b) -> Tensor:
@@ -591,31 +598,6 @@ def slice_axis(a, axis: int, start: int, stop: int) -> Tensor:
         return (full,)
 
     return Tensor._from_op(np.ascontiguousarray(a.data[sl]), (a,), bw)
-
-
-def broadcast_to(a, shape) -> Tensor:
-    """Read-only broadcast view of the input; backward sums over the
-    broadcast axes."""
-    a = as_tensor(a)
-    shape = tuple(shape)
-    out_data = np.broadcast_to(a.data, shape)
-    added = len(shape) - a.ndim
-    if added < 0:
-        raise ValueError(f"cannot broadcast {a.shape} to smaller rank {shape}")
-    expanded = (1,) * added + a.shape
-    summed_axes = tuple(
-        i for i, (src, dst) in enumerate(zip(expanded, shape)) if src == 1 and dst != 1
-    )
-    for src, dst in zip(expanded, shape):
-        if src != dst and src != 1:
-            raise ValueError(f"cannot broadcast {a.shape} to {shape}")
-    a_shape = a.shape
-
-    def bw(g):
-        gg = np.sum(g, axis=summed_axes, keepdims=True) if summed_axes else g
-        return (gg.reshape(a_shape),)
-
-    return Tensor._from_op(out_data, (a,), bw)
 
 
 def mask_fill(a, mask: np.ndarray, value: float) -> Tensor:

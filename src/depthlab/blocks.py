@@ -77,14 +77,14 @@ class SeparableResidualBlock(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 3 or x.shape[0] != self.reduce.weight.shape[1]:
             raise ValueError(f"expected ({self.reduce.weight.shape[1]}, H, W) input, got {x.shape}")
-        c, h, w = x.shape
+        c = x.shape[0]
         branch = ad.relu(self.reduce(x))
         branch = ad.relu(self.depthwise(branch))
         branch = self.restore(branch)
         gates_c = self.channel_attention(branch)
-        branch = branch * ad.broadcast_to(ad.reshape(gates_c, (c, 1, 1)), (c, h, w))
+        branch = branch * ad.reshape(gates_c, (c, 1, 1))
         gates_s = self.spatial_attention(branch)
-        branch = branch * ad.broadcast_to(gates_s, (c, h, w))
+        branch = branch * gates_s
         return x + branch
 
 
@@ -387,4 +387,4 @@ def reconstruct(reflectance: Tensor, shading: Tensor) -> Tensor:
     if shading.ndim != 2 or reflectance.shape[1:] != shading.shape:
         raise ValueError(f"reflectance {reflectance.shape} and shading {shading.shape} do not align")
     h, w = shading.shape
-    return reflectance * ad.broadcast_to(ad.reshape(shading, (1, h, w)), (3, h, w))
+    return reflectance * ad.reshape(shading, (1, h, w))

@@ -183,6 +183,8 @@ def _cmd_gradcheck(args) -> int:
     src = Tensor(rng.uniform(0, 1, (2, 5, 5)), requires_grad=True)
     grid = Tensor(np.stack([rng.uniform(0.2, 3.4, (4, 4)), rng.uniform(0.2, 3.4, (4, 4))]), requires_grad=True)
     checks.append(("bilinear_sample", lambda: ad.tsum(ad.bilinear_sample(src, grid)[0]), [src, grid]))
+    gate = Tensor(rng.uniform(0.5, 1.5, (2, 1, 1)), requires_grad=True)
+    checks.append(("broadcast_mul", lambda: ad.tsum(_sq(img * gate)), [img, gate]))
 
     worst_name, worst = "", 0.0
     failed = False

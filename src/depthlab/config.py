@@ -53,8 +53,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.triplet_stride < 1:
             raise ValueError("epochs, batch_size, and triplet_stride must be >= 1")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("lr", "lr_decay", "adam_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        for name in ("adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not (0.0 <= value < 1.0):
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        if self.embed_dim < 1:
+            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.lr_decay_epoch < 0:
+            raise ValueError(f"lr_decay_epoch must be >= 0, got {self.lr_decay_epoch}")
         if self.adapter not in ADAPTER_MODES:
             raise ValueError(f"adapter must be one of {', '.join(ADAPTER_MODES)}, got '{self.adapter}'")
         if self.init not in [v.value for v in InitVariant]:
@@ -68,8 +78,8 @@ class TrainConfig:
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         for name, weight in self.loss_weights().items():
-            if weight < 0:
-                raise ValueError(f"loss weight {name} must be nonnegative")
+            if not (math.isfinite(weight) and weight >= 0):
+                raise ValueError(f"loss weight {name} must be finite and nonnegative, got {weight}")
 
     def loss_weights(self) -> dict[str, float]:
         """The ``w_<term>`` fields keyed by ``losses.LOSS_TERMS``."""

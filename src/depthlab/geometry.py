@@ -191,9 +191,7 @@ def rotation_from_axis_angle(axis_angle: Tensor) -> Tensor:
         a = ad.tsin(theta) / theta
         b = (1.0 - ad.tcos(theta)) / theta_sq
     eye = Tensor(np.eye(3))
-    return eye + ad.broadcast_to(ad.reshape(a, (1, 1)), (3, 3)) * k + ad.broadcast_to(
-        ad.reshape(b, (1, 1)), (3, 3)
-    ) * k2
+    return eye + a * k + b * k2
 
 
 def _skew_tensor(w: Tensor) -> Tensor:
@@ -215,8 +213,7 @@ def backproject(depth, cam: CameraModel) -> Tensor:
     if (h, w) != (cam.height, cam.width):
         raise ValueError(f"depth shape {d.shape} does not match camera {cam.height}x{cam.width}")
     rays = Tensor(cam.pixel_rays())
-    d3 = ad.broadcast_to(ad.reshape(d, (1, h, w)), (3, h, w))
-    return rays * d3
+    return rays * ad.reshape(d, (1, h, w))
 
 
 def project(points: Tensor, cam: CameraModel) -> Tensor:
@@ -248,7 +245,7 @@ def transform_points(points: Tensor, rotation, translation) -> Tensor:
     t = ad.as_tensor(translation)
     _, h, w = points.shape
     flat = ad.reshape(points, (3, h * w))
-    moved = ad.matmul(r, flat) + ad.broadcast_to(ad.reshape(t, (3, 1)), (3, h * w))
+    moved = ad.matmul(r, flat) + ad.reshape(t, (3, 1))
     return ad.reshape(moved, (3, h, w))
 
 

@@ -66,7 +66,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, branch=None) -
     if branch is not None:
         y = y + branch(rows)
     if bias is not None:
-        y = y + ad.broadcast_to(ad.reshape(bias, (1, bias.shape[0])), y.shape)
+        y = y + bias
     return ad.reshape(y, (y.shape[1],)) if single else y
 
 
@@ -106,8 +106,7 @@ class Conv2d(Module):
     def __call__(self, x: Tensor) -> Tensor:
         y = ad.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
         if self.bias is not None:
-            c = self.bias.shape[0]
-            y = y + ad.broadcast_to(ad.reshape(self.bias, (c, 1, 1)), y.shape)
+            y = y + ad.reshape(self.bias, (-1, 1, 1))
         return y
 
 
@@ -122,8 +121,7 @@ class DepthwiseConv2d(Module):
     def __call__(self, x: Tensor) -> Tensor:
         y = ad.depthwise_conv2d(x, self.weight, stride=1, padding=self.padding)
         if self.bias is not None:
-            c = self.bias.shape[0]
-            y = y + ad.broadcast_to(ad.reshape(self.bias, (c, 1, 1)), y.shape)
+            y = y + ad.reshape(self.bias, (-1, 1, 1))
         return y
 
 

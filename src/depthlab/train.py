@@ -173,10 +173,8 @@ def _synthesis(aggregation: str, frames: list[tuple[Tensor, np.ndarray]], target
     maps = [
         ad.mask_fill(losses.synthesis_loss(frame, target, alpha, per_pixel=True), v < 0.5, 1e6) for frame, v in frames
     ]
-    combined = maps[0]
-    for pix in maps[1:]:
-        pick = combined.data <= pix.data
-        combined = ad.mask_fill(combined, ~pick, 0.0) + ad.mask_fill(pix, pick, 0.0)
+    # the minimum as a max of negations: a tie goes to the earlier source
+    combined = -ad.tmax(-ad.concat([ad.reshape(m, (1,) + m.shape) for m in maps], axis=0), axis=0)
     any_valid = np.clip(np.sum([v for _, v in frames], axis=0), 0.0, 1.0)
     return ad.tsum(combined * Tensor(any_valid)) / max(1.0, any_valid.sum())
 

@@ -236,6 +236,8 @@ class TestElementwise:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
             ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+        with pytest.raises(ValueError, match=r"mul: shapes \(2, 3\) and \(3, 2\)"):
+            ad.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
 
     def test_scalar_broadcast_allowed(self):
         out = Tensor(np.ones((2, 2))) * 3.0
@@ -546,12 +548,23 @@ class TestRetention:
         m = leaf(np.arange(6.0).reshape(2, 3))
         assert np.shares_memory(m.T.data, m.data)
 
-    def test_broadcast_is_a_read_only_view(self):
-        a = leaf([[1.0], [2.0]])
-        b = ad.broadcast_to(a, (3, 2, 4))
-        np.testing.assert_array_equal(b.data, np.broadcast_to(a.data, (3, 2, 4)))
-        assert np.shares_memory(b.data, a.data)
-        assert not b.data.flags.writeable
+    def test_broadcast_mul_keeps_no_expanded_operand(self):
+        rng = np.random.default_rng(4)
+        x = leaf(rng.standard_normal((16, 32, 32)))
+        gate = leaf(rng.standard_normal((16, 1, 1)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = x * gate
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a (16, 32, 32) copy of the gate would be another 131,072 bytes;
+        # 4 KiB covers the Tensor, its node and its closure
+        assert held - out.data.nbytes < 4 * 1024
+        ad.tsum(out).backward()
+        assert gate.grad.shape == (16, 1, 1)
+        np.testing.assert_array_equal(gate.grad, np.sum(x.data, axis=(1, 2), keepdims=True))
 
     @pytest.mark.parametrize(
         "op, k_shape", [(ad.conv2d, (2, 16, 3, 3)), (ad.depthwise_conv2d, (16, 3, 3))], ids=["conv2d", "depthwise"]
@@ -669,6 +682,11 @@ def _random_op_cases(seed):
     grid = np.stack(
         [rng.uniform(0.2, 1.4, size=(2, 2)), rng.uniform(0.2, 1.4, size=(2, 2))]
     )
+    # operands that broadcast against (2, 3), signed and away from zero; the
+    # (2, 1) one comes first, so each side's gradient is summed down
+    small = {s: rng.uniform(0.4, 2.0, size=s) * rng.choice([-1.0, 1.0], size=s) for s in [(3,), (2, 1), (1, 3)]}
+    pairs = {"row": [y, small[(3,)]], "col": [small[(2, 1)], y], "top": [y, small[(1, 3)]]}
+    binary = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "div": ad.div}
     cases = [
         ("add", lambda: ad.tsum(leafs[0] + leafs[1]), [x, y]),
         ("sub", lambda: ad.tsum(leafs[0] - leafs[1]), [x, y]),
@@ -692,11 +710,16 @@ def _random_op_cases(seed):
         ("conv2d", lambda: ad.tsum(ad.conv2d(leafs[0], leafs[1], padding=1)), [img, ker]),
         ("depthwise", lambda: ad.tsum(ad.depthwise_conv2d(leafs[0], leafs[1], padding=1)), [img, dker]),
         ("bilinear", lambda: ad.tsum(ad.bilinear_sample(leafs[0], leafs[1])[0]), [src, grid]),
-        ("broadcast", lambda: ad.tsum(ad.broadcast_to(leafs[0], (2, 2, 3)) * 1.5), [x]),
         ("concat", lambda: ad.tsum(_sq(ad.concat([leafs[0], leafs[1]], axis=1))), [x, y]),
         ("slice", lambda: ad.tsum(ad.slice_axis(leafs[0], 1, 1, 3)), [x]),
         ("permute", lambda: ad.tsum(_sq(ad.permute(leafs[0], (1, 0)))), [x]),
         ("upsample", lambda: ad.tsum(_sq(ad.upsample_nearest2x(leafs[0]))), [img]),
+    ]
+    # squared, so the small operand's gradient is not a plain count
+    cases += [
+        (f"{name}_{side}", lambda op=op: ad.tsum(_sq(op(leafs[0], leafs[1]))), operands)
+        for name, op in binary.items()
+        for side, operands in pairs.items()
     ]
     leafs = []
     return cases, leafs

@@ -115,15 +115,15 @@ class TestAttention:
         sa = SpatialAttention(rng())
         x0 = np.random.default_rng(7).uniform(-1, 1, (4, 4, 4))
         leaf = Tensor(x0, requires_grad=True)
-        c, h, w = leaf.shape
-        gated = leaf * ad.broadcast_to(ad.reshape(ca(leaf), (c, 1, 1)), (c, h, w))
-        gated = gated * ad.broadcast_to(sa(leaf), (c, h, w))
+        c = leaf.shape[0]
+        gated = leaf * ad.reshape(ca(leaf), (c, 1, 1))
+        gated = gated * sa(leaf)
         ad.tsum(gated).backward()
 
         def f(xv):
             t = Tensor(np.asarray(xv))
-            g = t * ad.broadcast_to(ad.reshape(ca(t), (c, 1, 1)), (c, h, w))
-            g = g * ad.broadcast_to(sa(t), (c, h, w))
+            g = t * ad.reshape(ca(t), (c, 1, 1))
+            g = g * sa(t)
             return float(np.sum(g.data))
 
         assert rel_err(leaf.grad, fd_gradient(f, [x0], 0)) <= 1e-5

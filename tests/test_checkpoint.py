@@ -67,6 +67,26 @@ class TestConfig:
         with pytest.raises(ValueError, match="lr"):
             TrainConfig(lr=lr)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("lr_decay", float("nan")),
+            ("lr_decay", -1.0),
+            ("adam_eps", 0.0),
+            ("adam_eps", float("inf")),
+            ("adam_beta1", 1.0),
+            ("adam_beta1", -0.1),
+            ("adam_beta2", float("nan")),
+            ("embed_dim", 0),
+            ("lr_decay_epoch", -3),
+            ("w_synthesis", float("nan")),
+            ("w_smoothness", float("inf")),
+        ],
+    )
+    def test_rejects_a_value_that_would_fail_only_in_training(self, field, value):
+        with pytest.raises(ValueError, match=field.removeprefix("w_")):
+            TrainConfig(**{field: value})
+
     def test_env_overrides(self):
         cfg = apply_env_overrides(TrainConfig(), {"DEPTHLAB_SEED": "42", "DEPTHLAB_LR": "0.5", "HOME": "/x"})
         assert cfg.seed == 42 and cfg.lr == 0.5

@@ -23,6 +23,7 @@ def test_gradcheck_passes_every_case(capsys):
         "softmax",
         "layer_norm",
         "bilinear_sample",
+        "broadcast_mul",
     }
     assert set(cases.values()) == {"ok"}
     assert lines[-1].startswith("worst: ")
@@ -105,6 +106,15 @@ def test_train_rejects_a_nan_lr_before_any_step(tmp_path, capsys):
     argv = ["train", "--scene", str(scene_dir), "--checkpoint", str(tmp_path / "m.ckpt"), "--set", "lr=nan"]
     assert cli.main(argv) == 2
     assert "lr" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["scene"]
+
+
+@pytest.mark.parametrize("pair", ["lr_decay=nan", "adam_beta1=1"])
+def test_train_rejects_a_bad_optimizer_setting_before_any_step(tmp_path, capsys, pair):
+    scene_dir = _scene_dir(tmp_path)
+    argv = ["train", "--scene", str(scene_dir), "--checkpoint", str(tmp_path / "m.ckpt"), "--set", pair]
+    assert cli.main(argv) == 2
+    assert pair.split("=")[0] in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["scene"]
 
 
