@@ -55,26 +55,25 @@ class InitScheme:
 
 
 class FrozenLinear(Module):
-    """Dense layer whose weight (and optional bias) never receives updates."""
+    """Dense layer whose weight and bias never receive updates."""
 
-    def __init__(self, weight: np.ndarray, bias: np.ndarray | None = None):
+    def __init__(self, weight: np.ndarray, bias: np.ndarray):
         w = np.asarray(weight, dtype=np.float64)
         if w.ndim != 2:
             raise ValueError(f"weight must be 2-d, got shape {w.shape}")
         self.weight = Tensor(w, requires_grad=False)
-        self.bias = Tensor(bias, requires_grad=False) if bias is not None else None
-        if self.bias is not None and self.bias.shape != (w.shape[0],):
+        self.bias = Tensor(bias, requires_grad=False)
+        if self.bias.shape != (w.shape[0],):
             raise ValueError(f"bias shape {self.bias.shape} does not match weight {w.shape}")
 
     @staticmethod
-    def random(m: int, n: int, rng: np.random.Generator, bias: bool = True) -> "FrozenLinear":
+    def random(m: int, n: int, rng: np.random.Generator) -> "FrozenLinear":
         bound = 1.0 / np.sqrt(n)
         w = rng.uniform(-bound, bound, size=(m, n))
-        b = rng.uniform(-bound, bound, size=m) if bias else None
-        return FrozenLinear(w, b)
+        return FrozenLinear(w, rng.uniform(-bound, bound, size=m))
 
     def __call__(self, x: Tensor, adapter: LowRankAdapter | None = None) -> Tensor:
-        """x W0^T (+ the adapter's low-rank branch) (+ the frozen bias)."""
+        """x W0^T (+ the adapter's low-rank branch) + the frozen bias."""
         if adapter is not None:
             _check_adapter_shapes(self, adapter)
         return linear(x, self.weight, self.bias, adapter)
@@ -164,6 +163,4 @@ def _check_adapter_shapes(layer: FrozenLinear, adapter: LowRankAdapter) -> None:
 def merge_weights(layer: FrozenLinear, adapter: LowRankAdapter) -> FrozenLinear:
     """Fold the adapter delta into a plain dense layer (same frozen bias)."""
     _check_adapter_shapes(layer, adapter)
-    merged = layer.weight.data + adapter.delta()
-    bias = layer.bias.data.copy() if layer.bias is not None else None
-    return FrozenLinear(merged, bias)
+    return FrozenLinear(layer.weight.data + adapter.delta(), layer.bias.data.copy())

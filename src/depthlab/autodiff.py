@@ -503,8 +503,9 @@ def softmax(a) -> Tensor:
     return Tensor._from_op(out_data, (a,), bw)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift.
+def layer_norm(x, gain, bias) -> Tensor:
+    """Normalize over the last axis (variance plus 1e-5), then scale and
+    shift.
 
     gain and bias are 1-d with the size of the last axis.
     """
@@ -514,7 +515,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ValueError(f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
     mu = np.mean(x.data, axis=-1, keepdims=True)
     var = np.mean((x.data - mu) ** 2, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x.data - mu) * inv_std
     out_data = xhat * gain.data + bias.data
     gain_grad, bias_grad = gain.requires_grad, bias.requires_grad

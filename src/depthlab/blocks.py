@@ -64,10 +64,10 @@ class SeparableResidualBlock(Module):
     restore conv collapses the branch to an exact identity.
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator, reduction: int = 4):
-        if channels % reduction != 0:
-            raise ValueError(f"channels {channels} not divisible by reduction {reduction}")
-        mid = channels // reduction
+    def __init__(self, channels: int, rng: np.random.Generator):
+        if channels % 4 != 0:
+            raise ValueError(f"channels {channels} not divisible by reduction 4")
+        mid = channels // 4
         self.reduce = Conv2d(channels, mid, 1, rng)
         self.depthwise = DepthwiseConv2d(mid, 3, rng, padding=1)
         self.restore = Conv2d(mid, channels, 1, rng)
@@ -362,7 +362,8 @@ class DecompositionNet(Module):
     3-channel reflectance; its shallow features, concatenated with the
     input image, feed the single-channel shading head."""
 
-    def __init__(self, rng: np.random.Generator, width: int = 8):
+    def __init__(self, rng: np.random.Generator):
+        width = 8
         self.trunk1 = Conv2d(3, width, 3, rng, padding=1)
         self.trunk2 = Conv2d(width, width, 3, rng, padding=1)
         self.reflectance_head = Conv2d(width, 3, 3, rng, padding=1)

@@ -10,7 +10,7 @@ so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ def save_checkpoint(path, named_tensors, config: TrainConfig, step: int) -> None
         entries.append({"name": name, "shape": list(data.shape), "frozen": bool(frozen)})
         payloads.append(np.ascontiguousarray(data, dtype="<f8").tobytes())
     header = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "step": int(step),
         "tensors": entries,
     }
@@ -89,13 +89,20 @@ def load_checkpoint(path) -> Checkpoint:
     )
 
 
-def restore_module(module, checkpoint: Checkpoint, prefix: str) -> None:
-    """Copy checkpoint tensors into a module's parameters by name."""
-    for name, tensor in module.named_parameters():
-        key = f"{prefix}{name}"
-        if key not in checkpoint.tensors:
-            raise ValueError(f"checkpoint is missing tensor '{key}'")
-        value = checkpoint.tensors[key]
+def restore_module(module, checkpoint: Checkpoint) -> None:
+    """Copy checkpoint tensors into a module's parameters by name. The
+    checkpoint must hold exactly the module's tensors, each with the shape
+    and the frozen flag the module gives it."""
+    params = dict(module.named_parameters())
+    for name in checkpoint.names:
+        if name not in params:
+            raise ValueError(f"checkpoint tensor '{name}' is not in the model")
+    for name, tensor in params.items():
+        if name not in checkpoint.tensors:
+            raise ValueError(f"checkpoint is missing tensor '{name}'")
+        value = checkpoint.tensors[name]
         if tuple(value.shape) != tensor.shape:
-            raise ValueError(f"tensor '{key}' shape {value.shape} does not match model {tensor.shape}")
+            raise ValueError(f"tensor '{name}' shape {value.shape} does not match model {tensor.shape}")
+        if checkpoint.frozen[name] == tensor.requires_grad:
+            raise ValueError(f"tensor '{name}' frozen flag {checkpoint.frozen[name]} does not match model")
         tensor.assign(value)

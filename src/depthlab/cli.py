@@ -5,22 +5,20 @@ report. Exit codes: 0 success, 2 validation failure (bad arguments,
 malformed config, shape mismatches), 1 runtime error. A diverged training
 run is a runtime error: it exits 1 and leaves the last good state in
 ``<checkpoint>.last_good``. The train and params configs layer the
---config file, then DEPTHLAB_* environment variables, then --set
-overrides: a later source wins.
+--config file, then --set overrides: a --set beats a file line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import TrainConfig, apply_env_overrides, config_from_pairs, config_to_text, load_config
+from .config import TrainConfig, config_from_pairs, config_to_text, load_config
 from .evalmetrics import DEPTH_CAP, ate_5frame
 from .formats import SceneOnDisk, read_trajectory, write_scene
 from .geometry import CameraModel
@@ -85,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_cli_config(args) -> TrainConfig:
     cfg = load_config(args.config) if args.config else TrainConfig()
-    cfg = apply_env_overrides(cfg, os.environ)
     overrides = {}
     for item in args.set:
         if "=" not in item:

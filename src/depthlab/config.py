@@ -1,10 +1,8 @@
-"""Flat training configuration: dataclass defaults, key=value text files,
-and environment-variable overrides.
+"""Flat training configuration: dataclass defaults and key=value text.
 
-Every field is addressable from a config file line "name=value" and from
-the environment as DEPTHLAB_<NAME>; unknown keys are rejected. The command
-line applies the file, then the environment, then its --set overrides, so
-an explicit --set beats a stale environment variable.
+Every field is addressable as a "name=value" line of a config file or a
+--set override; unknown keys are rejected. The command line applies the
+--config file, then --set, so an explicit --set beats a file line.
 """
 
 from __future__ import annotations
@@ -15,8 +13,6 @@ from dataclasses import dataclass, fields
 
 from .adapters import ADAPTER_MODES, InitVariant
 from .losses import LOSS_TERMS
-
-ENV_PREFIX = "DEPTHLAB_"
 
 
 @dataclass(frozen=True)
@@ -75,6 +71,8 @@ class TrainConfig:
             raise ValueError(f"loss_scales must be in 1..4, got {self.loss_scales}")
         if not (0.0 < self.d_min < self.d_max):
             raise ValueError(f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}")
+        if not math.isfinite(self.d_max):
+            raise ValueError(f"d_max must be finite, got {self.d_max}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         for name, weight in self.loss_weights().items():
@@ -88,11 +86,6 @@ class TrainConfig:
     def decay_epoch(self) -> int:
         """Epoch after which the learning rate is multiplied by lr_decay."""
         return self.lr_decay_epoch if self.lr_decay_epoch > 0 else max(1, self.epochs // 3)
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["mixer_after"] = list(self.mixer_after)
-        return d
 
 
 def _parse_value(field, raw: str):
@@ -143,22 +136,6 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
 def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read(), base)
-
-
-def apply_env_overrides(cfg: TrainConfig, environ) -> TrainConfig:
-    """Override any field from DEPTHLAB_<NAME> environment variables."""
-    known = {f.name for f in fields(TrainConfig)}
-    pairs = {}
-    for key, value in environ.items():
-        if not key.startswith(ENV_PREFIX):
-            continue
-        name = key[len(ENV_PREFIX):].lower()
-        if name not in known:
-            raise ValueError(f"environment override {key} does not match any config field")
-        pairs[name] = value
-    if not pairs:
-        return cfg
-    return config_from_pairs(pairs, cfg)
 
 
 def config_to_text(cfg: TrainConfig) -> str:

@@ -60,12 +60,12 @@ def _depth_values(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def default_valid_mask(gt: np.ndarray) -> np.ndarray:
+def _valid_pixels(gt: np.ndarray) -> np.ndarray:
     """Pixels with positive, finite ground truth (rasters contain holes)."""
     return np.isfinite(gt) & (gt > 0)
 
 
-def median_scale(pred, gt, valid_mask=None, cap: float = DEPTH_CAP):
+def median_scale(pred, gt, cap: float = DEPTH_CAP):
     """Scale the prediction by median(gt)/median(pred) over valid pixels,
     then cap the scaled prediction. Returns (scaled_array, f_scale)."""
     if not cap > 0:  # also rejects NaN
@@ -74,7 +74,7 @@ def median_scale(pred, gt, valid_mask=None, cap: float = DEPTH_CAP):
     g = _depth_values(gt)
     if p.shape != g.shape:
         raise ValueError(f"prediction {p.shape} and ground truth {g.shape} differ in shape")
-    mask = default_valid_mask(g) if valid_mask is None else np.asarray(valid_mask, dtype=bool)
+    mask = _valid_pixels(g)
     if not mask.any():
         raise ValueError("median_scale: empty valid set")
     med_pred = lower_median(p[mask])
@@ -85,20 +85,18 @@ def median_scale(pred, gt, valid_mask=None, cap: float = DEPTH_CAP):
     return scaled, f_scale
 
 
-def depth_metrics(pred, gt, valid_mask=None, f_scale: float = 1.0) -> DepthEvalReport:
+def depth_metrics(pred, gt, f_scale: float = 1.0) -> DepthEvalReport:
     """Seven-metric report over the valid set; the delta comparisons are
     strict less-than against 1.25, 1.25^2, 1.25^3."""
     p = _depth_values(pred)
     g = _depth_values(gt)
     if p.shape != g.shape:
         raise ValueError(f"prediction {p.shape} and ground truth {g.shape} differ in shape")
-    mask = default_valid_mask(g) if valid_mask is None else np.asarray(valid_mask, dtype=bool)
+    mask = _valid_pixels(g)
     if not mask.any():
         raise ValueError("depth_metrics: empty valid set")
     d = p[mask]
     dstar = g[mask]
-    if np.any(dstar <= 0):
-        raise ValueError("depth_metrics: ground truth must be positive on the valid set")
     err = d - dstar
     ratio = np.maximum(d / dstar, dstar / d)
     return DepthEvalReport(
@@ -114,10 +112,10 @@ def depth_metrics(pred, gt, valid_mask=None, f_scale: float = 1.0) -> DepthEvalR
     )
 
 
-def evaluate_depth(pred, gt, valid_mask=None, cap: float = DEPTH_CAP) -> DepthEvalReport:
+def evaluate_depth(pred, gt, cap: float = DEPTH_CAP) -> DepthEvalReport:
     """Median scaling, cap, then metrics, in one call."""
-    scaled, f_scale = median_scale(pred, gt, valid_mask=valid_mask, cap=cap)
-    return depth_metrics(scaled, gt, valid_mask=valid_mask, f_scale=f_scale)
+    scaled, f_scale = median_scale(pred, gt, cap=cap)
+    return depth_metrics(scaled, gt, f_scale=f_scale)
 
 
 def ate_5frame(pred: Trajectory, gt: Trajectory) -> tuple[float, list[float]]:

@@ -52,8 +52,8 @@ def frozen_checksums(module: Module) -> dict[str, str]:
     return sums
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, branch=None) -> Tensor:
-    """y = x W^T (+ branch(rows)) (+ b) for one row vector or a batch of rows.
+def linear(x: Tensor, weight: Tensor, bias: Tensor, branch=None) -> Tensor:
+    """y = x W^T (+ branch(rows)) + b for one row vector or a batch of rows.
 
     `branch`, when given, maps the (rows, in) input to a (rows, out) term
     that is added before the bias, so an adapted layer sums in the same
@@ -65,8 +65,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None, branch=None) -
     y = ad.matmul(rows, weight.T)
     if branch is not None:
         y = y + branch(rows)
-    if bias is not None:
-        y = y + bias
+    y = y + bias
     return ad.reshape(y, (y.shape[1],)) if single else y
 
 
@@ -91,7 +90,6 @@ class Conv2d(Module):
         rng: np.random.Generator,
         stride: int = 1,
         padding: int = 0,
-        bias: bool = True,
     ):
         fan_in = in_channels * kernel_size * kernel_size
         bound = 1.0 / np.sqrt(fan_in)
@@ -99,30 +97,26 @@ class Conv2d(Module):
             rng.uniform(-bound, bound, size=(out_channels, in_channels, kernel_size, kernel_size)),
             requires_grad=True,
         )
-        self.bias = Tensor(rng.uniform(-bound, bound, size=out_channels), requires_grad=True) if bias else None
+        self.bias = Tensor(rng.uniform(-bound, bound, size=out_channels), requires_grad=True)
         self.stride = stride
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
         y = ad.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-        if self.bias is not None:
-            y = y + ad.reshape(self.bias, (-1, 1, 1))
-        return y
+        return y + ad.reshape(self.bias, (-1, 1, 1))
 
 
 class DepthwiseConv2d(Module):
-    def __init__(self, channels: int, kernel_size: int, rng: np.random.Generator, padding: int = 0, bias: bool = True):
+    def __init__(self, channels: int, kernel_size: int, rng: np.random.Generator, padding: int = 0):
         fan_in = kernel_size * kernel_size
         bound = 1.0 / np.sqrt(fan_in)
         self.weight = Tensor(rng.uniform(-bound, bound, size=(channels, kernel_size, kernel_size)), requires_grad=True)
-        self.bias = Tensor(rng.uniform(-bound, bound, size=channels), requires_grad=True) if bias else None
+        self.bias = Tensor(rng.uniform(-bound, bound, size=channels), requires_grad=True)
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
         y = ad.depthwise_conv2d(x, self.weight, stride=1, padding=self.padding)
-        if self.bias is not None:
-            y = y + ad.reshape(self.bias, (-1, 1, 1))
-        return y
+        return y + ad.reshape(self.bias, (-1, 1, 1))
 
 
 class LayerNorm(Module):

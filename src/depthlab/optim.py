@@ -12,7 +12,7 @@ import numpy as np
 from .autodiff import Tensor, TrainingDiverged
 
 
-def adam_update(value, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+def adam_update(value, grad, m, v, t, lr, beta1, beta2, eps):
     """One bias-corrected Adam step for a single array; returns (value, m, v)."""
     m = beta1 * m + (1.0 - beta1) * grad
     v = beta2 * v + (1.0 - beta2) * grad * grad
@@ -23,9 +23,9 @@ def adam_update(value, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 class Adam:
     def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        """params: (name, tensor) pairs; the name identifies the tensor in errors."""
         named = []
-        for i, p in enumerate(params):
-            name, tensor = p if isinstance(p, tuple) else (f"param{i}", p)
+        for name, tensor in params:
             if not isinstance(tensor, Tensor):
                 raise ValueError(f"Adam expects tensors, got {type(tensor)} for {name}")
             if not tensor.requires_grad:

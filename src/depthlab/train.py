@@ -81,24 +81,18 @@ def _upsampled_depths(model: ModelBundle, image: Tensor) -> list[Tensor]:
 
 
 class _FrameCache:
-    """Per-batch cache of frame tensors and decompositions; parameters are
-    fixed within one optimizer step, so sub-graphs can be shared across the
-    batched targets."""
+    """Per-batch cache of frame decompositions; parameters are fixed within
+    one optimizer step, so sub-graphs can be shared across the batched
+    targets."""
 
     def __init__(self, model: ModelBundle, scene):
         self.model = model
         self.scene = scene
-        self.images: dict[int, Tensor] = {}
         self.decomps: dict[int, tuple[Tensor, Tensor]] = {}
-
-    def image(self, k: int) -> Tensor:
-        if k not in self.images:
-            self.images[k] = Tensor(self.scene.frames[k])
-        return self.images[k]
 
     def decomp(self, k: int) -> tuple[Tensor, Tensor]:
         if k not in self.decomps:
-            self.decomps[k] = self.model.decomp(self.image(k))
+            self.decomps[k] = self.model.decomp(Tensor(self.scene.frames[k]))
         return self.decomps[k]
 
 
@@ -116,7 +110,7 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     cfg = model.config
     cache = cache or _FrameCache(model, scene)
     decompose = not cfg.bypass_decomposition
-    img_t = cache.image(t)
+    img_t = Tensor(scene.frames[t])
     depths = _upsampled_depths(model, img_t)
     if decompose:
         r_t, s_t = cache.decomp(t)
@@ -125,10 +119,10 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     sources = []  # (pose, stack to warp) per source
     recon_terms = []
     for s in (t - cfg.triplet_stride, t + cfg.triplet_stride):
-        img_s = cache.image(s)
+        img_s = Tensor(scene.frames[s])
         pose6 = model.pose(img_t, img_s)
-        rot = rotation_from_axis_angle(ad.reshape(ad.slice_axis(pose6, 0, 0, 3), (3,)))
-        trans = ad.reshape(ad.slice_axis(pose6, 0, 3, 6), (3,))
+        rot = rotation_from_axis_angle(ad.slice_axis(pose6, 0, 0, 3))
+        trans = ad.slice_axis(pose6, 0, 3, 6)
         stack = img_s
         if decompose:
             r_s, s_s = cache.decomp(s)
@@ -291,7 +285,7 @@ def load_model(path, image_hw: tuple[int, int]) -> tuple[ModelBundle, int]:
     the image size, so the caller passes it."""
     ck = load_checkpoint(path)
     model = ModelBundle(ck.config, image_hw)
-    restore_module(model, ck, prefix="")
+    restore_module(model, ck)
     return model, ck.step
 
 

@@ -21,8 +21,8 @@ from depthlab.optim import Adam
 from oracles import fd_gradient, rel_err
 
 
-def random_setup(rng, m=6, n=5, r=3, bias=True):
-    layer = FrozenLinear.random(m, n, rng, bias=bias)
+def random_setup(rng, m=6, n=5, r=3):
+    layer = FrozenLinear.random(m, n, rng)
     adapter = LowRankAdapter(
         rng.standard_normal((r, n)),
         rng.standard_normal((m, r)),
@@ -42,7 +42,7 @@ class TestPlainForward:
 
     def test_identity_factors_pass_input_through(self):
         n = 4
-        layer = FrozenLinear(np.zeros((n, n)), None)
+        layer = FrozenLinear(np.zeros((n, n)), np.zeros(n))
         adapter = LowRankAdapter(np.eye(n), np.eye(n))
         x = np.arange(1.0, n + 1.0)
         np.testing.assert_array_equal(layer(Tensor(x), adapter).data, x)
@@ -237,12 +237,13 @@ class TestParamCounts:
         assert lt == 0 and lt_total == 64 * 64 + 64
 
     def test_ratio_for_384_square(self):
-        layer = FrozenLinear.random(384, 384, np.random.default_rng(0), bias=False)
+        layer = FrozenLinear.random(384, 384, np.random.default_rng(0))
         adapter = make_adapter("plain", 384, 384, 4, InitScheme(seed=0))
         trainable, total = trainable_param_count(adapter)
         assert trainable == total == 3072
         _, dense = trainable_param_count(layer)
-        assert abs(trainable / dense - 0.0208) <= 1e-3
+        assert dense == layer.weight.size + 384  # the frozen bias counts too
+        assert abs(trainable / layer.weight.size - 0.0208) <= 1e-3
 
 
 class TestFrozenIntegrity:
@@ -291,21 +292,21 @@ class TestFrozenIntegrity:
 class TestAdamBasics:
     def test_zero_gradient_leaves_parameters(self):
         p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        opt = Adam([p], lr=0.1)
+        opt = Adam([("p", p)], lr=0.1)
         p.grad = np.zeros(2)
         opt.step()
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_magnitude(self):
         p = Tensor(0.0, requires_grad=True)
-        opt = Adam([p], lr=1e-3)
+        opt = Adam([("p", p)], lr=1e-3)
         p.grad = np.asarray(1.0)
         opt.step()
         assert abs(p.data + 1e-3) <= 1e-9  # approx -lr after bias correction
 
     def test_quadratic_descent(self):
         p = Tensor(3.0, requires_grad=True)
-        opt = Adam([p], lr=0.2)
+        opt = Adam([("p", p)], lr=0.2)
         values = []
         for _ in range(10):
             opt.zero_grad()
@@ -326,4 +327,4 @@ class TestAdamBasics:
 
     def test_frozen_parameter_refused(self):
         with pytest.raises(ValueError, match="frozen"):
-            Adam([Tensor(1.0, requires_grad=False)])
+            Adam([("p", Tensor(1.0, requires_grad=False))])

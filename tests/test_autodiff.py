@@ -171,10 +171,10 @@ class TestDepthwiseConv2d:
 
     def test_parameter_count_vs_dense(self):
         rng = np.random.default_rng(0)
-        depthwise = DepthwiseConv2d(8, 3, rng, padding=1, bias=False)
-        dense = Conv2d(8, 8, 3, rng, padding=1, bias=False)
-        assert trainable_param_count(depthwise) == (72, 72)
-        assert trainable_param_count(dense) == (576, 576)
+        depthwise = DepthwiseConv2d(8, 3, rng, padding=1)
+        dense = Conv2d(8, 8, 3, rng, padding=1)
+        assert trainable_param_count(depthwise) == (72 + 8, 72 + 8)  # kernels plus one bias per channel
+        assert trainable_param_count(dense) == (576 + 8, 576 + 8)
 
     def test_matches_loop_oracle_exactly(self):
         rng = np.random.default_rng(5)

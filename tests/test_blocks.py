@@ -47,7 +47,7 @@ class TestSeparableResidualBlock:
     def test_branch_parameter_count_matches_counting_oracle(self):
         c, reduction, k = 8, 4, 3
         mid = c // reduction
-        block = SeparableResidualBlock(c, rng(), reduction=reduction)
+        block = SeparableResidualBlock(c, rng())
         # counting oracle, layer by layer
         reduce_params = c * mid + mid
         depthwise_params = mid * k * k + mid
@@ -69,7 +69,7 @@ class TestSeparableResidualBlock:
 
     def test_rejects_indivisible_channels(self):
         with pytest.raises(ValueError, match="divisible"):
-            SeparableResidualBlock(6, rng(), reduction=4)
+            SeparableResidualBlock(6, rng())
 
     def test_gradcheck_through_block(self):
         block = SeparableResidualBlock(4, rng())
@@ -230,7 +230,7 @@ class TestDecomposition:
         assert abs(loss.item()) <= 1e-12
 
     def test_gradcheck_through_decompose_reconstruct(self):
-        net = DecompositionNet(rng(), width=4)
+        net = DecompositionNet(rng())
         image0 = np.random.default_rng(8).uniform(0.2, 0.8, (3, 8, 8))
         leaf = Tensor(image0, requires_grad=True)
         r, s = net(leaf)

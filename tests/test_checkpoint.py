@@ -1,4 +1,6 @@
-"""Config parsing, environment overrides, and checkpoint round trips."""
+"""Config parsing, validation, and checkpoint round trips."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +9,6 @@ from depthlab.autodiff import Tensor
 from depthlab.checkpoint import load_checkpoint, save_checkpoint
 from depthlab.config import (
     TrainConfig,
-    apply_env_overrides,
     config_to_text,
     load_config,
     parse_config_text,
@@ -81,19 +82,12 @@ class TestConfig:
             ("lr_decay_epoch", -3),
             ("w_synthesis", float("nan")),
             ("w_smoothness", float("inf")),
+            ("d_max", math.inf),
         ],
     )
     def test_rejects_a_value_that_would_fail_only_in_training(self, field, value):
         with pytest.raises(ValueError, match=field.removeprefix("w_")):
             TrainConfig(**{field: value})
-
-    def test_env_overrides(self):
-        cfg = apply_env_overrides(TrainConfig(), {"DEPTHLAB_SEED": "42", "DEPTHLAB_LR": "0.5", "HOME": "/x"})
-        assert cfg.seed == 42 and cfg.lr == 0.5
-
-    def test_env_override_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="DEPTHLAB_LEARNING_RATE"):
-            apply_env_overrides(TrainConfig(), {"DEPTHLAB_LEARNING_RATE": "0.5"})
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"

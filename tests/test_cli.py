@@ -1,13 +1,15 @@
 """Command-line entry point, called in-process through cli.main(argv)."""
 
+import numpy as np
 import pytest
 
 from depthlab import cli
+from depthlab.checkpoint import save_checkpoint
 from depthlab.config import TrainConfig
 from depthlab.formats import write_scene
 from depthlab.geometry import CameraModel
 from depthlab.scene import generate_scene
-from depthlab.train import ModelBundle, save_model
+from depthlab.train import ModelBundle
 
 
 def test_gradcheck_passes_every_case(capsys):
@@ -29,15 +31,15 @@ def test_gradcheck_passes_every_case(capsys):
     assert lines[-1].startswith("worst: ")
 
 
-def _full_model_counts(capsys, mode: str) -> tuple[int, int]:
-    assert cli.main(["params", "--set", f"adapter={mode}", "--size", "16"]) == 0
+def _full_model_counts(capsys, *args: str) -> tuple[int, int]:
+    assert cli.main(["params", "--size", "16", *args]) == 0
     (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("full_model")]
     fields = dict(field.split("=") for field in line.split("\t")[1:])
     return int(fields["trainable"]), int(fields["total"])
 
 
 def test_params_counts_adapter_parameters(capsys):
-    none, plain, scaled = (_full_model_counts(capsys, mode) for mode in ("none", "plain", "scaled"))
+    none, plain, scaled = (_full_model_counts(capsys, "--set", f"adapter={mode}") for mode in ("none", "plain", "scaled"))
     # 4 blocks x 2 MLP linears (896x224 and 224x896) at rank 4: r(m + n) trainable
     # per linear, plus r + m frozen scales for the scaled adapter
     assert plain[0] - none[0] == 4 * 2 * 4 * (896 + 224) == 35_840
@@ -55,6 +57,11 @@ def test_params_rejects_a_patch_the_decoder_cannot_restore(capsys):
     assert "2x stages" in capsys.readouterr().err
 
 
+def test_params_rejects_an_infinite_d_max(capsys):
+    assert cli.main(["params", "--size", "16", "--set", "d_max=inf"]) == 2
+    assert "d_max" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("heads", ["0", "-4"])
 def test_params_rejects_heads_below_one(capsys, heads):
     assert cli.main(["params", "--size", "16", "--set", f"heads={heads}"]) == 2
@@ -68,10 +75,13 @@ def _scene_dir(tmp_path):
     return scene_dir
 
 
-def _untrained_checkpoint(tmp_path):
+def _untrained_checkpoint(tmp_path, edit=lambda named: named):
+    """A small untrained model's checkpoint; `edit` may rewrite its
+    (name, tensor, frozen) list before it is saved."""
     config = TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2)
+    named = [(name, p, not p.requires_grad) for name, p in ModelBundle(config, (16, 16)).named_parameters()]
     checkpoint = tmp_path / "model.npz"
-    save_model(checkpoint, ModelBundle(config, (16, 16)), config, 0)
+    save_checkpoint(checkpoint, edit(named), config, 0)
     return checkpoint
 
 
@@ -87,12 +97,22 @@ def test_eval_pose_gt_trajectory_file_matches_scene_path(tmp_path, capsys):
     assert from_scene.splitlines()[0] == "segment\tate" and from_scene.splitlines()[-1].startswith("mean\t")
 
 
-def test_set_overrides_a_stale_environment_variable(capsys, monkeypatch):
-    explicit = _full_model_counts(capsys, "plain")
-    monkeypatch.setenv("DEPTHLAB_ADAPTER", "none")
-    assert _full_model_counts(capsys, "plain") == explicit
+def test_set_beats_a_config_file_line(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("adapter=none\nrank=2\n")
+    from_file = _full_model_counts(capsys, "--config", str(config))
+    assert from_file == _full_model_counts(capsys, "--set", "adapter=none", "--set", "rank=2")
+    overridden = _full_model_counts(capsys, "--config", str(config), "--set", "adapter=plain")
+    assert overridden == _full_model_counts(capsys, "--set", "adapter=plain", "--set", "rank=2")
+    assert overridden != from_file
+
+
+def test_an_environment_variable_leaves_the_config_alone(capsys, monkeypatch):
     assert cli.main(["params", "--size", "16"]) == 0
-    assert "full_model\ttrainable=92214\t" in capsys.readouterr().out  # the environment still applies
+    default = capsys.readouterr().out
+    monkeypatch.setenv("DEPTHLAB_ADAPTER", "none")
+    assert cli.main(["params", "--size", "16"]) == 0
+    assert capsys.readouterr().out == default
 
 
 def test_train_rejects_an_unknown_config_key(tmp_path, capsys):
@@ -149,6 +169,20 @@ def test_eval_depth_prints_frames_mean_and_ate(tmp_path, capsys):
     assert [row.split("\t")[0] for row in rows] == ["0", "1", "2", "3", "4", "5"]
     assert mean.split("\t")[0] == "mean" and mean.split("\t")[-1] == "-"
     assert ate.split("\t")[0] == "ate_5frame" and float(ate.split("\t")[1]) >= 0.0
+
+
+def test_eval_depth_rejects_a_checkpoint_whose_frozen_flags_disagree(tmp_path, capsys):
+    checkpoint = _untrained_checkpoint(tmp_path, lambda named: [(n, p, not frozen) for n, p, frozen in named])
+    argv = ["eval-depth", "--checkpoint", str(checkpoint), "--scene", str(_scene_dir(tmp_path))]
+    assert cli.main(argv) == 2
+    assert "'depth.embed.weight' frozen flag" in capsys.readouterr().err
+
+
+def test_eval_depth_rejects_a_checkpoint_tensor_the_model_lacks(tmp_path, capsys):
+    checkpoint = _untrained_checkpoint(tmp_path, lambda named: named + [("depth.bogus", np.zeros(3), False)])
+    argv = ["eval-depth", "--checkpoint", str(checkpoint), "--scene", str(_scene_dir(tmp_path))]
+    assert cli.main(argv) == 2
+    assert "'depth.bogus' is not in the model" in capsys.readouterr().err
 
 
 def test_eval_depth_rejects_a_non_positive_cap(tmp_path, capsys):
