@@ -25,11 +25,21 @@ so writing into a ``.data`` array in place would corrupt other tensors
 and later gradients. ``Tensor.assign`` replaces a leaf's array instead.
 A graph instance belongs to a single thread.
 Reductions use a fixed summation order, so reruns are bit-identical.
+
+Grad mode: inside a ``with no_grad():`` block ops compute the same values
+but give their outputs no node, so no graph is built and every output has
+``requires_grad`` False. The inference entry points of ``train``
+(per-frame depth reports, which cover validation and ``evaluate_scene``,
+and the predicted trajectory) run in it. The mode is one process-wide
+flag, not per thread, so it shares the graph's single-thread rule; the
+block restores the previous mode on exit, also on an exception and when
+nested.
 """
 
 from __future__ import annotations
 
 import builtins
+import contextlib
 import math
 import weakref
 
@@ -38,6 +48,21 @@ from scipy.special import erf as _erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run the block without building a graph; the previous mode returns on
+    exit."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class TrainingDiverged(RuntimeError):
@@ -88,7 +113,7 @@ class Tensor:
     @staticmethod
     def _from_op(data: np.ndarray, parents: tuple["Tensor", ...], bw) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._node = _Node(tuple(p._graph_node() for p in parents), bw)
         return out
@@ -234,6 +259,8 @@ def as_tensor(x) -> Tensor:
 
 
 def _check_binary_shapes(a: Tensor, b: Tensor, opname: str) -> None:
+    if a.shape == b.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -682,7 +709,9 @@ class _PitchGrid:
     def pad(self, data: np.ndarray) -> np.ndarray:
         """Zero buffer (C, rows, pitch) holding data at the padding offset."""
         p = self.padding
-        return np.pad(data, ((0, 0), (p, self.rows - p - self.h), (p, p)))
+        buf = np.zeros((data.shape[0], self.rows, self.pitch))
+        buf[:, p : p + self.h, p : p + self.w] = data
+        return buf
 
     def unpad(self, buf: np.ndarray) -> np.ndarray:
         p = self.padding

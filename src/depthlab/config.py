@@ -73,6 +73,8 @@ class TrainConfig:
             raise ValueError(f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}")
         if not math.isfinite(self.d_max):
             raise ValueError(f"d_max must be finite, got {self.d_max}")
+        if not math.isfinite(1.0 / self.d_min):  # the disparity scale is 1/d_min
+            raise ValueError(f"d_min must have a finite reciprocal, got {self.d_min}")
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         for name, weight in self.loss_weights().items():

@@ -128,6 +128,8 @@ def ate_5frame(pred: Trajectory, gt: Trajectory) -> tuple[float, list[float]]:
     """
     if len(pred) != len(gt):
         raise ValueError(f"trajectory lengths differ: {len(pred)} vs {len(gt)}")
+    if pred.indices != gt.indices:
+        raise ValueError(f"trajectory frame indices differ: {pred.indices} vs {gt.indices}")
     if len(pred) < 5:
         raise ValueError(f"need at least 5 poses, got {len(pred)}")
     p = pred.positions()

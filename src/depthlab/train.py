@@ -174,11 +174,13 @@ def _synthesis(aggregation: str, frames: list[tuple[Tensor, np.ndarray]], target
 
 
 def _depth_reports(model: ModelBundle, scene, frames, cap: float) -> list[DepthEvalReport]:
-    """Predict each frame's depth and score it against the ground truth."""
+    """Predict each frame's depth, without a graph, and score it against the
+    ground truth."""
     reports = []
-    for k in frames:
-        depth = model.predict_depth(Tensor(scene.frames[k]))
-        reports.append(evaluate_depth(depth.data, scene.depths[k], cap=cap))
+    with ad.no_grad():
+        for k in frames:
+            depth = model.predict_depth(Tensor(scene.frames[k]))
+            reports.append(evaluate_depth(depth.data, scene.depths[k], cap=cap))
     return reports
 
 
@@ -301,15 +303,17 @@ def evaluate_scene(model: ModelBundle, scene, cap: float = DEPTH_CAP):
 
 
 def predicted_trajectory(model: ModelBundle, scene) -> Trajectory:
-    """Chain per-pair pose estimates into a frame-0-anchored trajectory."""
+    """Chain per-pair pose estimates, made without a graph, into a
+    frame-0-anchored trajectory."""
     current = PoseSE3.identity()
     poses = [current]
-    for k in range(len(scene) - 1):
-        pose6 = model.pose(Tensor(scene.frames[k]), Tensor(scene.frames[k + 1]))
-        vec = pose6.data
-        t_to_s = PoseSE3.from_axis_angle(vec[:3], vec[3:])
-        current = current.compose(t_to_s.inverse())
-        poses.append(current)
+    with ad.no_grad():
+        for k in range(len(scene) - 1):
+            pose6 = model.pose(Tensor(scene.frames[k]), Tensor(scene.frames[k + 1]))
+            vec = pose6.data
+            t_to_s = PoseSE3.from_axis_angle(vec[:3], vec[3:])
+            current = current.compose(t_to_s.inverse())
+            poses.append(current)
     return Trajectory(tuple(range(len(scene))), tuple(poses))
 
 

@@ -160,6 +160,25 @@ class TestConv2d:
         assert rel_err(tk.grad, fd_gradient(f, [x, k], 1)) <= 1e-6
 
 
+class TestPitchGrid:
+    """The padded buffer both convolutions read is np.pad's zero padding,
+    element for element."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
+    def test_pad_matches_np_pad(self, stride, padding):
+        rng = np.random.default_rng(10 * stride + padding)
+        for h, w in [(5, 7), (6, 8), (5, 8), (6, 7)]:
+            for k in (1, 3, 5):
+                data = rng.standard_normal((3, h, w))
+                grid = ad._PitchGrid(data.shape, k, k, stride, padding)
+                ref = np.pad(data, ((0, 0), (padding, grid.rows - padding - h), (padding, padding)))
+                buf = grid.pad(data)
+                assert buf.dtype == ref.dtype and buf.shape == ref.shape == (3, grid.rows, grid.pitch)
+                np.testing.assert_array_equal(buf, ref)
+                np.testing.assert_array_equal(grid.unpad(buf), data)
+
+
 class TestDepthwiseConv2d:
     def test_identity_kernels(self):
         rng = np.random.default_rng(3)
@@ -482,6 +501,42 @@ class TestBackward:
             y.assign([0.0, 0.0])
         x.assign([3.0, 4.0])
         np.testing.assert_array_equal(x.data, [3.0, 4.0])
+
+
+class TestNoGrad:
+    def test_ops_build_no_graph_and_compute_the_same_values(self):
+        rng = np.random.default_rng(44)
+        xv, kv = rng.standard_normal((2, 5, 5)), rng.standard_normal((3, 2, 3, 3))
+
+        def run():
+            x, k = leaf(xv), leaf(kv)
+            return ad.tsum(ad.sigmoid(ad.conv2d(x, k, padding=1))) * ad.tsum(x), x, k
+
+        graph, _, _ = run()
+        with ad.no_grad():
+            plain, x, k = run()
+        np.testing.assert_array_equal(plain.data, graph.data)
+        assert graph.requires_grad and graph._node is not None
+        assert not plain.requires_grad and plain._node is None
+        assert x._node is None and k._node is None  # no leaf node either
+        plain.backward()  # nothing to reach
+        assert x.grad is None and k.grad is None
+
+    def test_mode_returns_after_an_exception(self):
+        x = leaf([1.0, 2.0])
+        with pytest.raises(ZeroDivisionError):
+            with ad.no_grad():
+                assert not (x * 2.0).requires_grad
+                1 / 0
+        assert (x * 2.0).requires_grad
+
+    def test_inner_block_leaves_the_outer_mode_as_it_found_it(self):
+        x = leaf([1.0, 2.0])
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not (x * 2.0).requires_grad
+            assert not (x * 2.0).requires_grad
+        assert (x * 2.0).requires_grad
 
 
 # op, then one shape per operand; every operand takes values in [0.5, 1.5],

@@ -83,6 +83,7 @@ class TestConfig:
             ("w_synthesis", float("nan")),
             ("w_smoothness", float("inf")),
             ("d_max", math.inf),
+            ("d_min", 1e-310),  # subnormal: 1/d_min overflows to inf
         ],
     )
     def test_rejects_a_value_that_would_fail_only_in_training(self, field, value):

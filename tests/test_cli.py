@@ -62,6 +62,11 @@ def test_params_rejects_an_infinite_d_max(capsys):
     assert "d_max" in capsys.readouterr().err
 
 
+def test_params_rejects_a_d_min_whose_reciprocal_overflows(capsys):
+    assert cli.main(["params", "--size", "16", "--set", "d_min=1e-310"]) == 2
+    assert "d_min" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("heads", ["0", "-4"])
 def test_params_rejects_heads_below_one(capsys, heads):
     assert cli.main(["params", "--size", "16", "--set", f"heads={heads}"]) == 2
@@ -95,6 +100,19 @@ def test_eval_pose_gt_trajectory_file_matches_scene_path(tmp_path, capsys):
     from_file = capsys.readouterr().out
     assert from_file == from_scene
     assert from_scene.splitlines()[0] == "segment\tate" and from_scene.splitlines()[-1].startswith("mean\t")
+
+
+def test_eval_pose_rejects_a_gt_trajectory_on_other_frames(tmp_path, capsys):
+    scene_dir = _scene_dir(tmp_path)
+    # the scene's own poses, numbered 0, 2, ..., 10 instead of 0..5
+    lines = (scene_dir / "trajectory.txt").read_text().splitlines()
+    renumbered = tmp_path / "renumbered.txt"
+    renumbered.write_text("".join(f"{2 * k} {line.split(maxsplit=1)[1]}\n" for k, line in enumerate(lines)))
+    argv = ["eval-pose", "--checkpoint", str(_untrained_checkpoint(tmp_path)), "--scene", str(scene_dir)]
+
+    assert cli.main(argv + ["--gt-trajectory", str(renumbered)]) == 2
+    captured = capsys.readouterr()
+    assert "indices" in captured.err and captured.out == ""
 
 
 def test_set_beats_a_config_file_line(tmp_path, capsys):

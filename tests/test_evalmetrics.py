@@ -191,6 +191,14 @@ class TestATE:
         with pytest.raises(ValueError, match="lengths"):
             ate_5frame(a, b)
 
+    def test_misaligned_frame_indices_rejected(self):
+        rng = np.random.default_rng(15)
+        pred = random_trajectory(rng, n=6)
+        # same positions on frames 0, 2, ..., 10: scored blindly this reads 0.0
+        gt = Trajectory(tuple(2 * k for k in pred.indices), pred.poses)
+        with pytest.raises(ValueError, match="indices"):
+            ate_5frame(pred, gt)
+
     def test_short_trajectory_rejected(self):
         rng = np.random.default_rng(14)
         a = random_trajectory(rng, n=4)
