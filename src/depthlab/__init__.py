@@ -12,8 +12,6 @@ from .autodiff import Tensor
 from .geometry import CameraModel, DepthMap, PoseSE3
 from .adapters import (
     FrozenLinear,
-    InitScheme,
-    InitVariant,
     LowRankAdapter,
     make_adapter,
     merge_weights,
@@ -30,8 +28,6 @@ __all__ = [
     "DepthMap",
     "PoseSE3",
     "FrozenLinear",
-    "InitScheme",
-    "InitVariant",
     "LowRankAdapter",
     "make_adapter",
     "merge_weights",

@@ -19,9 +19,6 @@ can always be merged into a plain dense layer with no inference overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from . import autodiff as ad
@@ -32,26 +29,9 @@ from .nn import Module, linear
 ADAPTER_MODES = ("none", "plain", "scaled")
 
 
-class InitVariant(str, Enum):
-    UNIFORM = "uniform"
-    KAIMING_NORMAL = "kaiming_normal"
-    KAIMING_UNIFORM = "kaiming_uniform"
-
-
-@dataclass(frozen=True)
-class InitScheme:
-    """Deterministic initialization recipe: same seed + variant, same draws."""
-
-    variant: InitVariant = InitVariant.KAIMING_UNIFORM
-    seed: int = 0
-
-    def draw(self, rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-        if self.variant == InitVariant.UNIFORM:
-            return rng.uniform(0.0, 1.0, size=shape)
-        if self.variant == InitVariant.KAIMING_NORMAL:
-            return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-        bound = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape)
+def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+    bound = np.sqrt(6.0 / fan_in)
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class FrozenLinear(Module):
@@ -129,11 +109,11 @@ class LowRankAdapter(Module):
         return up @ down
 
 
-def make_adapter(mode: str, m: int, n: int, rank: int, scheme: InitScheme) -> LowRankAdapter | None:
-    """Adapter for an m x n weight: None for "none", else A drawn per the
-    scheme and B zero, plus frozen scales a and b for "scaled".
+def make_adapter(mode: str, m: int, n: int, rank: int, seed: int) -> LowRankAdapter | None:
+    """Adapter for an m x n weight: None for "none", else A kaiming-uniform
+    and B zero, plus frozen kaiming-uniform scales a and b for "scaled".
 
-    Draw order is fixed (A, then a, then b) so a seed pins every value; a
+    Draw order is fixed (A, then a, then b) so the seed pins every value; a
     plain adapter takes only the first draw, so its A equals the scaled
     one's. Fan-in: n for A, r for the rank-sized scale, m for the
     output-sized one.
@@ -143,12 +123,12 @@ def make_adapter(mode: str, m: int, n: int, rank: int, scheme: InitScheme) -> Lo
     if mode == "none":
         return None
     _check_rank(m, n, rank)
-    rng = np.random.default_rng(scheme.seed)
-    a = scheme.draw(rng, (rank, n), fan_in=n)
+    rng = np.random.default_rng(seed)
+    a = _kaiming_uniform(rng, (rank, n), fan_in=n)
     if mode == "plain":
         return LowRankAdapter(a, np.zeros((m, rank)))
-    scale_down = scheme.draw(rng, (rank,), fan_in=rank)
-    scale_up = scheme.draw(rng, (m,), fan_in=m)
+    scale_down = _kaiming_uniform(rng, (rank,), fan_in=rank)
+    scale_up = _kaiming_uniform(rng, (m,), fan_in=m)
     return LowRankAdapter(a, np.zeros((m, rank)), scale_down, scale_up)
 
 

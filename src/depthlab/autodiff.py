@@ -581,10 +581,9 @@ def reshape(a, shape) -> Tensor:
 def permute(a, axes) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
 
     def bw(g):
-        return (np.transpose(g, inverse),)
+        return (np.transpose(g, np.argsort(axes)),)
 
     return Tensor._from_op(np.transpose(a.data, axes), (a,), bw)
 

@@ -15,10 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .adapters import FrozenLinear, InitScheme, InitVariant, make_adapter
+from .adapters import FrozenLinear, make_adapter
 from .autodiff import Tensor
 from .config import TrainConfig
 from .nn import Conv2d, DepthwiseConv2d, LayerNorm, Linear, Module
+
+PATCH = 8  # token side in pixels: the depth decoder's three 2x stages upsample by 8
 
 
 def sinusoidal_positions(n_tokens: int, dim: int) -> np.ndarray:
@@ -90,9 +92,9 @@ class SeparableResidualBlock(Module):
 
 class TransformerBlock(Module):
     """Pre-norm block with frozen attention and a frozen MLP whose two
-    linears carry the (optional) adapters."""
+    linears carry the (optional) adapters, drawn from seed and seed + 1."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, adapter_mode: str, rank: int, scheme: InitScheme):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator, adapter_mode: str, rank: int, seed: int):
         if heads < 1 or dim % heads != 0:
             raise ValueError(f"heads must be >= 1 and divide dim {dim}, got {heads}")
         self.heads = heads
@@ -105,10 +107,8 @@ class TransformerBlock(Module):
         hidden = 4 * dim
         self.fc1 = FrozenLinear.random(hidden, dim, rng)
         self.fc2 = FrozenLinear.random(dim, hidden, rng)
-        self.adapter1 = make_adapter(adapter_mode, hidden, dim, rank, scheme)
-        self.adapter2 = make_adapter(
-            adapter_mode, dim, hidden, rank, InitScheme(scheme.variant, scheme.seed + 1)
-        )
+        self.adapter1 = make_adapter(adapter_mode, hidden, dim, rank, seed)
+        self.adapter2 = make_adapter(adapter_mode, dim, hidden, rank, seed + 1)
 
     def _attention(self, x: Tensor) -> Tensor:
         dh = x.shape[1] // self.heads
@@ -174,7 +174,7 @@ class DepthDecoder(Module):
         return disp
 
     def __call__(self, feat: Tensor, image: Tensor) -> list[Tensor]:
-        # feat is the 1/8-resolution token grid (patch 8)
+        # feat is the 1/PATCH-resolution token grid
         pool2 = Tensor(_avgpool_image(image.data, 4))
         pool1 = Tensor(_avgpool_image(image.data, 2))
         f3 = ad.relu(self.proj(feat))
@@ -197,24 +197,20 @@ class ToyDepthNet(Module):
 
     def __init__(self, config: TrainConfig, image_hw: tuple[int, int], rng: np.random.Generator):
         h, w = image_hw
-        patch, dim, n_blocks, mixer_after = config.patch, config.embed_dim, config.depth_blocks, config.mixer_after
-        if patch != 8:
-            raise ValueError(f"patch must be 8, got {patch}: the decoder's three 2x stages upsample by 8")
-        if h % patch or w % patch:
-            raise ValueError(f"image {h}x{w} not divisible by patch {patch}")
+        dim, n_blocks, mixer_after = config.embed_dim, config.depth_blocks, config.mixer_after
+        if h % PATCH or w % PATCH:
+            raise ValueError(f"image {h}x{w} not divisible by patch {PATCH}")
         if any(i < 1 or i > n_blocks for i in mixer_after):
             raise ValueError(f"mixer positions {mixer_after} outside 1..{n_blocks}")
         if len(set(mixer_after)) != len(mixer_after):
             raise ValueError(f"mixer positions {mixer_after} repeat a position")
-        self.patch = patch
-        self.grid_hw = (h // patch, w // patch)
+        self.grid_hw = (h // PATCH, w // PATCH)
         self.embed_dim = dim
         n_tokens = self.grid_hw[0] * self.grid_hw[1]
-        self.embed = FrozenLinear.random(dim, 3 * patch * patch, rng)
+        self.embed = FrozenLinear.random(dim, 3 * PATCH * PATCH, rng)
         self.positions = Tensor(sinusoidal_positions(n_tokens, dim))
-        variant = InitVariant(config.init)
         self.blocks = [
-            TransformerBlock(dim, config.heads, rng, config.adapter, config.rank, InitScheme(variant, config.seed + 10 * i))
+            TransformerBlock(dim, config.heads, rng, config.adapter, config.rank, config.seed + 10 * i)
             for i in range(1, n_blocks + 1)
         ]
         self.mixer_after = tuple(sorted(mixer_after))
@@ -223,11 +219,10 @@ class ToyDepthNet(Module):
 
     def _tokens(self, image: Tensor) -> Tensor:
         c, h, w = image.shape
-        p = self.patch
         gh, gw = self.grid_hw
-        x = ad.reshape(image, (c, gh, p, gw, p))
+        x = ad.reshape(image, (c, gh, PATCH, gw, PATCH))
         x = ad.permute(x, (1, 3, 0, 2, 4))
-        return ad.reshape(x, (gh * gw, c * p * p))
+        return ad.reshape(x, (gh * gw, c * PATCH * PATCH))
 
     def _to_grid(self, tokens: Tensor) -> Tensor:
         gh, gw = self.grid_hw

@@ -2,7 +2,9 @@
 
 Every field is addressable as a "name=value" line of a config file or a
 --set override; unknown keys are rejected. The command line applies the
---config file, then --set, so an explicit --set beats a file line.
+--config file, then --set, so an explicit --set beats a file line. A
+retired key (``RETIRED``: a former field now fixed in code, still written
+by older checkpoint headers) is accepted only at its one value.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, fields
 
-from .adapters import ADAPTER_MODES, InitVariant
+from .adapters import ADAPTER_MODES
 from .losses import LOSS_TERMS
 
 
@@ -23,17 +25,12 @@ class TrainConfig:
     lr: float = 1e-4
     lr_decay: float = 0.1
     lr_decay_epoch: int = 0  # 0 = after one third of the configured epochs
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     rank: int = 4
     adapter: str = "scaled"  # one of adapters.ADAPTER_MODES
-    init: str = "kaiming_uniform"  # an adapters.InitVariant value
     mixer_after: tuple[int, ...] = (2, 4)
     embed_dim: int = 224
     depth_blocks: int = 4
     heads: int = 4
-    patch: int = 8  # only 8: the depth decoder has three 2x stages
     alpha: float = 0.85
     w_reconstruction: float = 0.2
     w_reflectance: float = 0.2
@@ -49,30 +46,24 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.triplet_stride < 1:
             raise ValueError("epochs, batch_size, and triplet_stride must be >= 1")
-        for name in ("lr", "lr_decay", "adam_eps"):
+        for name in ("lr", "lr_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        for name in ("adam_beta1", "adam_beta2"):
-            value = getattr(self, name)
-            if not (0.0 <= value < 1.0):
-                raise ValueError(f"{name} must be in [0, 1), got {value}")
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.lr_decay_epoch < 0:
             raise ValueError(f"lr_decay_epoch must be >= 0, got {self.lr_decay_epoch}")
         if self.adapter not in ADAPTER_MODES:
             raise ValueError(f"adapter must be one of {', '.join(ADAPTER_MODES)}, got '{self.adapter}'")
-        if self.init not in [v.value for v in InitVariant]:
-            raise ValueError(f"unknown init scheme '{self.init}'")
         if self.source_aggregation not in ("mean", "min"):
             raise ValueError(f"source_aggregation must be mean or min, got '{self.source_aggregation}'")
         if not (1 <= self.loss_scales <= 4):
             raise ValueError(f"loss_scales must be in 1..4, got {self.loss_scales}")
         if not (0.0 < self.d_min < self.d_max):
             raise ValueError(f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}")
-        if not math.isfinite(self.d_max):
-            raise ValueError(f"d_max must be finite, got {self.d_max}")
+        if not (0.0 < self.d_min * self.d_max < math.inf):  # the initial depth is sqrt(d_min * d_max)
+            raise ValueError(f"d_min * d_max must be finite and > 0, got {self.d_min} * {self.d_max}")
         if not math.isfinite(1.0 / self.d_min):  # the disparity scale is 1/d_min
             raise ValueError(f"d_min must have a finite reciprocal, got {self.d_min}")
         if not (0.0 <= self.alpha <= 1.0):
@@ -88,6 +79,11 @@ class TrainConfig:
     def decay_epoch(self) -> int:
         """Epoch after which the learning rate is multiplied by lr_decay."""
         return self.lr_decay_epoch if self.lr_decay_epoch > 0 else max(1, self.epochs // 3)
+
+
+# Former fields, each fixed in code at its one value (adapters._kaiming_uniform,
+# blocks.PATCH, the optim constants).
+RETIRED = {"init": "kaiming_uniform", "patch": 8, "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
 
 
 def _parse_value(field, raw: str):
@@ -110,11 +106,23 @@ def _parse_value(field, raw: str):
     return raw
 
 
+def _is_retired_value(key: str, raw: str) -> bool:
+    sole = RETIRED[key]
+    try:
+        return type(sole)(raw.strip()) == sole
+    except ValueError:
+        return False
+
+
 def config_from_pairs(pairs: dict[str, str], base: TrainConfig | None = None) -> TrainConfig:
     base = base or TrainConfig()
     by_name = {f.name: f for f in fields(TrainConfig)}
     updates = {}
     for key, raw in pairs.items():
+        if key in RETIRED:
+            if not _is_retired_value(key, raw):
+                raise ValueError(f"{key} is fixed at {RETIRED[key]}, got '{raw.strip()}'")
+            continue
         if key not in by_name:
             raise ValueError(f"unknown config key '{key}'")
         updates[key] = _parse_value(by_name[key], raw)

@@ -206,14 +206,14 @@ class SceneOnDisk:
     def __init__(self, directory):
         self.directory = str(directory)
         self.cam = read_intrinsics(os.path.join(directory, "intrinsics.txt"))
-        traj = read_trajectory(os.path.join(directory, "trajectory.txt"))
-        self.poses = tuple(p.inverse() for p in traj.poses)  # back to world-to-camera
         pattern = re.compile(r"frame_(\d+)\.ppm$")
-        ids = sorted(
-            int(m.group(1)) for m in (pattern.match(f) for f in os.listdir(directory)) if m
-        )
+        ids = tuple(sorted(int(m.group(1)) for m in map(pattern.match, os.listdir(directory)) if m))
         if not ids:
             raise ValueError(f"no frame_*.ppm files in {directory}")
+        traj = read_trajectory(os.path.join(directory, "trajectory.txt"))
+        if traj.indices != ids:
+            raise ValueError(f"trajectory.txt indices {traj.indices} differ from frame ids {ids} in {directory}")
+        self.poses = tuple(p.inverse() for p in traj.poses)  # back to world-to-camera
         self.frames = tuple(read_ppm(os.path.join(directory, f"frame_{k:03d}.ppm")) for k in ids)
         self.depths = _all_or_none(directory, [f"depth_{k:03d}.pfm" for k in ids], read_pfm)
         self.labels = _all_or_none(directory, [f"labels_{k:03d}.pgm" for k in ids], read_pgm)

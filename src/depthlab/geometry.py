@@ -13,6 +13,7 @@ invalid via a sentinel coordinate instead of being clamped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError(f"focal lengths must be finite and positive, got fx={self.fx}, fy={self.fy}")
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
             raise ValueError(
                 f"principal point ({self.cx}, {self.cy}) outside image {self.width}x{self.height}"

@@ -11,18 +11,22 @@ import numpy as np
 
 from .autodiff import Tensor, TrainingDiverged
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-def adam_update(value, grad, m, v, t, lr, beta1, beta2, eps):
+
+def adam_update(value, grad, m, v, t, lr):
     """One bias-corrected Adam step for a single array; returns (value, m, v)."""
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + EPS), m, v
 
 
 class Adam:
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-4):
         """params: (name, tensor) pairs; the name identifies the tensor in errors."""
         named = []
         for name, tensor in params:
@@ -35,9 +39,6 @@ class Adam:
             raise ValueError("Adam needs at least one trainable parameter")
         self.params = named
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = [np.zeros_like(p.data) for _, p in named]
         self.v = [np.zeros_like(p.data) for _, p in named]
@@ -50,9 +51,7 @@ class Adam:
         self.t += 1
         for i, (name, p) in enumerate(self.params):
             grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            new_value, self.m[i], self.v[i] = adam_update(
-                p.data, grad, self.m[i], self.v[i], self.t, self.lr, self.beta1, self.beta2, self.eps
-            )
+            new_value, self.m[i], self.v[i] = adam_update(p.data, grad, self.m[i], self.v[i], self.t, self.lr)
             p.assign(new_value)
 
     def zero_grad(self) -> None:

@@ -11,6 +11,7 @@ carries the label of its surface.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,6 +159,8 @@ def generate_scene(
     multiplicative shading field."""
     if n_frames < 3:
         raise ValueError(f"need at least 3 frames, got {n_frames}")
+    if not (0.0 <= shading_strength < math.inf):
+        raise ValueError(f"shading_strength must be finite and >= 0, got {shading_strength}")
     rng = np.random.default_rng(seed)
     surfaces = _surfaces(kind, rng)
     albedo_field = _NoiseField(

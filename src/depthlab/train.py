@@ -203,9 +203,7 @@ def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
     hw = (scene.cam.height, scene.cam.width)
     model = ModelBundle(config, hw)
     trainables = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
-    opt = Adam(
-        trainables, lr=config.lr, beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps
-    )
+    opt = Adam(trainables, lr=config.lr)
     frozen_before = frozen_checksums(model)
 
     stride = config.triplet_stride

@@ -4,9 +4,11 @@ Everything here is written as plain scalar loops over numpy arrays (or
 direct closed forms), deliberately sharing no code with the package under
 test. Finite differences are central, step 1e-6 unless stated. The
 helpers at the end are test-only drivers of package code: a checkpoint
-re-save, the ground-truth relative pose of a frame pair and a
-ground-truth co-visibility raster.
+re-save, a checkpoint header edit, the ground-truth relative pose of a
+frame pair and a ground-truth co-visibility raster.
 """
+
+import json
 
 import numpy as np
 
@@ -279,6 +281,22 @@ def resave_checkpoint(path_in, path_out) -> None:
     ck = load_checkpoint(path_in)
     named = [(name, ck.tensors[name], ck.frozen[name]) for name in ck.names]
     save_checkpoint(path_out, named, ck.config, ck.step)
+
+
+def with_header_config(path_in, path_out, **entries) -> None:
+    """Copy a checkpoint with `entries` merged into its header config, in the
+    file's own layout (8-byte magic, u32 version, u64 header length, sorted
+    compact JSON header, payload): a file as a writer with other config
+    fields would have left it."""
+    with open(path_in, "rb") as fh:
+        blob = fh.read()
+    start = 8 + 4 + 8
+    length = int.from_bytes(blob[12:start], "little")
+    header = json.loads(blob[start : start + length])
+    header["config"].update(entries)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path_out, "wb") as fh:
+        fh.write(blob[:12] + len(text).to_bytes(8, "little") + text + blob[start + length :])
 
 
 def relative_pose(scene, t, s):

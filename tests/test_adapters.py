@@ -8,8 +8,6 @@ import pytest
 from depthlab import autodiff as ad
 from depthlab.adapters import (
     FrozenLinear,
-    InitScheme,
-    InitVariant,
     LowRankAdapter,
     make_adapter,
     merge_weights,
@@ -62,7 +60,7 @@ class TestScaledForward:
     def test_fresh_adapter_matches_base_bitwise(self):
         rng = np.random.default_rng(3)
         layer = FrozenLinear.random(8, 5, rng)
-        adapter = make_adapter("scaled", 8, 5, 3, InitScheme(seed=11))
+        adapter = make_adapter("scaled", 8, 5, 3, 11)
         x = rng.standard_normal(5)
         got = layer(Tensor(x), adapter).data
         np.testing.assert_array_equal(got, layer(Tensor(x)).data)
@@ -105,7 +103,7 @@ class TestScaledForward:
     def test_fresh_adapter_gradient_wrt_input_equals_base(self):
         rng = np.random.default_rng(7)
         layer = FrozenLinear.random(6, 5, rng)
-        adapter = make_adapter("scaled", 6, 5, 2, InitScheme(seed=0))
+        adapter = make_adapter("scaled", 6, 5, 2, 0)
         x = rng.standard_normal(5)
 
         tx1 = Tensor(x, requires_grad=True)
@@ -146,49 +144,42 @@ class TestScaledForward:
 class TestInit:
     def test_up_matrix_starts_at_zero(self):
         for seed in range(5):
-            adapter = make_adapter("scaled", 7, 5, 3, InitScheme(seed=seed))
+            adapter = make_adapter("scaled", 7, 5, 3, seed)
             np.testing.assert_array_equal(adapter.up.data, np.zeros((7, 3)))
 
     def test_same_seed_bit_identical(self):
-        s = InitScheme(variant=InitVariant.KAIMING_UNIFORM, seed=123)
-        a1 = make_adapter("scaled", 6, 4, 2, s)
-        a2 = make_adapter("scaled", 6, 4, 2, s)
+        a1 = make_adapter("scaled", 6, 4, 2, 123)
+        a2 = make_adapter("scaled", 6, 4, 2, 123)
         np.testing.assert_array_equal(a1.down.data, a2.down.data)
         np.testing.assert_array_equal(a1.scale_down.data, a2.scale_down.data)
         np.testing.assert_array_equal(a1.scale_up.data, a2.scale_up.data)
 
     def test_kaiming_uniform_bound(self):
-        adapter = make_adapter("scaled", 64, 64, 4, InitScheme(seed=77))
+        adapter = make_adapter("scaled", 64, 64, 4, 77)
         assert np.max(np.abs(adapter.down.data)) <= np.sqrt(6.0 / 64.0)
 
-    def test_variants_differ(self):
-        draws = {
-            v: make_adapter("scaled", 6, 6, 2, InitScheme(variant=v, seed=5)).down.data.tobytes()
-            for v in InitVariant
-        }
-        assert len(set(draws.values())) == 3
-
-    def test_uniform_variant_range(self):
-        adapter = make_adapter("scaled", 16, 16, 4, InitScheme(variant=InitVariant.UNIFORM, seed=3))
-        assert adapter.down.data.min() >= 0.0 and adapter.down.data.max() <= 1.0
+    def test_draws_are_kaiming_uniform_in_a_fixed_order(self):
+        adapter = make_adapter("scaled", 6, 5, 3, 21)
+        rng = np.random.default_rng(21)
+        for values, fan_in in ((adapter.down, 5), (adapter.scale_down, 3), (adapter.scale_up, 6)):
+            bound = np.sqrt(6.0 / fan_in)
+            np.testing.assert_array_equal(values.data, rng.uniform(-bound, bound, size=values.shape))
 
     def test_invalid_rank_rejected(self):
         with pytest.raises(ValueError, match="rank"):
-            make_adapter("scaled", 4, 3, 5, InitScheme())
+            make_adapter("scaled", 4, 3, 5, 0)
 
     def test_plain_draws_same_down_matrix_as_scaled(self):
-        for variant in InitVariant:
-            s = InitScheme(variant=variant, seed=8)
-            plain = make_adapter("plain", 7, 5, 3, s)
-            scaled = make_adapter("scaled", 7, 5, 3, s)
-            np.testing.assert_array_equal(plain.down.data, scaled.down.data)
-            np.testing.assert_array_equal(plain.up.data, np.zeros((7, 3)))
-            assert [name for name, _ in plain.named_parameters()] == ["down", "up"]
+        plain = make_adapter("plain", 7, 5, 3, 8)
+        scaled = make_adapter("scaled", 7, 5, 3, 8)
+        np.testing.assert_array_equal(plain.down.data, scaled.down.data)
+        np.testing.assert_array_equal(plain.up.data, np.zeros((7, 3)))
+        assert [name for name, _ in plain.named_parameters()] == ["down", "up"]
 
     def test_modes(self):
-        assert make_adapter("none", 4, 3, 5, InitScheme()) is None
+        assert make_adapter("none", 4, 3, 5, 0) is None
         with pytest.raises(ValueError, match="adapter mode"):
-            make_adapter("giant", 4, 3, 2, InitScheme())
+            make_adapter("giant", 4, 3, 2, 0)
 
     def test_scales_given_both_or_neither(self):
         rng = np.random.default_rng(0)
@@ -203,7 +194,7 @@ class TestMerge:
     def test_fresh_adapter_merges_to_base(self):
         rng = np.random.default_rng(10)
         layer = FrozenLinear.random(5, 4, rng)
-        adapter = make_adapter("scaled", 5, 4, 2, InitScheme(seed=1))
+        adapter = make_adapter("scaled", 5, 4, 2, 1)
         merged = merge_weights(layer, adapter)
         np.testing.assert_array_equal(merged.weight.data, layer.weight.data)
 
@@ -229,7 +220,7 @@ class TestMerge:
 class TestParamCounts:
     def test_single_adapter_counts(self):
         layer = FrozenLinear.random(64, 64, np.random.default_rng(0))
-        adapter = make_adapter("scaled", 64, 64, 4, InitScheme(seed=0))
+        adapter = make_adapter("scaled", 64, 64, 4, 0)
         trainable, total = trainable_param_count(adapter)
         assert trainable == 4 * 64 + 64 * 4  # A and B
         assert total - trainable == 4 + 64  # frozen scales
@@ -238,7 +229,7 @@ class TestParamCounts:
 
     def test_ratio_for_384_square(self):
         layer = FrozenLinear.random(384, 384, np.random.default_rng(0))
-        adapter = make_adapter("plain", 384, 384, 4, InitScheme(seed=0))
+        adapter = make_adapter("plain", 384, 384, 4, 0)
         trainable, total = trainable_param_count(adapter)
         assert trainable == total == 3072
         _, dense = trainable_param_count(layer)
@@ -250,7 +241,7 @@ class TestFrozenIntegrity:
     def test_frozen_bytes_unchanged_across_adam_steps(self):
         rng = np.random.default_rng(13)
         layer, _ = random_setup(rng)
-        adapter = make_adapter("scaled", 6, 5, 3, InitScheme(seed=2))
+        adapter = make_adapter("scaled", 6, 5, 3, 2)
         xs = rng.standard_normal((8, 5))
         ys = rng.standard_normal((8, 6))
 

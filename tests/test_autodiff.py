@@ -603,6 +603,13 @@ class TestRetention:
         m = leaf(np.arange(6.0).reshape(2, 3))
         assert np.shares_memory(m.T.data, m.data)
 
+    def test_permute_backward_applies_the_inverse_permutation(self):
+        a = leaf(np.arange(24.0).reshape(2, 3, 4))
+        weights = np.arange(24.0).reshape(4, 2, 3) + 1.0
+        ad.tsum(ad.permute(a, (2, 0, 1)) * weights).backward()
+        # (2, 0, 1) is not its own inverse: the gradient goes back through (1, 2, 0)
+        np.testing.assert_array_equal(a.grad, np.transpose(weights, (1, 2, 0)))
+
     def test_broadcast_mul_keeps_no_expanded_operand(self):
         rng = np.random.default_rng(4)
         x = leaf(rng.standard_normal((16, 32, 32)))

@@ -1,27 +1,35 @@
 """Config parsing, validation, and checkpoint round trips."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from depthlab.autodiff import Tensor
+from depthlab.blocks import PATCH
 from depthlab.checkpoint import load_checkpoint, save_checkpoint
 from depthlab.config import (
+    RETIRED,
     TrainConfig,
+    config_from_pairs,
     config_to_text,
     load_config,
     parse_config_text,
 )
+from depthlab.optim import BETA1, BETA2, EPS
 
-from oracles import resave_checkpoint
+from oracles import resave_checkpoint, with_header_config
+
+# the five retired keys as every header written before they left TrainConfig
+# carries them
+OLD_HEADER_KEYS = {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-08, "init": "kaiming_uniform", "patch": 8}
 
 
 class TestConfig:
     def test_defaults_mirror_training_recipe(self):
         cfg = TrainConfig()
-        assert cfg.adam_beta1 == 0.9
-        assert cfg.adam_beta2 == 0.999
+        assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-8)
         assert cfg.rank == 4
         assert cfg.lr == 1e-4
         assert cfg.lr_decay == 0.1
@@ -84,11 +92,31 @@ class TestConfig:
             ("w_smoothness", float("inf")),
             ("d_max", math.inf),
             ("d_min", 1e-310),  # subnormal: 1/d_min overflows to inf
+            # the initial depth is sqrt(d_min * d_max): the product underflows to 0, or overflows to inf
+            pytest.param("d_min", {"d_min": 1e-200, "d_max": 1e-199}, id="d_min*d_max-underflow"),
+            pytest.param("d_min", {"d_min": 1e300, "d_max": 1e308}, id="d_min*d_max-overflow"),
         ],
     )
     def test_rejects_a_value_that_would_fail_only_in_training(self, field, value):
+        # as key=value text, the form a --set, a config file or a checkpoint
+        # header takes; the adam_* keys are retired, so any other value is rejected
+        pairs = value if isinstance(value, dict) else {field: value}
         with pytest.raises(ValueError, match=field.removeprefix("w_")):
-            TrainConfig(**{field: value})
+            config_from_pairs({key: str(v) for key, v in pairs.items()})
+
+    def test_retired_keys_hold_the_values_fixed_in_code(self):
+        assert RETIRED == OLD_HEADER_KEYS
+        assert [RETIRED[k] for k in ("patch", "adam_beta1", "adam_beta2", "adam_eps")] == [PATCH, BETA1, BETA2, EPS]
+        assert not set(RETIRED) & {f.name for f in dataclasses.fields(TrainConfig)}
+
+    def test_a_retired_key_at_its_value_changes_nothing(self):
+        assert parse_config_text("".join(f"{k}={v}\n" for k, v in OLD_HEADER_KEYS.items())) == TrainConfig()
+
+    @pytest.mark.parametrize("pair", ["init=uniform", "init=kaiming_normal", "patch=4", "patch=8.5", "adam_eps=1e-6"])
+    def test_a_retired_key_at_another_value_is_rejected(self, pair):
+        key = pair.split("=")[0]
+        with pytest.raises(ValueError, match=f"{key} is fixed at {RETIRED[key]}"):
+            parse_config_text(pair)
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -126,6 +154,23 @@ class TestCheckpoint:
         save_checkpoint(path1, self._named(rng), TrainConfig(), step=9)
         resave_checkpoint(path1, path2)
         assert path1.read_bytes() == path2.read_bytes()
+
+    def test_a_header_with_the_retired_keys_loads(self, tmp_path):
+        named = self._named(np.random.default_rng(4))
+        cfg = TrainConfig(seed=5, adapter="plain")
+        save_checkpoint(tmp_path / "new.ckpt", named, cfg, step=3)
+        with_header_config(tmp_path / "new.ckpt", tmp_path / "old.ckpt", **OLD_HEADER_KEYS)
+        ck = load_checkpoint(tmp_path / "old.ckpt")
+        assert ck.config == cfg and ck.step == 3
+        for name, tensor, _ in named:
+            np.testing.assert_array_equal(ck.tensors[name], tensor.data)
+
+    @pytest.mark.parametrize("key, value", [("init", "uniform"), ("patch", 4)])
+    def test_a_header_with_a_retired_key_at_another_value_is_rejected(self, tmp_path, key, value):
+        save_checkpoint(tmp_path / "new.ckpt", self._named(np.random.default_rng(5)), TrainConfig(), step=1)
+        with_header_config(tmp_path / "new.ckpt", tmp_path / "old.ckpt", **{**OLD_HEADER_KEYS, key: value})
+        with pytest.raises(ValueError, match=f"{key} is fixed at"):
+            load_checkpoint(tmp_path / "old.ckpt")
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -5,11 +5,13 @@ import pytest
 
 from depthlab import cli
 from depthlab.checkpoint import save_checkpoint
-from depthlab.config import TrainConfig
-from depthlab.formats import write_scene
+from depthlab.config import RETIRED, TrainConfig
+from depthlab.formats import SceneOnDisk, write_scene
 from depthlab.geometry import CameraModel
 from depthlab.scene import generate_scene
 from depthlab.train import ModelBundle
+
+from oracles import with_header_config
 
 
 def test_gradcheck_passes_every_case(capsys):
@@ -54,7 +56,12 @@ def test_params_rejects_a_repeated_mixer_position(capsys):
 
 def test_params_rejects_a_patch_the_decoder_cannot_restore(capsys):
     assert cli.main(["params", "--size", "64", "--set", "patch=4"]) == 2
-    assert "2x stages" in capsys.readouterr().err
+    assert "patch is fixed at 8" in capsys.readouterr().err
+
+
+def test_params_rejects_an_init_other_than_kaiming_uniform(capsys):
+    assert cli.main(["params", "--size", "16", "--set", "init=uniform"]) == 2
+    assert "init is fixed at kaiming_uniform" in capsys.readouterr().err
 
 
 def test_params_rejects_an_infinite_d_max(capsys):
@@ -65,6 +72,31 @@ def test_params_rejects_an_infinite_d_max(capsys):
 def test_params_rejects_a_d_min_whose_reciprocal_overflows(capsys):
     assert cli.main(["params", "--size", "16", "--set", "d_min=1e-310"]) == 2
     assert "d_min" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d_min, d_max", [("1e-200", "1e-199"), ("1e300", "1e308")])
+def test_params_rejects_a_depth_range_whose_product_underflows_or_overflows(capsys, d_min, d_max):
+    assert cli.main(["params", "--size", "16", "--set", f"d_min={d_min}", "--set", f"d_max={d_max}"]) == 2
+    assert "d_min * d_max" in capsys.readouterr().err
+
+
+def test_gen_scene_writes_a_scene_directory(tmp_path, capsys):
+    out = tmp_path / "scene"
+    assert cli.main(["gen-scene", "--size", "16", "--frames", "3", "--out", str(out)]) == 0
+    assert "wrote 3-frame two_spheres scene" in capsys.readouterr().out
+    scene = SceneOnDisk(out)
+    assert len(scene) == 3 and (scene.cam.fx, scene.cam.width) == (16.0, 16)
+
+
+@pytest.mark.parametrize(
+    "option, value, named",
+    [("--focal", "inf", "focal"), ("--focal", "nan", "focal"), ("--shading", "nan", "shading"), ("--shading", "-1", "shading")],
+)
+def test_gen_scene_rejects_a_non_finite_or_negative_input(tmp_path, capsys, option, value, named):
+    out = tmp_path / "scene"
+    assert cli.main(["gen-scene", "--size", "16", "--frames", "3", option, value, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("heads", ["0", "-4"])
@@ -113,6 +145,35 @@ def test_eval_pose_rejects_a_gt_trajectory_on_other_frames(tmp_path, capsys):
     assert cli.main(argv + ["--gt-trajectory", str(renumbered)]) == 2
     captured = capsys.readouterr()
     assert "indices" in captured.err and captured.out == ""
+
+
+def test_eval_pose_rejects_a_scene_trajectory_on_other_frames(tmp_path, capsys):
+    scene_dir = _scene_dir(tmp_path)
+    trajectory = scene_dir / "trajectory.txt"
+    lines = trajectory.read_text().splitlines()
+    trajectory.write_text("".join(f"{2 * k} {line.split(maxsplit=1)[1]}\n" for k, line in enumerate(lines)))
+    argv = ["eval-pose", "--checkpoint", str(_untrained_checkpoint(tmp_path)), "--scene", str(scene_dir)]
+
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "indices (0, 2, 4, 6, 8, 10) differ from frame ids (0, 1, 2, 3, 4, 5)" in captured.err
+    assert captured.out == ""
+
+
+def test_eval_depth_reads_a_header_with_the_retired_keys(tmp_path, capsys):
+    scene_dir = _scene_dir(tmp_path)
+    checkpoint = _untrained_checkpoint(tmp_path)
+    old = tmp_path / "old.npz"
+    with_header_config(checkpoint, old, **RETIRED)
+
+    assert cli.main(["eval-depth", "--checkpoint", str(checkpoint), "--scene", str(scene_dir)]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main(["eval-depth", "--checkpoint", str(old), "--scene", str(scene_dir)]) == 0
+    assert capsys.readouterr().out == expected
+
+    with_header_config(checkpoint, old, **{**RETIRED, "init": "uniform"})
+    assert cli.main(["eval-depth", "--checkpoint", str(old), "--scene", str(scene_dir)]) == 2
+    assert "init is fixed at kaiming_uniform" in capsys.readouterr().err
 
 
 def test_set_beats_a_config_file_line(tmp_path, capsys):

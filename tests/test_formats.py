@@ -1,6 +1,8 @@
 """File format round trips: PFM, PPM, PGM, trajectories, intrinsics,
 scene directories."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +157,18 @@ class TestSceneDirectory:
         write_scene(directory, generate_scene("two_spheres", 6, seed=5, cam=cam))
         (directory / missing).unlink()
         with pytest.raises(ValueError, match=missing):
+            SceneOnDisk(directory)
+
+    @pytest.mark.parametrize("indices", [(0, 2, 4, 6, 8, 10), (0, 1, 2, 3, 4)], ids=["renumbered", "short"])
+    def test_trajectory_on_other_frames_rejected(self, tmp_path, indices):
+        cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
+        directory = tmp_path / "scene"
+        write_scene(directory, generate_scene("two_spheres", 6, seed=5, cam=cam))
+        lines = (directory / "trajectory.txt").read_text().splitlines()
+        (directory / "trajectory.txt").write_text(
+            "".join(f"{k} {line.split(maxsplit=1)[1]}\n" for k, line in zip(indices, lines))
+        )
+        with pytest.raises(ValueError, match=re.escape(f"indices {indices} differ from frame ids (0, 1, 2, 3, 4, 5)")):
             SceneOnDisk(directory)
 
     def test_missing_directory_rejected(self, tmp_path):

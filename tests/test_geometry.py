@@ -33,6 +33,11 @@ class TestCameraModel:
         with pytest.raises(ValueError, match="focal"):
             CameraModel(fx=0.0, fy=1.0, cx=1.0, cy=1.0, width=4, height=4)
 
+    @pytest.mark.parametrize("fx, fy", [(np.inf, 1.0), (1.0, np.inf), (np.nan, 1.0), (1.0, np.nan)])
+    def test_rejects_non_finite_focal(self, fx, fy):
+        with pytest.raises(ValueError, match="focal"):
+            CameraModel(fx=fx, fy=fy, cx=1.0, cy=1.0, width=4, height=4)
+
     def test_rejects_principal_point_outside(self):
         with pytest.raises(ValueError, match="principal"):
             CameraModel(fx=1.0, fy=1.0, cx=5.0, cy=1.0, width=4, height=4)

@@ -100,6 +100,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="frames"):
             generate_scene("plane", 2, seed=0, cam=CAM)
 
+    @pytest.mark.parametrize("strength", [float("nan"), float("inf"), -1.0])
+    def test_negative_or_non_finite_shading_rejected(self, strength):
+        with pytest.raises(ValueError, match="shading_strength"):
+            generate_scene("plane", 3, seed=0, cam=CAM, shading_strength=strength)
+
     def test_gt_trajectory_indices(self):
         scene = generate_scene("plane", 5, seed=12, cam=CAM)
         traj = gt_trajectory(scene)
