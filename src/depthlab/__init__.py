@@ -9,13 +9,8 @@ scenes with exact ground truth, and a training harness with a CLI.
 """
 
 from .autodiff import Tensor
-from .geometry import CameraModel, DepthMap, PoseSE3
-from .adapters import (
-    FrozenLinear,
-    LowRankAdapter,
-    make_adapter,
-    merge_weights,
-)
+from .geometry import CameraModel, PoseSE3
+from .adapters import FrozenLinear, LowRankAdapter, make_adapter
 from .nn import trainable_param_count
 from .losses import SemanticMaskSet
 from .evalmetrics import DepthEvalReport, Trajectory, ate_5frame, depth_metrics, median_scale
@@ -25,12 +20,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor",
     "CameraModel",
-    "DepthMap",
     "PoseSE3",
     "FrozenLinear",
     "LowRankAdapter",
     "make_adapter",
-    "merge_weights",
     "trainable_param_count",
     "SemanticMaskSet",
     "DepthEvalReport",

@@ -101,13 +101,6 @@ class LowRankAdapter(Module):
             h = h * self.scale_up
         return h
 
-    def delta(self) -> np.ndarray:
-        up, down = self.up.data, self.down.data
-        if self.scale_up is not None:
-            up = self.scale_up.data[:, None] * up
-            down = self.scale_down.data[:, None] * down
-        return up @ down
-
 
 def make_adapter(mode: str, m: int, n: int, rank: int, seed: int) -> LowRankAdapter | None:
     """Adapter for an m x n weight: None for "none", else A kaiming-uniform
@@ -138,9 +131,3 @@ def _check_adapter_shapes(layer: FrozenLinear, adapter: LowRankAdapter) -> None:
         raise ValueError(
             f"adapter (A {adapter.down.shape}, B {adapter.up.shape}) does not fit layer weight {layer.weight.shape}"
         )
-
-
-def merge_weights(layer: FrozenLinear, adapter: LowRankAdapter) -> FrozenLinear:
-    """Fold the adapter delta into a plain dense layer (same frozen bias)."""
-    _check_adapter_shapes(layer, adapter)
-    return FrozenLinear(layer.weight.data + adapter.delta(), layer.bias.data.copy())

@@ -19,21 +19,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig, config_from_pairs, config_to_text, load_config
-from .evalmetrics import DEPTH_CAP, ate_5frame
+from .evalmetrics import DEPTH_CAP
 from .formats import SceneOnDisk, read_trajectory, write_scene
 from .geometry import CameraModel
 from .nn import trainable_param_count
-from .scene import SCENE_KINDS, generate_scene
-from .train import (
-    ModelBundle,
-    anchored_trajectory,
-    evaluate_scene,
-    load_model,
-    predicted_trajectory,
-    reference_trajectory,
-    save_model,
-    train,
-)
+from .scene import SCENE_KINDS, generate_scene, gt_trajectory
+from .train import ModelBundle, evaluate_pose, evaluate_scene, load_model, train
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -126,8 +117,8 @@ def _cmd_eval_depth(args) -> int:
     reports, aggregate, (ate_mean, _) = evaluate_scene(model, scene, cap=args.cap)
     header = ["frame", "abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3", "f_scale"]
     print("\t".join(header))
-    for k, rep in enumerate(reports):
-        row = [str(k)] + [
+    for frame_id, rep in zip(scene.ids, reports):
+        row = [str(frame_id)] + [
             f"{getattr(rep, key):.6f}"
             for key in ("abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3", "f_scale")
         ]
@@ -141,13 +132,8 @@ def _cmd_eval_depth(args) -> int:
 def _cmd_eval_pose(args) -> int:
     scene = SceneOnDisk(args.scene)
     model, _ = load_model(args.checkpoint, image_hw=(scene.cam.height, scene.cam.width))
-    pred = predicted_trajectory(model, scene)
-    if args.gt_trajectory:
-        gt = read_trajectory(args.gt_trajectory)  # camera-to-world poses
-        gt = anchored_trajectory(gt.indices, [p.inverse() for p in gt.poses])
-    else:
-        gt = reference_trajectory(scene)
-    mean, segments = ate_5frame(pred, gt)
+    gt = read_trajectory(args.gt_trajectory) if args.gt_trajectory else gt_trajectory(scene)
+    mean, segments = evaluate_pose(model, scene, gt)
     print("segment\tate")
     for i, seg in enumerate(segments):
         print(f"{i}\t{seg:.6f}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import lower_median
-from .geometry import DepthMap, PoseSE3
+from .geometry import PoseSE3
 
 DEPTH_CAP = 150.0
 DELTA_THRESHOLDS = (1.25, 1.25**2, 1.25**3)
@@ -54,12 +54,6 @@ class Trajectory:
         return np.stack([p.translation for p in self.poses])
 
 
-def _depth_values(x) -> np.ndarray:
-    if isinstance(x, DepthMap):
-        return x.values
-    return np.asarray(x, dtype=np.float64)
-
-
 def _valid_pixels(gt: np.ndarray) -> np.ndarray:
     """Pixels with positive, finite ground truth (rasters contain holes)."""
     return np.isfinite(gt) & (gt > 0)
@@ -70,8 +64,8 @@ def median_scale(pred, gt, cap: float = DEPTH_CAP):
     then cap the scaled prediction. Returns (scaled_array, f_scale)."""
     if not cap > 0:  # also rejects NaN
         raise ValueError(f"median_scale: depth cap must be positive, got {cap}")
-    p = _depth_values(pred)
-    g = _depth_values(gt)
+    p = np.asarray(pred, dtype=np.float64)
+    g = np.asarray(gt, dtype=np.float64)
     if p.shape != g.shape:
         raise ValueError(f"prediction {p.shape} and ground truth {g.shape} differ in shape")
     mask = _valid_pixels(g)
@@ -88,8 +82,8 @@ def median_scale(pred, gt, cap: float = DEPTH_CAP):
 def depth_metrics(pred, gt, f_scale: float = 1.0) -> DepthEvalReport:
     """Seven-metric report over the valid set; the delta comparisons are
     strict less-than against 1.25, 1.25^2, 1.25^3."""
-    p = _depth_values(pred)
-    g = _depth_values(gt)
+    p = np.asarray(pred, dtype=np.float64)
+    g = np.asarray(gt, dtype=np.float64)
     if p.shape != g.shape:
         raise ValueError(f"prediction {p.shape} and ground truth {g.shape} differ in shape")
     mask = _valid_pixels(g)
@@ -116,6 +110,13 @@ def evaluate_depth(pred, gt, cap: float = DEPTH_CAP) -> DepthEvalReport:
     """Median scaling, cap, then metrics, in one call."""
     scaled, f_scale = median_scale(pred, gt, cap=cap)
     return depth_metrics(scaled, gt, f_scale=f_scale)
+
+
+def anchored_trajectory(traj: Trajectory) -> Trajectory:
+    """A camera-to-world trajectory re-expressed in the frame of its first
+    camera, which then sits at the identity."""
+    base = traj.poses[0].inverse()
+    return Trajectory(traj.indices, tuple(base.compose(p) for p in traj.poses))
 
 
 def ate_5frame(pred: Trajectory, gt: Trajectory) -> tuple[float, list[float]]:

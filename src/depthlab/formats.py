@@ -5,6 +5,12 @@ PFM follows the grayscale "Pf" convention: float32 payload, bottom-up row
 order, negative scale marking little-endian. Trajectories are text lines
 "index tx ty tz qw qx qy qz" (w-first unit quaternion) storing
 camera-to-world poses.
+
+A scene directory holds intrinsics.txt, trajectory.txt and, per frame id k,
+frame_{k:03d}.ppm with optional depth_{k:03d}.pfm and labels_{k:03d}.pgm.
+The trajectory's indices are the frame ids, and a scene keeps them when it
+is read and written back, so a sequence numbered from 1 stays numbered
+from 1.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import numpy as np
 
 from .evalmetrics import Trajectory
 from .geometry import CameraModel, PoseSE3, quaternion_to_rotation, rotation_to_quaternion
+from .scene import Scene, gt_trajectory
 
 
 # -- PFM ----------------------------------------------------------------------------
@@ -170,20 +177,19 @@ def read_intrinsics(path) -> CameraModel:
 # -- scene directories -----------------------------------------------------------------------
 
 
-def write_scene(directory, scene) -> None:
-    """Lay a scene out as numbered PPM/PFM/PGM files plus trajectory and
-    intrinsics text files."""
+def write_scene(directory, scene: Scene) -> None:
+    """Lay a scene out as PPM/PFM/PGM files named by frame id plus
+    trajectory and intrinsics text files; depth and label rasters only when
+    the scene has them."""
     os.makedirs(directory, exist_ok=True)
     write_intrinsics(os.path.join(directory, "intrinsics.txt"), scene.cam)
-    from .scene import gt_trajectory
-
     write_trajectory(os.path.join(directory, "trajectory.txt"), gt_trajectory(scene))
-    for k in range(len(scene)):
-        write_ppm(os.path.join(directory, f"frame_{k:03d}.ppm"), scene.frames[k])
-        write_pfm(os.path.join(directory, f"depth_{k:03d}.pfm"), scene.depths[k])
-        write_pgm(os.path.join(directory, f"labels_{k:03d}.pgm"), scene.labels[k])
-    with open(os.path.join(directory, "meta.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"kind={scene.kind}\nframes={len(scene)}\nseed={scene.seed}\n")
+    for k, frame_id in enumerate(scene.ids):
+        write_ppm(os.path.join(directory, f"frame_{frame_id:03d}.ppm"), scene.frames[k])
+        if scene.depths is not None:
+            write_pfm(os.path.join(directory, f"depth_{frame_id:03d}.pfm"), scene.depths[k])
+        if scene.labels is not None:
+            write_pgm(os.path.join(directory, f"labels_{frame_id:03d}.pgm"), scene.labels[k])
 
 
 def _all_or_none(directory, names: list[str], read):
@@ -199,24 +205,33 @@ def _all_or_none(directory, names: list[str], read):
     return tuple(read(path) for path in paths)
 
 
-class SceneOnDisk:
-    """Scene-shaped view over a directory written by write_scene (or any
-    matching external data): frames, depths, labels, poses, cam."""
+def _frame_id(directory, name: str) -> int:
+    """The id in a frame file's name; any other spelling than
+    frame_{id:03d}.ppm (frame_5.ppm, frame_0005.ppm) is rejected, since the
+    reader opens frames by that one spelling."""
+    match = re.fullmatch(r"frame_(\d+)\.ppm", name)
+    if match is None or name != f"frame_{int(match.group(1)):03d}.ppm":
+        raise ValueError(f"frame file {name} in {directory} is not named frame_{{id:03d}}.ppm")
+    return int(match.group(1))
 
-    def __init__(self, directory):
-        self.directory = str(directory)
-        self.cam = read_intrinsics(os.path.join(directory, "intrinsics.txt"))
-        pattern = re.compile(r"frame_(\d+)\.ppm$")
-        ids = tuple(sorted(int(m.group(1)) for m in map(pattern.match, os.listdir(directory)) if m))
-        if not ids:
-            raise ValueError(f"no frame_*.ppm files in {directory}")
-        traj = read_trajectory(os.path.join(directory, "trajectory.txt"))
-        if traj.indices != ids:
-            raise ValueError(f"trajectory.txt indices {traj.indices} differ from frame ids {ids} in {directory}")
-        self.poses = tuple(p.inverse() for p in traj.poses)  # back to world-to-camera
-        self.frames = tuple(read_ppm(os.path.join(directory, f"frame_{k:03d}.ppm")) for k in ids)
-        self.depths = _all_or_none(directory, [f"depth_{k:03d}.pfm" for k in ids], read_pfm)
-        self.labels = _all_or_none(directory, [f"labels_{k:03d}.pgm" for k in ids], read_pgm)
 
-    def __len__(self) -> int:
-        return len(self.frames)
+def SceneOnDisk(directory) -> Scene:
+    """Read a scene directory written by write_scene (or any matching
+    external data), keeping its frame ids, which must equal trajectory.txt's
+    indices."""
+    cam = read_intrinsics(os.path.join(directory, "intrinsics.txt"))
+    names = [name for name in os.listdir(directory) if name.startswith("frame_") and name.endswith(".ppm")]
+    ids = tuple(sorted(_frame_id(directory, name) for name in names))
+    if not ids:
+        raise ValueError(f"no frame_*.ppm files in {directory}")
+    traj = read_trajectory(os.path.join(directory, "trajectory.txt"))
+    if traj.indices != ids:
+        raise ValueError(f"trajectory.txt indices {traj.indices} differ from frame ids {ids} in {directory}")
+    return Scene(
+        cam=cam,
+        ids=ids,
+        frames=tuple(read_ppm(os.path.join(directory, f"frame_{k:03d}.ppm")) for k in ids),
+        poses=tuple(p.inverse() for p in traj.poses),  # back to world-to-camera
+        depths=_all_or_none(directory, [f"depth_{k:03d}.pfm" for k in ids], read_pfm),
+        labels=_all_or_none(directory, [f"labels_{k:03d}.pgm" for k in ids], read_pgm),
+    )

@@ -138,28 +138,7 @@ def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class DepthMap:
-    """Positive, finite per-pixel depth in scene units."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"depth map must be 2-d, got shape {v.shape}")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
-            raise ValueError("depth map values must be positive and finite")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
 def _depth_tensor(depth) -> Tensor:
-    if isinstance(depth, DepthMap):
-        return Tensor(depth.values)
     t = ad.as_tensor(depth)
     if t.ndim != 2:
         raise ValueError(f"depth must be 2-d, got shape {t.shape}")
@@ -253,8 +232,8 @@ def transform_points(points: Tensor, rotation, translation) -> Tensor:
 def warp_frame(source, depth, pose_t_to_s, cam: CameraModel) -> tuple[Tensor, Tensor]:
     """Synthesize the target view by sampling the source frame.
 
-    source: (C, H, W) tensor; depth: target-frame depth (DepthMap, tensor,
-    or array); pose_t_to_s: a PoseSE3 or an (rotation, translation) pair of
+    source: (C, H, W) tensor; depth: target-frame depth (tensor or array);
+    pose_t_to_s: a PoseSE3 or an (rotation, translation) pair of
     tensors for a differentiable pose. Returns (synthesized, validity).
     """
     source = ad.as_tensor(source)

@@ -16,22 +16,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evalmetrics import Trajectory
 from .geometry import CameraModel, PoseSE3
 
 SCENE_KINDS = ("plane", "slanted_plane", "two_spheres")
 
 
 @dataclass(frozen=True)
-class SyntheticScene:
-    kind: str
+class Scene:
+    """A camera and a sequence of frames with what is known about each.
+
+    `ids` are the frames' own numbers, strictly increasing: they label
+    trajectories, reports and file names, while training indexes the
+    per-frame tuples by position. A scene read from disk has `reflectance`
+    and `shading` None (only a generated scene knows them), and `depths` or
+    `labels` None when its directory holds no rasters of that kind.
+    """
+
     cam: CameraModel
+    ids: tuple[int, ...]
     frames: tuple[np.ndarray, ...]  # (3, H, W) in [0, 1]
-    depths: tuple[np.ndarray, ...]  # (H, W) camera-frame Z
     poses: tuple[PoseSE3, ...]  # world-to-camera
-    labels: tuple[np.ndarray, ...]  # (H, W) int surface ids
-    reflectance: tuple[np.ndarray, ...]  # (3, H, W) albedo component
-    shading: tuple[np.ndarray, ...]  # (H, W) shading component
-    seed: int
+    depths: tuple[np.ndarray, ...] | None  # (H, W) camera-frame Z
+    labels: tuple[np.ndarray, ...] | None  # (H, W) int surface ids
+    reflectance: tuple[np.ndarray, ...] | None = None  # (3, H, W) albedo component
+    shading: tuple[np.ndarray, ...] | None = None  # (H, W) shading component
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -154,9 +163,9 @@ def generate_scene(
     seed: int,
     cam: CameraModel,
     shading_strength: float = 0.25,
-) -> SyntheticScene:
-    """Render a deterministic scene; shading_strength 0 disables the
-    multiplicative shading field."""
+) -> Scene:
+    """Render a deterministic scene with frame ids 0..n_frames-1;
+    shading_strength 0 disables the multiplicative shading field."""
     if n_frames < 3:
         raise ValueError(f"need at least 3 frames, got {n_frames}")
     if not (0.0 <= shading_strength < math.inf):
@@ -208,21 +217,19 @@ def generate_scene(
         refl_all.append(albedo.reshape(3, h, w))
         shade_all.append(shade.reshape(h, w))
 
-    return SyntheticScene(
-        kind=kind,
+    return Scene(
         cam=cam,
+        ids=tuple(range(n_frames)),
         frames=tuple(frames),
-        depths=tuple(depths),
         poses=tuple(poses),
+        depths=tuple(depths),
         labels=tuple(labels_all),
         reflectance=tuple(refl_all),
         shading=tuple(shade_all),
-        seed=seed,
     )
 
 
-def gt_trajectory(scene: SyntheticScene):
-    """Camera-to-world trajectory of the ground-truth path."""
-    from .evalmetrics import Trajectory
-
-    return Trajectory(tuple(range(len(scene))), tuple(p.inverse() for p in scene.poses))
+def gt_trajectory(scene: Scene) -> Trajectory:
+    """Camera-to-world trajectory of the ground-truth path over the scene's
+    frame ids."""
+    return Trajectory(scene.ids, tuple(p.inverse() for p in scene.poses))

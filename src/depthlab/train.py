@@ -25,12 +25,13 @@ from .autodiff import Tensor, TrainingDiverged
 from .blocks import DecompositionNet, PoseNet, ToyDepthNet, disparity_to_depth, reconstruct
 from .checkpoint import load_checkpoint, restore_module, save_checkpoint
 from .config import TrainConfig
-from .evalmetrics import DEPTH_CAP, DepthEvalReport, Trajectory, ate_5frame, evaluate_depth
+from .evalmetrics import DEPTH_CAP, DepthEvalReport, Trajectory, anchored_trajectory, ate_5frame, evaluate_depth
 from .geometry import PoseSE3, rotation_from_axis_angle, warp_frame
 # bench/spans.py wraps these names in this module, ssim included though unused here
 from .losses import SemanticMaskSet, masked_smoothness_loss, reconstruction_loss, ssim, total_loss
 from .nn import Module, frozen_checksums
 from .optim import Adam
+from .scene import gt_trajectory
 
 
 class ModelBundle(Module):
@@ -296,13 +297,14 @@ def evaluate_scene(model: ModelBundle, scene, cap: float = DEPTH_CAP):
         key: float(np.mean([getattr(r, key) for r in reports]))
         for key in ("abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3")
     }
-    ate_mean, segments = evaluate_pose(model, scene)
+    ate_mean, segments = evaluate_pose(model, scene, gt_trajectory(scene))
     return reports, aggregate, (ate_mean, segments)
 
 
 def predicted_trajectory(model: ModelBundle, scene) -> Trajectory:
     """Chain per-pair pose estimates, made without a graph, into a
-    frame-0-anchored trajectory."""
+    camera-to-world trajectory anchored at the first frame and labelled by
+    the scene's frame ids."""
     current = PoseSE3.identity()
     poses = [current]
     with ad.no_grad():
@@ -312,19 +314,10 @@ def predicted_trajectory(model: ModelBundle, scene) -> Trajectory:
             t_to_s = PoseSE3.from_axis_angle(vec[:3], vec[3:])
             current = current.compose(t_to_s.inverse())
             poses.append(current)
-    return Trajectory(tuple(range(len(scene))), tuple(poses))
+    return Trajectory(scene.ids, tuple(poses))
 
 
-def anchored_trajectory(indices, world_to_camera) -> Trajectory:
-    """Camera path re-expressed in the first frame's camera coordinates."""
-    base = world_to_camera[0]
-    return Trajectory(tuple(indices), tuple(base.compose(p.inverse()) for p in world_to_camera))
-
-
-def reference_trajectory(scene) -> Trajectory:
-    """Ground-truth camera path re-expressed in frame-0 camera coordinates."""
-    return anchored_trajectory(range(len(scene)), scene.poses)
-
-
-def evaluate_pose(model: ModelBundle, scene) -> tuple[float, list[float]]:
-    return ate_5frame(predicted_trajectory(model, scene), reference_trajectory(scene))
+def evaluate_pose(model: ModelBundle, scene, gt: Trajectory) -> tuple[float, list[float]]:
+    """5-frame ATE of the predicted path against a camera-to-world ground
+    truth, both anchored at their first frame."""
+    return ate_5frame(predicted_trajectory(model, scene), anchored_trajectory(gt))

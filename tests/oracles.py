@@ -4,11 +4,13 @@ Everything here is written as plain scalar loops over numpy arrays (or
 direct closed forms), deliberately sharing no code with the package under
 test. Finite differences are central, step 1e-6 unless stated. The
 helpers at the end are test-only drivers of package code: a checkpoint
-re-save, a checkpoint header edit, the ground-truth relative pose of a
-frame pair and a ground-truth co-visibility raster.
+re-save, a checkpoint header edit, a scene directory's frame renumbering,
+the ground-truth relative pose of a frame pair and a ground-truth
+co-visibility raster.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -297,6 +299,20 @@ def with_header_config(path_in, path_out, **entries) -> None:
     text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path_out, "wb") as fh:
         fh.write(blob[:12] + len(text).to_bytes(8, "little") + text + blob[start + length :])
+
+
+def shift_frame_ids(directory, shift: int) -> None:
+    """Add `shift` (> 0) to every frame id of a scene directory, as a
+    sequence recorded with other frame numbers would be laid out: rename
+    its rasters, highest id first so none is overwritten, and rewrite
+    trajectory.txt's indices."""
+    trajectory = Path(directory) / "trajectory.txt"
+    lines = trajectory.read_text().splitlines()
+    ids = [int(line.split(maxsplit=1)[0]) for line in lines]
+    for k in reversed(ids):
+        for stem, ext in (("frame", "ppm"), ("depth", "pfm"), ("labels", "pgm")):
+            Path(directory, f"{stem}_{k:03d}.{ext}").rename(Path(directory, f"{stem}_{k + shift:03d}.{ext}"))
+    trajectory.write_text("".join(f"{k + shift} {line.split(maxsplit=1)[1]}\n" for k, line in zip(ids, lines)))
 
 
 def relative_pose(scene, t, s):

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from depthlab import autodiff as ad
-from depthlab.adapters import (
-    FrozenLinear,
-    LowRankAdapter,
-    make_adapter,
-    merge_weights,
-)
+from depthlab.adapters import FrozenLinear, LowRankAdapter, make_adapter
 from depthlab.autodiff import Tensor
 from depthlab.nn import frozen_checksums, trainable_param_count
 from depthlab.optim import Adam
@@ -188,33 +183,6 @@ class TestInit:
             LowRankAdapter(a, b, scale_down=np.ones(2))
         with pytest.raises(ValueError, match="both"):
             LowRankAdapter(a, b, scale_up=np.ones(4))
-
-
-class TestMerge:
-    def test_fresh_adapter_merges_to_base(self):
-        rng = np.random.default_rng(10)
-        layer = FrozenLinear.random(5, 4, rng)
-        adapter = make_adapter("scaled", 5, 4, 2, 1)
-        merged = merge_weights(layer, adapter)
-        np.testing.assert_array_equal(merged.weight.data, layer.weight.data)
-
-    def test_merged_forward_matches_adapter_forward(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            layer, adapter = random_setup(rng)
-            merged = merge_weights(layer, adapter)
-            x = rng.standard_normal(5)
-            a_out = layer(Tensor(x), adapter).data
-            m_out = merged(Tensor(x)).data
-            scale = max(1.0, np.max(np.abs(a_out)))
-            assert np.max(np.abs(a_out - m_out)) / scale <= 1e-10
-
-    def test_merge_is_idempotent_on_dense_result(self):
-        rng = np.random.default_rng(12)
-        layer, adapter = random_setup(rng)
-        m1 = merge_weights(layer, adapter)
-        m2 = merge_weights(layer, adapter)
-        np.testing.assert_array_equal(m1.weight.data, m2.weight.data)
 
 
 class TestParamCounts:

@@ -11,7 +11,7 @@ from depthlab.geometry import CameraModel
 from depthlab.scene import generate_scene
 from depthlab.train import ModelBundle
 
-from oracles import with_header_config
+from oracles import shift_frame_ids, with_header_config
 
 
 def test_gradcheck_passes_every_case(capsys):
@@ -158,6 +158,29 @@ def test_eval_pose_rejects_a_scene_trajectory_on_other_frames(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "indices (0, 2, 4, 6, 8, 10) differ from frame ids (0, 1, 2, 3, 4, 5)" in captured.err
     assert captured.out == ""
+
+
+def test_a_scene_numbered_from_one_keeps_its_ids(tmp_path, capsys):
+    scene_dir = _scene_dir(tmp_path)
+    checkpoint = str(_untrained_checkpoint(tmp_path))
+    pose = ["eval-pose", "--checkpoint", checkpoint, "--scene", str(scene_dir)]
+    assert cli.main(pose) == 0
+    numbered_from_zero = capsys.readouterr().out
+    shift_frame_ids(scene_dir, 1)
+
+    assert cli.main(pose) == 0
+    assert capsys.readouterr().out == numbered_from_zero
+    assert cli.main(pose + ["--gt-trajectory", str(scene_dir / "trajectory.txt")]) == 0
+    assert capsys.readouterr().out == numbered_from_zero
+
+    assert cli.main(["eval-depth", "--checkpoint", checkpoint, "--scene", str(scene_dir)]) == 0
+    _, *rows, _, _ = capsys.readouterr().out.splitlines()
+    assert [row.split("\t")[0] for row in rows] == ["1", "2", "3", "4", "5", "6"]
+
+    out = tmp_path / "written_back"
+    write_scene(out, SceneOnDisk(scene_dir))
+    assert sorted(p.name for p in out.glob("frame_*.ppm")) == [f"frame_{k:03d}.ppm" for k in range(1, 7)]
+    assert [line.split()[0] for line in (out / "trajectory.txt").read_text().splitlines()] == ["1", "2", "3", "4", "5", "6"]
 
 
 def test_eval_depth_reads_a_header_with_the_retired_keys(tmp_path, capsys):

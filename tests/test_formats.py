@@ -171,6 +171,28 @@ class TestSceneDirectory:
         with pytest.raises(ValueError, match=re.escape(f"indices {indices} differ from frame ids (0, 1, 2, 3, 4, 5)")):
             SceneOnDisk(directory)
 
+    @pytest.mark.parametrize("name, keep_original", [("frame_5.ppm", False), ("frame_0005.ppm", True)])
+    def test_frame_name_other_than_the_padded_id_rejected_by_name(self, tmp_path, name, keep_original):
+        cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
+        directory = tmp_path / "scene"
+        write_scene(directory, generate_scene("two_spheres", 6, seed=5, cam=cam))
+        original = directory / "frame_005.ppm"
+        (directory / name).write_bytes(original.read_bytes())
+        if not keep_original:
+            original.unlink()
+        with pytest.raises(ValueError, match=re.escape(name)):
+            SceneOnDisk(directory)
+
+    def test_rasters_a_scene_lacks_stay_absent_when_written_back(self, tmp_path):
+        cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
+        write_scene(tmp_path / "scene", generate_scene("two_spheres", 6, seed=5, cam=cam))
+        for path in (tmp_path / "scene").glob("labels_*.pgm"):
+            path.unlink()
+        write_scene(tmp_path / "copy", SceneOnDisk(tmp_path / "scene"))
+        copy = SceneOnDisk(tmp_path / "copy")
+        assert copy.labels is None and len(copy.depths) == 6
+        assert not list((tmp_path / "copy").glob("labels_*"))
+
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises((ValueError, FileNotFoundError)):
             SceneOnDisk(tmp_path / "nope")

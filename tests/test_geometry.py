@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from depthlab import autodiff as ad
 from depthlab import geometry as geo
 from depthlab.autodiff import Tensor
-from depthlab.geometry import CameraModel, DepthMap, PoseSE3
+from depthlab.geometry import CameraModel, PoseSE3
 
 from oracles import fd_gradient, rel_err
 
@@ -47,13 +47,13 @@ class TestBackproject:
     def test_principal_ray(self):
         cam = CameraModel(fx=50.0, fy=50.0, cx=3.0, cy=2.0, width=8, height=6)
         depth = np.full((6, 8), 5.0)
-        pts = geo.backproject(DepthMap(depth), cam).data
+        pts = geo.backproject(depth, cam).data
         np.testing.assert_allclose(pts[:, 2, 3], [0.0, 0.0, 5.0], atol=0)
 
     def test_unit_intrinsics(self):
         cam = CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=8, height=6)
         depth = np.ones((6, 8))
-        pts = geo.backproject(DepthMap(depth), cam).data
+        pts = geo.backproject(depth, cam).data
         np.testing.assert_allclose(pts[:, 3, 2], [2.0, 3.0, 1.0], atol=0)
 
     def test_rejects_nonpositive_depth(self):
@@ -84,7 +84,7 @@ class TestProject:
         for _ in range(20):
             cam = random_camera(rng)
             depth = rng.uniform(0.5, 30.0, size=(cam.height, cam.width))
-            grid = geo.project(geo.backproject(DepthMap(depth), cam), cam).data
+            grid = geo.project(geo.backproject(depth, cam), cam).data
             u, v = np.meshgrid(
                 np.arange(cam.width, dtype=np.float64), np.arange(cam.height, dtype=np.float64)
             )
@@ -161,7 +161,7 @@ class TestWarpFrame:
         rng = np.random.default_rng(41)
         source = rng.uniform(0.0, 1.0, size=(3, CAM.height, CAM.width))
         depth = rng.uniform(2.0, 10.0, size=(CAM.height, CAM.width))
-        warped, validity = geo.warp_frame(Tensor(source), DepthMap(depth), PoseSE3.identity(), CAM)
+        warped, validity = geo.warp_frame(Tensor(source), depth, PoseSE3.identity(), CAM)
         np.testing.assert_array_equal(warped.data, source)
         np.testing.assert_array_equal(validity.data, np.ones((CAM.height, CAM.width)))
 
@@ -175,7 +175,7 @@ class TestWarpFrame:
         source = np.stack([0.05 * u, 0.03 * u + 0.2, 0.5 * np.ones_like(u)])
         depth = np.full((16, 16), z_plane)
         pose = PoseSE3(np.eye(3), np.array([tx, 0.0, 0.0]))
-        warped, validity = geo.warp_frame(Tensor(source), DepthMap(depth), pose, cam)
+        warped, validity = geo.warp_frame(Tensor(source), depth, pose, cam)
         inside = validity.data.astype(bool)
         assert inside.sum() > 0.5 * inside.size
         expected = np.stack([0.05 * (u + shift), 0.03 * (u + shift) + 0.2, 0.5 * np.ones_like(u)])
@@ -189,7 +189,7 @@ class TestWarpFrame:
         source = rng.uniform(0.0, 1.0, size=(3, CAM.height, CAM.width))
         depth = rng.uniform(2.0, 6.0, size=(CAM.height, CAM.width))
         pose = PoseSE3.from_axis_angle([0.0, 0.02, 0.0], [0.3, -0.1, 0.05])
-        warped, validity = geo.warp_frame(Tensor(source), DepthMap(depth), pose, cam=CAM)
+        warped, validity = geo.warp_frame(Tensor(source), depth, pose, cam=CAM)
         pts = CAM.pixel_rays() * depth
         moved = pose.apply(pts)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -254,12 +254,3 @@ class TestWarpFrame:
         assert rel_err(taa.grad, fd_gradient(f, [aa0, t0], 0)) <= 1e-4
         assert rel_err(tt.grad, fd_gradient(f, [aa0, t0], 1)) <= 1e-4
 
-
-class TestDepthMap:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match="positive"):
-            DepthMap(np.zeros((2, 2)))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            DepthMap(np.array([[1.0, np.inf], [1.0, 1.0]]))

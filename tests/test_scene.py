@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from depthlab.autodiff import Tensor
-from depthlab.geometry import CameraModel, DepthMap, warp_frame
+from depthlab.geometry import CameraModel, warp_frame
+from depthlab.formats import SceneOnDisk, write_scene
 from depthlab.scene import generate_scene, gt_trajectory
 
-from oracles import covisibility_mask, relative_pose
+from oracles import covisibility_mask, relative_pose, shift_frame_ids
 
 CAM = CameraModel(fx=64.0, fy=64.0, cx=31.5, cy=31.5, width=64, height=64)
 
@@ -60,7 +61,7 @@ class TestConsistency:
                 for s in (t - 1, t + 1):
                     pose = relative_pose(scene, t, s)
                     warped, valid = warp_frame(
-                        Tensor(scene.frames[s]), DepthMap(scene.depths[t]), pose, CAM
+                        Tensor(scene.frames[s]), scene.depths[t], pose, CAM
                     )
                     co = covisibility_mask(scene, t, s) & valid.data.astype(bool)
                     assert co.mean() > 0.4
@@ -105,7 +106,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="shading_strength"):
             generate_scene("plane", 3, seed=0, cam=CAM, shading_strength=strength)
 
-    def test_gt_trajectory_indices(self):
+    def test_gt_trajectory_indices(self, tmp_path):
         scene = generate_scene("plane", 5, seed=12, cam=CAM)
         traj = gt_trajectory(scene)
         assert traj.indices == (0, 1, 2, 3, 4)
+        write_scene(tmp_path, scene)
+        shift_frame_ids(tmp_path, 1)
+        assert gt_trajectory(SceneOnDisk(tmp_path)).indices == (1, 2, 3, 4, 5)

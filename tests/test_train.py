@@ -19,7 +19,7 @@ from depthlab.config import TrainConfig
 from depthlab.formats import write_scene
 from depthlab.geometry import CameraModel
 from depthlab.scene import generate_scene
-from depthlab.train import ModelBundle, evaluate_scene, load_model, save_model, step_loss, train
+from depthlab.train import ModelBundle, evaluate_scene, load_model, predicted_trajectory, save_model, step_loss, train
 
 SMALL = dict(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2, epochs=2)
 
@@ -240,3 +240,9 @@ def test_evaluate_scene_leaves_every_parameter_untouched():
     evaluate_scene(model, generate_scene("two_spheres", 6, 0, cam))
     for name, p in model.named_parameters():
         assert p.grad is None and p._node is None, name
+
+
+def test_predicted_trajectory_carries_the_scene_frame_ids(scene):
+    model = ModelBundle(TrainConfig(**SMALL), (16, 16))
+    renumbered = dataclasses.replace(scene, ids=(1, 2, 3, 4))
+    assert predicted_trajectory(model, renumbered).indices == renumbered.ids
