@@ -19,6 +19,11 @@ only when the other operand's gradient needs it. An intermediate's array is
 therefore freed once no code and no closure refers to it, even while the
 graph lives.
 
+A fused op may recompute intermediates from its inputs in backward rather
+than hold them until then, trading a second pass of cheap arithmetic for
+memory: ``bilinear_sample`` recomputes its corner weights and values, and
+``losses.ssim`` its local statistics.
+
 Values are immutable once created: an op's output may be a view of its
 input (``permute``, ``reshape``), and closures keep arrays by reference,
 so writing into a ``.data`` array in place would corrupt other tensors
@@ -828,6 +833,12 @@ def bilinear_sample(source, grid) -> tuple[Tensor, Tensor]:
     Coordinates within 1e-9 px of the integer lattice snap to it before
     interpolation, so algebraically-identity warps survive float rounding
     bit-exactly; the band is far below any finite-difference step.
+
+    The closure keeps per output pixel the flat index of the top-left
+    corner, the fractions wx and wy and three masks (valid, +1 column in
+    bounds, +1 row in bounds), plus the source array when the grid needs a
+    gradient. Backward recomputes the corner weights, and for the grid
+    gradient the corner values, from them.
     """
     source, grid = as_tensor(source), as_tensor(grid)
     if source.ndim != 3 or grid.ndim != 3 or grid.shape[0] != 2:
@@ -843,58 +854,44 @@ def bilinear_sample(source, grid) -> tuple[Tensor, Tensor]:
 
     x0 = np.floor(u).astype(np.int64)
     y0 = np.floor(v).astype(np.int64)
-    x1 = x0 + 1
-    y1 = y0 + 1
     wx = u - x0
     wy = v - y0
-
-    def inb(yy, xx):
-        return (xx >= 0) & (xx < w) & (yy >= 0) & (yy < h)
-
-    corners = []
-    for yy, xx, wgt in (
-        (y0, x0, (1.0 - wx) * (1.0 - wy)),
-        (y0, x1, wx * (1.0 - wy)),
-        (y1, x0, (1.0 - wx) * wy),
-        (y1, x1, wx * wy),
-    ):
-        ok = inb(yy, xx) & valid
-        yc = np.clip(yy, 0, h - 1)
-        xc = np.clip(xx, 0, w - 1)
-        corners.append((yc, xc, wgt * ok, ok))
+    # a valid sample's (x0, y0) corner lies in the source, and its +1 corners
+    # do unless it sits on the last column or row; an invalid sample points
+    # at pixel 0 with every corner masked
+    ok_x = valid & (x0 < w - 1)
+    ok_y = valid & (y0 < h - 1)
+    base = np.where(valid, y0 * w + x0, 0)
 
     sd = source.data
+    index, masks = _corners(base, valid, ok_x, ok_y, h, w)
     out = np.zeros((c,) + u.shape)
-    vals = []
-    for yc, xc, wgt, ok in corners:
-        val = sd[:, yc, xc] * ok[None, :, :]
-        vals.append(val)
+    for wgt, val in zip(_corner_weights(wx, wy, masks), _corner_values(sd, index, masks)):
         out += wgt[None, :, :] * val
 
-    # the source gradient reads the corners, the grid gradient the slopes
-    # of the sampled values along u and v
-    if not source.requires_grad:
-        corners = None
-    du = dv = None
-    if grid.requires_grad:
-        v00, v01, v10, v11 = vals
-        du = (1.0 - wy)[None] * (v01 - v00) + wy[None] * (v11 - v10)
-        dv = (1.0 - wx)[None] * (v10 - v00) + wx[None] * (v11 - v01)
+    src_grad = source.requires_grad
+    kept = sd if grid.requires_grad else None  # only the grid gradient reads the source
 
     def bw(g):
+        index, masks = _corners(base, valid, ok_x, ok_y, h, w)
         gsrc = None
         ggrid = None
-        if corners is not None:
+        if src_grad:
             # bincount over flattened indices is much faster than np.add.at;
             # channel ch's pixels are offset by ch*h*w, so one call per
-            # corner fills every channel and each bin still sums in pixel order
+            # corner fills every channel and each bin still sums in pixel
+            # order; a masked corner adds zeros
             offsets = np.arange(c)[:, None] * (h * w)
             acc = np.zeros(c * h * w)
-            for yc, xc, wgt, ok in corners:
-                idx = (offsets + (yc * w + xc).ravel()).ravel()
+            for k, wgt in enumerate(_corner_weights(wx, wy, masks)):
+                idx = (offsets + index[k].ravel()).ravel()
                 acc += np.bincount(idx, weights=(g * wgt[None, :, :]).ravel(), minlength=c * h * w)
             gsrc = acc.reshape(c, h, w)
-        if du is not None:
+        if kept is not None:
+            # slopes of the sampled values along u and v
+            v00, v01, v10, v11 = _corner_values(kept, index, masks)
+            du = (1.0 - wy)[None] * (v01 - v00) + wy[None] * (v11 - v10)
+            dv = (1.0 - wx)[None] * (v10 - v00) + wx[None] * (v11 - v01)
             gu = np.sum(g * du, axis=0) * valid
             gv = np.sum(g * dv, axis=0) * valid
             ggrid = np.stack([gu, gv], axis=0)
@@ -902,6 +899,29 @@ def bilinear_sample(source, grid) -> tuple[Tensor, Tensor]:
 
     sampled = Tensor._from_op(out, (source, grid), bw)
     return sampled, Tensor(valid.astype(np.float64))
+
+
+def _corners(base, valid, ok_x, ok_y, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat source index and 0/1 in-bounds mask, each (4, Ho, Wo), of the
+    (y0, x0), (y0, x1), (y1, x0) and (y1, x1) corners. An index is clamped
+    into the image; one that was clamped or wrapped to the next row is
+    masked."""
+    index = np.minimum(base[None] + np.array([0, 1, w, w + 1])[:, None, None], h * w - 1)
+    return index, np.stack([valid, ok_x, ok_y, ok_x & ok_y]).astype(np.float64)
+
+
+def _corner_weights(wx, wy, masks) -> list[np.ndarray]:
+    """Bilinear weight of each corner, zero where the corner is masked."""
+    weights = ((1.0 - wx) * (1.0 - wy), wx * (1.0 - wy), (1.0 - wx) * wy, wx * wy)
+    return [wgt * ok for wgt, ok in zip(weights, masks)]
+
+
+def _corner_values(sd: np.ndarray, index: np.ndarray, masks) -> np.ndarray:
+    """(4, C, Ho, Wo) source values at each corner from one flat gather,
+    zero where masked."""
+    vals = np.take(sd.reshape(sd.shape[0], -1), index, axis=1)
+    vals *= masks
+    return vals.transpose(1, 0, 2, 3)
 
 
 # -- gradient checking (used by the CLI; tests carry their own oracle) -----------------------------

@@ -125,7 +125,7 @@ def _cmd_eval_depth(args) -> int:
         print("\t".join(row))
     mean_row = ["mean"] + [f"{aggregate[key]:.6f}" for key in header[1:-1]] + ["-"]
     print("\t".join(mean_row))
-    print(f"ate_5frame\t{ate_mean:.6f}")
+    print("ate_5frame\t-" if ate_mean is None else f"ate_5frame\t{ate_mean:.6f}")
     return 0
 
 

@@ -43,9 +43,17 @@ class CameraModel:
             )
 
     def pixel_rays(self) -> np.ndarray:
-        """K^-1 applied to every homogeneous pixel center, shape (3, H, W)."""
-        u, v = np.meshgrid(np.arange(self.width, dtype=np.float64), np.arange(self.height, dtype=np.float64))
-        return np.stack([(u - self.cx) / self.fx, (v - self.cy) / self.fy, np.ones_like(u)])
+        """K^-1 applied to every homogeneous pixel center, shape (3, H, W).
+
+        Computed on the first call and cached on the camera; every call
+        returns that one read-only array."""
+        rays = self.__dict__.get("_rays")
+        if rays is None:
+            u, v = np.meshgrid(np.arange(self.width, dtype=np.float64), np.arange(self.height, dtype=np.float64))
+            rays = np.stack([(u - self.cx) / self.fx, (v - self.cy) / self.fy, np.ones_like(u)])
+            rays.flags.writeable = False
+            object.__setattr__(self, "_rays", rays)
+        return rays
 
 
 @dataclass(frozen=True)

@@ -291,14 +291,16 @@ def load_model(path, image_hw: tuple[int, int]) -> tuple[ModelBundle, int]:
 
 
 def evaluate_scene(model: ModelBundle, scene, cap: float = DEPTH_CAP):
-    """Per-frame depth reports plus mean aggregates and the 5-frame ATE."""
+    """Per-frame depth reports plus mean aggregates and the 5-frame ATE as
+    (mean, segments); a scene of fewer than 5 frames has no ATE window and
+    gets (None, [])."""
     reports = _depth_reports(model, scene, range(len(scene)), cap)
     aggregate = {
         key: float(np.mean([getattr(r, key) for r in reports]))
         for key in ("abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3")
     }
-    ate_mean, segments = evaluate_pose(model, scene, gt_trajectory(scene))
-    return reports, aggregate, (ate_mean, segments)
+    ate = evaluate_pose(model, scene, gt_trajectory(scene)) if len(scene) >= 5 else (None, [])
+    return reports, aggregate, ate
 
 
 def predicted_trajectory(model: ModelBundle, scene) -> Trajectory:

@@ -427,22 +427,22 @@ class TestBilinearSample:
         ad.tsum(out).backward()
         np.testing.assert_array_equal(src.grad, np.ones((1, 4, 4)))
 
-    def test_source_gradient_matches_loop_scatter(self):
-        rng = np.random.default_rng(43)
-        c, h, w = 3, 5, 6
-        src = leaf(rng.uniform(0.0, 1.0, size=(c, h, w)))
-        grid = np.stack([rng.uniform(-1.5, w + 0.5, (4, 7)), rng.uniform(-1.5, h + 0.5, (4, 7))])
-        upstream = rng.standard_normal((c, 4, 7))
-        out, _ = ad.bilinear_sample(src, Tensor(grid))
-        ad.tsum(out * Tensor(upstream)).backward()
+    @staticmethod
+    def snapped(coord):
+        rounded = np.round(coord)
+        return np.where(np.abs(coord - rounded) <= 1e-9, rounded, coord)
 
-        # each corner scatters in pixel order, then the corners add in order
+    @classmethod
+    def loop_scatter(cls, grid, upstream, h, w):
+        """Source gradient of sum(upstream * sampled): each corner scatters in
+        pixel order, then the corners add in order."""
+        c, ho, wo = upstream.shape
         expected = np.zeros((c, h, w))
         for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
             part = np.zeros((c, h, w))
-            for i in range(4):
-                for j in range(7):
-                    u, v = grid[0, i, j], grid[1, i, j]
+            for i in range(ho):
+                for j in range(wo):
+                    u, v = cls.snapped(grid[0, i, j]), cls.snapped(grid[1, i, j])
                     if not (0.0 <= u <= w - 1.0 and 0.0 <= v <= h - 1.0):
                         continue
                     x0, y0 = int(np.floor(u)), int(np.floor(v))
@@ -454,7 +454,69 @@ class TestBilinearSample:
                     for ch in range(c):
                         part[ch, y, x] += upstream[ch, i, j] * weight
             expected += part
-        np.testing.assert_array_equal(src.grad, expected)
+        return expected
+
+    @classmethod
+    def weighted_sample_loops(cls, src, grid, upstream):
+        """sum(upstream * sampled) at the snapped grid, reading 0 beyond the
+        image; equals the sampler wherever every sample is valid."""
+        c, h, w = src.shape
+        total = 0.0
+        for i in range(grid.shape[1]):
+            for j in range(grid.shape[2]):
+                u, v = cls.snapped(grid[0, i, j]), cls.snapped(grid[1, i, j])
+                x0, y0 = int(np.floor(u)), int(np.floor(v))
+                wx, wy = u - x0, v - y0
+                for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                    x, y = x0 + dx, y0 + dy
+                    if x < w and y < h:
+                        weight = (wx if dx else 1.0 - wx) * (wy if dy else 1.0 - wy)
+                        total += weight * float(np.dot(upstream[:, i, j], src[:, y, x]))
+        return total
+
+    def test_source_gradient_matches_loop_scatter(self):
+        rng = np.random.default_rng(43)
+        c, h, w = 3, 5, 6
+        src = leaf(rng.uniform(0.0, 1.0, size=(c, h, w)))
+        grid = np.stack([rng.uniform(-1.5, w + 0.5, (4, 7)), rng.uniform(-1.5, h + 0.5, (4, 7))])
+        upstream = rng.standard_normal((c, 4, 7))
+        out, _ = ad.bilinear_sample(src, Tensor(grid))
+        ad.tsum(out * Tensor(upstream)).backward()
+        np.testing.assert_array_equal(src.grad, self.loop_scatter(grid, upstream, h, w))
+
+    def test_both_gradients_on_the_last_row_and_column_and_the_lattice(self):
+        rng = np.random.default_rng(47)
+        c, h, w = 2, 5, 6
+        # interior samples keep their fractional part in [0.1, 0.9]
+        u = rng.integers(0, w - 1, (4, 5)) + rng.uniform(0.1, 0.9, (4, 5))
+        v = rng.integers(0, h - 1, (4, 5)) + rng.uniform(0.1, 0.9, (4, 5))
+        u[0] = w - 1.0  # last column: valid, its +1 column outside the image
+        v[1] = h - 1.0  # last row
+        # within 1e-9 of the lattice, snapped; the last one is valid only snapped
+        u[2, :3] = [1.0 + 4e-10, 3.0 - 4e-10, w - 1.0 + 3e-10]
+        v[3, :3] = [2.0 + 4e-10, 1.0 - 4e-10, h - 1.0 + 3e-10]
+        grid = np.stack([u, v])
+        src = rng.uniform(0.0, 1.0, size=(c, h, w))
+        upstream = rng.standard_normal((c, 4, 5))
+        ts, tg = leaf(src), leaf(grid)
+        out, valid = ad.bilinear_sample(ts, tg)
+        assert valid.data.all()
+        ad.tsum(out * Tensor(upstream)).backward()
+
+        np.testing.assert_array_equal(ts.grad, self.loop_scatter(grid, upstream, h, w))
+        f0 = self.weighted_sample_loops(src, grid, upstream)
+        assert abs(f0 - np.sum(out.data * upstream)) <= 1e-12
+        # the sampler is linear in u and in v inside a cell, with kinks on the
+        # lattice, and the gradient takes the slope of the cell at or after the
+        # sample (reading 0 past the last column or row): forward differences
+        # give it exactly, up to the 4e-10 a snapped coordinate moved over 1e-4
+        eps = 1e-4
+        forward = np.zeros_like(grid)
+        for idx in np.ndindex(grid.shape):
+            stepped = grid.copy()
+            stepped[idx] += eps
+            forward[idx] = (self.weighted_sample_loops(src, stepped, upstream) - f0) / eps
+        assert rel_err(tg.grad, forward) <= 1e-5
 
 
 class TestBackward:
@@ -646,9 +708,9 @@ class TestRetention:
         # float64 = 152,320 bytes; 16 KiB covers the Tensor and its closure
         assert held - out.data.nbytes < 16 * 1024
 
-    def test_grid_only_bilinear_keeps_two_slope_arrays(self):
+    def test_grid_only_bilinear_keeps_no_channel_sized_array(self):
         rng = np.random.default_rng(6)
-        source = Tensor(rng.uniform(size=(8, 32, 32)))  # frozen: no corner indices kept
+        source = Tensor(rng.uniform(size=(8, 32, 32)))  # frozen: the grid gradient reads it
         grid = leaf(rng.uniform(0.0, 31.0, size=(2, 32, 32)))
         tracemalloc.start()
         try:
@@ -657,10 +719,27 @@ class TestRetention:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # the grid gradient reads du and dv, two (C, Ho, Wo) arrays of
-        # 65,536 bytes each, not the four corner values they are formed from
+        # per output pixel the closure keeps the flat corner index, wx, wy and
+        # three masks, 8 + 8 + 8 + 3 bytes; it keeps the source by reference
+        # and no (C, Ho, Wo) array (65,536 bytes here), recomputing corner
+        # values in backward; 4 KiB covers the tensors, node and closure
         extra = held - out.data.nbytes - valid.data.nbytes
-        assert 2 * out.data.nbytes <= extra < 3 * out.data.nbytes
+        assert extra < 27 * 32 * 32 + 4 * 1024
+        ad.tsum(out).backward()
+        assert grid.grad.shape == (2, 32, 32) and source.grad is None
+
+    def test_source_only_bilinear_keeps_no_source_array(self):
+        rng = np.random.default_rng(7)
+        x = leaf(rng.uniform(size=(2, 6, 6)))
+        source = x * 2.0
+        grid = Tensor(rng.uniform(0.0, 5.0, size=(2, 4, 4)))  # frozen: only the grid gradient reads the source
+        out, _ = ad.bilinear_sample(source, grid)
+        held = weakref.ref(source.data)
+        del source
+        gc.collect()
+        assert held() is None
+        ad.tsum(out).backward()
+        assert x.grad.shape == (2, 6, 6)
 
     def test_chained_add_frees_the_middle_array(self):
         x = leaf([1.0, 2.0, 3.0])

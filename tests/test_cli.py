@@ -273,6 +273,24 @@ def test_eval_depth_prints_frames_mean_and_ate(tmp_path, capsys):
     assert ate.split("\t")[0] == "ate_5frame" and float(ate.split("\t")[1]) >= 0.0
 
 
+def test_a_four_frame_scene_gets_depth_rows_without_an_ate(tmp_path, capsys):
+    scene_dir, checkpoint = tmp_path / "scene", str(tmp_path / "m.ckpt")
+    assert cli.main(["gen-scene", "--size", "16", "--frames", "4", "--out", str(scene_dir)]) == 0
+    small = ["embed_dim=32", "depth_blocks=1", "mixer_after=1", "rank=2", "epochs=1"]
+    argv = ["train", "--scene", str(scene_dir), "--checkpoint", checkpoint]
+    assert cli.main(argv + [arg for item in small for arg in ("--set", item)]) == 0
+    capsys.readouterr()
+
+    assert cli.main(["eval-depth", "--checkpoint", checkpoint, "--scene", str(scene_dir)]) == 0
+    _, *rows, mean, ate = capsys.readouterr().out.splitlines()
+    assert [row.split("\t")[0] for row in rows] == ["0", "1", "2", "3"]
+    assert mean.split("\t")[0] == "mean"
+    assert ate == "ate_5frame\t-"
+    # a pose score needs a 5-frame window: eval-pose still refuses
+    assert cli.main(["eval-pose", "--checkpoint", checkpoint, "--scene", str(scene_dir)]) == 2
+    assert "need at least 5 poses, got 4" in capsys.readouterr().err
+
+
 def test_eval_depth_rejects_a_checkpoint_whose_frozen_flags_disagree(tmp_path, capsys):
     checkpoint = _untrained_checkpoint(tmp_path, lambda named: [(n, p, not frozen) for n, p, frozen in named])
     argv = ["eval-depth", "--checkpoint", str(checkpoint), "--scene", str(_scene_dir(tmp_path))]

@@ -42,6 +42,19 @@ class TestCameraModel:
         with pytest.raises(ValueError, match="principal"):
             CameraModel(fx=1.0, fy=1.0, cx=5.0, cy=1.0, width=4, height=4)
 
+    def test_pixel_rays_are_computed_once_and_read_only(self):
+        cam = CameraModel(fx=60.0, fy=55.0, cx=7.5, cy=6.5, width=16, height=14)
+        rays = cam.pixel_rays()
+        assert cam.pixel_rays() is rays
+        assert not rays.flags.writeable
+        with pytest.raises(ValueError):
+            rays[0, 0, 0] = 1.0
+        u, v = np.meshgrid(np.arange(16.0), np.arange(14.0))
+        expected = np.stack([(u - 7.5) / 60.0, (v - 6.5) / 55.0, np.ones((14, 16))])
+        assert rays.tobytes() == expected.tobytes()
+        # the cache is not a field: cameras still compare by their intrinsics
+        assert cam == CAM and hash(cam) == hash(CAM)
+
 
 class TestBackproject:
     def test_principal_ray(self):

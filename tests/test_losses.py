@@ -1,5 +1,7 @@
 """Loss-term fixed points, formula limits, and loop-oracle equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,11 @@ from depthlab.config import TrainConfig
 from depthlab.losses import SemanticMaskSet
 
 from oracles import (
+    fd_gradient,
     photometric_loss_loops,
     reconstruction_loss_loops,
     reflectance_loss_loops,
+    rel_err,
     smoothness_loss_loops,
     ssim_map_loops,
 )
@@ -56,6 +60,39 @@ class TestSSIM:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             L.ssim(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros((3, 5, 4))))
+
+    @pytest.mark.parametrize("y_grad", [True, False], ids=["both", "x_only"])
+    def test_map_gradient_vs_finite_differences(self, y_grad):
+        # odd sizes, so the zero-padded border rows and columns are covered
+        rng = np.random.default_rng(4)
+        x, y = rand_image(rng, 3, 7, 9), rand_image(rng, 3, 7, 9)
+        weights = rng.standard_normal((7, 9))
+        tx, ty = Tensor(x, requires_grad=True), Tensor(y, requires_grad=y_grad)
+        ad.tsum(L.ssim(tx, ty)[1] * Tensor(weights)).backward()
+
+        def f(xv, yv):
+            return float(np.sum(ssim_map_loops(xv, yv) * weights))
+
+        assert rel_err(tx.grad, fd_gradient(f, [x, y], 0)) <= 1e-6
+        if y_grad:
+            assert rel_err(ty.grad, fd_gradient(f, [x, y], 1)) <= 1e-6
+        else:
+            assert ty.grad is None
+
+    def test_grad_enabled_map_holds_less_than_one_input(self):
+        rng = np.random.default_rng(5)
+        x = Tensor(rand_image(rng, 3, 32, 32), requires_grad=True)
+        y = Tensor(rand_image(rng, 3, 32, 32))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, smap = L.ssim(x, y)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the closure keeps x and y by reference and recomputes the local
+        # statistics in backward; no (C, H, W) intermediate outlives the call
+        assert held - smap.data.nbytes < x.data.nbytes
 
 
 class TestReflectanceLoss:
