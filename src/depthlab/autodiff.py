@@ -828,22 +828,30 @@ def bilinear_sample(source, grid) -> tuple[Tensor, Tensor]:
     coordinates in source pixel units, integer coordinates addressing pixel
     centers. Samples outside [0, W-1] x [0, H-1] produce value 0 and
     validity 0. Gradients flow to both the source values and the grid.
-    Returns (sampled (C, Ho, Wo), validity (Ho, Wo)).
+    Returns (sampled (C, Ho, Wo), validity (Ho, Wo)). The source needs
+    H >= 2 and W >= 2.
 
     Coordinates within 1e-9 px of the integer lattice snap to it before
     interpolation, so algebraically-identity warps survive float rounding
     bit-exactly; the band is far below any finite-difference step.
 
+    Validity is the one mask. A valid sample's top-left corner is clamped
+    to column W-2 and row H-2, so all four corners lie in the source, and
+    a sample on the last column or row interpolates with weight 1 on the
+    cell's far side: it takes that cell's slope, the one-sided slope from
+    the inside. An invalid sample reads pixel 0 with weight 0.
+
     The closure keeps per output pixel the flat index of the top-left
-    corner, the fractions wx and wy and three masks (valid, +1 column in
-    bounds, +1 row in bounds), plus the source array when the grid needs a
-    gradient. Backward recomputes the corner weights, and for the grid
-    gradient the corner values, from them.
+    corner, the fractions wx and wy and the validity mask, plus the source
+    array when the grid needs a gradient. Backward recomputes the corner
+    weights, and for the grid gradient the corner values, from them.
     """
     source, grid = as_tensor(source), as_tensor(grid)
     if source.ndim != 3 or grid.ndim != 3 or grid.shape[0] != 2:
         raise ValueError(f"bilinear_sample needs (C,H,W) source and (2,Ho,Wo) grid, got {source.shape} and {grid.shape}")
     c, h, w = source.shape
+    if h < 2 or w < 2:
+        raise ValueError(f"bilinear_sample needs a source of at least 2x2 pixels, got {h}x{w}")
     u = grid.data[0]
     v = grid.data[1]
     u_round = np.round(u)
@@ -851,45 +859,42 @@ def bilinear_sample(source, grid) -> tuple[Tensor, Tensor]:
     u = np.where(np.abs(u - u_round) <= 1e-9, u_round, u)
     v = np.where(np.abs(v - v_round) <= 1e-9, v_round, v)
     valid = (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    u = np.where(valid, u, 0.0)
+    v = np.where(valid, v, 0.0)
 
-    x0 = np.floor(u).astype(np.int64)
-    y0 = np.floor(v).astype(np.int64)
+    x0 = np.minimum(np.floor(u), w - 2.0).astype(np.int64)
+    y0 = np.minimum(np.floor(v), h - 2.0).astype(np.int64)
     wx = u - x0
     wy = v - y0
-    # a valid sample's (x0, y0) corner lies in the source, and its +1 corners
-    # do unless it sits on the last column or row; an invalid sample points
-    # at pixel 0 with every corner masked
-    ok_x = valid & (x0 < w - 1)
-    ok_y = valid & (y0 < h - 1)
-    base = np.where(valid, y0 * w + x0, 0)
+    base = y0 * w + x0
+    corner_steps = np.array([0, 1, w, w + 1])[:, None, None]  # flat index steps to the four corners
 
     sd = source.data
-    index, masks = _corners(base, valid, ok_x, ok_y, h, w)
     out = np.zeros((c,) + u.shape)
-    for wgt, val in zip(_corner_weights(wx, wy, masks), _corner_values(sd, index, masks)):
+    for wgt, val in zip(_corner_weights(wx, wy, valid), _corner_values(sd, base + corner_steps)):
         out += wgt[None, :, :] * val
 
     src_grad = source.requires_grad
     kept = sd if grid.requires_grad else None  # only the grid gradient reads the source
 
     def bw(g):
-        index, masks = _corners(base, valid, ok_x, ok_y, h, w)
+        index = base + corner_steps
         gsrc = None
         ggrid = None
         if src_grad:
             # bincount over flattened indices is much faster than np.add.at;
             # channel ch's pixels are offset by ch*h*w, so one call per
             # corner fills every channel and each bin still sums in pixel
-            # order; a masked corner adds zeros
+            # order; an invalid sample adds zeros at pixel 0
             offsets = np.arange(c)[:, None] * (h * w)
             acc = np.zeros(c * h * w)
-            for k, wgt in enumerate(_corner_weights(wx, wy, masks)):
+            for k, wgt in enumerate(_corner_weights(wx, wy, valid)):
                 idx = (offsets + index[k].ravel()).ravel()
                 acc += np.bincount(idx, weights=(g * wgt[None, :, :]).ravel(), minlength=c * h * w)
             gsrc = acc.reshape(c, h, w)
         if kept is not None:
             # slopes of the sampled values along u and v
-            v00, v01, v10, v11 = _corner_values(kept, index, masks)
+            v00, v01, v10, v11 = _corner_values(kept, index)
             du = (1.0 - wy)[None] * (v01 - v00) + wy[None] * (v11 - v10)
             dv = (1.0 - wx)[None] * (v10 - v00) + wx[None] * (v11 - v01)
             gu = np.sum(g * du, axis=0) * valid
@@ -901,27 +906,17 @@ def bilinear_sample(source, grid) -> tuple[Tensor, Tensor]:
     return sampled, Tensor(valid.astype(np.float64))
 
 
-def _corners(base, valid, ok_x, ok_y, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat source index and 0/1 in-bounds mask, each (4, Ho, Wo), of the
-    (y0, x0), (y0, x1), (y1, x0) and (y1, x1) corners. An index is clamped
-    into the image; one that was clamped or wrapped to the next row is
-    masked."""
-    index = np.minimum(base[None] + np.array([0, 1, w, w + 1])[:, None, None], h * w - 1)
-    return index, np.stack([valid, ok_x, ok_y, ok_x & ok_y]).astype(np.float64)
-
-
-def _corner_weights(wx, wy, masks) -> list[np.ndarray]:
-    """Bilinear weight of each corner, zero where the corner is masked."""
+def _corner_weights(wx, wy, valid) -> list[np.ndarray]:
+    """Bilinear weight of the (y0, x0), (y0, x1), (y1, x0) and (y1, x1)
+    corners, zero for an invalid sample."""
     weights = ((1.0 - wx) * (1.0 - wy), wx * (1.0 - wy), (1.0 - wx) * wy, wx * wy)
-    return [wgt * ok for wgt, ok in zip(weights, masks)]
+    return [wgt * valid for wgt in weights]
 
 
-def _corner_values(sd: np.ndarray, index: np.ndarray, masks) -> np.ndarray:
-    """(4, C, Ho, Wo) source values at each corner from one flat gather,
-    zero where masked."""
-    vals = np.take(sd.reshape(sd.shape[0], -1), index, axis=1)
-    vals *= masks
-    return vals.transpose(1, 0, 2, 3)
+def _corner_values(sd: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(4, C, Ho, Wo) source values at the flat corner indices (4, Ho, Wo)
+    from one gather."""
+    return np.take(sd.reshape(sd.shape[0], -1), index, axis=1).transpose(1, 0, 2, 3)
 
 
 # -- gradient checking (used by the CLI; tests carry their own oracle) -----------------------------

@@ -8,6 +8,8 @@ embedding, attention projections, MLP weights, layer norms, and sinusoidal
 position table are all frozen; learning reaches it only through the
 adapters on the two MLP linears of each block (plus the inserted residual
 mixer blocks and the decoder, which are trainable like a depth head).
+The decoder sees no pixels: depth reaches it only through the encoder's
+token grid.
 """
 
 from __future__ import annotations
@@ -138,23 +140,19 @@ class DepthDecoder(Module):
     """Upsampling conv decoder emitting sigmoid disparity at four scales
     (native token-grid resolution up to full image resolution).
 
-    Each upsampling stage concatenates a shallow conv feature of the
-    average-pooled input image at its resolution, so fine disparity
-    structure can lock onto image content rather than the token grid alone.
-    Disparity-head biases start at initial_disparity_logit so the initial
-    prediction sits near the geometric middle of the depth range instead of
-    the harmonic extreme that a zero-logit sigmoid would give."""
+    It reads only the encoder's token grid: a 1x1 projection, then three
+    stages of nearest 2x upsampling and a 3x3 conv, each scale with its own
+    3x3 disparity head. Disparity-head biases start at
+    initial_disparity_logit so the initial prediction sits near the
+    geometric middle of the depth range instead of the harmonic extreme
+    that a zero-logit sigmoid would give."""
 
     def __init__(self, in_dim: int, rng: np.random.Generator, d_min: float, d_max: float):
         w0, w1, w2, w3 = 28, 22, 18, 14
-        skip = 7
         self.proj = Conv2d(in_dim, w0, 1, rng)
-        self.skip2 = Conv2d(3, skip, 3, rng, padding=1)
-        self.skip1 = Conv2d(3, skip, 3, rng, padding=1)
-        self.skip0 = Conv2d(3, skip, 3, rng, padding=1)
-        self.conv1 = Conv2d(w0 + skip, w1, 3, rng, padding=1)
-        self.conv2 = Conv2d(w1 + skip, w2, 3, rng, padding=1)
-        self.conv3 = Conv2d(w2 + skip, w3, 3, rng, padding=1)
+        self.conv1 = Conv2d(w0, w1, 3, rng, padding=1)
+        self.conv2 = Conv2d(w1, w2, 3, rng, padding=1)
+        self.conv3 = Conv2d(w2, w3, 3, rng, padding=1)
         self.head3 = Conv2d(w0, 1, 3, rng, padding=1)
         self.head2 = Conv2d(w1, 1, 3, rng, padding=1)
         self.head1 = Conv2d(w2, 1, 3, rng, padding=1)
@@ -173,14 +171,12 @@ class DepthDecoder(Module):
         disp = ad.mask_fill(disp, disp.data >= 1.0, 1.0 - 1e-12)
         return disp
 
-    def __call__(self, feat: Tensor, image: Tensor) -> list[Tensor]:
+    def __call__(self, feat: Tensor) -> list[Tensor]:
         # feat is the 1/PATCH-resolution token grid
-        pool2 = Tensor(_avgpool_image(image.data, 4))
-        pool1 = Tensor(_avgpool_image(image.data, 2))
         f3 = ad.relu(self.proj(feat))
-        f2 = ad.relu(self.conv1(ad.concat([ad.upsample_nearest2x(f3), ad.relu(self.skip2(pool2))], axis=0)))
-        f1 = ad.relu(self.conv2(ad.concat([ad.upsample_nearest2x(f2), ad.relu(self.skip1(pool1))], axis=0)))
-        f0 = ad.relu(self.conv3(ad.concat([ad.upsample_nearest2x(f1), ad.relu(self.skip0(image))], axis=0)))
+        f2 = ad.relu(self.conv1(ad.upsample_nearest2x(f3)))
+        f1 = ad.relu(self.conv2(ad.upsample_nearest2x(f2)))
+        f0 = ad.relu(self.conv3(ad.upsample_nearest2x(f1)))
         disps = [
             self._disparity(self.head0(f0)),
             self._disparity(self.head1(f1)),
@@ -241,7 +237,7 @@ class ToyDepthNet(Module):
             x = block(x)
             if i in self.mixer_after:
                 x = self._to_tokens(next(mixer_iter)(self._to_grid(x)))
-        return self.decoder(self._to_grid(x), image)
+        return self.decoder(self._to_grid(x))
 
 
 def initial_disparity_logit(d_min: float, d_max: float) -> float:

@@ -91,7 +91,7 @@ class TestConv2d:
             ((3, 4, 4), (12, 3, 1, 1), 1, 0),
             ((2, 8, 8), (1, 2, 7, 7), 1, 3),
             ((2, 3, 3), (3, 2, 5, 5), 1, 1),
-            ((25, 16, 16), (14, 25, 3, 3), 1, 1),
+            ((18, 16, 16), (14, 18, 3, 3), 1, 1),
             ((224, 8, 8), (56, 224, 1, 1), 1, 0),
         ],
         ids=[
@@ -392,6 +392,22 @@ class TestBilinearSample:
         np.testing.assert_array_equal(out.data, np.zeros((1, 3, 3)))
         np.testing.assert_array_equal(valid.data, np.zeros((3, 3)))
 
+    def test_nan_and_huge_coordinates_are_invalid_samples(self):
+        grid = self.identity_grid(3, 3)
+        grid[:, 0, 0] = np.nan
+        grid[:, 1, 1] = 1e200  # far past the image: its corner weights must not overflow
+        out, valid = ad.bilinear_sample(Tensor(np.ones((1, 3, 3))), Tensor(grid))
+        expected = np.ones((3, 3))
+        expected[0, 0] = expected[1, 1] = 0.0
+        np.testing.assert_array_equal(valid.data, expected)
+        np.testing.assert_array_equal(out.data[0], expected)
+
+    @pytest.mark.parametrize("hw", [(1, 4), (4, 1)])
+    def test_source_narrower_than_two_pixels_rejected(self, hw):
+        h, w = hw
+        with pytest.raises(ValueError, match="2x2"):
+            ad.bilinear_sample(Tensor(np.ones((1, h, w))), Tensor(self.identity_grid(h, w)))
+
     def test_grid_gradient_vs_finite_differences_interior(self):
         rng = np.random.default_rng(37)
         src = rng.uniform(0.0, 1.0, size=(2, 6, 6))
@@ -435,7 +451,9 @@ class TestBilinearSample:
     @classmethod
     def loop_scatter(cls, grid, upstream, h, w):
         """Source gradient of sum(upstream * sampled): each corner scatters in
-        pixel order, then the corners add in order."""
+        pixel order, then the corners add in order. The top-left corner is
+        clamped to column w - 2 and row h - 2, so a sample on the last
+        column or row gives its weight to the cell before it."""
         c, ho, wo = upstream.shape
         expected = np.zeros((c, h, w))
         for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -445,10 +463,8 @@ class TestBilinearSample:
                     u, v = cls.snapped(grid[0, i, j]), cls.snapped(grid[1, i, j])
                     if not (0.0 <= u <= w - 1.0 and 0.0 <= v <= h - 1.0):
                         continue
-                    x0, y0 = int(np.floor(u)), int(np.floor(v))
+                    x0, y0 = min(int(np.floor(u)), w - 2), min(int(np.floor(v)), h - 2)
                     x, y = x0 + dx, y0 + dy
-                    if x >= w or y >= h:
-                        continue
                     wx, wy = u - x0, v - y0
                     weight = (wx if dx else 1.0 - wx) * (wy if dy else 1.0 - wy)
                     for ch in range(c):
@@ -508,15 +524,18 @@ class TestBilinearSample:
         assert abs(f0 - np.sum(out.data * upstream)) <= 1e-12
         # the sampler is linear in u and in v inside a cell, with kinks on the
         # lattice, and the gradient takes the slope of the cell at or after the
-        # sample (reading 0 past the last column or row): forward differences
-        # give it exactly, up to the 4e-10 a snapped coordinate moved over 1e-4
+        # sample, or before it on the last column (for u) or row (for v): a
+        # forward difference, or a backward one at that edge, gives it exactly,
+        # up to the 4e-10 a snapped coordinate moved over 1e-4
         eps = 1e-4
-        forward = np.zeros_like(grid)
+        edge = np.stack([self.snapped(u) == w - 1.0, self.snapped(v) == h - 1.0])
+        one_sided = np.zeros_like(grid)
         for idx in np.ndindex(grid.shape):
+            step = -eps if edge[idx] else eps
             stepped = grid.copy()
-            stepped[idx] += eps
-            forward[idx] = (self.weighted_sample_loops(src, stepped, upstream) - f0) / eps
-        assert rel_err(tg.grad, forward) <= 1e-5
+            stepped[idx] += step
+            one_sided[idx] = (self.weighted_sample_loops(src, stepped, upstream) - f0) / step
+        assert rel_err(tg.grad, one_sided) <= 1e-5
 
 
 class TestBackward:
@@ -720,11 +739,11 @@ class TestRetention:
         finally:
             tracemalloc.stop()
         # per output pixel the closure keeps the flat corner index, wx, wy and
-        # three masks, 8 + 8 + 8 + 3 bytes; it keeps the source by reference
-        # and no (C, Ho, Wo) array (65,536 bytes here), recomputing corner
-        # values in backward; 4 KiB covers the tensors, node and closure
+        # the validity mask, 8 + 8 + 8 + 1 bytes; it keeps the source by
+        # reference and no (C, Ho, Wo) array (65,536 bytes here), recomputing
+        # corner values in backward; 4 KiB covers the tensors, node and closure
         extra = held - out.data.nbytes - valid.data.nbytes
-        assert extra < 27 * 32 * 32 + 4 * 1024
+        assert extra < 25 * 32 * 32 + 4 * 1024
         ad.tsum(out).backward()
         assert grid.grad.shape == (2, 32, 32) and source.grad is None
 

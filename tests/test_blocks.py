@@ -11,6 +11,7 @@ from depthlab.autodiff import Tensor
 from depthlab.blocks import (
     ChannelAttention,
     DecompositionNet,
+    DepthDecoder,
     PoseNet,
     SeparableResidualBlock,
     SpatialAttention,
@@ -178,6 +179,24 @@ class TestToyDepthNet:
     def test_rejects_bad_patch_geometry(self):
         with pytest.raises(ValueError, match="divisible"):
             ToyDepthNet(TrainConfig(), (30, 30), rng())
+
+
+class TestDepthDecoder:
+    def test_trainable_count_is_the_projection_three_convs_and_four_heads(self):
+        w0, w1, w2, w3 = 28, 22, 18, 14
+
+        def conv(c_in, c_out, k):
+            return c_out * c_in * k * k + c_out
+
+        expected = conv(224, w0, 1) + conv(w0, w1, 3) + conv(w1, w2, 3) + conv(w2, w3, 3)
+        expected += sum(conv(width, 1, 3) for width in (w0, w1, w2, w3))
+        assert expected == 18_472
+        assert trainable_param_count(DepthDecoder(224, rng(), 0.1, 100.0)) == (expected, expected)
+
+    def test_reads_the_token_grid_alone(self):
+        decoder = DepthDecoder(16, rng(), 0.1, 100.0)
+        disps = decoder(Tensor(np.random.default_rng(5).standard_normal((16, 2, 3))))
+        assert [d.shape for d in disps] == [(16, 24), (8, 12), (4, 6), (2, 3)]
 
 
 class TestDisparityToDepth:

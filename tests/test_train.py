@@ -95,32 +95,32 @@ def test_batched_min_reprojection_runs(scene, tmp_path):
 # bypass_decomposition); any change to the objective's arithmetic moves them
 INITIAL_PARTS = {
     ("mean", False): dict(
-        reconstruction=0.6448707536095221,
-        reflectance=0.004455167731040325,
-        synthesis=0.3508844494078944,
-        smoothness=0.01595473027916154,
-        loss=0.48079749786684434,
+        reconstruction=0.6629431235854231,
+        reflectance=0.002926358356064351,
+        synthesis=0.3617428471100337,
+        smoothness=0.015426772428008932,
+        loss=0.4949630238156152,
     ),
     ("mean", True): dict(
         reconstruction=0.0,
         reflectance=0.0,
-        synthesis=0.3244468638685466,
-        smoothness=0.01595473027916154,
-        loss=0.32449472805938406,
+        synthesis=0.3258301665338851,
+        smoothness=0.015426772428008932,
+        loss=0.3258764468511691,
     ),
     ("min", False): dict(
-        reconstruction=0.6448707536095221,
-        reflectance=0.004455167731040325,
-        synthesis=0.33919413015868666,
-        smoothness=0.01595473027916154,
-        loss=0.4691071786176366,
+        reconstruction=0.6629431235854231,
+        reflectance=0.002926358356064351,
+        synthesis=0.35914767627139316,
+        smoothness=0.015426772428008932,
+        loss=0.4923678529769747,
     ),
     ("min", True): dict(
         reconstruction=0.0,
         reflectance=0.0,
-        synthesis=0.28090007982411747,
-        smoothness=0.01595473027916154,
-        loss=0.28094794401495493,
+        synthesis=0.2948301636360253,
+        smoothness=0.015426772428008932,
+        loss=0.29487644395330936,
     ),
 }
 
