@@ -5,6 +5,12 @@ Layout: magic, format version (u32 LE), header length (u64 LE), JSON
 header, then the raw float64 little-endian payloads concatenated in header
 order. The header serialization is canonical (sorted keys, no whitespace),
 so save -> load -> save is byte-identical.
+
+Save and load stream: a save writes the header, then one payload at a time;
+a load reads the header, then each payload into a fresh array. Loading into
+a module (``load_module``) checks the header against the module's
+parameters before any payload is read and assigns each tensor as it
+arrives, so it never holds a second copy of the model.
 """
 
 from __future__ import annotations
@@ -33,16 +39,14 @@ class Checkpoint:
 
 def save_checkpoint(path, named_tensors, config: TrainConfig, step: int) -> None:
     """named_tensors: iterable of (name, Tensor|array, frozen_flag)."""
-    entries = []
-    payloads = []
-    for name, tensor, frozen in named_tensors:
-        data = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor, dtype=np.float64)
-        entries.append({"name": name, "shape": list(data.shape), "frozen": bool(frozen)})
-        payloads.append(np.ascontiguousarray(data, dtype="<f8").tobytes())
+    named = [
+        (name, tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor, dtype=np.float64), bool(frozen))
+        for name, tensor, frozen in named_tensors
+    ]
     header = {
         "config": asdict(config),
         "step": int(step),
-        "tensors": entries,
+        "tensors": [{"name": name, "shape": list(data.shape), "frozen": frozen} for name, data, frozen in named],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
@@ -50,59 +54,81 @@ def save_checkpoint(path, named_tensors, config: TrainConfig, step: int) -> None
         fh.write(FORMAT_VERSION.to_bytes(4, "little"))
         fh.write(len(blob).to_bytes(8, "little"))
         fh.write(blob)
-        for payload in payloads:
-            fh.write(payload)
+        for _, data, _ in named:
+            fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+
+
+def _read_header(fh) -> tuple[int, dict]:
+    """Check the magic and the format version; return the version and the
+    parsed JSON header, leaving the file at the first payload."""
+    magic = fh.read(len(MAGIC))
+    if magic != MAGIC:
+        raise ValueError(f"not a checkpoint file: magic {magic!r}")
+    version = int.from_bytes(fh.read(4), "little")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported checkpoint format version {version}")
+    header_len = int.from_bytes(fh.read(8), "little")
+    return version, json.loads(fh.read(header_len).decode("utf-8"))
+
+
+def _header_config(header: dict) -> TrainConfig:
+    cfg_dict = dict(header["config"])
+    cfg_dict["mixer_after"] = ",".join(str(v) for v in cfg_dict.get("mixer_after", []))
+    return config_from_pairs({k: str(v) for k, v in cfg_dict.items()})
+
+
+def _read_payloads(fh, entries):
+    """Yield (name, array) per header entry, reading each payload straight
+    into a fresh array: one tensor is read at a time."""
+    for entry in entries:
+        value = np.empty(tuple(entry["shape"]), dtype="<f8")
+        if fh.readinto(value.reshape(-1).view(np.uint8)) != value.nbytes:
+            raise ValueError(f"checkpoint truncated while reading '{entry['name']}'")
+        yield entry["name"], value
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"not a checkpoint file: magic {magic!r}")
-        version = int.from_bytes(fh.read(4), "little")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {version}")
-        header_len = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        names = []
-        tensors = {}
-        frozen = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"checkpoint truncated while reading '{entry['name']}'")
-            names.append(entry["name"])
-            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            frozen[entry["name"]] = bool(entry["frozen"])
-    cfg_dict = dict(header["config"])
-    cfg_dict["mixer_after"] = ",".join(str(v) for v in cfg_dict.get("mixer_after", []))
-    config = config_from_pairs({k: str(v) for k, v in cfg_dict.items()})
+        version, header = _read_header(fh)
+        entries = header["tensors"]
+        tensors = dict(_read_payloads(fh, entries))
     return Checkpoint(
         version=version,
         step=int(header["step"]),
-        config=config,
-        names=names,
+        config=_header_config(header),
+        names=[entry["name"] for entry in entries],
         tensors=tensors,
-        frozen=frozen,
+        frozen={entry["name"]: bool(entry["frozen"]) for entry in entries},
     )
 
 
-def restore_module(module, checkpoint: Checkpoint) -> None:
-    """Copy checkpoint tensors into a module's parameters by name. The
-    checkpoint must hold exactly the module's tensors, each with the shape
-    and the frozen flag the module gives it."""
-    params = dict(module.named_parameters())
-    for name in checkpoint.names:
+def _check_entries(entries, params: dict[str, Tensor]) -> None:
+    """The header must list exactly the module's tensors, each with the
+    shape and the frozen flag the module gives it."""
+    by_name = {entry["name"]: entry for entry in entries}
+    for name in by_name:
         if name not in params:
             raise ValueError(f"checkpoint tensor '{name}' is not in the model")
     for name, tensor in params.items():
-        if name not in checkpoint.tensors:
+        if name not in by_name:
             raise ValueError(f"checkpoint is missing tensor '{name}'")
-        value = checkpoint.tensors[name]
-        if tuple(value.shape) != tensor.shape:
-            raise ValueError(f"tensor '{name}' shape {value.shape} does not match model {tensor.shape}")
-        if checkpoint.frozen[name] == tensor.requires_grad:
-            raise ValueError(f"tensor '{name}' frozen flag {checkpoint.frozen[name]} does not match model")
-        tensor.assign(value)
+        shape, frozen = tuple(by_name[name]["shape"]), bool(by_name[name]["frozen"])
+        if shape != tensor.shape:
+            raise ValueError(f"tensor '{name}' shape {shape} does not match model {tensor.shape}")
+        if frozen == tensor.requires_grad:
+            raise ValueError(f"tensor '{name}' frozen flag {frozen} does not match model")
+
+
+def load_module(path, build):
+    """Read a checkpoint's header, build the module it describes with
+    ``build(config)``, check the header against the module's parameters,
+    then read each payload and assign it to its parameter. Returns (module,
+    step). Beyond the module, at most one tensor is held at a time."""
+    with open(path, "rb") as fh:
+        _, header = _read_header(fh)
+        module = build(_header_config(header))
+        params = dict(module.named_parameters())
+        _check_entries(header["tensors"], params)
+        for name, value in _read_payloads(fh, header["tensors"]):
+            params[name].assign(value)
+    return module, int(header["step"])

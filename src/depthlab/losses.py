@@ -50,10 +50,23 @@ def _as_image(x) -> Tensor:
 def _box_means(arrays) -> list[np.ndarray]:
     """3x3 zero-padded mean of every channel of each (C, H, W) array, same
     size. The zero-padded box is symmetric, so it is also its own adjoint.
-    One pass per array: one pass over all of them stacked ran about twice
-    as slow (five 3x64x64 arrays, 2-core x86 host)."""
-    kernel = Tensor(np.full((arrays[0].shape[0], 3, 3), 1.0 / 9.0))
-    return [ad.depthwise_conv2d(Tensor(a), kernel, stride=1, padding=1).data for a in arrays]
+
+    Separable: per array, sum three columns, then three rows, then divide
+    by 9. One pass per array keeps every temporary small: on five 3x64x64
+    arrays this takes about half the time of a 3x3 depthwise convolution
+    (2-core x86 host)."""
+    means = []
+    for a in arrays:
+        c, h, w = a.shape
+        padded = np.zeros((c, h + 2, w + 2))
+        padded[:, 1:-1, 1:-1] = a
+        cols = padded[:, :, :-2] + padded[:, :, 1:-1]
+        cols += padded[:, :, 2:]
+        box = cols[:, :-2] + cols[:, 1:-1]
+        box += cols[:, 2:]
+        box /= 9.0
+        means.append(box)
+    return means
 
 
 def _ssim_parts(xd: np.ndarray, yd: np.ndarray):

@@ -7,9 +7,12 @@ the target view once per scale, and one aggregation over the sources (the
 mean of per-source losses or the per-pixel minimum) gives the synthesis
 term. It minimizes the weighted sum of reconstruction,
 reflectance-consistency, synthesis and mask-guided smoothness terms.
-Divergence raises ``TrainingDiverged`` after saving the last good state.
-Runs are deterministic given the config seed, and frozen parameters are
-checksum-verified every epoch.
+The graph is per target: an optimizer step backwards each target's share
+of the batch mean as soon as that target's loss is built, so it holds one
+target's graph at a time, and backwards the decompositions its targets
+share once, after the last target. Divergence raises ``TrainingDiverged``
+after saving the last good state. Runs are deterministic given the config
+seed, and frozen parameters are checksum-verified every epoch.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from . import autodiff as ad
 from . import losses
 from .autodiff import Tensor, TrainingDiverged
 from .blocks import DecompositionNet, PoseNet, ToyDepthNet, disparity_to_depth, reconstruct
-from .checkpoint import load_checkpoint, restore_module, save_checkpoint
+from .checkpoint import load_module, save_checkpoint
 from .config import TrainConfig
 from .evalmetrics import DEPTH_CAP, DepthEvalReport, Trajectory, anchored_trajectory, ate_5frame, evaluate_depth
 from .geometry import PoseSE3, rotation_from_axis_angle, warp_frame
@@ -82,19 +85,34 @@ def _upsampled_depths(model: ModelBundle, image: Tensor) -> list[Tensor]:
 
 
 class _FrameCache:
-    """Per-batch cache of frame decompositions; parameters are fixed within
-    one optimizer step, so sub-graphs can be shared across the batched
-    targets."""
+    """Per-step cache of frame decompositions. Parameters are fixed within
+    one optimizer step, so a frame's decomposition is computed once and
+    shared by every target of the batch that reads it (up to three).
+
+    Targets get leaf copies of the cached outputs, the same arrays with a
+    gradient of their own, so each target's backward stops at them and adds
+    into their ``.grad``. ``backward`` then runs each decomposition's graph
+    once, seeded with what its leaves gathered."""
 
     def __init__(self, model: ModelBundle, scene):
         self.model = model
         self.scene = scene
-        self.decomps: dict[int, tuple[Tensor, Tensor]] = {}
+        # frame -> (decomposition outputs, the leaf copies targets read)
+        self.decomps: dict[int, tuple[tuple[Tensor, Tensor], tuple[Tensor, Tensor]]] = {}
 
     def decomp(self, k: int) -> tuple[Tensor, Tensor]:
         if k not in self.decomps:
-            self.decomps[k] = self.model.decomp(Tensor(self.scene.frames[k]))
-        return self.decomps[k]
+            outputs = self.model.decomp(Tensor(self.scene.frames[k]))
+            self.decomps[k] = (outputs, tuple(Tensor(out.data, requires_grad=True) for out in outputs))
+        return self.decomps[k][1]
+
+    def backward(self) -> None:
+        """Backward each cached decomposition once, in the order frames were
+        first read, seeded with the gradients its leaves gathered; each graph
+        is dropped as soon as it has run."""
+        for k in list(self.decomps):
+            (r, s), (r_leaf, s_leaf) = self.decomps.pop(k)
+            (ad.tsum(r * Tensor(r_leaf.grad)) + ad.tsum(s * Tensor(s_leaf.grad))).backward()
 
 
 def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = None):
@@ -107,6 +125,9 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     with the decomposition on, the reflectance term. Every term is a mean
     over sources, then over scales. With the decomposition bypassed the
     reconstruction and reflectance terms are 0.
+
+    The total's graph stops at the cache's decomposition leaves: a backward
+    of it reaches the decomposition head only through ``cache.backward()``.
     """
     cfg = model.config
     cache = cache or _FrameCache(model, scene)
@@ -251,19 +272,22 @@ def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
 
 def _optimizer_step(model, scene, batch, opt, step, checkpoint_path) -> list[dict[str, float]]:
     """One Adam step on the mean loss over the batch's targets; returns each
-    target's loss parts. The step's graph is local, so it is freed on return,
-    before the next step's forward or the epoch's validation runs. On
-    divergence no parameter has moved yet (Adam rejects a step before any
-    update), so ``<checkpoint>.last_good`` holds the previous step's state."""
+    target's loss parts. Each target's scaled total is backwarded as soon as
+    it is built, so the step holds one target's graph at a time, plus the
+    decompositions the frame cache shares; the cache backwards those once
+    after the last target. The gradients are those of one backward over the
+    mean, up to summation order. On divergence no parameter has moved yet
+    (Adam rejects a step before any update), so ``<checkpoint>.last_good``
+    holds the previous step's state."""
     cache = _FrameCache(model, scene)
-    batch_total = None
     batch_parts = []
     try:
         for t in batch:
             total, parts = step_loss(model, scene, t, cache=cache)
-            batch_total = total if batch_total is None else batch_total + total
+            (total * (1.0 / len(batch))).backward()
+            del total  # this target's graph goes before the next one is built
             batch_parts.append(parts)
-        (batch_total * (1.0 / len(batch))).backward()
+        cache.backward()
         opt.step()
     except TrainingDiverged as exc:
         message = f"training diverged after {step} good steps: {exc}"
@@ -283,11 +307,9 @@ def save_model(path, model: ModelBundle, config: TrainConfig, step: int) -> None
 
 def load_model(path, image_hw: tuple[int, int]) -> tuple[ModelBundle, int]:
     """Rebuild the model a checkpoint holds; the checkpoint does not record
-    the image size, so the caller passes it."""
-    ck = load_checkpoint(path)
-    model = ModelBundle(ck.config, image_hw)
-    restore_module(model, ck)
-    return model, ck.step
+    the image size, so the caller passes it. Parameters are read one tensor
+    at a time into the freshly built model."""
+    return load_module(path, lambda config: ModelBundle(config, image_hw))
 
 
 def evaluate_scene(model: ModelBundle, scene, cap: float = DEPTH_CAP):

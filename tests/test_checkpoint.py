@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from depthlab.config import (
     parse_config_text,
 )
 from depthlab.optim import BETA1, BETA2, EPS
+from depthlab.train import ModelBundle, load_model, save_model
 
 from oracles import resave_checkpoint, with_header_config
 
@@ -172,6 +174,19 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"{key} is fixed at"):
             load_checkpoint(tmp_path / "old.ckpt")
 
+    def test_scalar_empty_and_strided_tensors_round_trip(self, tmp_path):
+        named = [
+            ("scale", np.array(3.5), False),
+            ("empty", np.zeros((0, 3)), True),
+            ("strided", np.arange(6.0).reshape(2, 3).T, False),
+        ]
+        path = tmp_path / "odd.ckpt"
+        save_checkpoint(path, named, TrainConfig(), step=2)
+        ck = load_checkpoint(path)
+        for name, value, frozen in named:
+            assert ck.tensors[name].shape == value.shape and ck.frozen[name] == frozen
+            np.testing.assert_array_equal(ck.tensors[name], value)
+
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
@@ -186,3 +201,26 @@ class TestCheckpoint:
         path.write_bytes(clipped)
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_save_and_load_stream_one_tensor_at_a_time(self, tmp_path):
+        # the default model: about 20 MB of parameters, none over 2 MB
+        config = TrainConfig()
+        model = ModelBundle(config, (16, 16))
+        param_bytes = sum(p.data.nbytes for _, p in model.named_parameters())
+        path = tmp_path / "model.ckpt"
+        save_peak = self._peak(lambda: save_model(path, model, config, 0))
+        del model
+        load_peak = self._peak(lambda: load_model(path, (16, 16)))
+        # a save holds no copy of the payloads; a load holds the model it
+        # builds plus the tensor being read (a whole second copy would be 2x)
+        assert save_peak < 0.2 * param_bytes
+        assert load_peak < 1.2 * param_bytes

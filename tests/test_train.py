@@ -1,7 +1,8 @@
 """The training loop end to end on a tiny scene: finite records, bit-identical
 reruns down to the checkpoint bytes, the batched min-reprojection path, the
-objective's exact value in every aggregation/decomposition combination, and
-the divergence path."""
+objective's exact value in every aggregation/decomposition combination, a
+batch step's per-target backward (its gradients and its memory), and the
+divergence path."""
 
 import dataclasses
 import json
@@ -18,6 +19,7 @@ from depthlab.autodiff import Tensor, TrainingDiverged
 from depthlab.config import TrainConfig
 from depthlab.formats import write_scene
 from depthlab.geometry import CameraModel
+from depthlab.optim import Adam
 from depthlab.scene import generate_scene
 from depthlab.train import ModelBundle, evaluate_scene, load_model, predicted_trajectory, save_model, step_loss, train
 
@@ -28,6 +30,13 @@ SMALL = dict(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2, epochs=2)
 def scene():
     cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
     return generate_scene("two_spheres", 4, 0, cam)
+
+
+@pytest.fixture(scope="module")
+def scene8():
+    """Eight frames: targets 1..6 at stride 1, enough for a batch of 6."""
+    cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
+    return generate_scene("two_spheres", 8, 0, cam)
 
 
 def _run(scene, config, checkpoint):
@@ -95,32 +104,32 @@ def test_batched_min_reprojection_runs(scene, tmp_path):
 # bypass_decomposition); any change to the objective's arithmetic moves them
 INITIAL_PARTS = {
     ("mean", False): dict(
-        reconstruction=0.6629431235854231,
+        reconstruction=0.6629431235854241,
         reflectance=0.002926358356064351,
-        synthesis=0.3617428471100337,
+        synthesis=0.3617428471100343,
         smoothness=0.015426772428008932,
-        loss=0.4949630238156152,
+        loss=0.494963023815616,
     ),
     ("mean", True): dict(
         reconstruction=0.0,
         reflectance=0.0,
-        synthesis=0.3258301665338851,
+        synthesis=0.32583016653388586,
         smoothness=0.015426772428008932,
-        loss=0.3258764468511691,
+        loss=0.3258764468511699,
     ),
     ("min", False): dict(
-        reconstruction=0.6629431235854231,
+        reconstruction=0.6629431235854241,
         reflectance=0.002926358356064351,
-        synthesis=0.35914767627139316,
+        synthesis=0.35914767627139377,
         smoothness=0.015426772428008932,
-        loss=0.4923678529769747,
+        loss=0.4923678529769755,
     ),
     ("min", True): dict(
         reconstruction=0.0,
         reflectance=0.0,
-        synthesis=0.2948301636360253,
+        synthesis=0.294830163636026,
         smoothness=0.015426772428008932,
-        loss=0.29487644395330936,
+        loss=0.29487644395331003,
     ),
 }
 
@@ -145,6 +154,81 @@ def test_every_synthesis_term_goes_through_synthesis_loss(scene, monkeypatch, ag
     config = TrainConfig(**SMALL, source_aggregation=aggregation)
     step_loss(ModelBundle(config, (16, 16)), scene, 1)
     assert calls == [aggregation == "min"] * (2 * config.loss_scales)  # 2 sources per scale
+
+
+class _SharedDecompositions:
+    """The frame cache without leaf copies: targets read the decomposition
+    outputs themselves, so one backward over the summed totals reaches the
+    decomposition head, as a single-backward step would."""
+
+    def __init__(self, model, scene):
+        self.model, self.scene, self.outputs = model, scene, {}
+
+    def decomp(self, k):
+        if k not in self.outputs:
+            self.outputs[k] = self.model.decomp(Tensor(self.scene.frames[k]))
+        return self.outputs[k]
+
+
+class _GradRecorder:
+    """Stands in for Adam in ``_optimizer_step``: keeps the gradients the
+    step hands it and moves no parameter."""
+
+    def __init__(self, model):
+        self.params = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
+        self.grads = None
+
+    def step(self):
+        self.grads = {n: p.grad.copy() for n, p in self.params if p.grad is not None}
+
+    def zero_grad(self):
+        for _, p in self.params:
+            p.zero_grad()
+
+
+@pytest.mark.parametrize("aggregation, bypass", list(INITIAL_PARTS))
+@pytest.mark.parametrize("batch", [[1], [1, 2, 3]])
+def test_a_batch_step_has_the_gradients_of_one_backward_over_the_mean(scene8, aggregation, bypass, batch):
+    config = TrainConfig(**SMALL, source_aggregation=aggregation, bypass_decomposition=bypass)
+    model = ModelBundle(config, (16, 16))
+    recorder = _GradRecorder(model)
+    train_module._optimizer_step(model, scene8, batch, recorder, 0, None)
+
+    shared = _SharedDecompositions(model, scene8)
+    totals = [step_loss(model, scene8, t, cache=shared)[0] for t in batch]
+    (sum(totals[1:], totals[0]) * (1.0 / len(batch))).backward()
+    expected = {n: p.grad for n, p in recorder.params if p.grad is not None}
+
+    assert recorder.grads.keys() == expected.keys()
+    assert any(n.startswith("decomp.") for n in expected) != bypass
+    for name, grad in expected.items():
+        if len(batch) == 1:
+            np.testing.assert_array_equal(recorder.grads[name], grad, err_msg=name)
+        else:  # per-target backwards add into the leaves in another order
+            assert np.abs(recorder.grads[name] - grad).max() <= 1e-14 * np.abs(grad).max(), name
+
+
+def _step_peak(scene, config, batch):
+    model = ModelBundle(config, (scene.cam.height, scene.cam.width))
+    opt = Adam([(n, p) for n, p in model.named_parameters() if p.requires_grad], lr=config.lr)
+    tracemalloc.start()
+    try:
+        train_module._optimizer_step(model, scene, batch, opt, 0, None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("size", [16, 32])
+def test_a_batch_step_holds_one_targets_graph_at_a_time(size):
+    cam = CameraModel(fx=float(size), fy=float(size), cx=(size - 1) / 2, cy=(size - 1) / 2, width=size, height=size)
+    scene = generate_scene("two_spheres", 8, 0, cam)
+    config = TrainConfig(**SMALL, source_aggregation="min")
+    one = _step_peak(scene, config, [1])
+    six = _step_peak(scene, config, [1, 2, 3, 4, 5, 6])
+    # six targets add the five extra frames' shared decompositions, not five
+    # more targets' graphs (about 4x when all six graphs lived together)
+    assert six < 2.0 * one
 
 
 @pytest.fixture
@@ -185,6 +269,21 @@ def test_divergence_leaves_the_state_after_the_last_good_step(scene, tmp_path, n
     assert rescued.keys() == expected.keys()
     for name in expected:
         np.testing.assert_array_equal(rescued[name], expected[name], err_msg=name)
+
+
+def test_divergence_mid_batch_leaves_the_state_before_the_step(scene8, tmp_path, nan_synthesis_at_step_2):
+    # batch 3: the second target of the first step turns NaN after the first
+    # target's backward has already added into the gradients
+    config = TrainConfig(**SMALL, batch_size=3)
+    checkpoint = tmp_path / "model.npz"
+    with pytest.raises(TrainingDiverged, match="after 0 good steps"):
+        train(scene8, config, checkpoint_path=checkpoint)
+    rescued, step = _parameters(f"{checkpoint}.last_good")
+    assert step == 0
+    initial = dict(ModelBundle(config, (16, 16)).named_parameters())
+    assert rescued.keys() == initial.keys()
+    for name, p in initial.items():
+        np.testing.assert_array_equal(rescued[name], p.data, err_msg=name)
 
 
 def test_cli_reports_divergence_as_a_runtime_failure(scene, tmp_path, capsys, nan_synthesis_at_step_2):
