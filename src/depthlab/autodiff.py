@@ -354,10 +354,6 @@ def texp(a) -> Tensor:
     return _unary(a, np.exp, lambda y: y, of_output=True)
 
 
-def tlog(a) -> Tensor:
-    return _unary(a, np.log, lambda x: 1.0 / x)
-
-
 def tabs(a) -> Tensor:
     # subgradient at 0 is 0 (np.sign(0) == 0)
     return _unary(a, np.abs, np.sign)
@@ -821,14 +817,15 @@ def depthwise_conv2d(x, kernel, stride=1, padding=0) -> Tensor:
 # -- bilinear sampling --------------------------------------------------------------------------
 
 
-def bilinear_sample(source, grid) -> tuple[Tensor, Tensor]:
+def bilinear_sample(source, grid) -> tuple[Tensor, np.ndarray]:
     """Sample a (C, H, W) source at continuous pixel coordinates.
 
     grid is (2, Ho, Wo): grid[0] holds x (column) and grid[1] y (row)
     coordinates in source pixel units, integer coordinates addressing pixel
-    centers. Samples outside [0, W-1] x [0, H-1] produce value 0 and
-    validity 0. Gradients flow to both the source values and the grid.
-    Returns (sampled (C, Ho, Wo), validity (Ho, Wo)). The source needs
+    centers. Samples outside [0, W-1] x [0, H-1] produce value 0 and are
+    invalid. Gradients flow to both the source values and the grid.
+    Returns (sampled (C, Ho, Wo), validity), validity a read-only bool
+    (Ho, Wo) array, True where the sample lies inside. The source needs
     H >= 2 and W >= 2.
 
     Coordinates within 1e-9 px of the integer lattice snap to it before
@@ -902,8 +899,8 @@ def bilinear_sample(source, grid) -> tuple[Tensor, Tensor]:
             ggrid = np.stack([gu, gv], axis=0)
         return (gsrc, ggrid)
 
-    sampled = Tensor._from_op(out, (source, grid), bw)
-    return sampled, Tensor(valid.astype(np.float64))
+    valid.flags.writeable = False  # the closure reads the array callers get
+    return Tensor._from_op(out, (source, grid), bw), valid
 
 
 def _corner_weights(wx, wy, valid) -> list[np.ndarray]:

@@ -24,14 +24,12 @@ class TrainConfig:
     batch_size: int = 1
     lr: float = 1e-4
     lr_decay: float = 0.1
-    lr_decay_epoch: int = 0  # 0 = after one third of the configured epochs
     rank: int = 4
     adapter: str = "scaled"  # one of adapters.ADAPTER_MODES
     mixer_after: tuple[int, ...] = (2, 4)
     embed_dim: int = 224
     depth_blocks: int = 4
     heads: int = 4
-    alpha: float = 0.85
     w_reconstruction: float = 0.2
     w_reflectance: float = 0.2
     w_synthesis: float = 1.0
@@ -52,8 +50,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.lr_decay_epoch < 0:
-            raise ValueError(f"lr_decay_epoch must be >= 0, got {self.lr_decay_epoch}")
         if self.adapter not in ADAPTER_MODES:
             raise ValueError(f"adapter must be one of {', '.join(ADAPTER_MODES)}, got '{self.adapter}'")
         if self.source_aggregation not in ("mean", "min"):
@@ -66,8 +62,6 @@ class TrainConfig:
             raise ValueError(f"d_min * d_max must be finite and > 0, got {self.d_min} * {self.d_max}")
         if not math.isfinite(1.0 / self.d_min):  # the disparity scale is 1/d_min
             raise ValueError(f"d_min must have a finite reciprocal, got {self.d_min}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
         for name, weight in self.loss_weights().items():
             if not (math.isfinite(weight) and weight >= 0):
                 raise ValueError(f"loss weight {name} must be finite and nonnegative, got {weight}")
@@ -77,13 +71,21 @@ class TrainConfig:
         return {name: getattr(self, f"w_{name}") for name in LOSS_TERMS}
 
     def decay_epoch(self) -> int:
-        """Epoch after which the learning rate is multiplied by lr_decay."""
-        return self.lr_decay_epoch if self.lr_decay_epoch > 0 else max(1, self.epochs // 3)
+        """Epoch after which the lr is multiplied by lr_decay: a third of the epochs, at least 1."""
+        return max(1, self.epochs // 3)
 
 
 # Former fields, each fixed in code at its one value (adapters._kaiming_uniform,
-# blocks.PATCH, the optim constants).
-RETIRED = {"init": "kaiming_uniform", "patch": 8, "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8}
+# blocks.PATCH, the optim constants, losses.ALPHA, TrainConfig.decay_epoch).
+RETIRED = {
+    "init": "kaiming_uniform",
+    "patch": 8,
+    "adam_beta1": 0.9,
+    "adam_beta2": 0.999,
+    "adam_eps": 1e-8,
+    "alpha": 0.85,
+    "lr_decay_epoch": 0,
+}
 
 
 def _parse_value(field, raw: str):

@@ -237,12 +237,13 @@ def transform_points(points: Tensor, rotation, translation) -> Tensor:
     return ad.reshape(moved, (3, h, w))
 
 
-def warp_frame(source, depth, pose_t_to_s, cam: CameraModel) -> tuple[Tensor, Tensor]:
+def warp_frame(source, depth, pose_t_to_s, cam: CameraModel) -> tuple[Tensor, np.ndarray]:
     """Synthesize the target view by sampling the source frame.
 
     source: (C, H, W) tensor; depth: target-frame depth (tensor or array);
     pose_t_to_s: a PoseSE3 or an (rotation, translation) pair of
-    tensors for a differentiable pose. Returns (synthesized, validity).
+    tensors for a differentiable pose. Returns (synthesized, validity),
+    validity the sampler's read-only bool (H, W) array.
     """
     source = ad.as_tensor(source)
     if isinstance(pose_t_to_s, PoseSE3):

@@ -2,9 +2,11 @@
 reconstruction fidelity, warped-synthesis photometric error, mask-guided
 depth smoothness, and their weighted total.
 
-All terms are differentiable tensor expressions. Validity masks (from the
-warp) and semantic label rasters enter as constants. Each loss is zero on
-its fixed point: identical inputs, or depth constant within every label.
+All terms are differentiable tensor expressions. SSIM and the photometric
+mix are (H, W) maps; a scalar term is a ``masked_pixel_mean`` of a map over
+a bool validity mask from the warp, or over all pixels. Masks and semantic
+label rasters enter as constants. Each loss is zero on its fixed point:
+identical inputs, or depth constant within every label.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .autodiff import Tensor
 
 SSIM_C1 = 0.01**2  # unit dynamic range
 SSIM_C2 = 0.03**2
+ALPHA = 0.85  # SSIM share of the photometric SSIM/L1 mix, as in Monodepth2
 
 # the objective's terms, in the order they are checked, summed and logged
 LOSS_TERMS = ("reconstruction", "reflectance", "synthesis", "smoothness")
@@ -83,8 +86,8 @@ def _ssim_parts(xd: np.ndarray, yd: np.ndarray):
     return mu_x, mu_y, a1, a2, b1, b2, (a1 * a2) / (b1 * b2)
 
 
-def ssim(x, y) -> tuple[Tensor, Tensor]:
-    """Mean structural similarity and the per-pixel map.
+def ssim(x, y) -> Tensor:
+    """Per-pixel structural similarity map, (H, W).
 
     Local statistics come from 3x3 zero-padded mean pooling with C1 = 1e-4
     and C2 = 9e-4 for a unit dynamic range. Channels are scored separately
@@ -127,60 +130,51 @@ def ssim(x, y) -> tuple[Tensor, Tensor]:
         gy = boxed[-1] + 2.0 * yd * box_sq + xd * box_xy if y_grad else None
         return (gx, gy)
 
-    pixel_map = Tensor._from_op(np.sum(score, axis=0) / c, (x, y), bw)
-    return ad.tmean(pixel_map), pixel_map
+    return Tensor._from_op(np.sum(score, axis=0) / c, (x, y), bw)
 
 
-def _masked_pixel_mean(per_pixel: Tensor, validity: np.ndarray | None) -> Tensor:
-    if validity is None:
-        return ad.tmean(per_pixel)
-    mask = np.asarray(validity, dtype=np.float64)
-    if mask.shape != per_pixel.shape:
-        raise ValueError(f"validity shape {mask.shape} does not match {per_pixel.shape}")
-    count = float(mask.sum())
+def masked_pixel_mean(pixel_map: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Mean of an (H, W) map over the pixels a bool mask marks, or over all
+    pixels when mask is None."""
+    if mask is None:
+        return ad.tmean(pixel_map)
+    if mask.dtype != bool or mask.shape != pixel_map.shape:
+        raise ValueError(f"mask must be bool of shape {pixel_map.shape}, got {mask.dtype} {mask.shape}")
+    count = np.count_nonzero(mask)
     if count == 0:
         raise ValueError("empty validity mask")
-    return ad.tsum(per_pixel * Tensor(mask)) / count
+    return ad.tsum(ad.mask_fill(pixel_map, ~mask, 0.0)) / count
 
 
-def reflectance_consistency_loss(r_t, r_warped, validity=None) -> Tensor:
+def reflectance_consistency_loss(r_t, r_warped, mask: np.ndarray | None = None) -> Tensor:
     """Mean absolute reflectance difference between the target frame and the
-    warped source frame, over valid pixels."""
+    warped source frame, over the pixels the mask marks valid."""
     r_t = _as_image(r_t)
     r_warped = _as_image(r_warped)
     if r_t.shape != r_warped.shape:
         raise ValueError(f"reflectance shapes differ: {r_t.shape} vs {r_warped.shape}")
-    per_pixel = ad.tmean(ad.tabs(r_t - r_warped), axis=0)
-    return _masked_pixel_mean(per_pixel, validity)
+    return masked_pixel_mean(ad.tmean(ad.tabs(r_t - r_warped), axis=0), mask)
 
 
-def photometric(a, b, alpha: float, validity=None, per_pixel: bool = False) -> Tensor:
-    """The SSIM/L1 mix alpha*(1-SSIM)/2 + (1-alpha)*L1 of two images.
-
-    Per pixel it is an (H, W) map with the channels averaged. Otherwise each
-    part is first averaged over the valid pixels (all when validity is
-    None) and the two means are mixed.
-    """
+def photometric(a, b) -> Tensor:
+    """The (H, W) map ALPHA*(1-SSIM)/2 + (1-ALPHA)*L1 of two images, the L1
+    part averaged over channels."""
     a = _as_image(a)
     b = _as_image(b)
-    _, ssim_part = ssim(a, b)
-    l1_part = ad.tmean(ad.tabs(a - b), axis=0)
-    if not per_pixel:
-        ssim_part = _masked_pixel_mean(ssim_part, validity)
-        l1_part = _masked_pixel_mean(l1_part, validity)
-    return alpha * ((1.0 - ssim_part) * 0.5) + (1.0 - alpha) * l1_part
+    ssim_map = ssim(a, b)
+    l1_map = ad.tmean(ad.tabs(a - b), axis=0)
+    return ALPHA * ((1.0 - ssim_map) * 0.5) + (1.0 - ALPHA) * l1_map
 
 
-def reconstruction_loss(target_hat, target, source_hat, source, alpha: float) -> Tensor:
-    """Fidelity of the decomposition reconstructions for a frame pair: the
-    target branch plus the source branch, each an SSIM/L1 mix."""
-    return photometric(target_hat, target, alpha) + photometric(source_hat, source, alpha)
+def reconstruction_loss(image_hat, image) -> Tensor:
+    """Fidelity of one frame's decomposition reconstruction: the mean of its
+    photometric map."""
+    return masked_pixel_mean(photometric(image_hat, image))
 
 
-def synthesis_loss(warped_hat, target, alpha: float, validity=None, per_pixel: bool = False) -> Tensor:
-    """SSIM/L1 mix between the warped-and-relit source frame and the target:
-    over valid pixels, or the (H, W) map when per_pixel."""
-    return photometric(warped_hat, target, alpha, validity, per_pixel)
+# the photometric map of a warped-and-relit source frame against the target;
+# a name of its own so bench/spans.py can time synthesis apart from reconstruction
+synthesis_loss = photometric
 
 
 def masked_smoothness_loss(depth, image, masks: SemanticMaskSet) -> Tensor:

@@ -123,8 +123,9 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     [reconstruction, reflectance] stack, plus its reconstruction term. Per
     scale: warp each source once, then form one synthesis aggregation and,
     with the decomposition on, the reflectance term. Every term is a mean
-    over sources, then over scales. With the decomposition bypassed the
-    reconstruction and reflectance terms are 0.
+    over sources, then over scales, but reconstruction scores each frame
+    once: the target's term plus the sources' mean. With the decomposition
+    bypassed the reconstruction and reflectance terms are 0.
 
     The total's graph stops at the cache's decomposition leaves: a backward
     of it reaches the decomposition head only through ``cache.backward()``.
@@ -136,7 +137,7 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     depths = _upsampled_depths(model, img_t)
     if decompose:
         r_t, s_t = cache.decomp(t)
-        i_t_hat = reconstruct(r_t, s_t)
+        recon_t = reconstruction_loss(reconstruct(r_t, s_t), img_t)
 
     sources = []  # (pose, stack to warp) per source
     recon_terms = []
@@ -149,7 +150,7 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
         if decompose:
             r_s, s_s = cache.decomp(s)
             i_s_hat = reconstruct(r_s, s_s)
-            recon_terms.append(reconstruction_loss(i_t_hat, img_t, i_s_hat, img_s, cfg.alpha))
+            recon_terms.append(reconstruction_loss(i_s_hat, img_s))
             # one bilinear pass carries both the reconstructed frame (for the
             # synthesis term) and the reflectance (for the consistency term)
             stack = ad.concat([i_s_hat, r_s], axis=0)
@@ -159,40 +160,40 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     refl_terms = []
     for depth in depths:
         warps = [warp_frame(stack, depth, pose, scene.cam) for pose, stack in sources]
-        if any(validity.data.sum() == 0 for _, validity in warps):
+        if not all(valid.any() for _, valid in warps):
             raise TrainingDiverged("warp produced an empty validity mask; pose diverged")
-        frames = [(ad.slice_axis(w, 0, 0, 3) if decompose else w, v.data) for w, v in warps]
-        synth_terms.append(_synthesis(cfg.source_aggregation, frames, img_t, cfg.alpha))
+        frames = [(ad.slice_axis(w, 0, 0, 3) if decompose else w, v) for w, v in warps]
+        synth_terms.append(_synthesis(cfg.source_aggregation, frames, img_t))
         if decompose:
             refl_terms.append(
-                _mean([losses.reflectance_consistency_loss(r_t, ad.slice_axis(w, 0, 3, 6), v.data) for w, v in warps])
+                _mean([losses.reflectance_consistency_loss(r_t, ad.slice_axis(w, 0, 3, 6), v) for w, v in warps])
             )
 
     masks = SemanticMaskSet(scene.labels[t])
     smooth_terms = [masked_smoothness_loss(depth, img_t, masks) for depth in depths]
-    # only a bypassed decomposition leaves a list empty
-    per_term = (recon_terms, refl_terms, synth_terms, smooth_terms)
-    terms = {name: _mean(ts) if ts else Tensor(0.0) for name, ts in zip(losses.LOSS_TERMS, per_term)}
+    terms = {
+        "reconstruction": recon_t + _mean(recon_terms) if decompose else Tensor(0.0),
+        "reflectance": _mean(refl_terms) if decompose else Tensor(0.0),
+        "synthesis": _mean(synth_terms),
+        "smoothness": _mean(smooth_terms),
+    }
     total = total_loss(terms, cfg.loss_weights())
     parts = {name: float(term.data) for name, term in terms.items()}
     parts["loss"] = total.item()
     return total, parts
 
 
-def _synthesis(aggregation: str, frames: list[tuple[Tensor, np.ndarray]], target: Tensor, alpha: float) -> Tensor:
-    """One scale's synthesis term from the (warped frame, validity) of every
-    source: the mean of the per-source masked SSIM/L1 losses, or (min) the
-    per-pixel minimum over sources, where a source's invalid pixels never
-    win, averaged over pixels valid in any source."""
+def _synthesis(aggregation: str, frames: list[tuple[Tensor, np.ndarray]], target: Tensor) -> Tensor:
+    """One scale's synthesis term from the (warped frame, bool validity) of
+    every source: the mean over sources of each map's valid-pixel mean, or
+    (min) the per-pixel minimum over sources, where a source's invalid
+    pixels never win, averaged over pixels valid in any source."""
     if aggregation == "mean":
-        return _mean([losses.synthesis_loss(frame, target, alpha=alpha, validity=v) for frame, v in frames])
-    maps = [
-        ad.mask_fill(losses.synthesis_loss(frame, target, alpha, per_pixel=True), v < 0.5, 1e6) for frame, v in frames
-    ]
+        return _mean([losses.masked_pixel_mean(losses.synthesis_loss(frame, target), v) for frame, v in frames])
+    maps = [ad.mask_fill(losses.synthesis_loss(frame, target), ~v, 1e6) for frame, v in frames]
     # the minimum as a max of negations: a tie goes to the earlier source
     combined = -ad.tmax(-ad.concat([ad.reshape(m, (1,) + m.shape) for m in maps], axis=0), axis=0)
-    any_valid = np.clip(np.sum([v for _, v in frames], axis=0), 0.0, 1.0)
-    return ad.tsum(combined * Tensor(any_valid)) / max(1.0, any_valid.sum())
+    return losses.masked_pixel_mean(combined, np.logical_or.reduce([v for _, v in frames]))
 
 
 def _depth_reports(model: ModelBundle, scene, frames, cap: float) -> list[DepthEvalReport]:

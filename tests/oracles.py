@@ -177,10 +177,6 @@ def photometric_loss_loops(a, b, alpha, validity=None):
     return alpha * (1.0 - s_total / count) / 2.0 + (1.0 - alpha) * (l_total / count)
 
 
-def reconstruction_loss_loops(t_hat, t, s_hat, s, alpha):
-    return photometric_loss_loops(t_hat, t, alpha) + photometric_loss_loops(s_hat, s, alpha)
-
-
 def smoothness_loss_loops(depth, image, labels):
     depth = np.asarray(depth, dtype=np.float64)
     image = np.asarray(image, dtype=np.float64)

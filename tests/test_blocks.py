@@ -3,7 +3,7 @@ depth net with adapters, decomposition and pose heads."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depthlab import autodiff as ad
@@ -208,12 +208,16 @@ class TestDisparityToDepth:
         assert abs(near_one.item() - 0.1) < 1e-6
 
     @given(st.floats(min_value=1e-6, max_value=1 - 1e-6), st.floats(min_value=1e-6, max_value=1 - 1e-6))
+    @example(1e-06, 1.0000000000000002e-06)  # adjacent floats that round to one depth
     @settings(deadline=None, max_examples=60)
     def test_monotone_and_bounded(self, a, b):
         da = disparity_to_depth(Tensor(np.array([a])), 0.5, 50.0).item()
         db = disparity_to_depth(Tensor(np.array([b])), 0.5, 50.0).item()
         assert 0.5 <= da <= 50.0
-        if a < b:
+        # non-increasing in float arithmetic; strictly decreasing beyond rounding
+        if a <= b:
+            assert da >= db
+        if b - a > 1e-9:
             assert da > db
 
     def test_rejects_out_of_range(self):
@@ -245,7 +249,7 @@ class TestDecomposition:
         from depthlab.losses import reconstruction_loss
 
         image = np.random.default_rng(7).uniform(0.1, 0.9, (3, 8, 8))
-        loss = reconstruction_loss(Tensor(image), Tensor(image), Tensor(image), Tensor(image), alpha=0.85)
+        loss = reconstruction_loss(Tensor(image), Tensor(image))
         assert abs(loss.item()) <= 1e-12
 
     def test_gradcheck_through_decompose_reconstruct(self):

@@ -18,14 +18,23 @@ from depthlab.config import (
     load_config,
     parse_config_text,
 )
+from depthlab.losses import ALPHA
 from depthlab.optim import BETA1, BETA2, EPS
 from depthlab.train import ModelBundle, load_model, save_model
 
 from oracles import resave_checkpoint, with_header_config
 
-# the five retired keys as every header written before they left TrainConfig
+# the seven retired keys as every header written before they left TrainConfig
 # carries them
-OLD_HEADER_KEYS = {"adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-08, "init": "kaiming_uniform", "patch": 8}
+OLD_HEADER_KEYS = {
+    "adam_beta1": 0.9,
+    "adam_beta2": 0.999,
+    "adam_eps": 1e-08,
+    "alpha": 0.85,
+    "init": "kaiming_uniform",
+    "lr_decay_epoch": 0,
+    "patch": 8,
+}
 
 
 class TestConfig:
@@ -35,7 +44,7 @@ class TestConfig:
         assert cfg.rank == 4
         assert cfg.lr == 1e-4
         assert cfg.lr_decay == 0.1
-        assert cfg.alpha == 0.85
+        assert ALPHA == 0.85
         assert (cfg.w_reconstruction, cfg.w_reflectance, cfg.w_synthesis, cfg.w_smoothness) == (
             0.2,
             0.2,
@@ -46,7 +55,7 @@ class TestConfig:
     def test_decay_epoch_defaults_to_one_third(self):
         assert TrainConfig(epochs=30).decay_epoch() == 10
         assert TrainConfig(epochs=9).decay_epoch() == 3
-        assert TrainConfig(epochs=9, lr_decay_epoch=7).decay_epoch() == 7
+        assert TrainConfig(epochs=2).decay_epoch() == 1
 
     def test_parse_text_roundtrip(self):
         cfg = TrainConfig(seed=7, epochs=5, lr=0.01, adapter="plain", mixer_after=(1, 3), bypass_decomposition=True)
@@ -101,20 +110,25 @@ class TestConfig:
     )
     def test_rejects_a_value_that_would_fail_only_in_training(self, field, value):
         # as key=value text, the form a --set, a config file or a checkpoint
-        # header takes; the adam_* keys are retired, so any other value is rejected
+        # header takes; the adam_* keys and lr_decay_epoch are retired, so any
+        # other value is rejected
         pairs = value if isinstance(value, dict) else {field: value}
         with pytest.raises(ValueError, match=field.removeprefix("w_")):
             config_from_pairs({key: str(v) for key, v in pairs.items()})
 
     def test_retired_keys_hold_the_values_fixed_in_code(self):
         assert RETIRED == OLD_HEADER_KEYS
-        assert [RETIRED[k] for k in ("patch", "adam_beta1", "adam_beta2", "adam_eps")] == [PATCH, BETA1, BETA2, EPS]
+        fixed = [RETIRED[k] for k in ("patch", "adam_beta1", "adam_beta2", "adam_eps", "alpha")]
+        assert fixed == [PATCH, BETA1, BETA2, EPS, ALPHA]
         assert not set(RETIRED) & {f.name for f in dataclasses.fields(TrainConfig)}
 
     def test_a_retired_key_at_its_value_changes_nothing(self):
         assert parse_config_text("".join(f"{k}={v}\n" for k, v in OLD_HEADER_KEYS.items())) == TrainConfig()
 
-    @pytest.mark.parametrize("pair", ["init=uniform", "init=kaiming_normal", "patch=4", "patch=8.5", "adam_eps=1e-6"])
+    @pytest.mark.parametrize(
+        "pair",
+        ["init=uniform", "init=kaiming_normal", "patch=4", "patch=8.5", "adam_eps=1e-6", "alpha=0.5", "lr_decay_epoch=7"],
+    )
     def test_a_retired_key_at_another_value_is_rejected(self, pair):
         key = pair.split("=")[0]
         with pytest.raises(ValueError, match=f"{key} is fixed at {RETIRED[key]}"):
@@ -167,11 +181,11 @@ class TestCheckpoint:
         for name, tensor, _ in named:
             np.testing.assert_array_equal(ck.tensors[name], tensor.data)
 
-    @pytest.mark.parametrize("key, value", [("init", "uniform"), ("patch", 4)])
+    @pytest.mark.parametrize("key, value", [("init", "uniform"), ("patch", 4), ("alpha", 0.5), ("lr_decay_epoch", 3)])
     def test_a_header_with_a_retired_key_at_another_value_is_rejected(self, tmp_path, key, value):
         save_checkpoint(tmp_path / "new.ckpt", self._named(np.random.default_rng(5)), TrainConfig(), step=1)
         with_header_config(tmp_path / "new.ckpt", tmp_path / "old.ckpt", **{**OLD_HEADER_KEYS, key: value})
-        with pytest.raises(ValueError, match=f"{key} is fixed at"):
+        with pytest.raises(ValueError, match=f"{key} is fixed at {RETIRED[key]},"):
             load_checkpoint(tmp_path / "old.ckpt")
 
     def test_scalar_empty_and_strided_tensors_round_trip(self, tmp_path):

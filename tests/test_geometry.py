@@ -176,7 +176,9 @@ class TestWarpFrame:
         depth = rng.uniform(2.0, 10.0, size=(CAM.height, CAM.width))
         warped, validity = geo.warp_frame(Tensor(source), depth, PoseSE3.identity(), CAM)
         np.testing.assert_array_equal(warped.data, source)
-        np.testing.assert_array_equal(validity.data, np.ones((CAM.height, CAM.width)))
+        assert validity.dtype == bool and validity.shape == (CAM.height, CAM.width) and validity.all()
+        with pytest.raises(ValueError, match="read-only"):
+            validity[0, 0] = False
 
     def test_plane_translation_matches_closed_form_shift(self):
         cam = CameraModel(fx=64.0, fy=64.0, cx=7.5, cy=7.5, width=16, height=16)
@@ -189,13 +191,12 @@ class TestWarpFrame:
         depth = np.full((16, 16), z_plane)
         pose = PoseSE3(np.eye(3), np.array([tx, 0.0, 0.0]))
         warped, validity = geo.warp_frame(Tensor(source), depth, pose, cam)
-        inside = validity.data.astype(bool)
-        assert inside.sum() > 0.5 * inside.size
+        assert validity.sum() > 0.5 * validity.size
         expected = np.stack([0.05 * (u + shift), 0.03 * (u + shift) + 0.2, 0.5 * np.ones_like(u)])
-        assert np.max(np.abs(warped.data - expected)[:, inside]) <= 1e-6
+        assert np.max(np.abs(warped.data - expected)[:, validity]) <= 1e-6
         # validity = exactly the columns whose shifted coordinate stays in range
         expected_valid = (u + shift >= 0) & (u + shift <= 15)
-        np.testing.assert_array_equal(validity.data.astype(bool), expected_valid)
+        np.testing.assert_array_equal(validity, expected_valid)
 
     def test_validity_definition(self):
         rng = np.random.default_rng(43)
@@ -215,7 +216,7 @@ class TestWarpFrame:
             & (gv >= 0)
             & (gv <= CAM.height - 1)
         )
-        np.testing.assert_array_equal(validity.data.astype(bool), expected)
+        np.testing.assert_array_equal(validity, expected)
 
     def test_photometric_gradient_wrt_depth(self):
         rng = np.random.default_rng(47)
@@ -229,19 +230,18 @@ class TestWarpFrame:
         def photometric(depth_arr):
             warped, valid = geo.warp_frame(Tensor(source), Tensor(np.asarray(depth_arr)), pose, cam)
             diff = ad.tabs(warped - Tensor(target))
-            mask = valid.data[None].repeat(3, axis=0)
+            mask = valid[None].repeat(3, axis=0)
             return ad.tsum(diff * Tensor(mask)) / mask.sum()
 
         td = Tensor(depth0, requires_grad=True)
         warped, valid = geo.warp_frame(Tensor(source), td, pose, cam)
-        mask = valid.data[None].repeat(3, axis=0)
+        mask = valid[None].repeat(3, axis=0)
         loss = ad.tsum(ad.tabs(warped - Tensor(target)) * Tensor(mask)) / mask.sum()
         loss.backward()
 
-        interior = valid.data.astype(bool)
         numeric = fd_gradient(lambda dv: photometric(dv).item(), [depth0], 0)
         analytic = td.grad
-        assert rel_err(analytic[interior], numeric[interior]) <= 1e-4
+        assert rel_err(analytic[valid], numeric[valid]) <= 1e-4
 
     def test_differentiable_pose_path(self):
         cam = CameraModel(fx=20.0, fy=20.0, cx=3.5, cy=3.5, width=8, height=8)
@@ -256,7 +256,7 @@ class TestWarpFrame:
         tt = Tensor(t0, requires_grad=True)
         rot = geo.rotation_from_axis_angle(taa)
         warped, valid = geo.warp_frame(Tensor(source), Tensor(depth), (rot, tt), cam)
-        mask = valid.data[None].repeat(3, axis=0)
+        mask = valid[None].repeat(3, axis=0)
         ad.tsum(warped * Tensor(mask)).backward()
 
         def f(aav, tv):

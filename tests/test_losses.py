@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from depthlab import autodiff as ad
 from depthlab import losses as L
 from depthlab.autodiff import Tensor
-from depthlab.config import TrainConfig
+from depthlab.config import TrainConfig, config_from_pairs
 from depthlab.losses import SemanticMaskSet
 
 from oracles import (
     fd_gradient,
     photometric_loss_loops,
-    reconstruction_loss_loops,
     reflectance_loss_loops,
     rel_err,
     smoothness_loss_loops,
@@ -32,29 +31,26 @@ class TestSSIM:
     def test_self_similarity_is_one(self):
         rng = np.random.default_rng(1)
         x = rand_image(rng)
-        mean, smap = L.ssim(Tensor(x), Tensor(x))
+        smap = L.ssim(Tensor(x), Tensor(x))
         np.testing.assert_allclose(smap.data, np.ones((8, 8)), atol=1e-12)
-        assert abs(mean.item() - 1.0) <= 1e-12
-        assert abs((1.0 - mean.item()) / 2.0) <= 1e-12
 
     def test_inverted_checkerboard_is_negative(self):
         u, v = np.meshgrid(np.arange(8), np.arange(8))
         board = ((u + v) % 2).astype(np.float64)[None]
-        mean, _ = L.ssim(Tensor(board), Tensor(1.0 - board))
-        assert mean.item() < 0.0
+        assert L.ssim(Tensor(board), Tensor(1.0 - board)).data.mean() < 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             x, y = rand_image(rng), rand_image(rng)
-            m_xy, _ = L.ssim(Tensor(x), Tensor(y))
-            m_yx, _ = L.ssim(Tensor(y), Tensor(x))
-            assert abs(m_xy.item() - m_yx.item()) <= 1e-12
+            m_xy = L.ssim(Tensor(x), Tensor(y)).data
+            m_yx = L.ssim(Tensor(y), Tensor(x)).data
+            assert np.abs(m_xy - m_yx).max() <= 1e-12
 
     def test_map_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
         x, y = rand_image(rng), rand_image(rng)
-        _, smap = L.ssim(Tensor(x), Tensor(y))
+        smap = L.ssim(Tensor(x), Tensor(y))
         np.testing.assert_allclose(smap.data, ssim_map_loops(x, y), atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
@@ -68,7 +64,7 @@ class TestSSIM:
         x, y = rand_image(rng, 3, 7, 9), rand_image(rng, 3, 7, 9)
         weights = rng.standard_normal((7, 9))
         tx, ty = Tensor(x, requires_grad=True), Tensor(y, requires_grad=y_grad)
-        ad.tsum(L.ssim(tx, ty)[1] * Tensor(weights)).backward()
+        ad.tsum(L.ssim(tx, ty) * Tensor(weights)).backward()
 
         def f(xv, yv):
             return float(np.sum(ssim_map_loops(xv, yv) * weights))
@@ -86,7 +82,7 @@ class TestSSIM:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            _, smap = L.ssim(x, y)
+            smap = L.ssim(x, y)
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -104,14 +100,14 @@ class TestReflectanceLoss:
     def test_constant_offset(self):
         r_t = np.full((3, 8, 8), 0.5)
         r_w = np.full((3, 8, 8), 0.25)
-        got = L.reflectance_consistency_loss(Tensor(r_t), Tensor(r_w), np.ones((8, 8)))
+        got = L.reflectance_consistency_loss(Tensor(r_t), Tensor(r_w), np.ones((8, 8), dtype=bool))
         assert abs(got.item() - 0.25) <= 1e-15
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             r_t, r_w = rand_image(rng), rand_image(rng)
-            validity = (rng.uniform(size=(8, 8)) > 0.3).astype(np.float64)
+            validity = rng.uniform(size=(8, 8)) > 0.3
             got = L.reflectance_consistency_loss(Tensor(r_t), Tensor(r_w), validity).item()
             assert abs(got - reflectance_loss_loops(r_t, r_w, validity)) <= 1e-12
 
@@ -119,57 +115,62 @@ class TestReflectanceLoss:
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError, match="empty"):
             L.reflectance_consistency_loss(
-                Tensor(rand_image(rng)), Tensor(rand_image(rng)), np.zeros((8, 8))
+                Tensor(rand_image(rng)), Tensor(rand_image(rng)), np.zeros((8, 8), dtype=bool)
             )
+
+    def test_a_float_mask_is_rejected(self):
+        rng = np.random.default_rng(6)
+        with pytest.raises(ValueError, match="bool"):
+            L.masked_pixel_mean(Tensor(rand_image(rng, c=1)[0]), np.ones((8, 8)))
 
 
 class TestReconstructionLoss:
     def test_perfect_reconstruction_is_zero(self):
         rng = np.random.default_rng(7)
-        t, s = rand_image(rng), rand_image(rng)
-        got = L.reconstruction_loss(Tensor(t), Tensor(t), Tensor(s), Tensor(s), alpha=0.85)
-        assert abs(got.item()) <= 1e-12
+        t = rand_image(rng)
+        assert abs(L.reconstruction_loss(Tensor(t), Tensor(t)).item()) <= 1e-12
 
-    def test_alpha_zero_reduces_to_l1(self):
+    def test_alpha_zero_reduces_to_l1(self, monkeypatch):
+        # photometric reads ALPHA at call time
+        monkeypatch.setattr(L, "ALPHA", 0.0)
         rng = np.random.default_rng(8)
-        t_hat, t, s_hat, s = (rand_image(rng) for _ in range(4))
-        got = L.reconstruction_loss(Tensor(t_hat), Tensor(t), Tensor(s_hat), Tensor(s), alpha=0.0).item()
-        l1 = np.mean(np.abs(t_hat - t)) + np.mean(np.abs(s_hat - s))
-        assert abs(got - l1) <= 1e-12
+        t_hat, t = rand_image(rng), rand_image(rng)
+        got = L.reconstruction_loss(Tensor(t_hat), Tensor(t)).item()
+        assert abs(got - np.mean(np.abs(t_hat - t))) <= 1e-12
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
-            t_hat, t, s_hat, s = (rand_image(rng) for _ in range(4))
-            got = L.reconstruction_loss(Tensor(t_hat), Tensor(t), Tensor(s_hat), Tensor(s), alpha=0.85).item()
-            assert abs(got - reconstruction_loss_loops(t_hat, t, s_hat, s, 0.85)) <= 1e-12
+            t_hat, t = rand_image(rng), rand_image(rng)
+            got = L.reconstruction_loss(Tensor(t_hat), Tensor(t)).item()
+            assert abs(got - photometric_loss_loops(t_hat, t, 0.85)) <= 1e-12
 
 
 class TestSynthesisLoss:
     def test_equal_frames_is_zero(self):
         rng = np.random.default_rng(10)
         t = rand_image(rng)
-        assert abs(L.synthesis_loss(Tensor(t), Tensor(t), alpha=0.85).item()) <= 1e-12
+        assert np.abs(L.synthesis_loss(Tensor(t), Tensor(t)).data).max() <= 1e-12
 
-    def test_alpha_one_is_pure_ssim_term(self):
+    def test_alpha_one_is_pure_ssim_term(self, monkeypatch):
+        monkeypatch.setattr(L, "ALPHA", 1.0)
         rng = np.random.default_rng(11)
         a, b = rand_image(rng), rand_image(rng)
-        got = L.synthesis_loss(Tensor(a), Tensor(b), alpha=1.0).item()
-        mean, _ = L.ssim(Tensor(a), Tensor(b))
-        assert abs(got - (1.0 - mean.item()) / 2.0) <= 1e-15
+        got = L.synthesis_loss(Tensor(a), Tensor(b)).data
+        np.testing.assert_array_equal(got, (1.0 - L.ssim(Tensor(a), Tensor(b)).data) * 0.5)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
             a, b = rand_image(rng), rand_image(rng)
-            validity = (rng.uniform(size=(8, 8)) > 0.25).astype(np.float64)
-            got = L.synthesis_loss(Tensor(a), Tensor(b), alpha=0.85, validity=validity).item()
+            validity = rng.uniform(size=(8, 8)) > 0.25
+            got = L.masked_pixel_mean(L.synthesis_loss(Tensor(a), Tensor(b)), validity).item()
             assert abs(got - photometric_loss_loops(a, b, 0.85, validity)) <= 1e-12
 
     def test_per_pixel_form_matches_loop_oracle(self):
         rng = np.random.default_rng(13)
         a, b = rand_image(rng), rand_image(rng)
-        got = L.photometric(Tensor(a), Tensor(b), 0.85, per_pixel=True).data
+        got = L.photometric(Tensor(a), Tensor(b)).data
         expected = 0.85 * (1.0 - ssim_map_loops(a, b)) / 2.0 + 0.15 * np.abs(a - b).mean(axis=0)
         assert got.shape == (8, 8)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -256,8 +257,8 @@ class TestTotalLoss:
         assert d.grad is not None and np.any(d.grad != 0.0)
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError, match="alpha"):
-            TrainConfig(alpha=1.5)
+        with pytest.raises(ValueError, match="alpha is fixed at 0.85"):
+            config_from_pairs({"alpha": "1.5"})
         with pytest.raises(ValueError, match="nonnegative"):
             TrainConfig(w_smoothness=-0.1)
 
@@ -271,13 +272,13 @@ class TestDeterminismAndPositivity:
         labels = rng.integers(0, 3, size=(6, 6))
         depth = rng.uniform(0.5, 4.0, size=(6, 6))
         assert L.reflectance_consistency_loss(Tensor(a), Tensor(b)).item() >= 0.0
-        assert L.synthesis_loss(Tensor(a), Tensor(b), alpha=0.85).item() >= 0.0
+        assert L.synthesis_loss(Tensor(a), Tensor(b)).data.min() >= 0.0
         assert L.masked_smoothness_loss(Tensor(depth), Tensor(a), SemanticMaskSet(labels)).item() >= 0.0
-        assert L.reconstruction_loss(Tensor(a), Tensor(b), Tensor(b), Tensor(a), alpha=0.85).item() >= 0.0
+        assert L.reconstruction_loss(Tensor(a), Tensor(b)).item() >= 0.0
 
     def test_bit_identical_reruns(self):
         rng = np.random.default_rng(19)
         a, b = rand_image(rng), rand_image(rng)
-        v1 = L.synthesis_loss(Tensor(a), Tensor(b), alpha=0.85).item()
-        v2 = L.synthesis_loss(Tensor(a), Tensor(b), alpha=0.85).item()
-        assert v1 == v2
+        v1 = L.synthesis_loss(Tensor(a), Tensor(b)).data
+        v2 = L.synthesis_loss(Tensor(a), Tensor(b)).data
+        np.testing.assert_array_equal(v1, v2)

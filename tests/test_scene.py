@@ -63,7 +63,7 @@ class TestConsistency:
                     warped, valid = warp_frame(
                         Tensor(scene.frames[s]), scene.depths[t], pose, CAM
                     )
-                    co = covisibility_mask(scene, t, s) & valid.data.astype(bool)
+                    co = covisibility_mask(scene, t, s) & valid
                     assert co.mean() > 0.4
                     err = np.abs(warped.data - scene.frames[t])[:, co].mean()
                     assert err <= 2.0 / 255.0, f"{kind} t={t} s={s}: {err}"

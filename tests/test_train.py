@@ -16,12 +16,15 @@ from depthlab import autodiff as ad
 from depthlab import cli, losses
 from depthlab import train as train_module
 from depthlab.autodiff import Tensor, TrainingDiverged
+from depthlab.blocks import reconstruct
 from depthlab.config import TrainConfig
 from depthlab.formats import write_scene
 from depthlab.geometry import CameraModel
 from depthlab.optim import Adam
 from depthlab.scene import generate_scene
 from depthlab.train import ModelBundle, evaluate_scene, load_model, predicted_trajectory, save_model, step_loss, train
+
+from oracles import photometric_loss_loops
 
 SMALL = dict(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2, epochs=2)
 
@@ -146,14 +149,25 @@ def test_every_synthesis_term_goes_through_synthesis_loss(scene, monkeypatch, ag
     calls = []
     original = losses.synthesis_loss
 
-    def synthesis_loss(*args, **kwargs):
-        calls.append(kwargs.get("per_pixel", False))
-        return original(*args, **kwargs)
+    def synthesis_loss(*args):
+        calls.append(None)
+        return original(*args) * 0.0
 
     monkeypatch.setattr(losses, "synthesis_loss", synthesis_loss)
     config = TrainConfig(**SMALL, source_aggregation=aggregation)
-    step_loss(ModelBundle(config, (16, 16)), scene, 1)
-    assert calls == [aggregation == "min"] * (2 * config.loss_scales)  # 2 sources per scale
+    _, parts = step_loss(ModelBundle(config, (16, 16)), scene, 1)
+    assert len(calls) == 2 * config.loss_scales  # 2 sources per scale
+    assert parts["synthesis"] == 0.0  # nothing but synthesis_loss's maps reaches the term
+
+
+def test_reconstruction_part_scores_each_frame_once(scene):
+    # the target's photometric mean plus the mean of its two sources', P_t + mean_s P_s
+    model = ModelBundle(TrainConfig(**SMALL), (16, 16))
+    _, parts = step_loss(model, scene, 1)
+    with ad.no_grad():
+        hats = {k: reconstruct(*model.decomp(Tensor(scene.frames[k]))).data for k in (0, 1, 2)}
+    p = {k: photometric_loss_loops(hat, scene.frames[k], 0.85) for k, hat in hats.items()}
+    assert abs(parts["reconstruction"] - (p[1] + (p[0] + p[2]) / 2)) <= 1e-12
 
 
 class _SharedDecompositions:
