@@ -19,10 +19,21 @@ only when the other operand's gradient needs it. An intermediate's array is
 therefore freed once no code and no closure refers to it, even while the
 graph lives.
 
-A fused op may recompute intermediates from its inputs in backward rather
-than hold them until then, trading a second pass of cheap arithmetic for
-memory: ``bilinear_sample`` recomputes its corner weights and values, and
-``losses.ssim`` its local statistics.
+Each layer of the frozen encoder is one fused op with a hand-written
+closure, in place of a chain of small ops and their temporaries:
+``affine`` is a dense layer rows @ W.T, plus an adapter's branch, plus the
+bias; ``attention`` runs every head of scaled dot-product attention as one
+stacked matmul, softmax and matmul; ``conv2d`` and ``depthwise_conv2d``
+add their bias; ``layer_norm`` and ``gelu`` are single ops. A fused op may
+also recompute intermediates from its inputs in backward rather than hold
+them until then, trading a second pass of cheap arithmetic for memory:
+``bilinear_sample`` recomputes its corner weights and values,
+``losses.ssim`` its local statistics, and ``gelu``'s derivative its erf.
+
+``gelu`` is exact, x * Phi(x). Its erf is ``_erf``, numpy only: Cephes'
+two rational approximations (x T(x^2)/U(x^2) on |x| <= 1, and
+1 - exp(-x^2) P(|x|)/Q(|x|) above), within 4 ulp of ``math.erf`` (3 ulp on
+a dense grid over [-10, 10]), the accuracy of scipy's erf on those points.
 
 Values are immutable once created: an op's output may be a view of its
 input (``permute``, ``reshape``), and closures keep arrays by reference,
@@ -49,10 +60,30 @@ import math
 import weakref
 
 import numpy as np
-from scipy.special import erf as _erf
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Cephes ndtr.c rational pieces: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 < x < 8; coefficients highest power
+# first, U and Q with their implicit leading 1 written out
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
+    5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3, 2.26290000613890934246e4,
+    4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
+    1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
+    5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
+    1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2,
+)
 
 
 _grad_enabled = True
@@ -377,11 +408,21 @@ def relu(a) -> Tensor:
 
 
 def gelu(a) -> Tensor:
+    """Exact GELU, x * Phi(x), through _erf in forward and derivative."""
+
     def fwd(x):
-        return 0.5 * x * (1.0 + _erf(x * _INV_SQRT2))
+        out = _erf(x * _INV_SQRT2)
+        out += 1.0
+        out *= 0.5 * x
+        return out
 
     def dfn(x):
-        return 0.5 * (1.0 + _erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+        # Phi(x) + x * phi(x)
+        out = _erf(x * _INV_SQRT2)
+        out += 1.0
+        out *= 0.5
+        out += x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+        return out
 
     return _unary(a, fwd, dfn)
 
@@ -396,6 +437,35 @@ def tcos(a) -> Tensor:
 
 def tsqrt(a) -> Tensor:
     return _unary(a, np.sqrt, lambda y: 0.5 / y, of_output=True)
+
+
+def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    out = np.full_like(x, coeffs[0])
+    for c in coeffs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Elementwise erf, within 4 ulp of ``math.erf`` (Cephes' rational
+    approximations). Inputs are clipped to +-6 first, where erf is +-1 in
+    float64, so x*x cannot overflow; nan stays nan and the sign of zero is
+    kept."""
+    x = np.clip(x, -6.0, 6.0)
+    z = x * x
+    out = _horner(_ERF_T, z)
+    out *= x
+    out /= _horner(_ERF_U, z)
+    tail = np.flatnonzero(np.abs(x) > 1.0)
+    if tail.size:
+        xt = x.ravel()[tail]
+        at = np.abs(xt)
+        erfc = np.exp(-(at * at))
+        erfc *= _horner(_ERFC_P, at)
+        erfc /= _horner(_ERFC_Q, at)
+        out.ravel()[tail] = np.copysign(1.0 - erfc, xt)
+    return out
 
 
 # -- matmul ---------------------------------------------------------------------------
@@ -417,6 +487,91 @@ def matmul(a, b) -> Tensor:
         return (ga, gb)
 
     return Tensor._from_op(a.data @ b.data, (a, b), bw)
+
+
+def affine(rows, weight, bias, branch=None) -> Tensor:
+    """Dense layer rows @ weight.T (+ branch) + bias as one op.
+
+    rows is (n, in), weight (out, in) and bias (out,). branch, when given,
+    is an (n, out) tensor (a low-rank adapter's term) added before the
+    bias: (rows @ weight.T + branch) + bias. The closure keeps the weight
+    only when the rows need a gradient, and the rows only when the weight
+    does.
+    """
+    rows, weight, bias = as_tensor(rows), as_tensor(weight), as_tensor(bias)
+    if rows.ndim != 2 or weight.ndim != 2 or rows.shape[1] != weight.shape[1] or bias.shape != weight.shape[:1]:
+        raise ValueError(
+            f"affine needs (n, in) rows, (out, in) weight and (out,) bias, got {rows.shape}, {weight.shape} and {bias.shape}"
+        )
+    parents = (rows, weight, bias)
+    out = rows.data @ weight.data.T
+    if branch is not None:
+        branch = as_tensor(branch)
+        if branch.shape != out.shape:
+            raise ValueError(f"affine branch shape {branch.shape} != output shape {out.shape}")
+        parents += (branch,)
+        out += branch.data
+    out += bias.data
+    wd = weight.data if rows.requires_grad else None
+    rd = rows.data if weight.requires_grad else None
+    bias_grad, n_parents = bias.requires_grad, len(parents)
+
+    def bw(g):
+        grows = None if wd is None else g @ wd
+        gweight = None if rd is None else (rd.T @ g).T
+        gbias = np.sum(g, axis=0) if bias_grad else None
+        return (grows, gweight, gbias, g)[:n_parents]
+
+    return Tensor._from_op(out, parents, bw)
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention over (n, d) queries, keys and
+    values as one op: head h owns columns h*dh:(h+1)*dh, dh = d // heads, and
+    its output is softmax(q_h k_h^T / sqrt(dh)) v_h in those columns. All
+    heads run as one stacked matmul, softmax and matmul. The closure keeps
+    q, k and v by reference, as their gradients need them, and the (heads,
+    n, n) probabilities."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 2 or q.shape != k.shape or q.shape != v.shape:
+        raise ValueError(f"attention needs equal (n, d) q, k, v, got {q.shape}, {k.shape} and {v.shape}")
+    n, d = q.shape
+    if heads < 1 or d % heads:
+        raise ValueError(f"heads must be >= 1 and divide d {d}, got {heads}")
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def split(a):  # (n, d) -> (heads, n, dh) view
+        return a.reshape(n, heads, dh).transpose(1, 0, 2)
+
+    probs = split(q.data) @ split(k.data).transpose(0, 2, 1)
+    probs *= scale
+    probs -= np.max(probs, axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.sum(probs, axis=-1, keepdims=True)
+    out = (probs @ split(v.data)).transpose(1, 0, 2).reshape(n, d)
+    # each operand's gradient reads the probabilities and at most one other operand
+    kh = split(k.data) if q.requires_grad else None
+    qh = split(q.data) if k.requires_grad else None
+    vh = split(v.data) if q.requires_grad or k.requires_grad else None
+    v_grad = v.requires_grad
+
+    def bw(g):
+        gh = split(g)
+        gq = gk = gv = None
+        if v_grad:
+            gv = (probs.transpose(0, 2, 1) @ gh).transpose(1, 0, 2).reshape(n, d)
+        if vh is not None:
+            gp = gh @ vh.transpose(0, 2, 1)
+            gl = probs * (gp - np.sum(gp * probs, axis=-1, keepdims=True))
+            gl *= scale
+            if kh is not None:
+                gq = (gl @ kh).transpose(1, 0, 2).reshape(n, d)
+            if qh is not None:
+                gk = (qh.transpose(0, 2, 1) @ gl).transpose(2, 0, 1).reshape(n, d)
+        return (gq, gk, gv)
+
+    return Tensor._from_op(out, (q, k, v), bw)
 
 
 # -- reductions --------------------------------------------------------------------------
@@ -541,11 +696,12 @@ def layer_norm(x, gain, bias) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    var = np.mean((x.data - mu) ** 2, axis=-1, keepdims=True)
+    xhat = x.data - np.mean(x.data, axis=-1, keepdims=True)
+    var = np.mean(np.square(xhat), axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + 1e-5)
-    xhat = (x.data - mu) * inv_std
-    out_data = xhat * gain.data + bias.data
+    xhat *= inv_std
+    out_data = xhat * gain.data
+    out_data += bias.data
     gain_grad, bias_grad = gain.requires_grad, bias.requires_grad
     gd = gain.data if x.requires_grad else None  # only the input's gradient reads the gain
 
@@ -734,8 +890,27 @@ class _PitchGrid:
         return gq
 
 
-def conv2d(x, kernel, stride=1, padding=0) -> Tensor:
-    """Cross-correlation of a (C_in, H, W) input with a (C_out, C_in, kh, kw) kernel."""
+def _conv_output(out: np.ndarray, x: Tensor, kernel: Tensor, bias, bw, opname: str) -> Tensor:
+    """The convolution's output tensor. A (C_out,) bias, when given, is added
+    to the taps' sum in place, after them, and its gradient is the output
+    gradient summed over each channel."""
+    if bias is None:
+        return Tensor._from_op(out, (x, kernel), bw)
+    bias = as_tensor(bias)
+    if bias.shape != out.shape[:1]:
+        raise ValueError(f"{opname} bias must have shape ({out.shape[0]},), got {bias.shape}")
+    out += bias.data[:, None, None]
+    bias_grad = bias.requires_grad
+
+    def bw_biased(g):
+        return bw(g) + (np.sum(g, axis=(1, 2)) if bias_grad else None,)
+
+    return Tensor._from_op(out, (x, kernel, bias), bw_biased)
+
+
+def conv2d(x, kernel, bias=None, stride=1, padding=0) -> Tensor:
+    """Cross-correlation of a (C_in, H, W) input with a (C_out, C_in, kh, kw)
+    kernel, plus a (C_out,) bias per output channel when given."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError(f"conv2d needs (C,H,W) input and (Co,Ci,kh,kw) kernel, got {x.shape} and {kernel.shape}")
@@ -771,11 +946,12 @@ def conv2d(x, kernel, stride=1, padding=0) -> Tensor:
                 gk[:, :, i, j] = gq @ grid.window(xb, i, j).reshape(c_in, -1).T
         return (gx, gk)
 
-    return Tensor._from_op(grid.crop(out.reshape(c_out, grid.ho, grid.cols)), (x, kernel), bw)
+    return _conv_output(grid.crop(out.reshape(c_out, grid.ho, grid.cols)), x, kernel, bias, bw, "conv2d")
 
 
-def depthwise_conv2d(x, kernel, stride=1, padding=0) -> Tensor:
-    """Per-channel spatial convolution: (C, H, W) input, (C, kh, kw) kernel."""
+def depthwise_conv2d(x, kernel, bias=None, stride=1, padding=0) -> Tensor:
+    """Per-channel spatial convolution: (C, H, W) input, (C, kh, kw) kernel,
+    plus a (C,) bias when given."""
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 3:
         raise ValueError(f"depthwise_conv2d needs (C,H,W) input and (C,kh,kw) kernel, got {x.shape} and {kernel.shape}")
@@ -811,7 +987,7 @@ def depthwise_conv2d(x, kernel, stride=1, padding=0) -> Tensor:
                 gk[:, i, j] = np.einsum("chw,chw->c", gq, grid.window(xb, i, j))
         return (gx, gk)
 
-    return Tensor._from_op(grid.crop(out), (x, kernel), bw)
+    return _conv_output(grid.crop(out), x, kernel, bias, bw, "depthwise_conv2d")
 
 
 # -- bilinear sampling --------------------------------------------------------------------------

@@ -112,19 +112,9 @@ class TransformerBlock(Module):
         self.adapter1 = make_adapter(adapter_mode, hidden, dim, rank, seed)
         self.adapter2 = make_adapter(adapter_mode, dim, hidden, rank, seed + 1)
 
-    def _attention(self, x: Tensor) -> Tensor:
-        dh = x.shape[1] // self.heads
-        scale = 1.0 / np.sqrt(dh)
-        q, k, v = self.wq(x), self.wk(x), self.wv(x)
-        outs = []
-        for i in range(self.heads):  # head i owns columns i*dh:(i+1)*dh
-            qi, ki, vi = (ad.slice_axis(p, 1, i * dh, (i + 1) * dh) for p in (q, k, v))
-            att = ad.softmax(ad.matmul(qi, ki.T) * scale)
-            outs.append(ad.matmul(att, vi))
-        return self.wo(ad.concat(outs, axis=1))
-
     def __call__(self, x: Tensor) -> Tensor:
-        x = x + self._attention(self.norm1(x))
+        a = self.norm1(x)
+        x = x + self.wo(ad.attention(self.wq(a), self.wk(a), self.wv(a), self.heads))
         h = self.fc1(self.norm2(x), self.adapter1)
         h = ad.gelu(h)
         h = self.fc2(h, self.adapter2)

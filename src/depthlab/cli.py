@@ -168,6 +168,15 @@ def _cmd_gradcheck(args) -> int:
     checks.append(("bilinear_sample", lambda: ad.tsum(ad.bilinear_sample(src, grid)[0]), [src, grid]))
     gate = Tensor(rng.uniform(0.5, 1.5, (2, 1, 1)), requires_grad=True)
     checks.append(("broadcast_mul", lambda: ad.tsum(_sq(img * gate)), [img, gate]))
+    # a dense layer with an adapter-shaped (rows, out) branch
+    w = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    b = Tensor(rng.standard_normal(2), requires_grad=True)
+    branch = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    checks.append(("affine", lambda: ad.tsum(_sq(ad.affine(m, w, b, branch))), [m, w, b, branch]))
+    q, k, v = (Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(3))
+    checks.append(("attention", lambda: ad.tsum(_sq(ad.attention(q, k, v, 2))), [q, k, v]))
+    cbias = Tensor(rng.standard_normal(3), requires_grad=True)
+    checks.append(("conv2d_bias", lambda: ad.tsum(_sq(ad.conv2d(img, ker, cbias, padding=1))), [img, ker, cbias]))
 
     worst_name, worst = "", 0.0
     failed = False

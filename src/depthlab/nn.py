@@ -53,7 +53,8 @@ def frozen_checksums(module: Module) -> dict[str, str]:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor, branch=None) -> Tensor:
-    """y = x W^T (+ branch(rows)) + b for one row vector or a batch of rows.
+    """y = x W^T (+ branch(rows)) + b for one row vector or a batch of rows,
+    as one ``ad.affine``.
 
     `branch`, when given, maps the (rows, in) input to a (rows, out) term
     that is added before the bias, so an adapted layer sums in the same
@@ -62,10 +63,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, branch=None) -> Tensor:
     x = ad.as_tensor(x)
     single = x.ndim == 1
     rows = ad.reshape(x, (1, x.shape[0])) if single else x
-    y = ad.matmul(rows, weight.T)
-    if branch is not None:
-        y = y + branch(rows)
-    y = y + bias
+    y = ad.affine(rows, weight, bias, None if branch is None else branch(rows))
     return ad.reshape(y, (y.shape[1],)) if single else y
 
 
@@ -102,8 +100,7 @@ class Conv2d(Module):
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.conv2d(x, self.weight, stride=self.stride, padding=self.padding)
-        return y + ad.reshape(self.bias, (-1, 1, 1))
+        return ad.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class DepthwiseConv2d(Module):
@@ -115,8 +112,7 @@ class DepthwiseConv2d(Module):
         self.padding = padding
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.depthwise_conv2d(x, self.weight, stride=1, padding=self.padding)
-        return y + ad.reshape(self.bias, (-1, 1, 1))
+        return ad.depthwise_conv2d(x, self.weight, self.bias, padding=self.padding)
 
 
 class LayerNorm(Module):

@@ -2,11 +2,14 @@
 
 Everything here is written as plain scalar loops over numpy arrays (or
 direct closed forms), deliberately sharing no code with the package under
-test. Finite differences are central, step 1e-6 unless stated. The
+test, except two groups. The composed layers are the forms the package's
+fused layer ops replaced, built from its smaller autodiff ops, so a test
+can require the fused op to give the same bits, values and gradients. The
 helpers at the end are test-only drivers of package code: a checkpoint
 re-save, a checkpoint header edit, a scene directory's frame renumbering,
 the ground-truth relative pose of a frame pair and a ground-truth
-co-visibility raster.
+co-visibility raster. Finite differences are central, step 1e-6 unless
+stated.
 """
 
 import json
@@ -14,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from depthlab import autodiff as ad
 from depthlab.checkpoint import load_checkpoint, save_checkpoint
 
 FD_EPS = 1e-6
@@ -95,6 +99,36 @@ def depthwise_conv2d_loops(x, kernel, stride=1, padding=0):
                         acc += kernel[ch, i, j] * xp[ch, oy * sh + i, ox * sw + j]
                 out[ch, oy, ox] = acc
     return out
+
+
+# -- composed layers ------------------------------------------------------------------
+
+
+def linear_composed(rows, weight, bias, branch=None):
+    """(rows @ weight.T + branch) + bias as a matmul over the transposed
+    weight and two adds."""
+    y = ad.matmul(rows, weight.T)
+    if branch is not None:
+        y = y + branch
+    return y + bias
+
+
+def attention_per_head(q, k, v, heads):
+    """One head at a time: head i owns columns i*dh:(i+1)*dh and gives
+    softmax(q_i k_i^T / sqrt(dh)) v_i; the heads' outputs are concatenated."""
+    dh = q.shape[1] // heads
+    scale = 1.0 / np.sqrt(dh)
+    outs = []
+    for i in range(heads):
+        qi, ki, vi = (ad.slice_axis(p, 1, i * dh, (i + 1) * dh) for p in (q, k, v))
+        att = ad.softmax(ad.matmul(qi, ki.T) * scale)
+        outs.append(ad.matmul(att, vi))
+    return ad.concat(outs, axis=1)
+
+
+def conv_plus_bias(conv, x, kernel, bias, **kwargs):
+    """An unbiased conv2d or depthwise_conv2d, then the bias added per channel."""
+    return conv(x, kernel, **kwargs) + ad.reshape(bias, (-1, 1, 1))
 
 
 # -- SSIM and loss loop oracles ------------------------------------------------------

@@ -1,9 +1,13 @@
 """Engine tests: forward semantics, loop-oracle agreement for the
 convolutions (within a dot-product error bound for conv2d, exact for
-depthwise_conv2d), and finite-difference agreement for every differentiable op."""
+depthwise_conv2d), bit-equality of the fused layer ops with the composed
+forms they replaced, and finite-difference agreement for every
+differentiable op."""
 
 import gc
+import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -15,7 +19,16 @@ from depthlab import autodiff as ad
 from depthlab.autodiff import Tensor
 from depthlab.nn import Conv2d, DepthwiseConv2d, trainable_param_count
 
-from oracles import FD_EPS, conv2d_loops, depthwise_conv2d_loops, fd_gradient, rel_err
+from oracles import (
+    FD_EPS,
+    attention_per_head,
+    conv2d_loops,
+    conv_plus_bias,
+    depthwise_conv2d_loops,
+    fd_gradient,
+    linear_composed,
+    rel_err,
+)
 
 
 def leaf(arr):
@@ -361,6 +374,101 @@ class TestSoftmaxLayerNorm:
             assert rel_err(t.grad, fd_gradient(f, [x, gain, bias], i)) <= 1e-5
 
 
+class TestErf:
+    @staticmethod
+    def ulps(got, x):
+        ref = np.array([math.erf(v) for v in x])
+        return np.abs(got - ref) / np.spacing(np.abs(ref))
+
+    def test_within_4_ulp_of_math_erf(self):
+        rng = np.random.default_rng(31)
+        x = np.concatenate([np.linspace(-10.0, 10.0, 200_001), rng.standard_normal(20_000)])
+        assert self.ulps(ad._erf(x), x).max() <= 4
+
+    def test_edges_and_special_values_raise_no_warning(self):
+        edges = [1.0, 6.0]
+        x = np.array(
+            [v for e in edges for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 10.0))]
+            + [5e-324, 1e-300, 1e300, np.inf]
+        )
+        x = np.concatenate([x, -x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # without the clip, x*x overflows at 1e300
+            got = ad._erf(x.reshape(2, -1)).ravel()
+            signed_zeros = ad._erf(np.array([0.0, -0.0]))
+            nan = ad._erf(np.array([np.nan]))
+        assert self.ulps(got, x).max() <= 4
+        np.testing.assert_array_equal(got[np.abs(x) >= 6.0], np.sign(x[np.abs(x) >= 6.0]))
+        np.testing.assert_array_equal(signed_zeros, [0.0, -0.0])
+        np.testing.assert_array_equal(np.signbit(signed_zeros), [False, True])
+        assert np.isnan(nan[0])
+
+
+class TestFusedLayers:
+    """Each fused layer op gives the bits of the composed form it replaced,
+    values and gradients."""
+
+    @staticmethod
+    def both(fused, composed, arrays):
+        results = []
+        for op in (fused, composed):
+            leaves = [leaf(a) for a in arrays]
+            out = op(*leaves)
+            ad.tsum(_sq(out)).backward()
+            results.append((out.data, [t.grad for t in leaves]))
+        (value, grads), (oracle_value, oracle_grads) = results
+        np.testing.assert_array_equal(value, oracle_value)
+        for g, og in zip(grads, oracle_grads):
+            np.testing.assert_array_equal(g, og)
+
+    @pytest.mark.parametrize("with_branch", [False, True], ids=["plain", "branch"])
+    def test_affine_matches_matmul_then_adds(self, with_branch):
+        rng = np.random.default_rng(37)
+        arrays = [rng.standard_normal(s) for s in [(5, 6), (3, 6), (3,)]]
+        if with_branch:
+            arrays.append(rng.standard_normal((5, 3)))  # nonzero, unlike a fresh adapter's
+        self.both(ad.affine, linear_composed, arrays)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_matches_per_head_loop(self, heads):
+        rng = np.random.default_rng(41)
+        arrays = [rng.standard_normal((6, 8)) for _ in range(3)]
+        self.both(
+            lambda q, k, v: ad.attention(q, k, v, heads), lambda q, k, v: attention_per_head(q, k, v, heads), arrays
+        )
+
+    @pytest.mark.parametrize(
+        "conv, k_shape, stride",
+        [(ad.conv2d, (3, 2, 3, 3), 1), (ad.depthwise_conv2d, (2, 3, 3), 2)],
+        ids=["conv2d", "depthwise"],
+    )
+    def test_conv_bias_is_added_after_the_taps(self, conv, k_shape, stride):
+        rng = np.random.default_rng(43)
+        arrays = [rng.standard_normal((2, 6, 6)), rng.standard_normal(k_shape), rng.standard_normal(k_shape[0])]
+        self.both(
+            lambda x, k, b: conv(x, k, b, stride=stride, padding=1),
+            lambda x, k, b: conv_plus_bias(conv, x, k, b, stride=stride, padding=1),
+            arrays,
+        )
+
+    def test_shape_mismatches_are_rejected(self):
+        rows, w, b = Tensor(np.ones((2, 3))), Tensor(np.ones((4, 3))), Tensor(np.ones(4))
+        with pytest.raises(ValueError, match="affine needs"):
+            ad.affine(rows, Tensor(np.ones((4, 2))), b)
+        with pytest.raises(ValueError, match="affine needs"):
+            ad.affine(rows, w, Tensor(np.ones(3)))
+        with pytest.raises(ValueError, match="affine branch shape"):
+            ad.affine(rows, w, b, Tensor(np.ones((2, 3))))
+        with pytest.raises(ValueError, match="divide d 6"):
+            ad.attention(*(Tensor(np.ones((2, 6))) for _ in range(3)), heads=4)
+        with pytest.raises(ValueError, match="attention needs"):
+            ad.attention(Tensor(np.ones((2, 6))), Tensor(np.ones((3, 6))), Tensor(np.ones((3, 6))), heads=2)
+        with pytest.raises(ValueError, match=r"conv2d bias must have shape \(2,\)"):
+            ad.conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((2, 1, 1, 1))), Tensor(np.ones(1)))
+        with pytest.raises(ValueError, match=r"depthwise_conv2d bias must have shape \(1,\)"):
+            ad.depthwise_conv2d(Tensor(np.ones((1, 3, 3))), Tensor(np.ones((1, 1, 1))), Tensor(np.ones(2)))
+
+
 class TestBilinearSample:
     @staticmethod
     def identity_grid(h, w):
@@ -632,6 +740,11 @@ _MIXED_CASES = {
     "conv2d": (lambda x, k: ad.conv2d(x, k, padding=1), [(2, 5, 5), (3, 2, 3, 3)]),
     "depthwise": (lambda x, k: ad.depthwise_conv2d(x, k, stride=2, padding=1), [(2, 5, 5), (2, 3, 3)]),
     "bilinear": (lambda s, g: ad.bilinear_sample(s, g)[0], [(2, 4, 4), (2, 3, 3)]),
+    "affine": (ad.affine, [(3, 4), (2, 4), (2,)]),
+    "affine_branch": (ad.affine, [(3, 4), (2, 4), (2,), (3, 2)]),
+    "attention": (lambda q, k, v: ad.attention(q, k, v, 2), [(3, 4), (3, 4), (3, 4)]),
+    "conv2d_bias": (lambda x, k, b: ad.conv2d(x, k, b, padding=1), [(2, 5, 5), (3, 2, 3, 3), (3,)]),
+    "depthwise_bias": (lambda x, k, b: ad.depthwise_conv2d(x, k, b, stride=2, padding=1), [(2, 5, 5), (2, 3, 3), (2,)]),
 }
 
 
@@ -785,6 +898,38 @@ class TestRetention:
         ad.tsum(out).backward()
         np.testing.assert_array_equal(x.grad, 2.0 * np.ones((2, 4)) @ w.data)
 
+    def test_frozen_affine_keeps_no_input_rows(self):
+        x = leaf(np.arange(6.0).reshape(2, 3))
+        w = Tensor(np.arange(12.0).reshape(4, 3))  # frozen (out, in) weight
+        b = Tensor(np.arange(4.0))  # frozen bias
+        rows = x * 2.0
+        out = ad.affine(rows, w, b)
+        held = weakref.ref(rows.data)
+        del rows
+        gc.collect()
+        assert held() is None
+        ad.tsum(out).backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * np.ones((2, 4)) @ w.data)
+
+    def test_attention_keeps_its_operands_and_the_probabilities_only(self):
+        rng = np.random.default_rng(47)
+        n, d, heads = 32, 64, 4
+        q, k, v = (leaf(rng.standard_normal((n, d))) for _ in range(3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.attention(q, k, v, heads)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # q, k and v are kept by reference; beyond the output the closure holds
+        # the (heads, n, n) probabilities, 32,768 bytes here (per-head logits or
+        # copies of q, k, v would be 16,384 bytes each more); 4 KiB covers the
+        # tensor, node and closure
+        assert held - out.data.nbytes < heads * n * n * 8 + 4 * 1024
+        ad.tsum(out).backward()
+        assert all(t.grad.shape == (n, d) for t in (q, k, v))
+
     def test_graph_is_freed_by_reference_counting(self):
         # a leaf's node refers back to it weakly: no cycle outlives the graph
         gc.disable()
@@ -848,6 +993,9 @@ def _random_op_cases(seed):
     # (2, 1) one comes first, so each side's gradient is summed down
     small = {s: rng.uniform(0.4, 2.0, size=s) * rng.choice([-1.0, 1.0], size=s) for s in [(3,), (2, 1), (1, 3)]}
     pairs = {"row": [y, small[(3,)]], "col": [small[(2, 1)], y], "top": [y, small[(1, 3)]]}
+    weight, wbias, branch = rng.standard_normal((4, 3)), rng.standard_normal(4), rng.standard_normal((2, 4))
+    q, k, v = (rng.standard_normal((3, 4)) for _ in range(3))
+    cbias, dbias = rng.standard_normal(2), rng.standard_normal(1)
     binary = {"add": ad.add, "sub": ad.sub, "mul": ad.mul, "div": ad.div}
     cases = [
         ("add", lambda: ad.tsum(leafs[0] + leafs[1]), [x, y]),
@@ -875,6 +1023,19 @@ def _random_op_cases(seed):
         ("slice", lambda: ad.tsum(ad.slice_axis(leafs[0], 1, 1, 3)), [x]),
         ("permute", lambda: ad.tsum(_sq(ad.permute(leafs[0], (1, 0)))), [x]),
         ("upsample", lambda: ad.tsum(_sq(ad.upsample_nearest2x(leafs[0]))), [img]),
+        ("affine", lambda: ad.tsum(_sq(ad.affine(leafs[0], leafs[1], leafs[2]))), [m, weight, wbias]),
+        (
+            "affine_branch",
+            lambda: ad.tsum(_sq(ad.affine(leafs[0], leafs[1], leafs[2], leafs[3]))),
+            [m, weight, wbias, branch],
+        ),
+        ("attention", lambda: ad.tsum(_sq(ad.attention(leafs[0], leafs[1], leafs[2], 2))), [q, k, v]),
+        ("conv2d_bias", lambda: ad.tsum(_sq(ad.conv2d(leafs[0], leafs[1], leafs[2], padding=1))), [img, ker, cbias]),
+        (
+            "depthwise_bias",
+            lambda: ad.tsum(_sq(ad.depthwise_conv2d(leafs[0], leafs[1], leafs[2], padding=1))),
+            [img, dker, dbias],
+        ),
     ]
     # squared, so the small operand's gradient is not a plain count
     cases += [

@@ -1,8 +1,14 @@
 """Command-line entry point, called in-process through cli.main(argv)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import depthlab
 from depthlab import cli
 from depthlab.checkpoint import save_checkpoint
 from depthlab.config import RETIRED, TrainConfig
@@ -28,9 +34,21 @@ def test_gradcheck_passes_every_case(capsys):
         "layer_norm",
         "bilinear_sample",
         "broadcast_mul",
+        "affine",
+        "attention",
+        "conv2d_bias",
     }
     assert set(cases.values()) == {"ok"}
     assert lines[-1].startswith("worst: ")
+
+
+def test_package_and_cli_import_numpy_but_no_scipy():
+    # a fresh interpreter, so no module another test imported counts
+    src = str(Path(depthlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, depthlab, depthlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def _full_model_counts(capsys, *args: str) -> tuple[int, int]:
