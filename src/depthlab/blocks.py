@@ -1,7 +1,7 @@
 """Toy networks: a frozen transformer encoder adapted through low-rank
 adapters, residual separable-convolution blocks with channel/spatial
-attention, a multi-scale disparity decoder, a pose head, and a
-reflectance/shading decomposition head.
+attention, a disparity decoder emitting one full-resolution map, a pose
+head, and a reflectance/shading decomposition head.
 
 The encoder stands in for a large pretrained backbone: its patch
 embedding, attention projections, MLP weights, layer norms, and sinusoidal
@@ -127,15 +127,14 @@ def _avgpool_image(image: np.ndarray, factor: int) -> np.ndarray:
 
 
 class DepthDecoder(Module):
-    """Upsampling conv decoder emitting sigmoid disparity at four scales
-    (native token-grid resolution up to full image resolution).
+    """Upsampling conv decoder emitting one sigmoid disparity map at full
+    image resolution.
 
     It reads only the encoder's token grid: a 1x1 projection, then three
-    stages of nearest 2x upsampling and a 3x3 conv, each scale with its own
-    3x3 disparity head. Disparity-head biases start at
-    initial_disparity_logit so the initial prediction sits near the
-    geometric middle of the depth range instead of the harmonic extreme
-    that a zero-logit sigmoid would give."""
+    stages of nearest 2x upsampling and a 3x3 conv, then one 3x3 disparity
+    head. The head's bias starts at initial_disparity_logit so the initial
+    prediction sits near the geometric middle of the depth range instead of
+    the harmonic extreme that a zero-logit sigmoid would give."""
 
     def __init__(self, in_dim: int, rng: np.random.Generator, d_min: float, d_max: float):
         w0, w1, w2, w3 = 28, 22, 18, 14
@@ -143,43 +142,27 @@ class DepthDecoder(Module):
         self.conv1 = Conv2d(w0, w1, 3, rng, padding=1)
         self.conv2 = Conv2d(w1, w2, 3, rng, padding=1)
         self.conv3 = Conv2d(w2, w3, 3, rng, padding=1)
-        self.head3 = Conv2d(w0, 1, 3, rng, padding=1)
-        self.head2 = Conv2d(w1, 1, 3, rng, padding=1)
-        self.head1 = Conv2d(w2, 1, 3, rng, padding=1)
-        self.head0 = Conv2d(w3, 1, 3, rng, padding=1)
-        head_bias = initial_disparity_logit(d_min, d_max)
-        for head in (self.head0, self.head1, self.head2, self.head3):
-            head.bias.assign(head.bias.data + head_bias)
+        self.head = Conv2d(w3, 1, 3, rng, padding=1)
+        self.head.bias.assign(self.head.bias.data + initial_disparity_logit(d_min, d_max))
 
-    @staticmethod
-    def _disparity(logits: Tensor) -> Tensor:
+    def __call__(self, feat: Tensor) -> Tensor:
+        # feat is the 1/PATCH-resolution token grid
+        x = ad.relu(self.proj(feat))
+        for conv in (self.conv1, self.conv2, self.conv3):
+            x = ad.relu(conv(ad.upsample_nearest2x(x)))
         # sigmoid saturates to exactly 0.0/1.0 in float64 around |x|~37 where
         # its gradient is already exactly zero; nudge those values back inside
         # the open interval the decoder promises.
-        disp = ad.sigmoid(logits)
+        disp = ad.sigmoid(self.head(x))
         disp = ad.mask_fill(disp, disp.data <= 0.0, 1e-12)
         disp = ad.mask_fill(disp, disp.data >= 1.0, 1.0 - 1e-12)
-        return disp
-
-    def __call__(self, feat: Tensor) -> list[Tensor]:
-        # feat is the 1/PATCH-resolution token grid
-        f3 = ad.relu(self.proj(feat))
-        f2 = ad.relu(self.conv1(ad.upsample_nearest2x(f3)))
-        f1 = ad.relu(self.conv2(ad.upsample_nearest2x(f2)))
-        f0 = ad.relu(self.conv3(ad.upsample_nearest2x(f1)))
-        disps = [
-            self._disparity(self.head0(f0)),
-            self._disparity(self.head1(f1)),
-            self._disparity(self.head2(f2)),
-            self._disparity(self.head3(f3)),
-        ]
-        return [ad.reshape(d, d.shape[1:]) for d in disps]  # finest first
+        return ad.reshape(disp, disp.shape[1:])
 
 
 class ToyDepthNet(Module):
     """Patch-embedding transformer encoder with inserted residual mixer
-    blocks, plus the disparity decoder. Output disparities are in (0, 1) at
-    four scales with halving resolutions, finest first."""
+    blocks, plus the disparity decoder. The output is one (H, W) disparity
+    map in (0, 1) at the image's resolution."""
 
     def __init__(self, config: TrainConfig, image_hw: tuple[int, int], rng: np.random.Generator):
         h, w = image_hw
@@ -218,7 +201,7 @@ class ToyDepthNet(Module):
         gh, gw = self.grid_hw
         return ad.permute(ad.reshape(grid, (self.embed_dim, gh * gw)), (1, 0))
 
-    def __call__(self, image: Tensor) -> list[Tensor]:
+    def __call__(self, image: Tensor) -> Tensor:
         if image.ndim != 3 or image.shape[0] != 3:
             raise ValueError(f"expected a (3, H, W) image, got {image.shape}")
         x = self.embed(self._tokens(image)) + self.positions
@@ -232,7 +215,7 @@ class ToyDepthNet(Module):
 
 def initial_disparity_logit(d_min: float, d_max: float) -> float:
     """Logit of the disparity whose depth is the geometric mean of the range;
-    used to bias disparity heads so training starts mid-scene with a live
+    used to bias the disparity head so training starts mid-scene with a live
     sigmoid gradient."""
     mid = float(np.sqrt(d_min * d_max))
     disp = (1.0 / mid - 1.0 / d_max) / (1.0 / d_min - 1.0 / d_max)

@@ -11,11 +11,16 @@ a load reads the header, then each payload into a fresh array. Loading into
 a module (``load_module``) checks the header against the module's
 parameters before any payload is read and assigns each tensor as it
 arrives, so it never holds a second copy of the model.
+
+A save is atomic: it writes ``<path>.tmp`` and moves it onto ``path`` only
+once it is complete, so a save that fails partway leaves the previous file
+as it was.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -49,13 +54,20 @@ def save_checkpoint(path, named_tensors, config: TrainConfig, step: int) -> None
         "tensors": [{"name": name, "shape": list(data.shape), "frozen": frozen} for name, data, frozen in named],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(FORMAT_VERSION.to_bytes(4, "little"))
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for _, data, _ in named:
-            fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(FORMAT_VERSION.to_bytes(4, "little"))
+            fh.write(len(blob).to_bytes(8, "little"))
+            fh.write(blob)
+            for _, data, _ in named:
+                fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_header(fh) -> tuple[int, dict]:

@@ -37,7 +37,6 @@ class TrainConfig:
     triplet_stride: int = 1
     d_min: float = 0.1
     d_max: float = 100.0
-    loss_scales: int = 4
     source_aggregation: str = "mean"  # mean | min
     bypass_decomposition: bool = False
 
@@ -54,8 +53,6 @@ class TrainConfig:
             raise ValueError(f"adapter must be one of {', '.join(ADAPTER_MODES)}, got '{self.adapter}'")
         if self.source_aggregation not in ("mean", "min"):
             raise ValueError(f"source_aggregation must be mean or min, got '{self.source_aggregation}'")
-        if not (1 <= self.loss_scales <= 4):
-            raise ValueError(f"loss_scales must be in 1..4, got {self.loss_scales}")
         if not (0.0 < self.d_min < self.d_max):
             raise ValueError(f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}")
         if not (0.0 < self.d_min * self.d_max < math.inf):  # the initial depth is sqrt(d_min * d_max)
@@ -76,7 +73,8 @@ class TrainConfig:
 
 
 # Former fields, each fixed in code at its one value (adapters._kaiming_uniform,
-# blocks.PATCH, the optim constants, losses.ALPHA, TrainConfig.decay_epoch).
+# blocks.PATCH, the optim constants, losses.ALPHA, TrainConfig.decay_epoch,
+# the decoder's one full-resolution disparity map).
 RETIRED = {
     "init": "kaiming_uniform",
     "patch": 8,
@@ -85,6 +83,7 @@ RETIRED = {
     "adam_eps": 1e-8,
     "alpha": 0.85,
     "lr_decay_epoch": 0,
+    "loss_scales": 1,
 }
 
 

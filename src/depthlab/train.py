@@ -1,12 +1,13 @@
 """End-to-end training loop and evaluation orchestration.
 
-For every target frame the loop predicts multi-scale depth and poses each
-source frame once. It warps the source, or with the reflectance/shading
-decomposition on the stack of its reconstruction and reflectance, into
-the target view once per scale, and one aggregation over the sources (the
-mean of per-source losses or the per-pixel minimum) gives the synthesis
-term. It minimizes the weighted sum of reconstruction,
-reflectance-consistency, synthesis and mask-guided smoothness terms.
+For every target frame the loop predicts one full-resolution depth map,
+the one evaluation scores, and poses each source frame once. It warps the
+source, or with the reflectance/shading decomposition on the stack of its
+reconstruction and reflectance, into the target view once, and one
+aggregation over the sources (the mean of per-source losses or the
+per-pixel minimum) gives the synthesis term. It minimizes the weighted sum
+of reconstruction, reflectance-consistency, synthesis and mask-guided
+smoothness terms.
 The graph is per target: an optimizer step backwards each target's share
 of the batch mean as soon as that target's loss is built, so it holds one
 target's graph at a time, and backwards the decompositions its targets
@@ -50,9 +51,8 @@ class ModelBundle(Module):
         self.config = config
 
     def predict_depth(self, image: Tensor) -> Tensor:
-        """Full-resolution depth from the finest disparity scale."""
-        disp = self.depth(image)[0]
-        return disparity_to_depth(disp, self.config.d_min, self.config.d_max)
+        """Full-resolution depth from the decoder's one disparity map."""
+        return disparity_to_depth(self.depth(image), self.config.d_min, self.config.d_max)
 
 
 @dataclass
@@ -70,18 +70,6 @@ class EpochRecord:
 
 def _mean(terms: list[Tensor]) -> Tensor:
     return sum(terms[1:], terms[0]) / len(terms)
-
-
-def _upsampled_depths(model: ModelBundle, image: Tensor) -> list[Tensor]:
-    """Depth per requested scale, each upsampled to full resolution first."""
-    cfg = model.config
-    disps = model.depth(image)[: cfg.loss_scales]
-    depths = []
-    for level, disp in enumerate(disps):
-        for _ in range(level):
-            disp = ad.upsample_nearest2x(disp)
-        depths.append(disparity_to_depth(disp, cfg.d_min, cfg.d_max))
-    return depths
 
 
 class _FrameCache:
@@ -119,13 +107,14 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     """Assemble the full objective for one target frame, weighted by the
     model config's loss weights; returns the total and its parts as floats.
 
-    Per source: pose it once and build what gets warped, the frame or the
-    [reconstruction, reflectance] stack, plus its reconstruction term. Per
-    scale: warp each source once, then form one synthesis aggregation and,
-    with the decomposition on, the reflectance term. Every term is a mean
-    over sources, then over scales, but reconstruction scores each frame
-    once: the target's term plus the sources' mean. With the decomposition
-    bypassed the reconstruction and reflectance terms are 0.
+    The depth is ``model.predict_depth``'s, the map evaluation scores. Per
+    source: pose it once, build what gets warped (the frame or the
+    [reconstruction, reflectance] stack) plus its reconstruction term, and
+    warp it once. One aggregation over the sources gives the synthesis
+    term, and the reflectance term is the mean over sources;
+    reconstruction scores each frame once: the target's term plus the
+    sources' mean. With the decomposition bypassed the reconstruction and
+    reflectance terms are 0.
 
     The total's graph stops at the cache's decomposition leaves: a backward
     of it reaches the decomposition head only through ``cache.backward()``.
@@ -134,12 +123,12 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     cache = cache or _FrameCache(model, scene)
     decompose = not cfg.bypass_decomposition
     img_t = Tensor(scene.frames[t])
-    depths = _upsampled_depths(model, img_t)
+    depth = model.predict_depth(img_t)
     if decompose:
         r_t, s_t = cache.decomp(t)
         recon_t = reconstruction_loss(reconstruct(r_t, s_t), img_t)
 
-    sources = []  # (pose, stack to warp) per source
+    warps = []  # (warped stack, bool validity) per source
     recon_terms = []
     for s in (t - cfg.triplet_stride, t + cfg.triplet_stride):
         img_s = Tensor(scene.frames[s])
@@ -154,28 +143,20 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
             # one bilinear pass carries both the reconstructed frame (for the
             # synthesis term) and the reflectance (for the consistency term)
             stack = ad.concat([i_s_hat, r_s], axis=0)
-        sources.append(((rot, trans), stack))
+        warps.append(warp_frame(stack, depth, (rot, trans), scene.cam))
 
-    synth_terms = []
-    refl_terms = []
-    for depth in depths:
-        warps = [warp_frame(stack, depth, pose, scene.cam) for pose, stack in sources]
-        if not all(valid.any() for _, valid in warps):
-            raise TrainingDiverged("warp produced an empty validity mask; pose diverged")
-        frames = [(ad.slice_axis(w, 0, 0, 3) if decompose else w, v) for w, v in warps]
-        synth_terms.append(_synthesis(cfg.source_aggregation, frames, img_t))
-        if decompose:
-            refl_terms.append(
-                _mean([losses.reflectance_consistency_loss(r_t, ad.slice_axis(w, 0, 3, 6), v) for w, v in warps])
-            )
-
-    masks = SemanticMaskSet(scene.labels[t])
-    smooth_terms = [masked_smoothness_loss(depth, img_t, masks) for depth in depths]
+    if not all(valid.any() for _, valid in warps):
+        raise TrainingDiverged("warp produced an empty validity mask; pose diverged")
+    frames = [(ad.slice_axis(w, 0, 0, 3) if decompose else w, v) for w, v in warps]
     terms = {
         "reconstruction": recon_t + _mean(recon_terms) if decompose else Tensor(0.0),
-        "reflectance": _mean(refl_terms) if decompose else Tensor(0.0),
-        "synthesis": _mean(synth_terms),
-        "smoothness": _mean(smooth_terms),
+        "reflectance": (
+            _mean([losses.reflectance_consistency_loss(r_t, ad.slice_axis(w, 0, 3, 6), v) for w, v in warps])
+            if decompose
+            else Tensor(0.0)
+        ),
+        "synthesis": _synthesis(cfg.source_aggregation, frames, img_t),
+        "smoothness": masked_smoothness_loss(depth, img_t, SemanticMaskSet(scene.labels[t])),
     }
     total = total_loss(terms, cfg.loss_weights())
     parts = {name: float(term.data) for name, term in terms.items()}
@@ -184,10 +165,10 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
 
 
 def _synthesis(aggregation: str, frames: list[tuple[Tensor, np.ndarray]], target: Tensor) -> Tensor:
-    """One scale's synthesis term from the (warped frame, bool validity) of
-    every source: the mean over sources of each map's valid-pixel mean, or
-    (min) the per-pixel minimum over sources, where a source's invalid
-    pixels never win, averaged over pixels valid in any source."""
+    """The synthesis term from the (warped frame, bool validity) of every
+    source: the mean over sources of each map's valid-pixel mean, or (min)
+    the per-pixel minimum over sources, where a source's invalid pixels
+    never win, averaged over pixels valid in any source."""
     if aggregation == "mean":
         return _mean([losses.masked_pixel_mean(losses.synthesis_loss(frame, target), v) for frame, v in frames])
     maps = [ad.mask_fill(losses.synthesis_loss(frame, target), ~v, 1e6) for frame, v in frames]

@@ -131,21 +131,21 @@ class TestAttention:
 
 
 class TestToyDepthNet:
-    def test_four_scales_with_halving_resolutions(self):
+    def test_one_full_resolution_map(self):
         net = ToyDepthNet(TrainConfig(embed_dim=64, depth_blocks=2, mixer_after=(1,)), (32, 32), rng())
-        disps = net(Tensor(np.random.default_rng(1).uniform(0, 1, (3, 32, 32))))
-        assert [d.shape for d in disps] == [(32, 32), (16, 16), (8, 8), (4, 4)]
+        disp = net(Tensor(np.random.default_rng(1).uniform(0, 1, (3, 32, 32))))
+        assert disp.shape == (32, 32)
 
-    def test_non_square_image_keeps_its_aspect_at_every_scale(self):
+    def test_non_square_image_keeps_its_aspect(self):
         net = ToyDepthNet(TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,)), (16, 32), rng())
-        disps = net(Tensor(np.random.default_rng(1).uniform(0, 1, (3, 16, 32))))
-        assert [d.shape for d in disps] == [(16, 32), (8, 16), (4, 8), (2, 4)]
+        disp = net(Tensor(np.random.default_rng(1).uniform(0, 1, (3, 16, 32))))
+        assert disp.shape == (16, 32)
 
     def test_outputs_strictly_inside_unit_interval(self):
         net = ToyDepthNet(TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,)), (16, 16), rng())
-        disps = net(Tensor(np.random.default_rng(2).uniform(0, 1, (3, 16, 16))))
-        for d in disps:
-            assert np.all(d.data > 0.0) and np.all(d.data < 1.0)
+        disp = net(Tensor(np.random.default_rng(2).uniform(0, 1, (3, 16, 16))))
+        assert disp.shape == (16, 16)
+        assert np.all(disp.data > 0.0) and np.all(disp.data < 1.0)
 
     @pytest.mark.parametrize("mode", ["plain", "scaled"])
     def test_fresh_adapters_leave_output_bit_identical(self, mode):
@@ -153,22 +153,19 @@ class TestToyDepthNet:
         kwargs = dict(embed_dim=32, depth_blocks=2, mixer_after=(1,), rank=2, seed=5)
         with_adapters = ToyDepthNet(TrainConfig(adapter=mode, **kwargs), (16, 16), np.random.default_rng(9))
         without = ToyDepthNet(TrainConfig(adapter="none", **kwargs), (16, 16), np.random.default_rng(9))
-        out_a = with_adapters(Tensor(image))
-        out_b = without(Tensor(image))
-        for da, db in zip(out_a, out_b):
-            np.testing.assert_array_equal(da.data, db.data)
+        np.testing.assert_array_equal(with_adapters(Tensor(image)).data, without(Tensor(image)).data)
 
     def test_end_to_end_gradcheck_small(self):
         net = ToyDepthNet(TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2), (16, 16), rng())
         image = np.random.default_rng(4).uniform(0.2, 0.8, (3, 16, 16))
         adapter = net.blocks[0].adapter1
-        out = ad.tsum(net(Tensor(image))[0])
+        out = ad.tsum(net(Tensor(image)))
         out.backward()
         analytic = adapter.down.grad.copy()
 
         def f(av):
             adapter.down.assign(np.asarray(av))
-            val = ad.tsum(net(Tensor(image))[0]).item()
+            val = ad.tsum(net(Tensor(image))).item()
             return val
 
         a0 = adapter.down.data.copy()
@@ -182,21 +179,20 @@ class TestToyDepthNet:
 
 
 class TestDepthDecoder:
-    def test_trainable_count_is_the_projection_three_convs_and_four_heads(self):
+    def test_trainable_count_is_the_projection_three_convs_and_one_head(self):
         w0, w1, w2, w3 = 28, 22, 18, 14
 
         def conv(c_in, c_out, k):
             return c_out * c_in * k * k + c_out
 
-        expected = conv(224, w0, 1) + conv(w0, w1, 3) + conv(w1, w2, 3) + conv(w2, w3, 3)
-        expected += sum(conv(width, 1, 3) for width in (w0, w1, w2, w3))
-        assert expected == 18_472
+        expected = conv(224, w0, 1) + conv(w0, w1, 3) + conv(w1, w2, 3) + conv(w2, w3, 3) + conv(w3, 1, 3)
+        assert expected == 17_857
         assert trainable_param_count(DepthDecoder(224, rng(), 0.1, 100.0)) == (expected, expected)
 
     def test_reads_the_token_grid_alone(self):
         decoder = DepthDecoder(16, rng(), 0.1, 100.0)
-        disps = decoder(Tensor(np.random.default_rng(5).standard_normal((16, 2, 3))))
-        assert [d.shape for d in disps] == [(16, 24), (8, 12), (4, 6), (2, 3)]
+        disp = decoder(Tensor(np.random.default_rng(5).standard_normal((16, 2, 3))))
+        assert disp.shape == (16, 24)
 
 
 class TestDisparityToDepth:

@@ -1,12 +1,14 @@
 """Config parsing, validation, and checkpoint round trips."""
 
 import dataclasses
+import errno
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from depthlab import checkpoint
 from depthlab.autodiff import Tensor
 from depthlab.blocks import PATCH
 from depthlab.checkpoint import load_checkpoint, save_checkpoint
@@ -24,8 +26,8 @@ from depthlab.train import ModelBundle, load_model, save_model
 
 from oracles import resave_checkpoint, with_header_config
 
-# the seven retired keys as every header written before they left TrainConfig
-# carries them
+# the retired keys at the values fixed in code, as a header written before
+# they left TrainConfig carries them (loss_scales=1 only where it was set)
 OLD_HEADER_KEYS = {
     "adam_beta1": 0.9,
     "adam_beta2": 0.999,
@@ -33,6 +35,7 @@ OLD_HEADER_KEYS = {
     "alpha": 0.85,
     "init": "kaiming_uniform",
     "lr_decay_epoch": 0,
+    "loss_scales": 1,
     "patch": 8,
 }
 
@@ -79,8 +82,11 @@ class TestConfig:
             TrainConfig(adapter="giant")
         with pytest.raises(ValueError, match="d_min"):
             TrainConfig(d_min=5.0, d_max=1.0)
-        with pytest.raises(ValueError, match="loss_scales"):
+        # loss_scales is retired: no longer a field, and fixed at 1 as text
+        with pytest.raises(TypeError, match="loss_scales"):
             TrainConfig(loss_scales=9)
+        with pytest.raises(ValueError, match="loss_scales is fixed at 1"):
+            parse_config_text("loss_scales=9\n")
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_a_non_finite_or_non_positive_lr(self, lr):
@@ -127,7 +133,16 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "pair",
-        ["init=uniform", "init=kaiming_normal", "patch=4", "patch=8.5", "adam_eps=1e-6", "alpha=0.5", "lr_decay_epoch=7"],
+        [
+            "init=uniform",
+            "init=kaiming_normal",
+            "patch=4",
+            "patch=8.5",
+            "adam_eps=1e-6",
+            "alpha=0.5",
+            "lr_decay_epoch=7",
+            "loss_scales=4",
+        ],
     )
     def test_a_retired_key_at_another_value_is_rejected(self, pair):
         key = pair.split("=")[0]
@@ -181,12 +196,47 @@ class TestCheckpoint:
         for name, tensor, _ in named:
             np.testing.assert_array_equal(ck.tensors[name], tensor.data)
 
-    @pytest.mark.parametrize("key, value", [("init", "uniform"), ("patch", 4), ("alpha", 0.5), ("lr_decay_epoch", 3)])
+    @pytest.mark.parametrize(
+        "key, value", [("init", "uniform"), ("patch", 4), ("alpha", 0.5), ("lr_decay_epoch", 3), ("loss_scales", 4)]
+    )
     def test_a_header_with_a_retired_key_at_another_value_is_rejected(self, tmp_path, key, value):
         save_checkpoint(tmp_path / "new.ckpt", self._named(np.random.default_rng(5)), TrainConfig(), step=1)
         with_header_config(tmp_path / "new.ckpt", tmp_path / "old.ckpt", **{**OLD_HEADER_KEYS, key: value})
         with pytest.raises(ValueError, match=f"{key} is fixed at {RETIRED[key]},"):
             load_checkpoint(tmp_path / "old.ckpt")
+
+    def test_a_save_that_fails_partway_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, self._named(np.random.default_rng(6)), TrainConfig(), step=1)
+        before = path.read_bytes()
+        named = self._named(np.random.default_rng(7))
+        second_payload = named[1][1].data.astype("<f8").tobytes()
+
+        class DiskFullAtSecondPayload:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def write(self, data):
+                if data == second_payload:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(checkpoint, "open", lambda *args: DiskFullAtSecondPayload(open(*args)), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(path, named, TrainConfig(), step=2)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+        monkeypatch.undo()
+        save_checkpoint(path, named, TrainConfig(), step=2)
+        assert load_checkpoint(path).step == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
     def test_scalar_empty_and_strided_tensors_round_trip(self, tmp_path):
         named = [

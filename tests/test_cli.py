@@ -15,7 +15,7 @@ from depthlab.config import RETIRED, TrainConfig
 from depthlab.formats import SceneOnDisk, write_scene
 from depthlab.geometry import CameraModel
 from depthlab.scene import generate_scene
-from depthlab.train import ModelBundle
+from depthlab.train import ModelBundle, load_model
 
 from oracles import shift_frame_ids, with_header_config
 
@@ -215,6 +215,22 @@ def test_eval_depth_reads_a_header_with_the_retired_keys(tmp_path, capsys):
     with_header_config(checkpoint, old, **{**RETIRED, "init": "uniform"})
     assert cli.main(["eval-depth", "--checkpoint", str(old), "--scene", str(scene_dir)]) == 2
     assert "init is fixed at kaiming_uniform" in capsys.readouterr().err
+
+
+def test_a_header_with_four_loss_scales_is_refused(tmp_path, capsys):
+    # the decoder emits one map, so loss_scales is retired at 1: a header
+    # written while it was a field (default 4) names the key
+    scene_dir = _scene_dir(tmp_path)
+    old = tmp_path / "old.npz"
+    with_header_config(_untrained_checkpoint(tmp_path), old, loss_scales=4)
+    with pytest.raises(ValueError, match="loss_scales"):
+        load_model(old, (16, 16))
+    assert cli.main(["eval-depth", "--checkpoint", str(old), "--scene", str(scene_dir)]) == 2
+    assert "loss_scales is fixed at 1" in capsys.readouterr().err
+
+    assert cli.main(["params", "--size", "16", "--set", "loss_scales=1"]) == 0
+    assert cli.main(["params", "--size", "16", "--set", "loss_scales=2"]) == 2
+    assert "loss_scales is fixed at 1" in capsys.readouterr().err
 
 
 def test_set_beats_a_config_file_line(tmp_path, capsys):

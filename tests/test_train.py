@@ -1,8 +1,9 @@
 """The training loop end to end on a tiny scene: finite records, bit-identical
 reruns down to the checkpoint bytes, the batched min-reprojection path, the
-objective's exact value in every aggregation/decomposition combination, a
-batch step's per-target backward (its gradients and its memory), and the
-divergence path."""
+objective's exact value in every aggregation/decomposition combination on
+the one full-resolution depth map evaluation scores, a batch step's
+per-target backward (its gradients and its memory), and the divergence
+path."""
 
 import dataclasses
 import json
@@ -24,7 +25,7 @@ from depthlab.optim import Adam
 from depthlab.scene import generate_scene
 from depthlab.train import ModelBundle, evaluate_scene, load_model, predicted_trajectory, save_model, step_loss, train
 
-from oracles import photometric_loss_loops
+from oracles import photometric_loss_loops, smoothness_loss_loops
 
 SMALL = dict(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2, epochs=2)
 
@@ -107,32 +108,32 @@ def test_batched_min_reprojection_runs(scene, tmp_path):
 # bypass_decomposition); any change to the objective's arithmetic moves them
 INITIAL_PARTS = {
     ("mean", False): dict(
-        reconstruction=0.6629431235854241,
-        reflectance=0.002926358356064351,
-        synthesis=0.3617428471100343,
-        smoothness=0.015426772428008932,
-        loss=0.494963023815616,
+        reconstruction=0.6344958116974446,
+        reflectance=0.0014146833097073586,
+        synthesis=0.34929498445002716,
+        smoothness=0.012335245535355513,
+        loss=0.47651408918806365,
     ),
     ("mean", True): dict(
         reconstruction=0.0,
         reflectance=0.0,
-        synthesis=0.32583016653388586,
-        smoothness=0.015426772428008932,
-        loss=0.3258764468511699,
+        synthesis=0.2586491053491018,
+        smoothness=0.012335245535355513,
+        loss=0.2586861110857079,
     ),
     ("min", False): dict(
-        reconstruction=0.6629431235854241,
-        reflectance=0.002926358356064351,
-        synthesis=0.35914767627139377,
-        smoothness=0.015426772428008932,
-        loss=0.4923678529769755,
+        reconstruction=0.6344958116974446,
+        reflectance=0.0014146833097073586,
+        synthesis=0.3460521047157263,
+        smoothness=0.012335245535355513,
+        loss=0.4732712094537628,
     ),
     ("min", True): dict(
         reconstruction=0.0,
         reflectance=0.0,
-        synthesis=0.294830163636026,
-        smoothness=0.015426772428008932,
-        loss=0.29487644395331003,
+        synthesis=0.2161080025553156,
+        smoothness=0.012335245535355513,
+        loss=0.21614500829192165,
     ),
 }
 
@@ -156,7 +157,7 @@ def test_every_synthesis_term_goes_through_synthesis_loss(scene, monkeypatch, ag
     monkeypatch.setattr(losses, "synthesis_loss", synthesis_loss)
     config = TrainConfig(**SMALL, source_aggregation=aggregation)
     _, parts = step_loss(ModelBundle(config, (16, 16)), scene, 1)
-    assert len(calls) == 2 * config.loss_scales  # 2 sources per scale
+    assert len(calls) == 2  # one per source
     assert parts["synthesis"] == 0.0  # nothing but synthesis_loss's maps reaches the term
 
 
@@ -168,6 +169,16 @@ def test_reconstruction_part_scores_each_frame_once(scene):
         hats = {k: reconstruct(*model.decomp(Tensor(scene.frames[k]))).data for k in (0, 1, 2)}
     p = {k: photometric_loss_loops(hat, scene.frames[k], 0.85) for k, hat in hats.items()}
     assert abs(parts["reconstruction"] - (p[1] + (p[0] + p[2]) / 2)) <= 1e-12
+
+
+def test_smoothness_part_scores_the_depth_evaluation_scores(scene):
+    # the objective trains the one full-resolution map predict_depth returns
+    model = ModelBundle(TrainConfig(**SMALL), (16, 16))
+    _, parts = step_loss(model, scene, 1)
+    with ad.no_grad():
+        depth = model.predict_depth(Tensor(scene.frames[1])).data
+    assert depth.shape == (16, 16)
+    assert abs(parts["smoothness"] - smoothness_loss_loops(depth, scene.frames[1], scene.labels[1])) <= 1e-12
 
 
 class _SharedDecompositions:
