@@ -9,7 +9,7 @@ position table are all frozen; learning reaches it only through the
 adapters on the two MLP linears of each block (plus the inserted residual
 mixer blocks and the decoder, which are trainable like a depth head).
 The decoder sees no pixels: depth reaches it only through the encoder's
-token grid.
+token grid. Depth spans the fixed range 0.1..100 (D_MIN..D_MAX).
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .config import TrainConfig
 from .nn import Conv2d, DepthwiseConv2d, LayerNorm, Linear, Module
 
 PATCH = 8  # token side in pixels: the depth decoder's three 2x stages upsample by 8
+HEADS = 4  # attention heads per encoder block: embed_dim must be a multiple of it
+D_MIN, D_MAX = 0.1, 100.0  # the depth range a disparity in (0, 1) maps onto
 
 
 def sinusoidal_positions(n_tokens: int, dim: int) -> np.ndarray:
@@ -96,10 +98,7 @@ class TransformerBlock(Module):
     """Pre-norm block with frozen attention and a frozen MLP whose two
     linears carry the (optional) adapters, drawn from seed and seed + 1."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, adapter_mode: str, rank: int, seed: int):
-        if heads < 1 or dim % heads != 0:
-            raise ValueError(f"heads must be >= 1 and divide dim {dim}, got {heads}")
-        self.heads = heads
+    def __init__(self, dim: int, rng: np.random.Generator, adapter_mode: str, rank: int, seed: int):
         self.norm1 = LayerNorm(dim)
         self.wq = FrozenLinear.random(dim, dim, rng)
         self.wk = FrozenLinear.random(dim, dim, rng)
@@ -114,7 +113,7 @@ class TransformerBlock(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         a = self.norm1(x)
-        x = x + self.wo(ad.attention(self.wq(a), self.wk(a), self.wv(a), self.heads))
+        x = x + self.wo(ad.attention(self.wq(a), self.wk(a), self.wv(a), HEADS))
         h = self.fc1(self.norm2(x), self.adapter1)
         h = ad.gelu(h)
         h = self.fc2(h, self.adapter2)
@@ -132,18 +131,19 @@ class DepthDecoder(Module):
 
     It reads only the encoder's token grid: a 1x1 projection, then three
     stages of nearest 2x upsampling and a 3x3 conv, then one 3x3 disparity
-    head. The head's bias starts at initial_disparity_logit so the initial
-    prediction sits near the geometric middle of the depth range instead of
-    the harmonic extreme that a zero-logit sigmoid would give."""
+    head, mapped onto the fixed depth range 0.1..100 (D_MIN..D_MAX). The
+    head's bias starts at initial_disparity_logit so the initial prediction
+    sits near the geometric middle of that range, not at the harmonic
+    extreme that a zero-logit sigmoid would give."""
 
-    def __init__(self, in_dim: int, rng: np.random.Generator, d_min: float, d_max: float):
+    def __init__(self, in_dim: int, rng: np.random.Generator):
         w0, w1, w2, w3 = 28, 22, 18, 14
         self.proj = Conv2d(in_dim, w0, 1, rng)
         self.conv1 = Conv2d(w0, w1, 3, rng, padding=1)
         self.conv2 = Conv2d(w1, w2, 3, rng, padding=1)
         self.conv3 = Conv2d(w2, w3, 3, rng, padding=1)
         self.head = Conv2d(w3, 1, 3, rng, padding=1)
-        self.head.bias.assign(self.head.bias.data + initial_disparity_logit(d_min, d_max))
+        self.head.bias.assign(self.head.bias.data + initial_disparity_logit())
 
     def __call__(self, feat: Tensor) -> Tensor:
         # feat is the 1/PATCH-resolution token grid
@@ -169,6 +169,8 @@ class ToyDepthNet(Module):
         dim, n_blocks, mixer_after = config.embed_dim, config.depth_blocks, config.mixer_after
         if h % PATCH or w % PATCH:
             raise ValueError(f"image {h}x{w} not divisible by patch {PATCH}")
+        if dim % HEADS:
+            raise ValueError(f"embed_dim must be a multiple of {HEADS}, the head count, got {dim}")
         if any(i < 1 or i > n_blocks for i in mixer_after):
             raise ValueError(f"mixer positions {mixer_after} outside 1..{n_blocks}")
         if len(set(mixer_after)) != len(mixer_after):
@@ -179,12 +181,12 @@ class ToyDepthNet(Module):
         self.embed = FrozenLinear.random(dim, 3 * PATCH * PATCH, rng)
         self.positions = Tensor(sinusoidal_positions(n_tokens, dim))
         self.blocks = [
-            TransformerBlock(dim, config.heads, rng, config.adapter, config.rank, config.seed + 10 * i)
+            TransformerBlock(dim, rng, config.adapter, config.rank, config.seed + 10 * i)
             for i in range(1, n_blocks + 1)
         ]
         self.mixer_after = tuple(sorted(mixer_after))
         self.mixers = [SeparableResidualBlock(dim, rng) for _ in self.mixer_after]
-        self.decoder = DepthDecoder(dim, rng, config.d_min, config.d_max)
+        self.decoder = DepthDecoder(dim, rng)
 
     def _tokens(self, image: Tensor) -> Tensor:
         c, h, w = image.shape
@@ -213,24 +215,22 @@ class ToyDepthNet(Module):
         return self.decoder(self._to_grid(x))
 
 
-def initial_disparity_logit(d_min: float, d_max: float) -> float:
+def initial_disparity_logit() -> float:
     """Logit of the disparity whose depth is the geometric mean of the range;
     used to bias the disparity head so training starts mid-scene with a live
     sigmoid gradient."""
-    mid = float(np.sqrt(d_min * d_max))
-    disp = (1.0 / mid - 1.0 / d_max) / (1.0 / d_min - 1.0 / d_max)
+    mid = float(np.sqrt(D_MIN * D_MAX))
+    disp = (1.0 / mid - 1.0 / D_MAX) / (1.0 / D_MIN - 1.0 / D_MAX)
     return float(np.log(disp / (1.0 - disp)))
 
 
-def disparity_to_depth(disp: Tensor, d_min: float, d_max: float) -> Tensor:
-    """Monotone map from sigmoid disparity in (0, 1) to depth in [d_min, d_max]:
-    depth = 1 / (1/d_max + (1/d_min - 1/d_max) * disp)."""
+def disparity_to_depth(disp: Tensor) -> Tensor:
+    """Monotone map from sigmoid disparity in (0, 1) to depth in [D_MIN, D_MAX]:
+    depth = 1 / (1/D_MAX + (1/D_MIN - 1/D_MAX) * disp)."""
     disp = ad.as_tensor(disp)
     if np.any(disp.data <= 0.0) or np.any(disp.data >= 1.0):
         raise ValueError("disparity must lie strictly inside (0, 1)")
-    if not (0 < d_min < d_max):
-        raise ValueError(f"need 0 < d_min < d_max, got {d_min}, {d_max}")
-    return 1.0 / (1.0 / d_max + (1.0 / d_min - 1.0 / d_max) * disp)
+    return 1.0 / (1.0 / D_MAX + (1.0 / D_MIN - 1.0 / D_MAX) * disp)
 
 
 class PoseNet(Module):

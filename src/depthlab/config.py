@@ -1,10 +1,11 @@
 """Flat training configuration: dataclass defaults and key=value text.
 
 Every field is addressable as a "name=value" line of a config file or a
---set override; unknown keys are rejected. The command line applies the
---config file, then --set, so an explicit --set beats a file line. A
-retired key (``RETIRED``: a former field now fixed in code, still written
-by older checkpoint headers) is accepted only at its one value.
+--set override; unknown keys, and a key a file names twice, are rejected.
+The command line applies the --config file, then --set, so an explicit
+--set beats a file line. A retired key (``RETIRED``: a former field now
+fixed in code, still written by older checkpoint headers) is accepted
+only at its one value.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .adapters import ADAPTER_MODES
-from .losses import LOSS_TERMS
+from .losses import FIXED_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -29,43 +30,29 @@ class TrainConfig:
     mixer_after: tuple[int, ...] = (2, 4)
     embed_dim: int = 224
     depth_blocks: int = 4
-    heads: int = 4
-    w_reconstruction: float = 0.2
-    w_reflectance: float = 0.2
-    w_synthesis: float = 1.0
     w_smoothness: float = 0.003
     triplet_stride: int = 1
-    d_min: float = 0.1
-    d_max: float = 100.0
     source_aggregation: str = "mean"  # mean | min
     bypass_decomposition: bool = False
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.triplet_stride < 1:
-            raise ValueError("epochs, batch_size, and triplet_stride must be >= 1")
+        for name in ("epochs", "batch_size", "triplet_stride", "embed_dim", "depth_blocks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("lr", "lr_decay"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
-        if self.embed_dim < 1:
-            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.adapter not in ADAPTER_MODES:
             raise ValueError(f"adapter must be one of {', '.join(ADAPTER_MODES)}, got '{self.adapter}'")
         if self.source_aggregation not in ("mean", "min"):
             raise ValueError(f"source_aggregation must be mean or min, got '{self.source_aggregation}'")
-        if not (0.0 < self.d_min < self.d_max):
-            raise ValueError(f"need 0 < d_min < d_max, got {self.d_min}, {self.d_max}")
-        if not (0.0 < self.d_min * self.d_max < math.inf):  # the initial depth is sqrt(d_min * d_max)
-            raise ValueError(f"d_min * d_max must be finite and > 0, got {self.d_min} * {self.d_max}")
-        if not math.isfinite(1.0 / self.d_min):  # the disparity scale is 1/d_min
-            raise ValueError(f"d_min must have a finite reciprocal, got {self.d_min}")
-        for name, weight in self.loss_weights().items():
-            if not (math.isfinite(weight) and weight >= 0):
-                raise ValueError(f"loss weight {name} must be finite and nonnegative, got {weight}")
+        if not (math.isfinite(self.w_smoothness) and self.w_smoothness >= 0):
+            raise ValueError(f"w_smoothness must be finite and nonnegative, got {self.w_smoothness}")
 
     def loss_weights(self) -> dict[str, float]:
-        """The ``w_<term>`` fields keyed by ``losses.LOSS_TERMS``."""
-        return {name: getattr(self, f"w_{name}") for name in LOSS_TERMS}
+        """The weight of each of ``losses.LOSS_TERMS``: the fixed ones and w_smoothness."""
+        return {**FIXED_WEIGHTS, "smoothness": self.w_smoothness}
 
     def decay_epoch(self) -> int:
         """Epoch after which the lr is multiplied by lr_decay: a third of the epochs, at least 1."""
@@ -74,7 +61,8 @@ class TrainConfig:
 
 # Former fields, each fixed in code at its one value (adapters._kaiming_uniform,
 # blocks.PATCH, the optim constants, losses.ALPHA, TrainConfig.decay_epoch,
-# the decoder's one full-resolution disparity map).
+# the decoder's one full-resolution map; heads, d_min and d_max as blocks.HEADS,
+# D_MIN and D_MAX; the w_* keys as losses.FIXED_WEIGHTS).
 RETIRED = {
     "init": "kaiming_uniform",
     "patch": 8,
@@ -84,6 +72,12 @@ RETIRED = {
     "alpha": 0.85,
     "lr_decay_epoch": 0,
     "loss_scales": 1,
+    "heads": 4,
+    "d_min": 0.1,
+    "d_max": 100.0,
+    "w_reconstruction": 0.2,
+    "w_reflectance": 0.2,
+    "w_synthesis": 1.0,
 }
 
 
@@ -131,16 +125,18 @@ def config_from_pairs(pairs: dict[str, str], base: TrainConfig | None = None) ->
 
 
 def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    """Parse "key=value" lines; '#' starts a comment; blank lines ignored."""
-    pairs = {}
+    """Parse "key=value" lines; '#' starts a comment; blank lines ignored; a repeated key is rejected."""
+    pairs, linenos = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ValueError(f"config line {lineno} is not key=value: '{line.strip()}'")
-        key, value = stripped.split("=", 1)
-        pairs[key.strip()] = value
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key in linenos:
+            raise ValueError(f"config key '{key}' is set on both line {linenos[key]} and line {lineno}")
+        pairs[key], linenos[key] = value, lineno
     return config_from_pairs(pairs, base)
 
 

@@ -24,6 +24,8 @@ ALPHA = 0.85  # SSIM share of the photometric SSIM/L1 mix, as in Monodepth2
 
 # the objective's terms, in the order they are checked, summed and logged
 LOSS_TERMS = ("reconstruction", "reflectance", "synthesis", "smoothness")
+# the weights of all terms but smoothness, fixed; TrainConfig.w_smoothness sets the last
+FIXED_WEIGHTS = {"reconstruction": 0.2, "reflectance": 0.2, "synthesis": 1.0}
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,7 @@ class ModelBundle(Module):
 
     def predict_depth(self, image: Tensor) -> Tensor:
         """Full-resolution depth from the decoder's one disparity map."""
-        return disparity_to_depth(self.depth(image), self.config.d_min, self.config.d_max)
+        return disparity_to_depth(self.depth(image))
 
 
 @dataclass

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from depthlab import autodiff as ad
 from depthlab.autodiff import Tensor
 from depthlab.blocks import (
+    D_MAX,
+    D_MIN,
     ChannelAttention,
     DecompositionNet,
     DepthDecoder,
@@ -187,10 +189,10 @@ class TestDepthDecoder:
 
         expected = conv(224, w0, 1) + conv(w0, w1, 3) + conv(w1, w2, 3) + conv(w2, w3, 3) + conv(w3, 1, 3)
         assert expected == 17_857
-        assert trainable_param_count(DepthDecoder(224, rng(), 0.1, 100.0)) == (expected, expected)
+        assert trainable_param_count(DepthDecoder(224, rng())) == (expected, expected)
 
     def test_reads_the_token_grid_alone(self):
-        decoder = DepthDecoder(16, rng(), 0.1, 100.0)
+        decoder = DepthDecoder(16, rng())
         disp = decoder(Tensor(np.random.default_rng(5).standard_normal((16, 2, 3))))
         assert disp.shape == (16, 24)
 
@@ -198,8 +200,9 @@ class TestDepthDecoder:
 class TestDisparityToDepth:
     def test_limits(self):
         eps = 1e-9
-        near_zero = disparity_to_depth(Tensor(np.array([eps])), 0.1, 100.0)
-        near_one = disparity_to_depth(Tensor(np.array([1.0 - eps])), 0.1, 100.0)
+        assert (D_MIN, D_MAX) == (0.1, 100.0)
+        near_zero = disparity_to_depth(Tensor(np.array([eps])))
+        near_one = disparity_to_depth(Tensor(np.array([1.0 - eps])))
         assert abs(near_zero.item() - 100.0) < 1e-4
         assert abs(near_one.item() - 0.1) < 1e-6
 
@@ -207,9 +210,9 @@ class TestDisparityToDepth:
     @example(1e-06, 1.0000000000000002e-06)  # adjacent floats that round to one depth
     @settings(deadline=None, max_examples=60)
     def test_monotone_and_bounded(self, a, b):
-        da = disparity_to_depth(Tensor(np.array([a])), 0.5, 50.0).item()
-        db = disparity_to_depth(Tensor(np.array([b])), 0.5, 50.0).item()
-        assert 0.5 <= da <= 50.0
+        da = disparity_to_depth(Tensor(np.array([a]))).item()
+        db = disparity_to_depth(Tensor(np.array([b]))).item()
+        assert D_MIN <= da <= D_MAX
         # non-increasing in float arithmetic; strictly decreasing beyond rounding
         if a <= b:
             assert da >= db
@@ -218,13 +221,13 @@ class TestDisparityToDepth:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="disparity"):
-            disparity_to_depth(Tensor(np.array([1.5])), 0.1, 100.0)
+            disparity_to_depth(Tensor(np.array([1.5])))
 
     def test_initial_logit_hits_geometric_mean(self):
-        logit = initial_disparity_logit(2.0, 20.0)
+        logit = initial_disparity_logit()
         disp = 1.0 / (1.0 + np.exp(-logit))
-        depth = disparity_to_depth(Tensor(np.array([disp])), 2.0, 20.0).item()
-        assert abs(depth - np.sqrt(40.0)) <= 1e-9
+        depth = disparity_to_depth(Tensor(np.array([disp]))).item()
+        assert abs(depth - np.sqrt(10.0)) <= 1e-9
 
 
 class TestDecomposition:

@@ -10,7 +10,7 @@ import pytest
 
 from depthlab import checkpoint
 from depthlab.autodiff import Tensor
-from depthlab.blocks import PATCH
+from depthlab.blocks import D_MAX, D_MIN, HEADS, PATCH
 from depthlab.checkpoint import load_checkpoint, save_checkpoint
 from depthlab.config import (
     RETIRED,
@@ -20,7 +20,7 @@ from depthlab.config import (
     load_config,
     parse_config_text,
 )
-from depthlab.losses import ALPHA
+from depthlab.losses import ALPHA, FIXED_WEIGHTS
 from depthlab.optim import BETA1, BETA2, EPS
 from depthlab.train import ModelBundle, load_model, save_model
 
@@ -37,6 +37,12 @@ OLD_HEADER_KEYS = {
     "lr_decay_epoch": 0,
     "loss_scales": 1,
     "patch": 8,
+    "heads": 4,
+    "d_min": 0.1,
+    "d_max": 100.0,
+    "w_reconstruction": 0.2,
+    "w_reflectance": 0.2,
+    "w_synthesis": 1.0,
 }
 
 
@@ -48,12 +54,8 @@ class TestConfig:
         assert cfg.lr == 1e-4
         assert cfg.lr_decay == 0.1
         assert ALPHA == 0.85
-        assert (cfg.w_reconstruction, cfg.w_reflectance, cfg.w_synthesis, cfg.w_smoothness) == (
-            0.2,
-            0.2,
-            1.0,
-            0.003,
-        )
+        weights = {"reconstruction": 0.2, "reflectance": 0.2, "synthesis": 1.0, "smoothness": 0.003}
+        assert cfg.loss_weights() == weights
 
     def test_decay_epoch_defaults_to_one_third(self):
         assert TrainConfig(epochs=30).decay_epoch() == 10
@@ -77,11 +79,21 @@ class TestConfig:
         cfg = parse_config_text("# comment\n\nseed=9  # trailing\n")
         assert cfg.seed == 9
 
+    def test_a_key_named_twice_is_rejected_with_both_lines(self):
+        with pytest.raises(ValueError, match="'seed' is set on both line 1 and line 3"):
+            parse_config_text("seed=1\nepochs=2\n seed = 2\n")
+        # a retired key too, even at its one value
+        with pytest.raises(ValueError, match="'d_min' is set on both line 2 and line 4"):
+            parse_config_text("seed=1\nd_min=0.1\n\nd_min=0.1\n")
+
     def test_validation(self):
         with pytest.raises(ValueError, match="adapter"):
             TrainConfig(adapter="giant")
-        with pytest.raises(ValueError, match="d_min"):
+        # the depth range is retired: no longer fields, and fixed at 0.1..100 as text
+        with pytest.raises(TypeError, match="d_min"):
             TrainConfig(d_min=5.0, d_max=1.0)
+        with pytest.raises(ValueError, match="d_min is fixed at 0.1, got '5.0'"):
+            parse_config_text("d_min=5.0\nd_max=1.0\n")
         # loss_scales is retired: no longer a field, and fixed at 1 as text
         with pytest.raises(TypeError, match="loss_scales"):
             TrainConfig(loss_scales=9)
@@ -104,6 +116,8 @@ class TestConfig:
             ("adam_beta1", -0.1),
             ("adam_beta2", float("nan")),
             ("embed_dim", 0),
+            ("depth_blocks", 0),
+            ("depth_blocks", -3),
             ("lr_decay_epoch", -3),
             ("w_synthesis", float("nan")),
             ("w_smoothness", float("inf")),
@@ -116,17 +130,20 @@ class TestConfig:
     )
     def test_rejects_a_value_that_would_fail_only_in_training(self, field, value):
         # as key=value text, the form a --set, a config file or a checkpoint
-        # header takes; the adam_* keys and lr_decay_epoch are retired, so any
-        # other value is rejected
+        # header takes; a retired key (the adam_* keys, lr_decay_epoch, the
+        # depth range, w_synthesis) is refused at any value but its own
         pairs = value if isinstance(value, dict) else {field: value}
-        with pytest.raises(ValueError, match=field.removeprefix("w_")):
+        message = f"{field} is fixed at {RETIRED[field]}, got" if field in RETIRED else field
+        with pytest.raises(ValueError, match=message):
             config_from_pairs({key: str(v) for key, v in pairs.items()})
 
     def test_retired_keys_hold_the_values_fixed_in_code(self):
         assert RETIRED == OLD_HEADER_KEYS
-        fixed = [RETIRED[k] for k in ("patch", "adam_beta1", "adam_beta2", "adam_eps", "alpha")]
-        assert fixed == [PATCH, BETA1, BETA2, EPS, ALPHA]
-        assert not set(RETIRED) & {f.name for f in dataclasses.fields(TrainConfig)}
+        keys = ("patch", "adam_beta1", "adam_beta2", "adam_eps", "alpha", "heads", "d_min", "d_max")
+        assert [RETIRED[k] for k in keys] == [PATCH, BETA1, BETA2, EPS, ALPHA, HEADS, D_MIN, D_MAX]
+        assert {name: RETIRED[f"w_{name}"] for name in FIXED_WEIGHTS} == FIXED_WEIGHTS
+        names = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert len(names) == 14 and not set(RETIRED) & names
 
     def test_a_retired_key_at_its_value_changes_nothing(self):
         assert parse_config_text("".join(f"{k}={v}\n" for k, v in OLD_HEADER_KEYS.items())) == TrainConfig()
@@ -142,6 +159,13 @@ class TestConfig:
             "alpha=0.5",
             "lr_decay_epoch=7",
             "loss_scales=4",
+            "heads=2",
+            "heads=4.0",
+            "d_min=0.5",
+            "d_max=50",
+            "w_reconstruction=0",
+            "w_reflectance=0.1",
+            "w_synthesis=2",
         ],
     )
     def test_a_retired_key_at_another_value_is_rejected(self, pair):
@@ -196,8 +220,34 @@ class TestCheckpoint:
         for name, tensor, _ in named:
             np.testing.assert_array_equal(ck.tensors[name], tensor.data)
 
+    def test_a_model_whose_header_carries_the_depth_range_heads_and_weights_loads(self, tmp_path):
+        # a header written while these six were fields: same tensors, same depth
+        config = TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2, seed=4)
+        model = ModelBundle(config, (16, 16))
+        save_model(tmp_path / "new.ckpt", model, config, 5)
+        keys = ("heads", "d_min", "d_max", "w_reconstruction", "w_reflectance", "w_synthesis")
+        six = {key: OLD_HEADER_KEYS[key] for key in keys}
+        with_header_config(tmp_path / "new.ckpt", tmp_path / "old.ckpt", **six)
+        loaded, step = load_model(tmp_path / "old.ckpt", (16, 16))
+        assert loaded.config == config and step == 5
+        for (name, p), (other, q) in zip(model.named_parameters(), loaded.named_parameters(), strict=True):
+            assert name == other
+            np.testing.assert_array_equal(p.data, q.data)
+        image = Tensor(np.random.default_rng(8).uniform(0, 1, (3, 16, 16)))
+        np.testing.assert_array_equal(loaded.predict_depth(image).data, model.predict_depth(image).data)
+
     @pytest.mark.parametrize(
-        "key, value", [("init", "uniform"), ("patch", 4), ("alpha", 0.5), ("lr_decay_epoch", 3), ("loss_scales", 4)]
+        "key, value",
+        [
+            ("init", "uniform"),
+            ("patch", 4),
+            ("alpha", 0.5),
+            ("lr_decay_epoch", 3),
+            ("loss_scales", 4),
+            ("heads", 2),
+            ("d_max", 50.0),
+            ("w_synthesis", 0.5),
+        ],
     )
     def test_a_header_with_a_retired_key_at_another_value_is_rejected(self, tmp_path, key, value):
         save_checkpoint(tmp_path / "new.ckpt", self._named(np.random.default_rng(5)), TrainConfig(), step=1)

@@ -82,20 +82,33 @@ def test_params_rejects_an_init_other_than_kaiming_uniform(capsys):
     assert "init is fixed at kaiming_uniform" in capsys.readouterr().err
 
 
+# the depth range is fixed at 0.1..100: a value that once failed only in
+# training is now refused as a retired key at another value
 def test_params_rejects_an_infinite_d_max(capsys):
     assert cli.main(["params", "--size", "16", "--set", "d_max=inf"]) == 2
-    assert "d_max" in capsys.readouterr().err
+    assert "d_max is fixed at 100.0, got 'inf'" in capsys.readouterr().err
 
 
 def test_params_rejects_a_d_min_whose_reciprocal_overflows(capsys):
     assert cli.main(["params", "--size", "16", "--set", "d_min=1e-310"]) == 2
-    assert "d_min" in capsys.readouterr().err
+    assert "d_min is fixed at 0.1, got '1e-310'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("d_min, d_max", [("1e-200", "1e-199"), ("1e300", "1e308")])
 def test_params_rejects_a_depth_range_whose_product_underflows_or_overflows(capsys, d_min, d_max):
     assert cli.main(["params", "--size", "16", "--set", f"d_min={d_min}", "--set", f"d_max={d_max}"]) == 2
-    assert "d_min * d_max" in capsys.readouterr().err
+    assert f"d_min is fixed at 0.1, got '{d_min}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth_blocks", ["0", "-3"])
+def test_params_rejects_depth_blocks_below_one(capsys, depth_blocks):
+    assert cli.main(["params", "--size", "16", "--set", f"depth_blocks={depth_blocks}", "--set", "mixer_after="]) == 2
+    assert f"depth_blocks must be >= 1, got {depth_blocks}" in capsys.readouterr().err
+
+
+def test_params_names_embed_dim_when_the_heads_do_not_divide_it(capsys):
+    assert cli.main(["params", "--size", "16", "--set", "embed_dim=30", "--set", "mixer_after="]) == 2
+    assert "embed_dim must be a multiple of 4, the head count, got 30" in capsys.readouterr().err
 
 
 def test_gen_scene_writes_a_scene_directory(tmp_path, capsys):
@@ -119,8 +132,9 @@ def test_gen_scene_rejects_a_non_finite_or_negative_input(tmp_path, capsys, opti
 
 @pytest.mark.parametrize("heads", ["0", "-4"])
 def test_params_rejects_heads_below_one(capsys, heads):
+    # heads is fixed at 4, so any other count is refused
     assert cli.main(["params", "--size", "16", "--set", f"heads={heads}"]) == 2
-    assert "heads" in capsys.readouterr().err
+    assert f"heads is fixed at 4, got '{heads}'" in capsys.readouterr().err
 
 
 def _scene_dir(tmp_path):
@@ -231,6 +245,22 @@ def test_a_header_with_four_loss_scales_is_refused(tmp_path, capsys):
     assert cli.main(["params", "--size", "16", "--set", "loss_scales=1"]) == 0
     assert cli.main(["params", "--size", "16", "--set", "loss_scales=2"]) == 2
     assert "loss_scales is fixed at 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, fixed", [("d_max", 50.0, "100.0"), ("heads", 2, "4")])
+def test_a_retired_depth_range_or_head_count_is_refused(tmp_path, capsys, key, value, fixed):
+    scene_dir = _scene_dir(tmp_path)
+    old = tmp_path / "old.npz"
+    with_header_config(_untrained_checkpoint(tmp_path), old, **{key: value})
+    with pytest.raises(ValueError, match=f"{key} is fixed at {fixed}, got '{value}'"):
+        load_model(old, (16, 16))
+    assert cli.main(["eval-depth", "--checkpoint", str(old), "--scene", str(scene_dir)]) == 2
+    assert f"{key} is fixed at {fixed}, got '{value}'" in capsys.readouterr().err
+
+    assert cli.main(["params", "--size", "16", "--set", f"{key}={fixed}"]) == 0
+    capsys.readouterr()
+    assert cli.main(["params", "--size", "16", "--set", f"{key}={value}"]) == 2
+    assert f"{key} is fixed at {fixed}, got '{value}'" in capsys.readouterr().err
 
 
 def test_set_beats_a_config_file_line(tmp_path, capsys):
