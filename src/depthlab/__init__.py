@@ -10,7 +10,7 @@ scenes with exact ground truth, and a training harness with a CLI.
 
 from .autodiff import Tensor
 from .geometry import CameraModel, PoseSE3
-from .adapters import FrozenLinear, LowRankAdapter, make_adapter
+from .adapters import LowRankAdapter, make_adapter
 from .nn import trainable_param_count
 from .losses import SemanticMaskSet
 from .evalmetrics import DepthEvalReport, Trajectory, ate_5frame, depth_metrics, median_scale
@@ -21,7 +21,6 @@ __all__ = [
     "Tensor",
     "CameraModel",
     "PoseSE3",
-    "FrozenLinear",
     "LowRankAdapter",
     "make_adapter",
     "trainable_param_count",

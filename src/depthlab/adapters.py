@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import Module, linear
+from .nn import Module
 
 
 ADAPTER_MODES = ("none", "plain", "scaled")
@@ -32,31 +32,6 @@ ADAPTER_MODES = ("none", "plain", "scaled")
 def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-class FrozenLinear(Module):
-    """Dense layer whose weight and bias never receive updates."""
-
-    def __init__(self, weight: np.ndarray, bias: np.ndarray):
-        w = np.asarray(weight, dtype=np.float64)
-        if w.ndim != 2:
-            raise ValueError(f"weight must be 2-d, got shape {w.shape}")
-        self.weight = Tensor(w, requires_grad=False)
-        self.bias = Tensor(bias, requires_grad=False)
-        if self.bias.shape != (w.shape[0],):
-            raise ValueError(f"bias shape {self.bias.shape} does not match weight {w.shape}")
-
-    @staticmethod
-    def random(m: int, n: int, rng: np.random.Generator) -> "FrozenLinear":
-        bound = 1.0 / np.sqrt(n)
-        w = rng.uniform(-bound, bound, size=(m, n))
-        return FrozenLinear(w, rng.uniform(-bound, bound, size=m))
-
-    def __call__(self, x: Tensor, adapter: LowRankAdapter | None = None) -> Tensor:
-        """x W0^T (+ the adapter's low-rank branch) + the frozen bias."""
-        if adapter is not None:
-            _check_adapter_shapes(self, adapter)
-        return linear(x, self.weight, self.bias, adapter)
 
 
 def _check_rank(m: int, n: int, r: int) -> None:
@@ -123,11 +98,3 @@ def make_adapter(mode: str, m: int, n: int, rank: int, seed: int) -> LowRankAdap
     scale_down = _kaiming_uniform(rng, (rank,), fan_in=rank)
     scale_up = _kaiming_uniform(rng, (m,), fan_in=m)
     return LowRankAdapter(a, np.zeros((m, rank)), scale_down, scale_up)
-
-
-def _check_adapter_shapes(layer: FrozenLinear, adapter: LowRankAdapter) -> None:
-    m, n = layer.weight.shape
-    if adapter.down.shape[1] != n or adapter.up.shape[0] != m:
-        raise ValueError(
-            f"adapter (A {adapter.down.shape}, B {adapter.up.shape}) does not fit layer weight {layer.weight.shape}"
-        )

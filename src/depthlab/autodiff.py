@@ -618,18 +618,8 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    axes = _normalize_axes(axis, a.ndim)
-    _check_nonempty(a, axes, "mean")
-    count = 1
-    for ax in axes:
-        count *= a.shape[ax]
-    out_data = np.sum(a.data, axis=axes, keepdims=keepdims) / count
-    a_shape = a.shape
-
-    def bw(g):
-        return (_expand_reduced(np.asarray(g) / count, a_shape, axes, keepdims).copy(),)
-
-    return Tensor._from_op(out_data, (a,), bw)
+    count = math.prod(a.shape[ax] for ax in _normalize_axes(axis, a.ndim))
+    return tsum(a, axis, keepdims) / count
 
 
 def tmax(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -813,10 +803,11 @@ def upsample_nearest2x(a) -> Tensor:
 
 
 # -- convolutions -------------------------------------------------------------------------------
-# Both convolutions read their input through one padded-pitch layout
-# (_PitchGrid). The input is padded once into a zero buffer with spare zero
-# rows below it, and each channel's rows are read as one flat run whose row
-# pitch is the padded width. At stride s, output pixel (oy, ox) of tap
+# Both convolutions run one tap loop (_tap_conv) over one padded-pitch
+# layout (_PitchGrid); each op supplies only its per-tap products. The
+# input is padded once into a zero buffer with spare zero rows below it,
+# and each channel's rows are read as one flat run whose row pitch is the
+# padded width. At stride s, output pixel (oy, ox) of tap
 # (i, j) reads run element (oy*s + i)*pitch + ox*s + j, so the window of a
 # tap over every output row is a (C, ho, cols) view, cols = ceil(pitch/s):
 # at stride 1 one contiguous run per channel, and no per-tap copy is made.
@@ -843,12 +834,6 @@ def upsample_nearest2x(a) -> Tensor:
 # kernel between forward and backward.
 
 
-def _conv_geometry(hp: int, wp: int, kh: int, kw: int, stride: int) -> tuple[int, int]:
-    if kh > hp or kw > wp:
-        raise ValueError(f"kernel ({kh}x{kw}) larger than padded input ({hp}x{wp})")
-    return (hp - kh) // stride + 1, (wp - kw) // stride + 1
-
-
 class _PitchGrid:
     """Padded-pitch geometry of one convolution over a (C, H, W) input."""
 
@@ -856,7 +841,9 @@ class _PitchGrid:
         _, self.h, self.w = x_shape
         self.stride, self.padding = stride, padding
         hp, self.pitch = self.h + 2 * padding, self.w + 2 * padding
-        self.ho, self.wo = _conv_geometry(hp, self.pitch, kh, kw, stride)
+        if kh > hp or kw > self.pitch:
+            raise ValueError(f"kernel ({kh}x{kw}) larger than padded input ({hp}x{self.pitch})")
+        self.ho, self.wo = (hp - kh) // stride + 1, (self.pitch - kw) // stride + 1
         self.cols = -(-self.pitch // stride)
         # spare rows below the padded input: the last tap's run starts at
         # (kh-1)*pitch + kw-1 and spans ho*stride rows
@@ -890,22 +877,60 @@ class _PitchGrid:
         return gq
 
 
-def _conv_output(out: np.ndarray, x: Tensor, kernel: Tensor, bias, bw, opname: str) -> Tensor:
-    """The convolution's output tensor. A (C_out,) bias, when given, is added
-    to the taps' sum in place, after them, and its gradient is the output
-    gradient summed over each channel."""
-    if bias is None:
-        return Tensor._from_op(out, (x, kernel), bw)
-    bias = as_tensor(bias)
-    if bias.shape != out.shape[:1]:
-        raise ValueError(f"{opname} bias must have shape ({out.shape[0]},), got {bias.shape}")
-    out += bias.data[:, None, None]
-    bias_grad = bias.requires_grad
+def _tap_conv(
+    x: Tensor, kernel: Tensor, bias, stride: int, padding: int, opname: str, forward, input_grad, kernel_grad
+) -> Tensor:
+    """The tap loop both convolutions share, over a (C_out, ..., kh, kw) kernel.
 
-    def bw_biased(g):
-        return bw(g) + (np.sum(g, axis=(1, 2)) if bias_grad else None,)
+    Per tap (i, j) the op supplies three products on k = kernel[..., i, j]:
+    forward(k, window) and input_grad(k, output-gradient grid) are added to
+    the output grid and the input-gradient window, and kernel_grad(output-
+    gradient grid, window) is the tap's kernel gradient. A (C_out,) bias,
+    when given, is added to the taps' sum in place, after them, and its
+    gradient is the output gradient summed over each channel.
+    """
+    kh, kw = kernel.shape[-2:]
+    if kh % 2 == 0 or kw % 2 == 0:
+        raise ValueError(f"{opname} kernel extents must be odd, got {kh}x{kw}")
+    grid = _PitchGrid(x.shape, kh, kw, stride, padding)
+    xb = grid.pad(x.data)
+    taps = [(i, j) for i in range(kh) for j in range(kw)]
+    out = np.zeros((kernel.shape[0], grid.ho, grid.cols))
+    for i, j in taps:
+        out += forward(kernel.data[..., i, j], grid.window(xb, i, j)).reshape(out.shape)
+    out = grid.crop(out)
+    parents = (x, kernel)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != out.shape[:1]:
+            raise ValueError(f"{opname} bias must have shape ({out.shape[0]},), got {bias.shape}")
+        out += bias.data[:, None, None]
+        parents += (bias,)
+    bias_grad = None if bias is None else bias.requires_grad
+    kd = kernel.data if x.requires_grad else None
+    xd = x.data if kernel.requires_grad else None
+    k_shape, c_in = kernel.shape, x.shape[0]
 
-    return Tensor._from_op(out, (x, kernel, bias), bw_biased)
+    def bw(g):
+        gq = grid.widen(g)
+        gx = None
+        gk = None
+        if kd is not None:
+            gb = np.zeros((c_in, grid.rows, grid.pitch))
+            for i, j in taps:
+                win = grid.window(gb, i, j)
+                win += input_grad(kd[..., i, j], gq).reshape(win.shape)
+            gx = grid.unpad(gb)
+        if xd is not None:
+            xb = grid.pad(xd)
+            gk = np.empty(k_shape)
+            for i, j in taps:
+                gk[..., i, j] = kernel_grad(gq, grid.window(xb, i, j))
+        if bias_grad is None:
+            return (gx, gk)
+        return (gx, gk, np.sum(g, axis=(1, 2)) if bias_grad else None)
+
+    return Tensor._from_op(out, parents, bw)
 
 
 def conv2d(x, kernel, bias=None, stride=1, padding=0) -> Tensor:
@@ -914,39 +939,24 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> Tensor:
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 4:
         raise ValueError(f"conv2d needs (C,H,W) input and (Co,Ci,kh,kw) kernel, got {x.shape} and {kernel.shape}")
-    c_out, c_in, kh, kw = kernel.shape
+    c_out, c_in = kernel.shape[:2]
     if x.shape[0] != c_in:
         raise ValueError(f"conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError(f"conv2d kernel extents must be odd, got {kh}x{kw}")
-    grid = _PitchGrid(x.shape, kh, kw, stride, padding)
-    xb = grid.pad(x.data)
-    taps = [(i, j) for i in range(kh) for j in range(kw)]
-    out = np.zeros((c_out, grid.ho * grid.cols))
-    for i, j in taps:
-        out += kernel.data[:, :, i, j] @ grid.window(xb, i, j).reshape(c_in, -1)
-    kd = kernel.data if x.requires_grad else None
-    xd = x.data if kernel.requires_grad else None
-    k_shape = kernel.shape
+    return _tap_conv(
+        x,
+        kernel,
+        bias,
+        stride,
+        padding,
+        "conv2d",
+        lambda k, win: k @ win.reshape(c_in, -1),
+        lambda k, gq: k.T @ gq.reshape(c_out, -1),
+        lambda gq, win: gq.reshape(c_out, -1) @ win.reshape(c_in, -1).T,
+    )
 
-    def bw(g):
-        gq = grid.widen(g).reshape(c_out, -1)
-        gx = None
-        gk = None
-        if kd is not None:
-            gb = np.zeros((c_in, grid.rows, grid.pitch))
-            for i, j in taps:
-                win = grid.window(gb, i, j)
-                win += (kd[:, :, i, j].T @ gq).reshape(win.shape)
-            gx = grid.unpad(gb)
-        if xd is not None:
-            xb = grid.pad(xd)
-            gk = np.empty(k_shape)
-            for i, j in taps:
-                gk[:, :, i, j] = gq @ grid.window(xb, i, j).reshape(c_in, -1).T
-        return (gx, gk)
 
-    return _conv_output(grid.crop(out.reshape(c_out, grid.ho, grid.cols)), x, kernel, bias, bw, "conv2d")
+def _depthwise_tap(k: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return k[:, None, None] * a
 
 
 def depthwise_conv2d(x, kernel, bias=None, stride=1, padding=0) -> Tensor:
@@ -955,39 +965,19 @@ def depthwise_conv2d(x, kernel, bias=None, stride=1, padding=0) -> Tensor:
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 3 or kernel.ndim != 3:
         raise ValueError(f"depthwise_conv2d needs (C,H,W) input and (C,kh,kw) kernel, got {x.shape} and {kernel.shape}")
-    c, kh, kw = kernel.shape
-    if x.shape[0] != c:
+    if x.shape[0] != kernel.shape[0]:
         raise ValueError(f"depthwise_conv2d channel mismatch: input {x.shape} vs kernel {kernel.shape}")
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError(f"depthwise_conv2d kernel extents must be odd, got {kh}x{kw}")
-    grid = _PitchGrid(x.shape, kh, kw, stride, padding)
-    xb = grid.pad(x.data)
-    taps = [(i, j) for i in range(kh) for j in range(kw)]
-    out = np.zeros((c, grid.ho, grid.cols))
-    for i, j in taps:
-        out += kernel.data[:, i, j][:, None, None] * grid.window(xb, i, j)
-    kd = kernel.data if x.requires_grad else None
-    xd = x.data if kernel.requires_grad else None
-    k_shape = kernel.shape
-
-    def bw(g):
-        gq = grid.widen(g)
-        gx = None
-        gk = None
-        if kd is not None:
-            gb = np.zeros((c, grid.rows, grid.pitch))
-            for i, j in taps:
-                win = grid.window(gb, i, j)
-                win += kd[:, i, j][:, None, None] * gq
-            gx = grid.unpad(gb)
-        if xd is not None:
-            xb = grid.pad(xd)
-            gk = np.empty(k_shape)
-            for i, j in taps:
-                gk[:, i, j] = np.einsum("chw,chw->c", gq, grid.window(xb, i, j))
-        return (gx, gk)
-
-    return _conv_output(grid.crop(out), x, kernel, bias, bw, "depthwise_conv2d")
+    return _tap_conv(
+        x,
+        kernel,
+        bias,
+        stride,
+        padding,
+        "depthwise_conv2d",
+        _depthwise_tap,
+        _depthwise_tap,
+        lambda gq, win: np.einsum("chw,chw->c", gq, win),
+    )
 
 
 # -- bilinear sampling --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .adapters import FrozenLinear, make_adapter
+from .adapters import make_adapter
 from .autodiff import Tensor
 from .config import TrainConfig
 from .nn import Conv2d, DepthwiseConv2d, LayerNorm, Linear, Module
@@ -100,14 +100,14 @@ class TransformerBlock(Module):
 
     def __init__(self, dim: int, rng: np.random.Generator, adapter_mode: str, rank: int, seed: int):
         self.norm1 = LayerNorm(dim)
-        self.wq = FrozenLinear.random(dim, dim, rng)
-        self.wk = FrozenLinear.random(dim, dim, rng)
-        self.wv = FrozenLinear.random(dim, dim, rng)
-        self.wo = FrozenLinear.random(dim, dim, rng)
+        self.wq = Linear(dim, dim, rng, frozen=True)
+        self.wk = Linear(dim, dim, rng, frozen=True)
+        self.wv = Linear(dim, dim, rng, frozen=True)
+        self.wo = Linear(dim, dim, rng, frozen=True)
         self.norm2 = LayerNorm(dim)
         hidden = 4 * dim
-        self.fc1 = FrozenLinear.random(hidden, dim, rng)
-        self.fc2 = FrozenLinear.random(dim, hidden, rng)
+        self.fc1 = Linear(dim, hidden, rng, frozen=True)
+        self.fc2 = Linear(hidden, dim, rng, frozen=True)
         self.adapter1 = make_adapter(adapter_mode, hidden, dim, rank, seed)
         self.adapter2 = make_adapter(adapter_mode, dim, hidden, rank, seed + 1)
 
@@ -178,7 +178,7 @@ class ToyDepthNet(Module):
         self.grid_hw = (h // PATCH, w // PATCH)
         self.embed_dim = dim
         n_tokens = self.grid_hw[0] * self.grid_hw[1]
-        self.embed = FrozenLinear.random(dim, 3 * PATCH * PATCH, rng)
+        self.embed = Linear(3 * PATCH * PATCH, dim, rng, frozen=True)
         self.positions = Tensor(sinusoidal_positions(n_tokens, dim))
         self.blocks = [
             TransformerBlock(dim, rng, config.adapter, config.rank, config.seed + 10 * i)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .config import TrainConfig, config_from_pairs, config_to_text, load_config
+from .config import TrainConfig, config_to_text, load_config, parse_config_text
 from .evalmetrics import DEPTH_CAP
 from .formats import SceneOnDisk, read_trajectory, write_scene
 from .geometry import CameraModel
@@ -73,16 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cli_config(args) -> TrainConfig:
-    cfg = load_config(args.config) if args.config else TrainConfig()
-    overrides = {}
-    for item in args.set:
-        if "=" not in item:
-            raise ValueError(f"--set expects KEY=VALUE, got '{item}'")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value
-    if overrides:
-        cfg = config_from_pairs(overrides, cfg)
-    return cfg
+    """The --config file (or the defaults) as base, with the --set items
+    parsed over it as config lines: a key set twice is refused."""
+    base = load_config(args.config) if args.config else TrainConfig()
+    return parse_config_text("\n".join(args.set), base)
 
 
 def _cmd_gen_scene(args) -> int:

@@ -1,7 +1,8 @@
 """Flat training configuration: dataclass defaults and key=value text.
 
 Every field is addressable as a "name=value" line of a config file or a
---set override; unknown keys, and a key a file names twice, are rejected.
+--set override; unknown keys, and a key that a file or the --set items
+name twice, are rejected.
 The command line applies the --config file, then --set, so an explicit
 --set beats a file line. A retired key (``RETIRED``: a former field now
 fixed in code, still written by older checkpoint headers) is accepted

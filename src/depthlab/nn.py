@@ -52,31 +52,30 @@ def frozen_checksums(module: Module) -> dict[str, str]:
     return sums
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor, branch=None) -> Tensor:
-    """y = x W^T (+ branch(rows)) + b for one row vector or a batch of rows,
-    as one ``ad.affine``.
-
-    `branch`, when given, maps the (rows, in) input to a (rows, out) term
-    that is added before the bias, so an adapted layer sums in the same
-    order as W0 x + delta x + b.
-    """
-    x = ad.as_tensor(x)
-    single = x.ndim == 1
-    rows = ad.reshape(x, (1, x.shape[0])) if single else x
-    y = ad.affine(rows, weight, bias, None if branch is None else branch(rows))
-    return ad.reshape(y, (y.shape[1],)) if single else y
-
-
 class Linear(Module):
-    """Trainable affine map y = x W^T + b for row-vector inputs."""
+    """Affine map y = x W^T + b for one row vector or a batch of rows.
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+    A frozen layer's weight and bias never receive updates. An adapter
+    (``adapters.LowRankAdapter``), when given, adds its low-rank branch
+    before the bias, so an adapted layer sums in the same order as
+    W0 x + delta x + b.
+    """
+
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, frozen: bool = False):
         bound = 1.0 / np.sqrt(in_features)
-        self.weight = Tensor(rng.uniform(-bound, bound, size=(out_features, in_features)), requires_grad=True)
-        self.bias = Tensor(rng.uniform(-bound, bound, size=out_features), requires_grad=True)
+        self.weight = Tensor(rng.uniform(-bound, bound, size=(out_features, in_features)), requires_grad=not frozen)
+        self.bias = Tensor(rng.uniform(-bound, bound, size=out_features), requires_grad=not frozen)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight, self.bias)
+    def __call__(self, x: Tensor, adapter=None) -> Tensor:
+        x = ad.as_tensor(x)
+        single = x.ndim == 1
+        rows = ad.reshape(x, (1, x.shape[0])) if single else x
+        if adapter is not None and (adapter.up.shape[0], adapter.down.shape[1]) != self.weight.shape:
+            raise ValueError(
+                f"adapter (A {adapter.down.shape}, B {adapter.up.shape}) does not fit layer weight {self.weight.shape}"
+            )
+        y = ad.affine(rows, self.weight, self.bias, None if adapter is None else adapter(rows))
+        return ad.reshape(y, (y.shape[1],)) if single else y
 
 
 class Conv2d(Module):

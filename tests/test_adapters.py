@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from depthlab import autodiff as ad
-from depthlab.adapters import FrozenLinear, LowRankAdapter, make_adapter
+from depthlab.adapters import LowRankAdapter, make_adapter
 from depthlab.autodiff import Tensor
-from depthlab.nn import frozen_checksums, trainable_param_count
+from depthlab.nn import Linear, frozen_checksums, trainable_param_count
 from depthlab.optim import Adam
 
 from oracles import fd_gradient, rel_err
 
 
 def random_setup(rng, m=6, n=5, r=3):
-    layer = FrozenLinear.random(m, n, rng)
+    layer = Linear(n, m, rng, frozen=True)
     adapter = LowRankAdapter(
         rng.standard_normal((r, n)),
         rng.standard_normal((m, r)),
@@ -28,14 +28,22 @@ def random_setup(rng, m=6, n=5, r=3):
 class TestPlainForward:
     def test_zero_up_matrix_reduces_to_base(self):
         rng = np.random.default_rng(1)
-        layer = FrozenLinear.random(4, 3, rng)
+        layer = Linear(3, 4, rng, frozen=True)
         adapter = LowRankAdapter(rng.standard_normal((2, 3)), np.zeros((4, 2)))
         x = rng.standard_normal(3)
         np.testing.assert_array_equal(layer(Tensor(x), adapter).data, layer(Tensor(x)).data)
 
+    @pytest.mark.parametrize("m, n", [(5, 3), (4, 2)])
+    def test_adapter_for_another_weight_shape_is_refused(self, m, n):
+        layer = Linear(3, 4, np.random.default_rng(0), frozen=True)
+        with pytest.raises(ValueError, match="does not fit layer weight"):
+            layer(Tensor(np.ones(3)), make_adapter("plain", m, n, 2, 0))
+
     def test_identity_factors_pass_input_through(self):
         n = 4
-        layer = FrozenLinear(np.zeros((n, n)), np.zeros(n))
+        layer = Linear(n, n, np.random.default_rng(0), frozen=True)
+        layer.weight.assign(np.zeros((n, n)))
+        layer.bias.assign(np.zeros(n))
         adapter = LowRankAdapter(np.eye(n), np.eye(n))
         x = np.arange(1.0, n + 1.0)
         np.testing.assert_array_equal(layer(Tensor(x), adapter).data, x)
@@ -43,7 +51,7 @@ class TestPlainForward:
     def test_matches_dense_merge(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            layer = FrozenLinear.random(6, 5, rng)
+            layer = Linear(5, 6, rng, frozen=True)
             adapter = LowRankAdapter(rng.standard_normal((3, 5)), rng.standard_normal((6, 3)))
             x = rng.standard_normal(5)
             dense = (layer.weight.data + adapter.up.data @ adapter.down.data) @ x + layer.bias.data
@@ -54,7 +62,7 @@ class TestPlainForward:
 class TestScaledForward:
     def test_fresh_adapter_matches_base_bitwise(self):
         rng = np.random.default_rng(3)
-        layer = FrozenLinear.random(8, 5, rng)
+        layer = Linear(5, 8, rng, frozen=True)
         adapter = make_adapter("scaled", 8, 5, 3, 11)
         x = rng.standard_normal(5)
         got = layer(Tensor(x), adapter).data
@@ -62,7 +70,7 @@ class TestScaledForward:
 
     def test_unit_scales_equal_plain_adapter(self):
         rng = np.random.default_rng(4)
-        layer = FrozenLinear.random(6, 5, rng)
+        layer = Linear(5, 6, rng, frozen=True)
         a = rng.standard_normal((3, 5))
         b = rng.standard_normal((6, 3))
         plain = LowRankAdapter(a, b)
@@ -97,7 +105,7 @@ class TestScaledForward:
 
     def test_fresh_adapter_gradient_wrt_input_equals_base(self):
         rng = np.random.default_rng(7)
-        layer = FrozenLinear.random(6, 5, rng)
+        layer = Linear(5, 6, rng, frozen=True)
         adapter = make_adapter("scaled", 6, 5, 2, 0)
         x = rng.standard_normal(5)
 
@@ -187,7 +195,7 @@ class TestInit:
 
 class TestParamCounts:
     def test_single_adapter_counts(self):
-        layer = FrozenLinear.random(64, 64, np.random.default_rng(0))
+        layer = Linear(64, 64, np.random.default_rng(0), frozen=True)
         adapter = make_adapter("scaled", 64, 64, 4, 0)
         trainable, total = trainable_param_count(adapter)
         assert trainable == 4 * 64 + 64 * 4  # A and B
@@ -196,7 +204,7 @@ class TestParamCounts:
         assert lt == 0 and lt_total == 64 * 64 + 64
 
     def test_ratio_for_384_square(self):
-        layer = FrozenLinear.random(384, 384, np.random.default_rng(0))
+        layer = Linear(384, 384, np.random.default_rng(0), frozen=True)
         adapter = make_adapter("plain", 384, 384, 4, 0)
         trainable, total = trainable_param_count(adapter)
         assert trainable == total == 3072
@@ -241,7 +249,7 @@ class TestFrozenIntegrity:
 
     def test_checksum_helper_tracks_frozen_only(self):
         rng = np.random.default_rng(14)
-        layer = FrozenLinear.random(4, 3, rng)
+        layer = Linear(3, 4, rng, frozen=True)
         sums = frozen_checksums(layer)
         assert set(sums) == {"weight", "bias"}
         expect = hashlib.sha256(layer.weight.data.tobytes()).hexdigest()

@@ -1013,6 +1013,9 @@ def _random_op_cases(seed):
         ("matmul", lambda: ad.tsum(ad.matmul(leafs[0], leafs[1])), [m, n]),
         ("sum_axis", lambda: ad.tsum(_sq(ad.tsum(leafs[0], axis=1))), [x]),
         ("mean_axis", lambda: ad.tsum(_sq(ad.tmean(leafs[0], axis=0))), [x]),
+        ("sum_axes_keepdims", lambda: ad.tsum(_sq(ad.tsum(leafs[0], axis=(0, 2), keepdims=True))), [ker]),
+        ("mean_axes_keepdims", lambda: ad.tsum(_sq(ad.tmean(leafs[0], axis=(0, 2), keepdims=True))), [ker]),
+        ("mask_fill", lambda: ad.tsum(_sq(ad.mask_fill(leafs[0], y < 0, 0.5))), [x]),
         ("max", lambda: ad.tmax(leafs[0]), [x]),
         ("softmax", lambda: ad.tsum(_sq(ad.softmax(leafs[0]))), [x]),
         ("layernorm", lambda: ad.tsum(_sq(ad.layer_norm(leafs[0], leafs[1], leafs[2]))), [x, gain, bias]),

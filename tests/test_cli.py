@@ -273,6 +273,11 @@ def test_set_beats_a_config_file_line(tmp_path, capsys):
     assert overridden != from_file
 
 
+def test_a_key_set_twice_on_the_command_line_is_refused(capsys):
+    assert cli.main(["params", "--size", "16", "--set", "adapter=none", "--set", "adapter=plain"]) == 2
+    assert "config key 'adapter' is set on both" in capsys.readouterr().err
+
+
 def test_an_environment_variable_leaves_the_config_alone(capsys, monkeypatch):
     assert cli.main(["params", "--size", "16"]) == 0
     default = capsys.readouterr().out
