@@ -20,6 +20,7 @@ from . import autodiff as ad
 from .adapters import make_adapter
 from .autodiff import Tensor
 from .config import TrainConfig
+from .geometry import rotation_from_axis_angle
 from .nn import Conv2d, DepthwiseConv2d, LayerNorm, Linear, Module
 
 PATCH = 8  # token side in pixels: the depth decoder's three 2x stages upsample by 8
@@ -242,6 +243,9 @@ class PoseNet(Module):
     equations' data terms). Their means give the head a linear readout of
     the translation direction; the conv stack refines the rest. Frames
     enter as values (the pose path differentiates only its own weights).
+    A call returns the target-to-source (rotation, translation) pair the
+    warp takes, (3, 3) and (3,): the head's 6-vector is decoded here alone,
+    an axis-angle through ``rotation_from_axis_angle`` and a translation.
     """
 
     N_STATS = 13
@@ -307,7 +311,7 @@ class PoseNet(Module):
         stats.extend([gxx, gyy, gxy, float(dm.mean())])
         return feats, np.array(stats)
 
-    def __call__(self, target: Tensor, source: Tensor) -> Tensor:
+    def __call__(self, target: Tensor, source: Tensor) -> tuple[Tensor, Tensor]:
         if target.shape != source.shape or target.ndim != 3:
             raise ValueError(f"expected matching (3, H, W) frames, got {target.shape} and {source.shape}")
         feats, stats = self._pair_features(target.data, source.data)
@@ -318,13 +322,15 @@ class PoseNet(Module):
         out = self.head(pooled) * self.output_scale
         if not np.all(np.isfinite(out.data)):
             raise ad.TrainingDiverged("pose head produced non-finite output")
-        return out
+        return rotation_from_axis_angle(ad.slice_axis(out, 0, 0, 3)), ad.slice_axis(out, 0, 3, 6)
 
 
 class DecompositionNet(Module):
     """Reflectance/shading decomposition: a small conv trunk predicts the
     3-channel reflectance; its shallow features, concatenated with the
-    input image, feed the single-channel shading head."""
+    input image, feed the single-channel shading head. A call returns
+    reflectance (3, H, W) and shading (1, H, W), so the reconstructed
+    image is the broadcast product ``reflectance * shading``."""
 
     def __init__(self, rng: np.random.Generator):
         width = 8
@@ -342,14 +348,4 @@ class DecompositionNet(Module):
         reflectance = ad.sigmoid(self.reflectance_head(feat))
         s_in = ad.concat([image, shallow], axis=0)
         shading = ad.sigmoid(self.shading_head(ad.relu(self.shading1(s_in))))
-        return reflectance, ad.reshape(shading, shading.shape[1:])
-
-
-def reconstruct(reflectance: Tensor, shading: Tensor) -> Tensor:
-    """Compose an image from reflectance (3, H, W) and shading (H, W)."""
-    reflectance = ad.as_tensor(reflectance)
-    shading = ad.as_tensor(shading)
-    if shading.ndim != 2 or reflectance.shape[1:] != shading.shape:
-        raise ValueError(f"reflectance {reflectance.shape} and shading {shading.shape} do not align")
-    h, w = shading.shape
-    return reflectance * ad.reshape(shading, (1, h, w))
+        return reflectance, shading

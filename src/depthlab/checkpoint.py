@@ -71,8 +71,9 @@ def save_checkpoint(path, named_tensors, config: TrainConfig, step: int) -> None
 
 
 def _read_header(fh) -> tuple[int, dict]:
-    """Check the magic and the format version; return the version and the
-    parsed JSON header, leaving the file at the first payload."""
+    """Check the magic, the format version and that no tensor is named
+    twice; return the version and the parsed JSON header, leaving the file
+    at the first payload."""
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise ValueError(f"not a checkpoint file: magic {magic!r}")
@@ -80,7 +81,13 @@ def _read_header(fh) -> tuple[int, dict]:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {version}")
     header_len = int.from_bytes(fh.read(8), "little")
-    return version, json.loads(fh.read(header_len).decode("utf-8"))
+    header = json.loads(fh.read(header_len).decode("utf-8"))
+    seen = set()
+    for entry in header["tensors"]:
+        if entry["name"] in seen:
+            raise ValueError(f"checkpoint names tensor '{entry['name']}' twice")
+        seen.add(entry["name"])
+    return version, header
 
 
 def _header_config(header: dict) -> TrainConfig:

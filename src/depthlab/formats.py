@@ -180,7 +180,13 @@ def read_intrinsics(path) -> CameraModel:
 def write_scene(directory, scene: Scene) -> None:
     """Lay a scene out as PPM/PFM/PGM files named by frame id plus
     trajectory and intrinsics text files; depth and label rasters only when
-    the scene has them."""
+    the scene has them. A directory holding a frame_*.ppm this scene lacks
+    is refused before anything is written: no reader could pair it with the
+    new trajectory."""
+    names = {f"frame_{frame_id:03d}.ppm" for frame_id in scene.ids}
+    for name in sorted(os.listdir(directory)) if os.path.isdir(directory) else ():
+        if name.startswith("frame_") and name.endswith(".ppm") and name not in names:
+            raise ValueError(f"scene directory {directory} holds {name}, a frame this scene lacks")
     os.makedirs(directory, exist_ok=True)
     write_intrinsics(os.path.join(directory, "intrinsics.txt"), scene.cam)
     write_trajectory(os.path.join(directory, "trajectory.txt"), gt_trajectory(scene))

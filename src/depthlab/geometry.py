@@ -2,8 +2,10 @@
 
 The warp chain (backproject -> rigid transform -> project -> bilinear
 sample) synthesizes a target view from a source frame, a predicted depth
-map, and a target-to-source pose, and is differentiable with respect to
-the depth, the pose parameters (when given as tensors), and the source.
+map, and a target-to-source (rotation, translation) pair, and is
+differentiable with respect to the depth, the pose (when given as
+tensors), and the source. ``rotation_from_axis_angle`` is the one
+Rodrigues map: the pose head's and, without a graph, ``PoseSE3``'s.
 
 Conventions: integer pixel coordinates address pixel centers; depth is the
 camera-frame Z coordinate; poses map target-frame points into the source
@@ -81,7 +83,9 @@ class PoseSE3:
 
     @staticmethod
     def from_axis_angle(axis_angle, translation) -> "PoseSE3":
-        return PoseSE3(rotation_matrix(np.asarray(axis_angle, dtype=np.float64)), translation)
+        with ad.no_grad():
+            rotation = rotation_from_axis_angle(Tensor(axis_angle))
+        return PoseSE3(rotation.data, translation)
 
     def compose(self, other: "PoseSE3") -> "PoseSE3":
         """self after other: x -> self(other(x))."""
@@ -90,28 +94,6 @@ class PoseSE3:
     def inverse(self) -> "PoseSE3":
         rt = self.rotation.T
         return PoseSE3(rt, -rt @ self.translation)
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Transform points of shape (3, ...)."""
-        flat = points.reshape(3, -1)
-        return (self.rotation @ flat + self.translation[:, None]).reshape(points.shape)
-
-
-def rotation_matrix(axis_angle: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation from an axis-angle 3-vector (plain numpy)."""
-    theta = float(np.linalg.norm(axis_angle))
-    k = _skew(axis_angle)
-    if theta < 1e-8:
-        return np.eye(3) + k + 0.5 * (k @ k)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * k + b * (k @ k)
-
-
-def _skew(w) -> np.ndarray:
-    return np.array(
-        [[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]], dtype=np.float64
-    )
 
 
 def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
@@ -157,6 +139,12 @@ def _depth_tensor(depth) -> Tensor:
 
 # -- differentiable rotation from axis-angle ----------------------------------------------------
 
+# the skew matrix K(w) = [[0, -z, y], [z, 0, -x], [-y, x, 0]], row-major, as a linear map of w = (x, y, z)
+_SKEW_BASIS = np.array(
+    [[0, 0, 0], [0, 0, -1], [0, 1, 0], [0, 0, 1], [0, 0, 0], [-1, 0, 0], [0, -1, 0], [1, 0, 0], [0, 0, 0]],
+    dtype=np.float64,
+)
+
 
 def rotation_from_axis_angle(axis_angle: Tensor) -> Tensor:
     """Differentiable Rodrigues rotation from an axis-angle 3-vector tensor.
@@ -168,7 +156,7 @@ def rotation_from_axis_angle(axis_angle: Tensor) -> Tensor:
     if w.shape != (3,):
         raise ValueError(f"axis-angle must have shape (3,), got {w.shape}")
     theta_sq = ad.tsum(w * w)
-    k = _skew_tensor(w)
+    k = ad.reshape(ad.matmul(Tensor(_SKEW_BASIS), ad.reshape(w, (3, 1))), (3, 3))
     k2 = ad.matmul(k, k)
     if theta_sq.item() < 1e-8:
         # sin(t)/t = 1 - t^2/6 + t^4/120,  (1-cos t)/t^2 = 1/2 - t^2/24 + t^4/720
@@ -180,15 +168,6 @@ def rotation_from_axis_angle(axis_angle: Tensor) -> Tensor:
         b = (1.0 - ad.tcos(theta)) / theta_sq
     eye = Tensor(np.eye(3))
     return eye + a * k + b * k2
-
-
-def _skew_tensor(w: Tensor) -> Tensor:
-    zero = Tensor(0.0)
-    wx = ad.reshape(ad.slice_axis(w, 0, 0, 1), ())
-    wy = ad.reshape(ad.slice_axis(w, 0, 1, 2), ())
-    wz = ad.reshape(ad.slice_axis(w, 0, 2, 3), ())
-    rows = [zero, -wz, wy, wz, zero, -wx, -wy, wx, zero]
-    return ad.reshape(ad.concat([ad.reshape(r, (1,)) for r in rows], axis=0), (3, 3))
 
 
 # -- projection chain ------------------------------------------------------------------------------
@@ -226,35 +205,23 @@ def project(points: Tensor, cam: CameraModel) -> Tensor:
     return ad.concat([u, v], axis=0)
 
 
-def transform_points(points: Tensor, rotation, translation) -> Tensor:
-    """Apply x -> R x + t to (3, H, W) points; R and t may carry gradients."""
-    points = ad.as_tensor(points)
-    r = ad.as_tensor(rotation)
-    t = ad.as_tensor(translation)
-    _, h, w = points.shape
-    flat = ad.reshape(points, (3, h * w))
-    moved = ad.matmul(r, flat) + ad.reshape(t, (3, 1))
-    return ad.reshape(moved, (3, h, w))
-
-
 def warp_frame(source, depth, pose_t_to_s, cam: CameraModel) -> tuple[Tensor, np.ndarray]:
     """Synthesize the target view by sampling the source frame.
 
     source: (C, H, W) tensor; depth: target-frame depth (tensor or array);
-    pose_t_to_s: a PoseSE3 or an (rotation, translation) pair of
-    tensors for a differentiable pose. Returns (synthesized, validity),
-    validity the sampler's read-only bool (H, W) array.
+    pose_t_to_s: the (rotation, translation) pair, (3, 3) and (3,), as
+    arrays or as tensors for a differentiable pose (``PoseNet``'s output).
+    Returns (synthesized, validity), validity the sampler's read-only bool
+    (H, W) array.
     """
     source = ad.as_tensor(source)
-    if isinstance(pose_t_to_s, PoseSE3):
-        rotation, translation = pose_t_to_s.rotation, pose_t_to_s.translation
-    else:
-        rotation, translation = pose_t_to_s
+    rotation, translation = pose_t_to_s
     if source.ndim != 3:
         raise ValueError(f"source must be (C, H, W), got {source.shape}")
     if source.shape[1] != cam.height or source.shape[2] != cam.width:
         raise ValueError(f"source {source.shape} does not match camera {cam.height}x{cam.width}")
-    points = backproject(depth, cam)
-    moved = transform_points(points, rotation, translation)
-    grid = project(moved, cam)
+    h, w = cam.height, cam.width
+    points = ad.reshape(backproject(depth, cam), (3, h * w))
+    moved = ad.matmul(rotation, points) + ad.reshape(translation, (3, 1))
+    grid = project(ad.reshape(moved, (3, h, w)), cam)
     return ad.bilinear_sample(source, grid)

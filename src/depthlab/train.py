@@ -1,13 +1,14 @@
 """End-to-end training loop and evaluation orchestration.
 
 For every target frame the loop predicts one full-resolution depth map,
-the one evaluation scores, and poses each source frame once. It warps the
+the one evaluation scores, and poses each source frame once: the pose head
+returns the (rotation, translation) pair the warp takes. It warps the
 source, or with the reflectance/shading decomposition on the stack of its
-reconstruction and reflectance, into the target view once, and one
-aggregation over the sources (the mean of per-source losses or the
-per-pixel minimum) gives the synthesis term. It minimizes the weighted sum
-of reconstruction, reflectance-consistency, synthesis and mask-guided
-smoothness terms.
+reconstruction (reflectance times shading) and reflectance, into the
+target view once, and one aggregation over the sources (the mean of
+per-source losses or the per-pixel minimum) gives the synthesis term. It
+minimizes the weighted sum of reconstruction, reflectance-consistency,
+synthesis and mask-guided smoothness terms.
 The graph is per target: an optimizer step backwards each target's share
 of the batch mean as soon as that target's loss is built, so it holds one
 target's graph at a time, and backwards the decompositions its targets
@@ -26,11 +27,11 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .autodiff import Tensor, TrainingDiverged
-from .blocks import DecompositionNet, PoseNet, ToyDepthNet, disparity_to_depth, reconstruct
+from .blocks import DecompositionNet, PoseNet, ToyDepthNet, disparity_to_depth
 from .checkpoint import load_module, save_checkpoint
 from .config import TrainConfig
 from .evalmetrics import DEPTH_CAP, DepthEvalReport, Trajectory, anchored_trajectory, ate_5frame, evaluate_depth
-from .geometry import PoseSE3, rotation_from_axis_angle, warp_frame
+from .geometry import PoseSE3, warp_frame
 # bench/spans.py wraps these names in this module, ssim included though unused here
 from .losses import SemanticMaskSet, masked_smoothness_loss, reconstruction_loss, ssim, total_loss
 from .nn import Module, frozen_checksums
@@ -126,24 +127,22 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     depth = model.predict_depth(img_t)
     if decompose:
         r_t, s_t = cache.decomp(t)
-        recon_t = reconstruction_loss(reconstruct(r_t, s_t), img_t)
+        recon_t = reconstruction_loss(r_t * s_t, img_t)
 
     warps = []  # (warped stack, bool validity) per source
     recon_terms = []
     for s in (t - cfg.triplet_stride, t + cfg.triplet_stride):
         img_s = Tensor(scene.frames[s])
-        pose6 = model.pose(img_t, img_s)
-        rot = rotation_from_axis_angle(ad.slice_axis(pose6, 0, 0, 3))
-        trans = ad.slice_axis(pose6, 0, 3, 6)
+        pose = model.pose(img_t, img_s)
         stack = img_s
         if decompose:
             r_s, s_s = cache.decomp(s)
-            i_s_hat = reconstruct(r_s, s_s)
+            i_s_hat = r_s * s_s
             recon_terms.append(reconstruction_loss(i_s_hat, img_s))
             # one bilinear pass carries both the reconstructed frame (for the
             # synthesis term) and the reflectance (for the consistency term)
             stack = ad.concat([i_s_hat, r_s], axis=0)
-        warps.append(warp_frame(stack, depth, (rot, trans), scene.cam))
+        warps.append(warp_frame(stack, depth, pose, scene.cam))
 
     if not all(valid.any() for _, valid in warps):
         raise TrainingDiverged("warp produced an empty validity mask; pose diverged")
@@ -315,10 +314,8 @@ def predicted_trajectory(model: ModelBundle, scene) -> Trajectory:
     poses = [current]
     with ad.no_grad():
         for k in range(len(scene) - 1):
-            pose6 = model.pose(Tensor(scene.frames[k]), Tensor(scene.frames[k + 1]))
-            vec = pose6.data
-            t_to_s = PoseSE3.from_axis_angle(vec[:3], vec[3:])
-            current = current.compose(t_to_s.inverse())
+            rotation, translation = model.pose(Tensor(scene.frames[k]), Tensor(scene.frames[k + 1]))
+            current = current.compose(PoseSE3(rotation.data, translation.data).inverse())
             poses.append(current)
     return Trajectory(scene.ids, tuple(poses))
 

@@ -1,21 +1,23 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written as plain scalar loops over numpy arrays (or
-direct closed forms), deliberately sharing no code with the package under
-test, except two groups. The composed layers are the forms the package's
-fused layer ops replaced, built from its smaller autodiff ops, so a test
-can require the fused op to give the same bits, values and gradients. The
-helpers at the end are test-only drivers of package code: a checkpoint
-re-save, a checkpoint header edit, a scene directory's frame renumbering,
-the ground-truth relative pose of a frame pair and a ground-truth
-co-visibility raster. Finite differences are central, step 1e-6 unless
-stated.
+direct closed forms, or scipy: a rotation is the matrix exponential of its
+axis-angle's skew matrix), deliberately sharing no code with the package
+under test, except two groups. The composed layers are the forms the
+package's fused layer ops replaced, built from its smaller autodiff ops,
+so a test can require the fused op to give the same bits, values and
+gradients. The helpers at the end are test-only drivers of package code:
+a checkpoint re-save, a checkpoint header edit, a scene directory's frame
+renumbering, the ground-truth relative pose of a frame pair and a
+ground-truth co-visibility raster. Finite differences are central, step
+1e-6 unless stated.
 """
 
 import json
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
 from depthlab import autodiff as ad
 from depthlab.checkpoint import load_checkpoint, save_checkpoint
@@ -237,6 +239,21 @@ def smoothness_loss_loops(depth, image, labels):
     return total / count if count else 0.0
 
 
+# -- pose oracles ----------------------------------------------------------------------
+
+
+def rotation_expm(axis_angle):
+    """Rotation of an axis-angle 3-vector: expm of its skew matrix."""
+    x, y, z = np.asarray(axis_angle, dtype=np.float64)
+    return scipy.linalg.expm(np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]]))
+
+
+def apply_pose(pose, points):
+    """R x + t for (3, ...) points and a pose's rotation R and translation t."""
+    flat = points.reshape(3, -1)
+    return (pose.rotation @ flat + pose.translation[:, None]).reshape(points.shape)
+
+
 # -- metric loop oracles ---------------------------------------------------------------
 
 
@@ -359,7 +376,7 @@ def covisibility_mask(scene, t, s, tol=0.05):
     cam = scene.cam
     pose = relative_pose(scene, t, s)
     pts = cam.pixel_rays() * scene.depths[t]
-    moved = pose.apply(pts)
+    moved = apply_pose(pose, pts)
     z = moved[2]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = cam.fx * moved[0] / z + cam.cx

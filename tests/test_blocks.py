@@ -20,7 +20,6 @@ from depthlab.blocks import (
     ToyDepthNet,
     disparity_to_depth,
     initial_disparity_logit,
-    reconstruct,
 )
 from depthlab.config import TrainConfig
 from depthlab.nn import trainable_param_count
@@ -233,14 +232,15 @@ class TestDisparityToDepth:
 class TestDecomposition:
     def test_unit_shading_returns_reflectance(self):
         r = np.random.default_rng(5).uniform(0.1, 0.9, (3, 6, 6))
-        out = reconstruct(Tensor(r), Tensor(np.ones((6, 6))))
+        out = Tensor(r) * Tensor(np.ones((1, 6, 6)))  # shading as the head returns it
         np.testing.assert_array_equal(out.data, r)
 
     def test_outputs_in_unit_interval(self):
         net = DecompositionNet(rng())
         image = np.random.default_rng(6).uniform(0, 1, (3, 16, 16))
         r, s = net(Tensor(image))
-        recon = reconstruct(r, s)
+        assert r.shape == (3, 16, 16) and s.shape == (1, 16, 16)
+        recon = r * s
         for arr in (r.data, s.data, recon.data):
             assert np.all(arr > 0.0) and np.all(arr < 1.0)
 
@@ -256,12 +256,11 @@ class TestDecomposition:
         image0 = np.random.default_rng(8).uniform(0.2, 0.8, (3, 8, 8))
         leaf = Tensor(image0, requires_grad=True)
         r, s = net(leaf)
-        ad.tsum(reconstruct(r, s)).backward()
+        ad.tsum(r * s).backward()
 
         def f(iv):
             rr, ss = net(Tensor(np.asarray(iv)))
-            h, w = ss.shape
-            return float(np.sum(rr.data * ss.data[None]))
+            return float(np.sum(rr.data * ss.data))
 
         assert rel_err(leaf.grad, fd_gradient(f, [image0], 0)) <= 1e-4
 
@@ -270,18 +269,20 @@ class TestPoseNet:
     def test_output_shape_and_finite(self):
         net = PoseNet(rng())
         g = np.random.default_rng(9)
-        out = net(Tensor(g.uniform(0, 1, (3, 32, 32))), Tensor(g.uniform(0, 1, (3, 32, 32))))
-        assert out.shape == (6,)
-        assert np.all(np.isfinite(out.data))
+        rotation, translation = net(Tensor(g.uniform(0, 1, (3, 32, 32))), Tensor(g.uniform(0, 1, (3, 32, 32))))
+        assert rotation.shape == (3, 3) and translation.shape == (3,)
+        assert np.all(np.isfinite(rotation.data)) and np.all(np.isfinite(translation.data))
+        assert np.max(np.abs(rotation.data.T @ rotation.data - np.eye(3))) <= 1e-12
 
     def test_pair_order_changes_prediction(self):
         net = PoseNet(rng())
         g = np.random.default_rng(10)
         a = g.uniform(0, 1, (3, 32, 32))
         b = np.roll(a, 2, axis=2)  # pure shift
-        fwd = net(Tensor(a), Tensor(b)).data
-        rev = net(Tensor(b), Tensor(a)).data
-        assert not np.allclose(fwd, rev)
+        fwd = [out.data for out in net(Tensor(a), Tensor(b))]
+        rev = [out.data for out in net(Tensor(b), Tensor(a))]
+        assert not np.allclose(fwd[1], rev[1])
+        assert not np.allclose(fwd[0], rev[0])
 
     def test_rejects_mismatched_frames(self):
         net = PoseNet(rng())

@@ -10,7 +10,7 @@ import pytest
 
 import depthlab
 from depthlab import cli
-from depthlab.checkpoint import save_checkpoint
+from depthlab.checkpoint import load_checkpoint, save_checkpoint
 from depthlab.config import RETIRED, TrainConfig
 from depthlab.formats import SceneOnDisk, write_scene
 from depthlab.geometry import CameraModel
@@ -117,6 +117,19 @@ def test_gen_scene_writes_a_scene_directory(tmp_path, capsys):
     assert "wrote 3-frame two_spheres scene" in capsys.readouterr().out
     scene = SceneOnDisk(out)
     assert len(scene) == 3 and (scene.cam.fx, scene.cam.width) == (16.0, 16)
+
+
+def test_gen_scene_refuses_a_directory_holding_a_frame_the_scene_lacks(tmp_path, capsys):
+    out = tmp_path / "scene"
+    assert cli.main(["gen-scene", "--size", "16", "--frames", "6", "--out", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert cli.main(["gen-scene", "--size", "16", "--frames", "6", "--out", str(out)]) == 0  # the same ids
+    capsys.readouterr()
+
+    assert cli.main(["gen-scene", "--size", "16", "--frames", "5", "--out", str(out)]) == 2
+    assert "holds frame_005.ppm, a frame this scene lacks" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before  # nothing was written
+    assert len(SceneOnDisk(out)) == 6
 
 
 @pytest.mark.parametrize(
@@ -372,6 +385,21 @@ def test_eval_depth_rejects_a_checkpoint_tensor_the_model_lacks(tmp_path, capsys
     argv = ["eval-depth", "--checkpoint", str(checkpoint), "--scene", str(_scene_dir(tmp_path))]
     assert cli.main(argv) == 2
     assert "'depth.bogus' is not in the model" in capsys.readouterr().err
+
+
+def test_a_checkpoint_naming_a_tensor_twice_is_refused(tmp_path, capsys):
+    # a second copy, unlike the first, must not silently win
+    def twice(named):
+        return named + [(name, p.data + 1.0, frozen) for name, p, frozen in named if name == "depth.embed.weight"]
+
+    checkpoint = _untrained_checkpoint(tmp_path, twice)
+    with pytest.raises(ValueError, match="checkpoint names tensor 'depth.embed.weight' twice"):
+        load_model(checkpoint, (16, 16))
+    with pytest.raises(ValueError, match="checkpoint names tensor 'depth.embed.weight' twice"):
+        load_checkpoint(checkpoint)
+    argv = ["eval-depth", "--checkpoint", str(checkpoint), "--scene", str(_scene_dir(tmp_path))]
+    assert cli.main(argv) == 2
+    assert "'depth.embed.weight' twice" in capsys.readouterr().err
 
 
 def test_eval_depth_rejects_a_non_positive_cap(tmp_path, capsys):

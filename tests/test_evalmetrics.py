@@ -12,15 +12,15 @@ from depthlab.evalmetrics import (
     evaluate_depth,
     median_scale,
 )
-from depthlab.geometry import PoseSE3, rotation_matrix
+from depthlab.geometry import PoseSE3
 
-from oracles import ate_grid_search, depth_metrics_loops, lower_median_loops, median_scale_loops
+from oracles import ate_grid_search, depth_metrics_loops, lower_median_loops, median_scale_loops, rotation_expm
 
 
 def random_trajectory(rng, n=9, scale=1.0):
     poses = []
     for k in range(n):
-        rot = rotation_matrix(rng.uniform(-0.1, 0.1, 3))
+        rot = rotation_expm(rng.uniform(-0.1, 0.1, 3))
         poses.append(PoseSE3(rot, scale * rng.uniform(-2.0, 2.0, 3)))
     return Trajectory(tuple(range(n)), tuple(poses))
 

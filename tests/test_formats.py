@@ -23,8 +23,10 @@ from depthlab.formats import (
     write_scene,
     write_trajectory,
 )
-from depthlab.geometry import CameraModel, PoseSE3, rotation_matrix
+from depthlab.geometry import CameraModel, PoseSE3
 from depthlab.scene import generate_scene
+
+from oracles import rotation_expm
 
 
 class TestPFM:
@@ -87,7 +89,7 @@ class TestTrajectory:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
         poses = tuple(
-            PoseSE3(rotation_matrix(rng.uniform(-2, 2, 3)), rng.uniform(-5, 5, 3)) for _ in range(6)
+            PoseSE3(rotation_expm(rng.uniform(-2, 2, 3)), rng.uniform(-5, 5, 3)) for _ in range(6)
         )
         traj = Trajectory((0, 2, 3, 5, 8, 13), poses)
         path = tmp_path / "traj.txt"

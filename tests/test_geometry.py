@@ -10,7 +10,7 @@ from depthlab import geometry as geo
 from depthlab.autodiff import Tensor
 from depthlab.geometry import CameraModel, PoseSE3
 
-from oracles import fd_gradient, rel_err
+from oracles import apply_pose, fd_gradient, rel_err, rotation_expm
 
 
 CAM = CameraModel(fx=60.0, fy=55.0, cx=7.5, cy=6.5, width=16, height=14)
@@ -119,7 +119,7 @@ class TestPose:
 
     def test_quarter_turn_about_z(self):
         pose = PoseSE3.from_axis_angle([0.0, 0.0, np.pi / 2], np.zeros(3))
-        rotated = pose.apply(np.array([1.0, 0.0, 0.0]).reshape(3, 1))
+        rotated = apply_pose(pose, np.array([1.0, 0.0, 0.0]).reshape(3, 1))
         np.testing.assert_allclose(rotated[:, 0], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_constructor_rejects_non_orthonormal(self):
@@ -142,18 +142,21 @@ class TestPose:
     def test_quaternion_roundtrip(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
-            r = geo.rotation_matrix(rng.uniform(-3, 3, 3))
+            r = rotation_expm(rng.uniform(-3, 3, 3))
             q = geo.rotation_to_quaternion(r)
             np.testing.assert_allclose(geo.quaternion_to_rotation(q), r, atol=1e-12)
 
 
 class TestDifferentiableRotation:
-    def test_matches_numpy_rodrigues(self):
+    def test_matches_matrix_exponential(self):
+        """Both branches (the series below |w| = 1e-4) match expm of the skew
+        matrix, and PoseSE3.from_axis_angle runs this same map."""
         rng = np.random.default_rng(31)
-        for scale in (1e-6, 1e-3, 1.0, 3.0):
+        for scale in (1e-6, 1e-5, 1e-3, 1.0, 3.0):
             aa = rng.uniform(-1, 1, 3) * scale
             got = geo.rotation_from_axis_angle(Tensor(aa)).data
-            np.testing.assert_allclose(got, geo.rotation_matrix(aa), atol=1e-12)
+            np.testing.assert_allclose(got, rotation_expm(aa), atol=1e-12)
+            np.testing.assert_array_equal(PoseSE3.from_axis_angle(aa, np.zeros(3)).rotation, got)
 
     @pytest.mark.parametrize("scale", [1e-5, 0.3, 2.0])
     def test_gradient_vs_finite_differences(self, scale):
@@ -164,7 +167,7 @@ class TestDifferentiableRotation:
         ad.tsum(geo.rotation_from_axis_angle(taa) * Tensor(weights)).backward()
 
         def f(v):
-            return float(np.sum(geo.rotation_matrix(v) * weights))
+            return float(np.sum(rotation_expm(v) * weights))
 
         assert rel_err(taa.grad, fd_gradient(f, [aa], 0)) <= 1e-5
 
@@ -174,7 +177,7 @@ class TestWarpFrame:
         rng = np.random.default_rng(41)
         source = rng.uniform(0.0, 1.0, size=(3, CAM.height, CAM.width))
         depth = rng.uniform(2.0, 10.0, size=(CAM.height, CAM.width))
-        warped, validity = geo.warp_frame(Tensor(source), depth, PoseSE3.identity(), CAM)
+        warped, validity = geo.warp_frame(Tensor(source), depth, (np.eye(3), np.zeros(3)), CAM)
         np.testing.assert_array_equal(warped.data, source)
         assert validity.dtype == bool and validity.shape == (CAM.height, CAM.width) and validity.all()
         with pytest.raises(ValueError, match="read-only"):
@@ -189,8 +192,7 @@ class TestWarpFrame:
         u, v = np.meshgrid(np.arange(16, dtype=np.float64), np.arange(16, dtype=np.float64))
         source = np.stack([0.05 * u, 0.03 * u + 0.2, 0.5 * np.ones_like(u)])
         depth = np.full((16, 16), z_plane)
-        pose = PoseSE3(np.eye(3), np.array([tx, 0.0, 0.0]))
-        warped, validity = geo.warp_frame(Tensor(source), depth, pose, cam)
+        warped, validity = geo.warp_frame(Tensor(source), depth, (np.eye(3), np.array([tx, 0.0, 0.0])), cam)
         assert validity.sum() > 0.5 * validity.size
         expected = np.stack([0.05 * (u + shift), 0.03 * (u + shift) + 0.2, 0.5 * np.ones_like(u)])
         assert np.max(np.abs(warped.data - expected)[:, validity]) <= 1e-6
@@ -203,9 +205,9 @@ class TestWarpFrame:
         source = rng.uniform(0.0, 1.0, size=(3, CAM.height, CAM.width))
         depth = rng.uniform(2.0, 6.0, size=(CAM.height, CAM.width))
         pose = PoseSE3.from_axis_angle([0.0, 0.02, 0.0], [0.3, -0.1, 0.05])
-        warped, validity = geo.warp_frame(Tensor(source), depth, pose, cam=CAM)
+        warped, validity = geo.warp_frame(Tensor(source), depth, (pose.rotation, pose.translation), cam=CAM)
         pts = CAM.pixel_rays() * depth
-        moved = pose.apply(pts)
+        moved = apply_pose(pose, pts)
         with np.errstate(divide="ignore", invalid="ignore"):
             gu = CAM.fx * moved[0] / moved[2] + CAM.cx
             gv = CAM.fy * moved[1] / moved[2] + CAM.cy
@@ -225,7 +227,7 @@ class TestWarpFrame:
         source = np.stack([np.sin(0.7 * u + 0.3 * v) * 0.4 + 0.5, np.cos(0.5 * u) * 0.4 + 0.5, 0.2 + 0.05 * u])
         target = rng.uniform(0.2, 0.8, size=(3, 8, 8))
         depth0 = rng.uniform(3.0, 5.0, size=(8, 8))
-        pose = PoseSE3.from_axis_angle([0.0, 0.01, 0.0], [0.25, 0.05, 0.02])
+        pose = (rotation_expm([0.0, 0.01, 0.0]), np.array([0.25, 0.05, 0.02]))
 
         def photometric(depth_arr):
             warped, valid = geo.warp_frame(Tensor(source), Tensor(np.asarray(depth_arr)), pose, cam)
@@ -260,8 +262,7 @@ class TestWarpFrame:
         ad.tsum(warped * Tensor(mask)).backward()
 
         def f(aav, tv):
-            pose = PoseSE3.from_axis_angle(aav, tv)
-            w, _ = geo.warp_frame(Tensor(source), Tensor(depth), pose, cam)
+            w, _ = geo.warp_frame(Tensor(source), Tensor(depth), (rotation_expm(aav), tv), cam)
             return float(np.sum(w.data * mask))
 
         assert rel_err(taa.grad, fd_gradient(f, [aa0, t0], 0)) <= 1e-4

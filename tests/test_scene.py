@@ -61,7 +61,7 @@ class TestConsistency:
                 for s in (t - 1, t + 1):
                     pose = relative_pose(scene, t, s)
                     warped, valid = warp_frame(
-                        Tensor(scene.frames[s]), scene.depths[t], pose, CAM
+                        Tensor(scene.frames[s]), scene.depths[t], (pose.rotation, pose.translation), CAM
                     )
                     co = covisibility_mask(scene, t, s) & valid
                     assert co.mean() > 0.4

@@ -17,7 +17,6 @@ from depthlab import autodiff as ad
 from depthlab import cli, losses
 from depthlab import train as train_module
 from depthlab.autodiff import Tensor, TrainingDiverged
-from depthlab.blocks import reconstruct
 from depthlab.config import TrainConfig
 from depthlab.formats import write_scene
 from depthlab.geometry import CameraModel
@@ -60,9 +59,16 @@ def test_records_finite_and_reruns_bit_identical(scene, tmp_path):
     again, checkpoint_again = _run(scene, config, tmp_path / "b.npz")
 
     assert [(r.epoch, r.step) for r in records] == [(1, 2), (2, 4)]  # targets 1 and 2, batch 1
+    assert [r.lr for r in records] == [config.lr, config.lr * config.lr_decay]  # decay_epoch: max(1, 2 // 3) = 1
     _assert_finite(records)
     assert records == again
     assert checkpoint == checkpoint_again
+
+
+def test_lr_decays_once_after_a_third_of_the_epochs(scene):
+    config = TrainConfig(**{**SMALL, "epochs": 3})
+    _, records = train(scene, config)
+    assert [r.lr for r in records] == [config.lr] + 2 * [config.lr * config.lr_decay]
 
 
 def test_log_holds_one_json_record_per_epoch(scene, tmp_path):
@@ -166,7 +172,8 @@ def test_reconstruction_part_scores_each_frame_once(scene):
     model = ModelBundle(TrainConfig(**SMALL), (16, 16))
     _, parts = step_loss(model, scene, 1)
     with ad.no_grad():
-        hats = {k: reconstruct(*model.decomp(Tensor(scene.frames[k]))).data for k in (0, 1, 2)}
+        decomps = {k: model.decomp(Tensor(scene.frames[k])) for k in (0, 1, 2)}
+    hats = {k: r.data * s.data for k, (r, s) in decomps.items()}
     p = {k: photometric_loss_loops(hat, scene.frames[k], 0.85) for k, hat in hats.items()}
     assert abs(parts["reconstruction"] - (p[1] + (p[0] + p[2]) / 2)) <= 1e-12
 
@@ -326,9 +333,10 @@ def test_cli_reports_divergence_as_a_runtime_failure(scene, tmp_path, capsys, na
 def test_inference_without_a_graph_matches_grad_mode_bit_for_bit(scene):
     model = ModelBundle(TrainConfig(**SMALL), (16, 16))
     frame, other = Tensor(scene.frames[1]), Tensor(scene.frames[2])
-    graph = (model.predict_depth(frame), model.pose(frame, other))
+    graph = (model.predict_depth(frame), *model.pose(frame, other))
     with ad.no_grad():
-        plain = (model.predict_depth(frame), model.pose(frame, other))
+        plain = (model.predict_depth(frame), *model.pose(frame, other))
+    assert len(graph) == len(plain) == 3  # the depth, the pose's rotation and translation
     for g, p in zip(graph, plain):
         assert g.requires_grad and g._node is not None
         assert not p.requires_grad and p._node is None
