@@ -54,7 +54,6 @@ nested.
 
 from __future__ import annotations
 
-import builtins
 import contextlib
 import math
 import weakref
@@ -381,10 +380,6 @@ def _unary(a, fwd, dfn, of_output: bool = False) -> Tensor:
     return Tensor._from_op(out_data, (a,), bw)
 
 
-def texp(a) -> Tensor:
-    return _unary(a, np.exp, lambda y: y, of_output=True)
-
-
 def tabs(a) -> Tensor:
     # subgradient at 0 is 0 (np.sign(0) == 0)
     return _unary(a, np.abs, np.sign)
@@ -649,14 +644,6 @@ def tmax(a, axis=None, keepdims: bool = False) -> Tensor:
         return (full,)
 
     return Tensor._from_op(out_data, (a,), bw)
-
-
-def lower_median(values: np.ndarray) -> float:
-    """Median of a flat array under the lower-middle rule for even counts."""
-    flat = np.sort(np.asarray(values, dtype=np.float64).ravel())
-    if flat.size == 0:
-        raise ValueError("median of an empty array")
-    return float(flat[(flat.size - 1) // 2])
 
 
 # -- softmax / layer norm ----------------------------------------------------------------
@@ -1080,52 +1067,3 @@ def _corner_values(sd: np.ndarray, index: np.ndarray) -> np.ndarray:
     """(4, C, Ho, Wo) source values at the flat corner indices (4, Ho, Wo)
     from one gather."""
     return np.take(sd.reshape(sd.shape[0], -1), index, axis=1).transpose(1, 0, 2, 3)
-
-
-# -- gradient checking (used by the CLI; tests carry their own oracle) -----------------------------
-
-
-def max_relative_error(a: np.ndarray, b: np.ndarray) -> float:
-    """Infinity-norm difference normalized by the larger magnitude (floored at 1)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    scale = builtins.max(1.0, float(np.max(np.abs(a))) if a.size else 0.0, float(np.max(np.abs(b))) if b.size else 0.0)
-    diff = float(np.max(np.abs(a - b))) if a.size else 0.0
-    return diff / scale
-
-
-def numeric_gradient(f, leaf: Tensor, eps: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the scalar f() w.r.t. every element of leaf."""
-    base = leaf.data.copy()
-    g = np.zeros_like(base)
-    flat = base.ravel()
-    gf = g.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        leaf.assign(flat.reshape(base.shape))
-        up = f().item()
-        flat[i] = orig - eps
-        leaf.assign(flat.reshape(base.shape))
-        down = f().item()
-        flat[i] = orig
-        gf[i] = (up - down) / (2.0 * eps)
-    leaf.assign(base)
-    return g
-
-
-def gradient_check(f, leaves, eps: float = 1e-6, tol: float = 1e-5) -> tuple[bool, float]:
-    """Compare autodiff and finite-difference gradients of the scalar f().
-
-    Returns (all-within-tol, worst relative error).
-    """
-    for leaf in leaves:
-        leaf.zero_grad()
-    out = f()
-    out.backward()
-    worst = 0.0
-    for leaf in leaves:
-        numeric = numeric_gradient(f, leaf, eps=eps)
-        analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-        worst = builtins.max(worst, max_relative_error(analytic, numeric))
-    return worst <= tol, worst

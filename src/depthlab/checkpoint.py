@@ -42,12 +42,24 @@ class Checkpoint:
     frozen: dict[str, bool]
 
 
+def _check_unique(names) -> None:
+    """A checkpoint names each tensor once: the writer and every loader
+    refuse a repeated name with this message."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"checkpoint names tensor '{name}' twice")
+        seen.add(name)
+
+
 def save_checkpoint(path, named_tensors, config: TrainConfig, step: int) -> None:
-    """named_tensors: iterable of (name, Tensor|array, frozen_flag)."""
+    """named_tensors: iterable of (name, Tensor|array, frozen_flag). A
+    repeated name is refused before any file is opened."""
     named = [
         (name, tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor, dtype=np.float64), bool(frozen))
         for name, tensor, frozen in named_tensors
     ]
+    _check_unique(name for name, _, _ in named)
     header = {
         "config": asdict(config),
         "step": int(step),
@@ -82,11 +94,7 @@ def _read_header(fh) -> tuple[int, dict]:
         raise ValueError(f"unsupported checkpoint format version {version}")
     header_len = int.from_bytes(fh.read(8), "little")
     header = json.loads(fh.read(header_len).decode("utf-8"))
-    seen = set()
-    for entry in header["tensors"]:
-        if entry["name"] in seen:
-            raise ValueError(f"checkpoint names tensor '{entry['name']}' twice")
-        seen.add(entry["name"])
+    _check_unique(entry["name"] for entry in header["tensors"])
     return version, header
 
 

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: gen-scene, train, eval-depth, eval-pose, gradcheck, params,
-report. Exit codes: 0 success, 2 validation failure (bad arguments,
-malformed config, shape mismatches), 1 runtime error. A diverged training
-run is a runtime error: it exits 1 and leaves the last good state in
+Subcommands: gen-scene, train, eval-depth, eval-pose, params, report.
+Exit codes: 0 success, 2 validation failure (bad arguments, malformed
+config, shape mismatches), 1 runtime error. A diverged training run is a
+runtime error: it exits 1 and leaves the last good state in
 ``<checkpoint>.last_good``. The train and params configs layer the
 --config file, then --set overrides: a --set beats a file line.
 """
@@ -14,10 +14,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import autodiff as ad
-from .autodiff import Tensor
 from .config import TrainConfig, config_to_text, load_config, parse_config_text
 from .evalmetrics import DEPTH_CAP
 from .formats import SceneOnDisk, read_trajectory, write_scene
@@ -56,10 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--gt-trajectory", default=None, help="trajectory file (default: scene's)")
-
-    p = sub.add_parser("gradcheck", help="finite-difference checks over the autodiff ops")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-5)
 
     p = sub.add_parser("params", help="trainable/total parameter counts of the model")
     p.add_argument("--config", default=None)
@@ -135,62 +127,6 @@ def _cmd_eval_pose(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    checks = []
-
-    x = Tensor(rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)
-    y = Tensor(rng.uniform(0.5, 2.0, (3, 4)), requires_grad=True)
-    checks.append(("mul+exp", lambda: ad.tsum(ad.texp(x * 0.3) * y), [x, y]))
-    m = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    n = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-    checks.append(("matmul", lambda: ad.tsum(ad.matmul(m, n)), [m, n]))
-    img = Tensor(rng.uniform(-1, 1, (2, 5, 5)), requires_grad=True)
-    ker = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
-    checks.append(("conv2d", lambda: ad.tsum(ad.conv2d(img, ker, padding=1)), [img, ker]))
-    weights = Tensor(rng.standard_normal((3, 3, 3)))
-    checks.append(("conv2d_stride2", lambda: ad.tsum(ad.conv2d(img, ker, stride=2, padding=1) * weights), [img, ker]))
-    dker = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
-    checks.append(("depthwise", lambda: ad.tsum(ad.depthwise_conv2d(img, dker, padding=1)), [img, dker]))
-    sm = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-    checks.append(("softmax", lambda: ad.tsum(_sq(ad.softmax(sm))), [sm]))
-    gain = Tensor(rng.uniform(0.5, 1.5, 5), requires_grad=True)
-    bias = Tensor(rng.uniform(-0.5, 0.5, 5), requires_grad=True)
-    checks.append(("layer_norm", lambda: ad.tsum(_sq(ad.layer_norm(sm, gain, bias))), [sm, gain, bias]))
-    src = Tensor(rng.uniform(0, 1, (2, 5, 5)), requires_grad=True)
-    grid = Tensor(np.stack([rng.uniform(0.2, 3.4, (4, 4)), rng.uniform(0.2, 3.4, (4, 4))]), requires_grad=True)
-    checks.append(("bilinear_sample", lambda: ad.tsum(ad.bilinear_sample(src, grid)[0]), [src, grid]))
-    gate = Tensor(rng.uniform(0.5, 1.5, (2, 1, 1)), requires_grad=True)
-    checks.append(("broadcast_mul", lambda: ad.tsum(_sq(img * gate)), [img, gate]))
-    # a dense layer with an adapter-shaped (rows, out) branch
-    w = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
-    b = Tensor(rng.standard_normal(2), requires_grad=True)
-    branch = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-    checks.append(("affine", lambda: ad.tsum(_sq(ad.affine(m, w, b, branch))), [m, w, b, branch]))
-    q, k, v = (Tensor(rng.standard_normal((3, 4)), requires_grad=True) for _ in range(3))
-    checks.append(("attention", lambda: ad.tsum(_sq(ad.attention(q, k, v, 2))), [q, k, v]))
-    cbias = Tensor(rng.standard_normal(3), requires_grad=True)
-    checks.append(("conv2d_bias", lambda: ad.tsum(_sq(ad.conv2d(img, ker, cbias, padding=1))), [img, ker, cbias]))
-
-    worst_name, worst = "", 0.0
-    failed = False
-    for name, fn, leaves in checks:
-        ok, err = ad.gradient_check(fn, leaves, tol=args.tolerance)
-        status = "ok" if ok else "FAIL"
-        print(f"{name:16s} max_rel_err={err:.3e}  {status}")
-        if err > worst:
-            worst_name, worst = name, err
-        failed = failed or not ok
-    print(f"worst: {worst_name} ({worst:.3e}), tolerance {args.tolerance:g}")
-    if failed:
-        raise RuntimeError("gradient check failed")
-    return 0
-
-
-def _sq(t):
-    return t * t
-
-
 def _cmd_params(args) -> int:
     cfg = _load_cli_config(args)
     model = ModelBundle(cfg, (args.size, args.size))
@@ -204,10 +140,17 @@ def _cmd_params(args) -> int:
 def _cmd_report(args) -> int:
     rows = []
     with open(args.log, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                row = None
+            if not isinstance(row, dict):
+                raise ValueError(f"log file {args.log} line {number} is not a JSON object")
+            rows.append(row)
     if not rows:
         raise ValueError(f"log file {args.log} holds no records")
     keys = list(rows[0].keys())
@@ -222,7 +165,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "eval-depth": _cmd_eval_depth,
     "eval-pose": _cmd_eval_pose,
-    "gradcheck": _cmd_gradcheck,
     "params": _cmd_params,
     "report": _cmd_report,
 }

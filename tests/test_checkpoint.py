@@ -288,6 +288,13 @@ class TestCheckpoint:
         assert load_checkpoint(path).step == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
+    def test_a_save_naming_a_tensor_twice_is_refused_before_any_file_is_written(self, tmp_path):
+        named = self._named(np.random.default_rng(8))
+        named.append(("adapter.down", np.ones((2, 3)), False))
+        with pytest.raises(ValueError, match="checkpoint names tensor 'adapter.down' twice"):
+            save_checkpoint(tmp_path / "model.ckpt", named, TrainConfig(), step=1)
+        assert list(tmp_path.iterdir()) == []
+
     def test_scalar_empty_and_strided_tensors_round_trip(self, tmp_path):
         named = [
             ("scale", np.array(3.5), False),

@@ -8,6 +8,7 @@ path."""
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from depthlab.optim import Adam
 from depthlab.scene import generate_scene
 from depthlab.train import ModelBundle, evaluate_scene, load_model, predicted_trajectory, save_model, step_loss, train
 
-from oracles import photometric_loss_loops, smoothness_loss_loops
+from oracles import lower_median_loops, photometric_loss_loops, smoothness_loss_loops
 
 SMALL = dict(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2, epochs=2)
 
@@ -328,6 +329,17 @@ def test_cli_reports_divergence_as_a_runtime_failure(scene, tmp_path, capsys, na
     assert cli.main(argv) == 1
     assert "diverged" in capsys.readouterr().err
     assert load_model(f"{checkpoint}.last_good", (16, 16))[1] == 1
+
+
+def test_an_empty_validity_mask_names_the_median_depth_and_each_translation(scene, monkeypatch):
+    model = ModelBundle(TrainConfig(**SMALL), (16, 16))
+    # a sideways move of 100 units carries every target point out of a 16-pixel view
+    monkeypatch.setattr(model, "pose", lambda img_t, img_s: (Tensor(np.eye(3)), Tensor([100.0, 0.0, 0.0])))
+    with ad.no_grad():
+        median = lower_median_loops(model.predict_depth(Tensor(scene.frames[1])).data.ravel())
+    message = f"empty validity mask: median predicted depth {median:.4g}, source 0 |t| 100, source 2 |t| 100"
+    with pytest.raises(TrainingDiverged, match=re.escape(message) + "$"):
+        step_loss(model, scene, 1)
 
 
 def test_inference_without_a_graph_matches_grad_mode_bit_for_bit(scene):
