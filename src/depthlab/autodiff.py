@@ -937,9 +937,16 @@ def conv2d(x, kernel, bias=None, stride=1, padding=0) -> Tensor:
         padding,
         "conv2d",
         lambda k, win: k @ win.reshape(c_in, -1),
-        lambda k, gq: k.T @ gq.reshape(c_out, -1),
+        _column_times_row if c_out == 1 else lambda k, gq: k.T @ gq.reshape(c_out, -1),
         lambda gq, win: gq.reshape(c_out, -1) @ win.reshape(c_in, -1).T,
     )
+
+
+def _column_times_row(k: np.ndarray, gq: np.ndarray) -> np.ndarray:
+    """``k.T @ gq`` for a one-output-channel tap: each element is one
+    product with nothing to sum, so a broadcast multiply gives the same
+    bits, and avoids the slow unit-inner-extent matrix product."""
+    return k.reshape(-1, 1) * gq.reshape(1, -1)
 
 
 def _depthwise_tap(k: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -150,10 +150,13 @@ def _cmd_report(args) -> int:
                 row = None
             if not isinstance(row, dict):
                 raise ValueError(f"log file {args.log} line {number} is not a JSON object")
+            for key, value in row.items():
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError(f"log file {args.log} line {number} key {key!r} is not a real number: {value!r}")
             rows.append(row)
     if not rows:
         raise ValueError(f"log file {args.log} holds no records")
-    keys = list(rows[0].keys())
+    keys = list(dict.fromkeys(key for row in rows for key in row))  # every record's keys, first seen first
     print(args.delimiter.join(keys))
     for row in rows:
         print(args.delimiter.join(f"{row.get(key, float('nan')):.8g}" for key in keys))

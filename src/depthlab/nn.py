@@ -44,11 +44,12 @@ def trainable_param_count(module: Module) -> tuple[int, int]:
 
 
 def frozen_checksums(module: Module) -> dict[str, str]:
-    """SHA-256 of every frozen parameter's bytes, for integrity checks."""
+    """SHA-256 of every frozen parameter's bytes, for integrity checks. The
+    hash reads each array's buffer in place, without a bytes copy."""
     sums = {}
     for name, p in module.named_parameters():
         if not p.requires_grad:
-            sums[name] = hashlib.sha256(np.ascontiguousarray(p.data).tobytes()).hexdigest()
+            sums[name] = hashlib.sha256(np.ascontiguousarray(p.data)).hexdigest()
     return sums
 
 

@@ -11,10 +11,11 @@ minimizes the weighted sum of reconstruction, reflectance-consistency,
 synthesis and mask-guided smoothness terms.
 The graph is per target: an optimizer step backwards each target's share
 of the batch mean as soon as that target's loss is built, so it holds one
-target's graph at a time, and backwards the decompositions its targets
-share once, after the last target. Divergence raises ``TrainingDiverged``
-after saving the last good state. Runs are deterministic given the config
-seed, and frozen parameters are checksum-verified every epoch.
+target's graph at a time, and backwards each decomposition its targets
+share right after the last target that reads it. Divergence raises
+``TrainingDiverged`` after saving the last good state. Runs are
+deterministic given the config seed, and frozen parameters are
+checksum-verified every epoch.
 """
 
 from __future__ import annotations
@@ -73,6 +74,11 @@ def _mean(terms: list[Tensor]) -> Tensor:
     return sum(terms[1:], terms[0]) / len(terms)
 
 
+def _triplet(t: int, stride: int) -> tuple[int, int, int]:
+    """The frames target t reads: itself, then its two sources."""
+    return (t, t - stride, t + stride)
+
+
 class _FrameCache:
     """Per-step cache of frame decompositions. Parameters are fixed within
     one optimizer step, so a frame's decomposition is computed once and
@@ -80,14 +86,18 @@ class _FrameCache:
 
     Targets get leaf copies of the cached outputs, the same arrays with a
     gradient of their own, so each target's backward stops at them and adds
-    into their ``.grad``. ``backward`` then runs each decomposition's graph
-    once, seeded with what its leaves gathered."""
+    into their ``.grad``. Once the last target of the batch that reads a
+    frame has been backwarded, ``release`` runs that frame's decomposition
+    graph once, seeded with what its leaves gathered, and drops it."""
 
-    def __init__(self, model: ModelBundle, scene):
+    def __init__(self, model: ModelBundle, scene, batch: list[int]):
         self.model = model
         self.scene = scene
         # frame -> (decomposition outputs, the leaf copies targets read)
         self.decomps: dict[int, tuple[tuple[Tensor, Tensor], tuple[Tensor, Tensor]]] = {}
+        # frame -> the batch's last target that reads it
+        stride = model.config.triplet_stride
+        self.last_reader = {k: t for t in batch for k in _triplet(t, stride)}
 
     def decomp(self, k: int) -> tuple[Tensor, Tensor]:
         if k not in self.decomps:
@@ -95,11 +105,11 @@ class _FrameCache:
             self.decomps[k] = (outputs, tuple(Tensor(out.data, requires_grad=True) for out in outputs))
         return self.decomps[k][1]
 
-    def backward(self) -> None:
-        """Backward each cached decomposition once, in the order frames were
-        first read, seeded with the gradients its leaves gathered; each graph
-        is dropped as soon as it has run."""
-        for k in list(self.decomps):
+    def release(self, t: int) -> None:
+        """Backward, in the order frames were first read, each cached
+        decomposition whose last reader is target t, seeded with the
+        gradients its leaves gathered; each graph is dropped as it runs."""
+        for k in [k for k in self.decomps if self.last_reader[k] == t]:
             (r, s), (r_leaf, s_leaf) = self.decomps.pop(k)
             (ad.tsum(r * Tensor(r_leaf.grad)) + ad.tsum(s * Tensor(s_leaf.grad))).backward()
 
@@ -118,10 +128,10 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     reflectance terms are 0.
 
     The total's graph stops at the cache's decomposition leaves: a backward
-    of it reaches the decomposition head only through ``cache.backward()``.
+    of it reaches the decomposition head only through ``cache.release``.
     """
     cfg = model.config
-    cache = cache or _FrameCache(model, scene)
+    cache = cache or _FrameCache(model, scene, [t])
     decompose = not cfg.bypass_decomposition
     img_t = Tensor(scene.frames[t])
     depth = model.predict_depth(img_t)
@@ -132,7 +142,8 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     warps = []  # (warped stack, bool validity) per source
     translations = []  # (source, translation) per source
     recon_terms = []
-    for s in (t - cfg.triplet_stride, t + cfg.triplet_stride):
+    _, *sources = _triplet(t, cfg.triplet_stride)
+    for s in sources:
         img_s = Tensor(scene.frames[s])
         pose = model.pose(img_t, img_s)
         translations.append((s, pose[1]))
@@ -260,20 +271,21 @@ def _optimizer_step(model, scene, batch, opt, step, checkpoint_path) -> list[dic
     """One Adam step on the mean loss over the batch's targets; returns each
     target's loss parts. Each target's scaled total is backwarded as soon as
     it is built, so the step holds one target's graph at a time, plus the
-    decompositions the frame cache shares; the cache backwards those once
-    after the last target. The gradients are those of one backward over the
-    mean, up to summation order. On divergence no parameter has moved yet
-    (Adam rejects a step before any update), so ``<checkpoint>.last_good``
-    holds the previous step's state."""
-    cache = _FrameCache(model, scene)
+    decompositions the frame cache shares; right after a target's backward
+    the cache backwards and drops each decomposition that target is the last
+    reader of. The gradients are those of one backward over the mean, up to
+    summation order. On divergence no parameter has moved yet (Adam rejects
+    a step before any update), so ``<checkpoint>.last_good`` holds the
+    previous step's state."""
+    cache = _FrameCache(model, scene, batch)
     batch_parts = []
     try:
         for t in batch:
             total, parts = step_loss(model, scene, t, cache=cache)
             (total * (1.0 / len(batch))).backward()
             del total  # this target's graph goes before the next one is built
+            cache.release(t)
             batch_parts.append(parts)
-        cache.backward()
         opt.step()
     except TrainingDiverged as exc:
         message = f"training diverged after {step} good steps: {exc}"

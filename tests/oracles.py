@@ -82,6 +82,24 @@ def conv2d_loops(x, kernel, stride=1, padding=0):
     return out
 
 
+def conv2d_input_grad_taps(g, kernel, x_shape, stride=1, padding=0):
+    """Input gradient of a one-output-channel convolution, tap by tap in
+    (kernel-row, kernel-column) order from zero: each tap adds the broadcast
+    product of its (C_in,) kernel column and the (ho, wo) output gradient
+    into the padded input positions it read."""
+    g = np.asarray(g, dtype=np.float64)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    _, _, kh, kw = kernel.shape
+    c_in, h, w = x_shape
+    _, ho, wo = g.shape
+    s, p = int(stride), int(padding)
+    gp = np.zeros((c_in, h + 2 * p, w + 2 * p))
+    for i in range(kh):
+        for j in range(kw):
+            gp[:, i : i + (ho - 1) * s + 1 : s, j : j + (wo - 1) * s + 1 : s] += kernel[0, :, i, j][:, None, None] * g[0]
+    return gp[:, p : p + h, p : p + w]
+
+
 def depthwise_conv2d_loops(x, kernel, stride=1, padding=0):
     x = np.asarray(x, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)

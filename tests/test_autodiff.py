@@ -23,6 +23,7 @@ from depthlab.nn import Conv2d, DepthwiseConv2d, trainable_param_count
 from oracles import (
     FD_EPS,
     attention_per_head,
+    conv2d_input_grad_taps,
     conv2d_loops,
     conv_plus_bias,
     depthwise_conv2d_loops,
@@ -137,6 +138,27 @@ class TestConv2d:
 
         for first, second in zip(run(), run()):
             np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize(
+        "x_shape, k_shape, stride, padding",
+        [
+            ((14, 16, 16), (1, 14, 3, 3), 1, 1),
+            ((8, 16, 16), (1, 8, 3, 3), 1, 1),
+            ((2, 8, 8), (1, 2, 7, 7), 1, 3),
+            ((3, 7, 8), (1, 3, 3, 3), 2, 1),
+        ],
+        ids=["disparity_head", "shading_head", "spatial_attention", "stride2"],
+    )
+    def test_one_output_channel_input_gradient_is_the_broadcast_product_sum(self, x_shape, k_shape, stride, padding):
+        # one output channel leaves nothing to sum within a tap, so the input
+        # gradient is exact per tap, added in tap order as the oracle does
+        rng = np.random.default_rng(31)
+        tx = leaf(rng.standard_normal(x_shape))
+        k = rng.standard_normal(k_shape)
+        out = ad.conv2d(tx, Tensor(k), stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        ad.tsum(out * Tensor(g)).backward()
+        np.testing.assert_array_equal(tx.grad, conv2d_input_grad_taps(g, k, x_shape, stride=stride, padding=padding))
 
     def test_rejects_oversized_kernel(self):
         with pytest.raises(ValueError, match="larger than"):

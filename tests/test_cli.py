@@ -396,3 +396,27 @@ def test_report_on_a_malformed_line_is_a_validation_failure(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"error: log file {log} line {number} is not a JSON object\n"
         assert captured.out == ""
+
+
+def test_report_on_a_value_that_is_not_a_real_number_is_a_validation_failure(tmp_path, capsys):
+    log = tmp_path / "train.log"
+    # every value is checked before anything is printed, so a bad one on a
+    # later line leaves stdout empty too
+    for text, number, key, value in [
+        ('{"a": [1]}\n', 1, "a", "[1]"),
+        ('{"a": "x"}\n', 1, "a", "'x'"),
+        ('{"a": true}\n', 1, "a", "True"),
+        ('{"a": 1, "b": 2}\n{"a": 1, "b": null}\n', 2, "b", "None"),
+    ]:
+        log.write_text(text)
+        assert cli.main(["report", "--log", str(log)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: log file {log} line {number} key '{key}' is not a real number: {value}\n"
+        assert captured.out == ""
+
+
+def test_report_prints_every_records_keys_in_first_seen_order(tmp_path, capsys):
+    log = tmp_path / "train.log"
+    log.write_text('{"a": 1, "b": 2}\n{"c": 3.5, "a": 4}\n{"b": 5}\n')
+    assert cli.main(["report", "--log", str(log), "--delimiter", ","]) == 0
+    assert capsys.readouterr().out.splitlines() == ["a,b,c", "1,2,nan", "4,nan,3.5", "nan,5,nan"]

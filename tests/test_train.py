@@ -220,9 +220,14 @@ class _GradRecorder:
 
 
 @pytest.mark.parametrize("aggregation, bypass", list(INITIAL_PARTS))
-@pytest.mark.parametrize("batch", [[1], [1, 2, 3]])
-def test_a_batch_step_has_the_gradients_of_one_backward_over_the_mean(scene8, aggregation, bypass, batch):
-    config = TrainConfig(**SMALL, source_aggregation=aggregation, bypass_decomposition=bypass)
+@pytest.mark.parametrize(
+    "stride, batch",
+    # at stride 2 the decompositions are released in another order than first read
+    [(1, [1]), (1, [1, 2, 3]), (2, [2, 3, 4, 5])],
+    ids=["batch0", "batch1", "batch2"],
+)
+def test_a_batch_step_has_the_gradients_of_one_backward_over_the_mean(scene8, aggregation, bypass, stride, batch):
+    config = TrainConfig(**SMALL, source_aggregation=aggregation, bypass_decomposition=bypass, triplet_stride=stride)
     model = ModelBundle(config, (16, 16))
     recorder = _GradRecorder(model)
     train_module._optimizer_step(model, scene8, batch, recorder, 0, None)
@@ -259,9 +264,11 @@ def test_a_batch_step_holds_one_targets_graph_at_a_time(size):
     config = TrainConfig(**SMALL, source_aggregation="min")
     one = _step_peak(scene, config, [1])
     six = _step_peak(scene, config, [1, 2, 3, 4, 5, 6])
-    # six targets add the five extra frames' shared decompositions, not five
-    # more targets' graphs (about 4x when all six graphs lived together)
-    assert six < 2.0 * one
+    # six targets hold one target's graph plus the at most three shared
+    # decompositions a later target still reads, not five more targets'
+    # graphs (about 4x when all six lived together) nor all eight
+    # decompositions (about 1.6x when they were backwarded after the batch)
+    assert six < 1.25 * one
 
 
 @pytest.fixture
