@@ -83,9 +83,10 @@ def save_checkpoint(path, named_tensors, config: TrainConfig, step: int) -> None
 
 
 def _read_header(fh) -> tuple[int, dict]:
-    """Check the magic, the format version and that no tensor is named
-    twice; return the version and the parsed JSON header, leaving the file
-    at the first payload."""
+    """Check the magic, the format version, that the header is an object
+    holding config, step and tensors, and that no tensor is named twice;
+    return the version and the parsed JSON header, leaving the file at the
+    first payload."""
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise ValueError(f"not a checkpoint file: magic {magic!r}")
@@ -94,6 +95,11 @@ def _read_header(fh) -> tuple[int, dict]:
         raise ValueError(f"unsupported checkpoint format version {version}")
     header_len = int.from_bytes(fh.read(8), "little")
     header = json.loads(fh.read(header_len).decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header is not a JSON object")
+    for key in ("config", "step", "tensors"):
+        if key not in header:
+            raise ValueError(f"checkpoint header lacks '{key}'")
     _check_unique(entry["name"] for entry in header["tensors"])
     return version, header
 

@@ -15,11 +15,10 @@ import json
 import sys
 
 from .config import TrainConfig, config_to_text, load_config, parse_config_text
-from .evalmetrics import DEPTH_CAP
-from .formats import SceneOnDisk, read_trajectory, write_scene
+from .formats import SceneOnDisk, write_scene
 from .geometry import CameraModel
 from .nn import trainable_param_count
-from .scene import SCENE_KINDS, generate_scene, gt_trajectory
+from .scene import SCENE_KINDS, generate_scene
 from .train import ModelBundle, evaluate_pose, evaluate_scene, load_model, train
 
 
@@ -46,12 +45,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-depth", help="depth metrics of a checkpoint on a scene")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scene", required=True)
-    p.add_argument("--cap", type=float, default=DEPTH_CAP)
 
-    p = sub.add_parser("eval-pose", help="5-frame-segment trajectory error of a checkpoint")
+    p = sub.add_parser("eval-pose", help="5-frame-segment trajectory error against the scene's trajectory")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scene", required=True)
-    p.add_argument("--gt-trajectory", default=None, help="trajectory file (default: scene's)")
 
     p = sub.add_parser("params", help="trainable/total parameter counts of the model")
     p.add_argument("--config", default=None)
@@ -100,10 +97,10 @@ def _cmd_eval_depth(args) -> int:
     if scene.depths is None:
         raise ValueError(f"scene directory {args.scene} has no depth rasters")
     model, _ = load_model(args.checkpoint, image_hw=(scene.cam.height, scene.cam.width))
-    reports, aggregate, (ate_mean, _) = evaluate_scene(model, scene, cap=args.cap)
+    reports, aggregate, (ate_mean, _) = evaluate_scene(model, scene)
     header = ["frame", "abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3", "f_scale"]
     print("\t".join(header))
-    for frame_id, rep in zip(scene.ids, reports):
+    for frame_id, rep in zip(scene.trajectory.indices, reports):
         row = [str(frame_id)] + [
             f"{getattr(rep, key):.6f}"
             for key in ("abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3", "f_scale")
@@ -118,8 +115,7 @@ def _cmd_eval_depth(args) -> int:
 def _cmd_eval_pose(args) -> int:
     scene = SceneOnDisk(args.scene)
     model, _ = load_model(args.checkpoint, image_hw=(scene.cam.height, scene.cam.width))
-    gt = read_trajectory(args.gt_trajectory) if args.gt_trajectory else gt_trajectory(scene)
-    mean, segments = evaluate_pose(model, scene, gt)
+    mean, segments = evaluate_pose(model, scene)
     print("segment\tate")
     for i, seg in enumerate(segments):
         print(f"{i}\t{seg:.6f}")

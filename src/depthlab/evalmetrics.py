@@ -66,11 +66,9 @@ def _valid_pixels(gt: np.ndarray) -> np.ndarray:
     return np.isfinite(gt) & (gt > 0)
 
 
-def median_scale(pred, gt, cap: float = DEPTH_CAP):
+def median_scale(pred, gt):
     """Scale the prediction by median(gt)/median(pred) over valid pixels,
-    then cap the scaled prediction. Returns (scaled_array, f_scale)."""
-    if not cap > 0:  # also rejects NaN
-        raise ValueError(f"median_scale: depth cap must be positive, got {cap}")
+    then cap it at DEPTH_CAP. Returns (scaled_array, f_scale)."""
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
     if p.shape != g.shape:
@@ -82,7 +80,7 @@ def median_scale(pred, gt, cap: float = DEPTH_CAP):
     if med_pred == 0.0:
         raise ValueError("median_scale: predicted median is zero")
     f_scale = lower_median(g[mask]) / med_pred
-    scaled = np.minimum(p * f_scale, cap)
+    scaled = np.minimum(p * f_scale, DEPTH_CAP)
     return scaled, f_scale
 
 
@@ -113,9 +111,9 @@ def depth_metrics(pred, gt, f_scale: float = 1.0) -> DepthEvalReport:
     )
 
 
-def evaluate_depth(pred, gt, cap: float = DEPTH_CAP) -> DepthEvalReport:
+def evaluate_depth(pred, gt) -> DepthEvalReport:
     """Median scaling, cap, then metrics, in one call."""
-    scaled, f_scale = median_scale(pred, gt, cap=cap)
+    scaled, f_scale = median_scale(pred, gt)
     return depth_metrics(scaled, gt, f_scale=f_scale)
 
 

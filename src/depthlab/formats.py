@@ -8,9 +8,9 @@ camera-to-world poses.
 
 A scene directory holds intrinsics.txt, trajectory.txt and, per frame id k,
 frame_{k:03d}.ppm with optional depth_{k:03d}.pfm and labels_{k:03d}.pgm.
-The trajectory's indices are the frame ids, and a scene keeps them when it
-is read and written back, so a sequence numbered from 1 stays numbered
-from 1.
+trajectory.txt is the scene's `trajectory`, camera-to-world as in memory:
+its indices are the frame ids, and a scene keeps them when it is read and
+written back, so a sequence numbered from 1 stays numbered from 1.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .evalmetrics import Trajectory
 from .geometry import CameraModel, PoseSE3, quaternion_to_rotation, rotation_to_quaternion
-from .scene import Scene, gt_trajectory
+from .scene import Scene
 
 
 # -- PFM ----------------------------------------------------------------------------
@@ -183,14 +183,14 @@ def write_scene(directory, scene: Scene) -> None:
     the scene has them. A directory holding a frame_*.ppm this scene lacks
     is refused before anything is written: no reader could pair it with the
     new trajectory."""
-    names = {f"frame_{frame_id:03d}.ppm" for frame_id in scene.ids}
+    names = {f"frame_{frame_id:03d}.ppm" for frame_id in scene.trajectory.indices}
     for name in sorted(os.listdir(directory)) if os.path.isdir(directory) else ():
         if name.startswith("frame_") and name.endswith(".ppm") and name not in names:
             raise ValueError(f"scene directory {directory} holds {name}, a frame this scene lacks")
     os.makedirs(directory, exist_ok=True)
     write_intrinsics(os.path.join(directory, "intrinsics.txt"), scene.cam)
-    write_trajectory(os.path.join(directory, "trajectory.txt"), gt_trajectory(scene))
-    for k, frame_id in enumerate(scene.ids):
+    write_trajectory(os.path.join(directory, "trajectory.txt"), scene.trajectory)
+    for k, frame_id in enumerate(scene.trajectory.indices):
         write_ppm(os.path.join(directory, f"frame_{frame_id:03d}.ppm"), scene.frames[k])
         if scene.depths is not None:
             write_pfm(os.path.join(directory, f"depth_{frame_id:03d}.pfm"), scene.depths[k])
@@ -235,9 +235,8 @@ def SceneOnDisk(directory) -> Scene:
         raise ValueError(f"trajectory.txt indices {traj.indices} differ from frame ids {ids} in {directory}")
     return Scene(
         cam=cam,
-        ids=ids,
+        trajectory=traj,
         frames=tuple(read_ppm(os.path.join(directory, f"frame_{k:03d}.ppm")) for k in ids),
-        poses=tuple(p.inverse() for p in traj.poses),  # back to world-to-camera
         depths=_all_or_none(directory, [f"depth_{k:03d}.pfm" for k in ids], read_pfm),
         labels=_all_or_none(directory, [f"labels_{k:03d}.pgm" for k in ids], read_pgm),
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evalmetrics import Trajectory
+from .evalmetrics import Trajectory, anchored_trajectory
 from .geometry import CameraModel, PoseSE3
 
 SCENE_KINDS = ("plane", "slanted_plane", "two_spheres")
@@ -26,17 +26,18 @@ SCENE_KINDS = ("plane", "slanted_plane", "two_spheres")
 class Scene:
     """A camera and a sequence of frames with what is known about each.
 
-    `ids` are the frames' own numbers, strictly increasing: they label
-    trajectories, reports and file names, while training indexes the
-    per-frame tuples by position. A scene read from disk has `reflectance`
-    and `shading` None (only a generated scene knows them), and `depths` or
-    `labels` None when its directory holds no rasters of that kind.
+    `trajectory` holds each frame's camera-to-world pose, as trajectory.txt
+    stores it on disk. Its `indices` are the frames' own numbers, strictly
+    increasing: they label trajectories, reports and file names, while
+    training indexes the per-frame tuples by position. A scene read from
+    disk has `reflectance` and `shading` None (only a generated scene knows
+    them), and `depths` or `labels` None when its directory holds no rasters
+    of that kind.
     """
 
     cam: CameraModel
-    ids: tuple[int, ...]
+    trajectory: Trajectory  # camera-to-world, indexed by frame id
     frames: tuple[np.ndarray, ...]  # (3, H, W) in [0, 1]
-    poses: tuple[PoseSE3, ...]  # world-to-camera
     depths: tuple[np.ndarray, ...] | None  # (H, W) camera-frame Z
     labels: tuple[np.ndarray, ...] | None  # (H, W) int surface ids
     reflectance: tuple[np.ndarray, ...] | None = None  # (3, H, W) albedo component
@@ -73,9 +74,10 @@ class _NoiseField:
         return vals.reshape((self.freqs.shape[0],) + points.shape[1:])
 
 
-def _camera_path(rng: np.random.Generator, n_frames: int) -> list[PoseSE3]:
-    """Smooth sideways-dominant motion with forward drift; world-to-camera
-    poses. Translation is large enough for a near-surface point to move
+def _camera_path(rng: np.random.Generator, n_frames: int) -> Trajectory:
+    """Smooth sideways-dominant motion with forward drift over frame ids
+    0..n_frames-1; camera-to-world poses, the first at the identity.
+    Translation is large enough for a near-surface point to move
     several pixels more than a far one between adjacent frames, which sets
     the depth resolution the photometric objective can reach."""
     amp = rng.uniform(0.7, 0.85)
@@ -98,12 +100,10 @@ def _camera_path(rng: np.random.Generator, n_frames: int) -> list[PoseSE3]:
             ]
         )
         cam_to_world.append(PoseSE3.from_axis_angle(axis_angle, center))
-    # re-anchor so frame 0 sits exactly at the world origin (identity pose);
-    # the leading pose is the identity by construction, snap away float noise
-    base_inv = cam_to_world[0].inverse()
-    poses = [base_inv.compose(c).inverse() for c in cam_to_world]
-    poses[0] = PoseSE3.identity()
-    return poses
+    # re-anchor so frame 0 sits exactly at the world origin; its pose is the
+    # identity by construction, so snap away the float noise
+    path = anchored_trajectory(Trajectory(tuple(range(n_frames)), tuple(cam_to_world)))
+    return Trajectory(path.indices, (PoseSE3.identity(),) + path.poses[1:])
 
 
 def _surfaces(kind: str, rng: np.random.Generator):
@@ -182,14 +182,13 @@ def generate_scene(
     for lab, _ in surfaces:
         offset = rng.uniform(-0.18, 0.18, size=3)
         surface_colors[lab] = np.clip(np.array([0.5, 0.5, 0.5]) + offset - offset.mean() * 0.5, 0.3, 0.7)
-    poses = _camera_path(rng, n_frames)
+    trajectory = _camera_path(rng, n_frames)
 
     rays_cam = cam.pixel_rays().reshape(3, -1)
     frames, depths, labels_all, refl_all, shade_all = [], [], [], [], []
-    for pose in poses:
-        cam_to_world = pose.inverse()
-        origins = np.repeat(cam_to_world.translation[:, None], rays_cam.shape[1], axis=1)
-        dirs = cam_to_world.rotation @ rays_cam
+    for pose in trajectory.poses:
+        origins = np.repeat(pose.translation[:, None], rays_cam.shape[1], axis=1)
+        dirs = pose.rotation @ rays_cam
         best = np.full(rays_cam.shape[1], np.inf)
         label = np.full(rays_cam.shape[1], -1, dtype=np.int64)
         for lab, intersect in surfaces:
@@ -219,17 +218,11 @@ def generate_scene(
 
     return Scene(
         cam=cam,
-        ids=tuple(range(n_frames)),
+        trajectory=trajectory,
         frames=tuple(frames),
-        poses=tuple(poses),
         depths=tuple(depths),
         labels=tuple(labels_all),
         reflectance=tuple(refl_all),
         shading=tuple(shade_all),
     )
 
-
-def gt_trajectory(scene: Scene) -> Trajectory:
-    """Camera-to-world trajectory of the ground-truth path over the scene's
-    frame ids."""
-    return Trajectory(scene.ids, tuple(p.inverse() for p in scene.poses))

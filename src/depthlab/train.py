@@ -21,6 +21,7 @@ checksum-verified every epoch.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,13 +32,12 @@ from .autodiff import Tensor, TrainingDiverged
 from .blocks import DecompositionNet, PoseNet, ToyDepthNet, disparity_to_depth
 from .checkpoint import load_module, save_checkpoint
 from .config import TrainConfig
-from .evalmetrics import DEPTH_CAP, DepthEvalReport, Trajectory, anchored_trajectory, ate_5frame, evaluate_depth, lower_median
+from .evalmetrics import DepthEvalReport, Trajectory, anchored_trajectory, ate_5frame, evaluate_depth, lower_median
 from .geometry import PoseSE3, warp_frame
 # bench/spans.py wraps these names in this module, ssim included though unused here
 from .losses import SemanticMaskSet, masked_smoothness_loss, reconstruction_loss, ssim, total_loss
 from .nn import Module, frozen_checksums
 from .optim import Adam
-from .scene import gt_trajectory
 
 
 class ModelBundle(Module):
@@ -192,21 +192,21 @@ def _synthesis(aggregation: str, frames: list[tuple[Tensor, np.ndarray]], target
     return losses.masked_pixel_mean(combined, np.logical_or.reduce([v for _, v in frames]))
 
 
-def _depth_reports(model: ModelBundle, scene, frames, cap: float) -> list[DepthEvalReport]:
+def _depth_reports(model: ModelBundle, scene, frames) -> list[DepthEvalReport]:
     """Predict each frame's depth, without a graph, and score it against the
     ground truth."""
     reports = []
     with ad.no_grad():
         for k in frames:
             depth = model.predict_depth(Tensor(scene.frames[k]))
-            reports.append(evaluate_depth(depth.data, scene.depths[k], cap=cap))
+            reports.append(evaluate_depth(depth.data, scene.depths[k]))
     return reports
 
 
 def validation_abs_rel(model: ModelBundle, scene, frames=None) -> float:
     """Mean median-scaled Abs Rel over the given frames (default: all)."""
     ids = range(len(scene)) if frames is None else frames
-    return float(np.mean([r.abs_rel for r in _depth_reports(model, scene, ids, DEPTH_CAP)]))
+    return float(np.mean([r.abs_rel for r in _depth_reports(model, scene, ids)]))
 
 
 def _validation_frames(targets: list[int]) -> list[int]:
@@ -218,7 +218,12 @@ def _validation_frames(targets: list[int]) -> list[int]:
 
 def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
     """Run the full loop; returns (model, records). Divergence aborts with
-    the last good checkpoint written next to the requested path."""
+    the last good checkpoint written next to the requested path, so a path
+    in a missing directory is refused before the log is opened."""
+    if checkpoint_path:
+        directory = os.path.dirname(os.path.abspath(checkpoint_path))
+        if not os.path.isdir(directory):
+            raise ValueError(f"checkpoint directory {directory} does not exist")
     hw = (scene.cam.height, scene.cam.width)
     model = ModelBundle(config, hw)
     trainables = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
@@ -310,16 +315,16 @@ def load_model(path, image_hw: tuple[int, int]) -> tuple[ModelBundle, int]:
     return load_module(path, lambda config: ModelBundle(config, image_hw))
 
 
-def evaluate_scene(model: ModelBundle, scene, cap: float = DEPTH_CAP):
+def evaluate_scene(model: ModelBundle, scene):
     """Per-frame depth reports plus mean aggregates and the 5-frame ATE as
     (mean, segments); a scene of fewer than 5 frames has no ATE window and
     gets (None, [])."""
-    reports = _depth_reports(model, scene, range(len(scene)), cap)
+    reports = _depth_reports(model, scene, range(len(scene)))
     aggregate = {
         key: float(np.mean([getattr(r, key) for r in reports]))
         for key in ("abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3")
     }
-    ate = evaluate_pose(model, scene, gt_trajectory(scene)) if len(scene) >= 5 else (None, [])
+    ate = evaluate_pose(model, scene) if len(scene) >= 5 else (None, [])
     return reports, aggregate, ate
 
 
@@ -334,10 +339,10 @@ def predicted_trajectory(model: ModelBundle, scene) -> Trajectory:
             rotation, translation = model.pose(Tensor(scene.frames[k]), Tensor(scene.frames[k + 1]))
             current = current.compose(PoseSE3(rotation.data, translation.data).inverse())
             poses.append(current)
-    return Trajectory(scene.ids, tuple(poses))
+    return Trajectory(scene.trajectory.indices, tuple(poses))
 
 
-def evaluate_pose(model: ModelBundle, scene, gt: Trajectory) -> tuple[float, list[float]]:
-    """5-frame ATE of the predicted path against a camera-to-world ground
-    truth, both anchored at their first frame."""
-    return ate_5frame(predicted_trajectory(model, scene), anchored_trajectory(gt))
+def evaluate_pose(model: ModelBundle, scene) -> tuple[float, list[float]]:
+    """5-frame ATE of the predicted path against the scene's camera-to-world
+    trajectory, both anchored at their first frame."""
+    return ate_5frame(predicted_trajectory(model, scene), anchored_trajectory(scene.trajectory))

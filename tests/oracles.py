@@ -392,6 +392,17 @@ def with_second_entry(path_in, path_out, name: str, value) -> None:
     _edit_checkpoint(path_in, path_out, edit)
 
 
+def without_header_key(path_in, path_out, key: str) -> None:
+    """Copy a checkpoint with `key` dropped from its header: a file no
+    writer of this format leaves."""
+
+    def edit(header):
+        del header[key]
+        return b""
+
+    _edit_checkpoint(path_in, path_out, edit)
+
+
 def shift_frame_ids(directory, shift: int) -> None:
     """Add `shift` (> 0) to every frame id of a scene directory, as a
     sequence recorded with other frame numbers would be laid out: rename
@@ -407,8 +418,10 @@ def shift_frame_ids(directory, shift: int) -> None:
 
 
 def relative_pose(scene, t, s):
-    """Ground-truth transform taking frame-t camera points to frame s."""
-    return scene.poses[s].compose(scene.poses[t].inverse())
+    """Ground-truth transform taking frame-t camera points to frame s: into
+    the world by t's camera-to-world pose, then out by s's inverse."""
+    poses = scene.trajectory.poses
+    return poses[s].inverse().compose(poses[t])
 
 
 def covisibility_mask(scene, t, s, tol=0.05):

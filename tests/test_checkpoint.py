@@ -314,6 +314,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
 
+    def test_rejects_a_header_that_is_not_an_object(self, tmp_path):
+        path = tmp_path / "list.ckpt"
+        text = b"[]"
+        prefix = checkpoint.MAGIC + checkpoint.FORMAT_VERSION.to_bytes(4, "little") + len(text).to_bytes(8, "little")
+        path.write_bytes(prefix + text)
+        with pytest.raises(ValueError, match="checkpoint header is not a JSON object"):
+            load_checkpoint(path)
+
     def test_rejects_truncation(self, tmp_path):
         rng = np.random.default_rng(3)
         path = tmp_path / "model.ckpt"

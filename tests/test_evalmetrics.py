@@ -44,22 +44,22 @@ class TestMedianScale:
         for _ in range(20):
             gt = rng.uniform(1.0, 20.0, size=(8, 8))
             pred = rng.uniform(0.1, 3.0, size=(8, 8))
-            scaled, _ = median_scale(pred, gt, cap=np.inf)
+            scaled, _ = median_scale(pred, gt)
             assert abs(lower_median_loops(scaled) - lower_median_loops(gt)) <= 1e-12
 
-    def test_idempotent_when_no_cap(self):
+    def test_idempotent_below_the_cap(self):
         rng = np.random.default_rng(4)
         gt = rng.uniform(1.0, 10.0, size=(8, 8))
         pred = rng.uniform(0.5, 2.0, size=(8, 8))
-        scaled, _ = median_scale(pred, gt, cap=np.inf)
-        _, f2 = median_scale(scaled, gt, cap=np.inf)
+        scaled, _ = median_scale(pred, gt)
+        _, f2 = median_scale(scaled, gt)
         assert abs(f2 - 1.0) <= 1e-12
 
     def test_cap_applies_to_prediction(self):
         gt = np.full((4, 4), 100.0)
         pred = np.full((4, 4), 1.0)
         pred[0, 0] = 10.0  # scales to 1000, must cap at 150
-        scaled, _ = median_scale(pred, gt, cap=150.0)
+        scaled, _ = median_scale(pred, gt)
         assert scaled.max() == 150.0
 
     def test_matches_loop_oracle(self):
@@ -79,11 +79,6 @@ class TestMedianScale:
         gt = np.ones((2, 2))
         with pytest.raises(ValueError, match="median"):
             median_scale(np.zeros((2, 2)), gt)
-
-    @pytest.mark.parametrize("cap", [0.0, -1.0, np.nan])
-    def test_non_positive_cap_rejected(self, cap):
-        with pytest.raises(ValueError, match="cap"):
-            median_scale(np.ones((2, 2)), np.ones((2, 2)), cap=cap)
 
 
 class TestDepthMetrics:

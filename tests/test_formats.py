@@ -149,8 +149,10 @@ class TestSceneDirectory:
         assert np.max(np.abs(loaded.frames[1] - scene.frames[1])) <= 0.5 / 255.0 + 1e-12
         np.testing.assert_allclose(loaded.depths[2], scene.depths[2], rtol=1e-6)
         np.testing.assert_array_equal(loaded.labels[3], scene.labels[3])
-        np.testing.assert_allclose(loaded.poses[2].rotation, scene.poses[2].rotation, atol=1e-9)
-        np.testing.assert_allclose(loaded.poses[2].translation, scene.poses[2].translation, atol=1e-9)
+        got, want = loaded.trajectory, scene.trajectory
+        assert got.indices == want.indices
+        np.testing.assert_allclose(got.poses[2].rotation, want.poses[2].rotation, atol=1e-9)
+        np.testing.assert_allclose(got.poses[2].translation, want.poses[2].translation, atol=1e-9)
 
     @pytest.mark.parametrize("missing", ["depth_002.pfm", "labels_002.pgm"])
     def test_partial_rasters_rejected_by_name(self, tmp_path, missing):

@@ -7,7 +7,7 @@ import pytest
 from depthlab.autodiff import Tensor
 from depthlab.geometry import CameraModel, warp_frame
 from depthlab.formats import SceneOnDisk, write_scene
-from depthlab.scene import generate_scene, gt_trajectory
+from depthlab.scene import generate_scene
 
 from oracles import covisibility_mask, relative_pose, shift_frame_ids
 
@@ -17,8 +17,8 @@ CAM = CameraModel(fx=64.0, fy=64.0, cx=31.5, cy=31.5, width=64, height=64)
 class TestGroundTruth:
     def test_plane_with_identity_first_pose_has_constant_depth(self):
         scene = generate_scene("plane", 4, seed=1, cam=CAM)
-        np.testing.assert_array_equal(scene.poses[0].rotation, np.eye(3))
-        np.testing.assert_array_equal(scene.poses[0].translation, np.zeros(3))
+        np.testing.assert_array_equal(scene.trajectory.poses[0].rotation, np.eye(3))
+        np.testing.assert_array_equal(scene.trajectory.poses[0].translation, np.zeros(3))
         np.testing.assert_allclose(scene.depths[0], 10.0, atol=1e-9)
 
     def test_two_spheres_masks_partition_every_frame(self):
@@ -106,10 +106,9 @@ class TestValidation:
         with pytest.raises(ValueError, match="shading_strength"):
             generate_scene("plane", 3, seed=0, cam=CAM, shading_strength=strength)
 
-    def test_gt_trajectory_indices(self, tmp_path):
+    def test_trajectory_indices(self, tmp_path):
         scene = generate_scene("plane", 5, seed=12, cam=CAM)
-        traj = gt_trajectory(scene)
-        assert traj.indices == (0, 1, 2, 3, 4)
+        assert scene.trajectory.indices == (0, 1, 2, 3, 4)
         write_scene(tmp_path, scene)
         shift_frame_ids(tmp_path, 1)
-        assert gt_trajectory(SceneOnDisk(tmp_path)).indices == (1, 2, 3, 4, 5)
+        assert SceneOnDisk(tmp_path).trajectory.indices == (1, 2, 3, 4, 5)

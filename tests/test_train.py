@@ -19,6 +19,7 @@ from depthlab import cli, losses
 from depthlab import train as train_module
 from depthlab.autodiff import Tensor, TrainingDiverged
 from depthlab.config import TrainConfig
+from depthlab.evalmetrics import Trajectory
 from depthlab.formats import write_scene
 from depthlab.geometry import CameraModel
 from depthlab.optim import Adam
@@ -116,31 +117,31 @@ def test_batched_min_reprojection_runs(scene, tmp_path):
 INITIAL_PARTS = {
     ("mean", False): dict(
         reconstruction=0.6344958116974446,
-        reflectance=0.0014146833097073586,
-        synthesis=0.34929498445002716,
-        smoothness=0.012335245535355513,
-        loss=0.47651408918806365,
+        reflectance=0.001414683309707357,
+        synthesis=0.34929498445002705,
+        smoothness=0.012335245535355508,
+        loss=0.47651408918806354,
     ),
     ("mean", True): dict(
         reconstruction=0.0,
         reflectance=0.0,
-        synthesis=0.2586491053491018,
-        smoothness=0.012335245535355513,
-        loss=0.2586861110857079,
+        synthesis=0.25864910534910196,
+        smoothness=0.012335245535355508,
+        loss=0.25868611108570805,
     ),
     ("min", False): dict(
         reconstruction=0.6344958116974446,
-        reflectance=0.0014146833097073586,
+        reflectance=0.001414683309707357,
         synthesis=0.3460521047157263,
-        smoothness=0.012335245535355513,
+        smoothness=0.012335245535355508,
         loss=0.4732712094537628,
     ),
     ("min", True): dict(
         reconstruction=0.0,
         reflectance=0.0,
-        synthesis=0.2161080025553156,
-        smoothness=0.012335245535355513,
-        loss=0.21614500829192165,
+        synthesis=0.21610800255531576,
+        smoothness=0.012335245535355508,
+        loss=0.21614500829192182,
     ),
 }
 
@@ -291,6 +292,16 @@ def _parameters(path):
     return {name: p.data for name, p in model.named_parameters()}, step
 
 
+def test_a_checkpoint_path_in_a_missing_directory_is_refused_before_any_step(scene, tmp_path):
+    # the checkpoint and the divergence rescue would both be written there
+    log = tmp_path / "train.log"
+    missing = tmp_path / "nodir"
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint directory {missing} does not exist")):
+        train(scene, TrainConfig(**SMALL), log_path=log, checkpoint_path=missing / "model.npz")
+    assert not log.exists()
+    assert not missing.exists()
+
+
 def test_divergence_leaves_the_state_after_the_last_good_step(scene, tmp_path, nan_synthesis_at_step_2):
     checkpoint = tmp_path / "model.npz"
     with pytest.raises(TrainingDiverged, match="synthesis"):
@@ -395,5 +406,5 @@ def test_evaluate_scene_leaves_every_parameter_untouched():
 
 def test_predicted_trajectory_carries_the_scene_frame_ids(scene):
     model = ModelBundle(TrainConfig(**SMALL), (16, 16))
-    renumbered = dataclasses.replace(scene, ids=(1, 2, 3, 4))
-    assert predicted_trajectory(model, renumbered).indices == renumbered.ids
+    renumbered = dataclasses.replace(scene, trajectory=Trajectory((1, 2, 3, 4), scene.trajectory.poses))
+    assert predicted_trajectory(model, renumbered).indices == (1, 2, 3, 4)
