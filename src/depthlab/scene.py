@@ -32,7 +32,8 @@ class Scene:
     training indexes the per-frame tuples by position. A scene read from
     disk has `reflectance` and `shading` None (only a generated scene knows
     them), and `depths` or `labels` None when its directory holds no rasters
-    of that kind.
+    of that kind. Every per-frame tuple that is not None has one entry per
+    pose.
     """
 
     cam: CameraModel
@@ -42,6 +43,12 @@ class Scene:
     labels: tuple[np.ndarray, ...] | None  # (H, W) int surface ids
     reflectance: tuple[np.ndarray, ...] | None = None  # (3, H, W) albedo component
     shading: tuple[np.ndarray, ...] | None = None  # (H, W) shading component
+
+    def __post_init__(self):
+        for name in ("frames", "depths", "labels", "reflectance", "shading"):
+            rasters = getattr(self, name)
+            if rasters is not None and len(rasters) != len(self.trajectory):
+                raise ValueError(f"scene has {len(self.trajectory)} poses but {len(rasters)} {name}")
 
     def __len__(self) -> int:
         return len(self.frames)

@@ -1,6 +1,8 @@
 """Synthetic scene generation: analytic ground truth, photometric
 consistency across frames, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,12 @@ class TestValidation:
     def test_negative_or_non_finite_shading_rejected(self, strength):
         with pytest.raises(ValueError, match="shading_strength"):
             generate_scene("plane", 3, seed=0, cam=CAM, shading_strength=strength)
+
+    @pytest.mark.parametrize("field", ["frames", "depths", "labels", "reflectance", "shading"])
+    def test_a_per_frame_tuple_shorter_than_the_trajectory_is_refused(self, field):
+        scene = generate_scene("plane", 4, seed=0, cam=CAM)
+        with pytest.raises(ValueError, match=f"scene has 4 poses but 3 {field}"):
+            dataclasses.replace(scene, **{field: getattr(scene, field)[:3]})
 
     def test_trajectory_indices(self, tmp_path):
         scene = generate_scene("plane", 5, seed=12, cam=CAM)

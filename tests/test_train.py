@@ -312,7 +312,9 @@ def test_divergence_leaves_the_state_after_the_last_good_step(scene, tmp_path, n
 
     # three frames leave target 1 alone, so one epoch is exactly the first step
     first_only = dataclasses.replace(
-        scene, frames=scene.frames[:3], depths=scene.depths[:3], labels=scene.labels[:3]
+        scene,
+        trajectory=Trajectory(scene.trajectory.indices[:3], scene.trajectory.poses[:3]),
+        **{name: getattr(scene, name)[:3] for name in ("frames", "depths", "labels", "reflectance", "shading")},
     )
     reference = tmp_path / "one_step.npz"
     train(first_only, TrainConfig(**{**SMALL, "epochs": 1}), checkpoint_path=reference)
