@@ -168,6 +168,8 @@ class ToyDepthNet(Module):
     def __init__(self, config: TrainConfig, image_hw: tuple[int, int], rng: np.random.Generator):
         h, w = image_hw
         dim, n_blocks, mixer_after = config.embed_dim, config.depth_blocks, config.mixer_after
+        if h < PATCH or w < PATCH:
+            raise ValueError(f"image {h}x{w} is smaller than one {PATCH}x{PATCH} patch")
         if h % PATCH or w % PATCH:
             raise ValueError(f"image {h}x{w} not divisible by patch {PATCH}")
         if dim % HEADS:

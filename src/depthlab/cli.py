@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen-scene, train, eval-depth, eval-pose, params, report.
+gen-scene renders a square scene whose camera has fx = fy = --size and its
+principal point at the image centre; report prints a tab-separated table.
 Exit codes: 0 success, 2 validation failure (bad arguments, malformed
 config, shape mismatches), 1 runtime error. A diverged training run is a
 runtime error: it exits 1 and leaves the last good state in
@@ -30,9 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=SCENE_KINDS, default="two_spheres")
     p.add_argument("--frames", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=64, help="square image extent in pixels")
-    p.add_argument("--focal", type=float, default=None, help="focal length in pixels (default: size)")
-    p.add_argument("--shading", type=float, default=0.25, help="shading field strength (0 disables)")
+    p.add_argument("--size", type=int, default=64, help="square image extent in pixels, also the focal length")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train on a scene directory")
@@ -55,9 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--size", type=int, default=64)
 
-    p = sub.add_parser("report", help="aggregate a training log into a delimited table")
+    p = sub.add_parser("report", help="aggregate a training log into a tab-separated table")
     p.add_argument("--log", required=True)
-    p.add_argument("--delimiter", default="\t")
     return parser
 
 
@@ -70,9 +69,8 @@ def _load_cli_config(args) -> TrainConfig:
 
 def _cmd_gen_scene(args) -> int:
     size = args.size
-    focal = args.focal if args.focal is not None else float(size)
-    cam = CameraModel(fx=focal, fy=focal, cx=(size - 1) / 2.0, cy=(size - 1) / 2.0, width=size, height=size)
-    scene = generate_scene(args.kind, args.frames, args.seed, cam, shading_strength=args.shading)
+    cam = CameraModel(fx=float(size), fy=float(size), cx=(size - 1) / 2.0, cy=(size - 1) / 2.0, width=size, height=size)
+    scene = generate_scene(args.kind, args.frames, args.seed, cam)
     write_scene(args.out, scene)
     print(f"wrote {args.frames}-frame {args.kind} scene to {args.out}")
     return 0
@@ -153,9 +151,9 @@ def _cmd_report(args) -> int:
     if not rows:
         raise ValueError(f"log file {args.log} holds no records")
     keys = list(dict.fromkeys(key for row in rows for key in row))  # every record's keys, first seen first
-    print(args.delimiter.join(keys))
+    print("\t".join(keys))
     for row in rows:
-        print(args.delimiter.join(f"{row.get(key, float('nan')):.8g}" for key in keys))
+        print("\t".join(f"{row.get(key, float('nan')):.8g}" for key in keys))
     return 0
 
 

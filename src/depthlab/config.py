@@ -37,6 +37,8 @@ class TrainConfig:
     bypass_decomposition: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("epochs", "batch_size", "triplet_stride", "embed_dim", "depth_blocks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -37,6 +37,8 @@ class CameraModel:
     height: int
 
     def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"image size must be at least 1x1 pixel, got {self.width}x{self.height}")
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
             raise ValueError(f"focal lengths must be finite and positive, got fx={self.fx}, fy={self.fy}")
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
@@ -192,17 +194,12 @@ def project(points: Tensor, cam: CameraModel) -> Tensor:
     points = ad.as_tensor(points)
     if points.ndim != 3 or points.shape[0] != 3:
         raise ValueError(f"project needs (3, H, W) points, got {points.shape}")
-    _, h, w = points.shape
-    x = ad.slice_axis(points, 0, 0, 1)
-    y = ad.slice_axis(points, 0, 1, 2)
+    xy = ad.slice_axis(points, 0, 0, 2)
     z = ad.slice_axis(points, 0, 2, 3)
     behind = points.data[2:3] <= Z_EPS
     z_safe = ad.mask_fill(z, behind, 1.0)
-    u = x / z_safe * cam.fx + cam.cx
-    v = y / z_safe * cam.fy + cam.cy
-    u = ad.mask_fill(u, behind, -float(cam.width + 2))
-    v = ad.mask_fill(v, behind, -float(cam.height + 2))
-    return ad.concat([u, v], axis=0)
+    grid = xy / z_safe * np.array([[[cam.fx]], [[cam.fy]]]) + np.array([[[cam.cx]], [[cam.cy]]])
+    return ad.mask_fill(grid, np.broadcast_to(behind, grid.shape), -float(max(cam.width, cam.height) + 2))
 
 
 def warp_frame(source, depth, pose_t_to_s, cam: CameraModel) -> tuple[Tensor, np.ndarray]:

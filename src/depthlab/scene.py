@@ -1,9 +1,10 @@
 """Synthetic scenes with exact ground truth.
 
 Surfaces are analytic (planes, spheres) with a Lambertian bandlimited
-noise albedo and a world-anchored multiplicative shading field, so a point
-keeps its color from every viewpoint and cross-frame warping with the true
-depth and poses reproduces frames up to resampling error. Rendering is
+noise albedo and a world-anchored multiplicative shading field of one
+fixed strength, ``SHADING_STRENGTH``, so a point keeps its color from
+every viewpoint and cross-frame warping with the true depth and poses
+reproduces frames up to resampling error. Rendering is
 deterministic given the seed: per-pixel rays are intersected in closed
 form, depth is the camera-frame Z of the nearest hit, and every pixel
 carries the label of its surface.
@@ -11,7 +12,6 @@ carries the label of its surface.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +20,7 @@ from .evalmetrics import Trajectory, anchored_trajectory
 from .geometry import CameraModel, PoseSE3
 
 SCENE_KINDS = ("plane", "slanted_plane", "two_spheres")
+SHADING_STRENGTH = 0.25  # shade = 1 - s/2 + s/2 * field, clipped to [0.3, 1]
 
 
 @dataclass(frozen=True)
@@ -164,19 +165,11 @@ def _surfaces(kind: str, rng: np.random.Generator):
     return [(0, plane([0.0, 0.0, 11.0], [0.0, 0.0, -1.0]))] + spheres
 
 
-def generate_scene(
-    kind: str,
-    n_frames: int,
-    seed: int,
-    cam: CameraModel,
-    shading_strength: float = 0.25,
-) -> Scene:
-    """Render a deterministic scene with frame ids 0..n_frames-1;
-    shading_strength 0 disables the multiplicative shading field."""
+def generate_scene(kind: str, n_frames: int, seed: int, cam: CameraModel) -> Scene:
+    """Render a deterministic scene with frame ids 0..n_frames-1, each
+    frame its albedo times the shading field at ``SHADING_STRENGTH``."""
     if n_frames < 3:
         raise ValueError(f"need at least 3 frames, got {n_frames}")
-    if not (0.0 <= shading_strength < math.inf):
-        raise ValueError(f"shading_strength must be finite and >= 0, got {shading_strength}")
     rng = np.random.default_rng(seed)
     surfaces = _surfaces(kind, rng)
     albedo_field = _NoiseField(
@@ -210,11 +203,8 @@ def generate_scene(
         for lab, _ in surfaces:
             base[:, label == lab] = surface_colors[lab][:, None]
         albedo = np.clip(base + albedo_field(points), 0.05, 0.95)
-        if shading_strength > 0:
-            shade = 1.0 - shading_strength * 0.5 + shading_strength * 0.5 * shade_field(points)[0]
-            shade = np.clip(shade, 0.3, 1.0)
-        else:
-            shade = np.ones_like(best)
+        shade = 1.0 - SHADING_STRENGTH * 0.5 + SHADING_STRENGTH * 0.5 * shade_field(points)[0]
+        shade = np.clip(shade, 0.3, 1.0)
         image = albedo * shade[None, :]
         h, w = cam.height, cam.width
         frames.append(image.reshape(3, h, w))

@@ -89,6 +89,17 @@ def test_params_names_embed_dim_when_the_heads_do_not_divide_it(capsys):
     assert "embed_dim must be a multiple of 4, the head count, got 30" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", ["0", "-8"])
+def test_params_rejects_an_image_smaller_than_one_patch(capsys, size):
+    assert cli.main(["params", "--size", size]) == 2
+    assert f"image {size}x{size} is smaller than one 8x8 patch" in capsys.readouterr().err
+
+
+def test_params_names_a_negative_seed(capsys):
+    assert cli.main(["params", "--size", "16", "--set", "seed=-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_gen_scene_writes_a_scene_directory(tmp_path, capsys):
     out = tmp_path / "scene"
     assert cli.main(["gen-scene", "--size", "16", "--frames", "3", "--out", str(out)]) == 0
@@ -112,9 +123,14 @@ def test_gen_scene_refuses_a_directory_holding_a_frame_the_scene_lacks(tmp_path,
 
 @pytest.mark.parametrize(
     "option, value, named",
-    [("--focal", "inf", "focal"), ("--focal", "nan", "focal"), ("--shading", "nan", "shading"), ("--shading", "-1", "shading")],
+    [
+        ("--size", "0", "image size must be at least 1x1 pixel, got 0x0"),
+        ("--size", "-8", "image size must be at least 1x1 pixel, got -8x-8"),
+        ("--frames", "2", "need at least 3 frames, got 2"),
+    ],
+    ids=["size-0", "size-minus-8", "frames-2"],
 )
-def test_gen_scene_rejects_a_non_finite_or_negative_input(tmp_path, capsys, option, value, named):
+def test_gen_scene_rejects_a_size_or_frame_count_below_its_minimum(tmp_path, capsys, option, value, named):
     out = tmp_path / "scene"
     assert cli.main(["gen-scene", "--size", "16", "--frames", "3", option, value, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
@@ -396,5 +412,5 @@ def test_report_on_a_value_that_is_not_a_real_number_is_a_validation_failure(tmp
 def test_report_prints_every_records_keys_in_first_seen_order(tmp_path, capsys):
     log = tmp_path / "train.log"
     log.write_text('{"a": 1, "b": 2}\n{"c": 3.5, "a": 4}\n{"b": 5}\n')
-    assert cli.main(["report", "--log", str(log), "--delimiter", ","]) == 0
-    assert capsys.readouterr().out.splitlines() == ["a,b,c", "1,2,nan", "4,nan,3.5", "nan,5,nan"]
+    assert cli.main(["report", "--log", str(log)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["a\tb\tc", "1\t2\tnan", "4\tnan\t3.5", "nan\t5\tnan"]

@@ -38,6 +38,11 @@ class TestCameraModel:
         with pytest.raises(ValueError, match="focal"):
             CameraModel(fx=fx, fy=fy, cx=1.0, cy=1.0, width=4, height=4)
 
+    @pytest.mark.parametrize("width, height", [(0, 4), (4, 0), (-8, -8)])
+    def test_rejects_an_image_under_one_pixel(self, width, height):
+        with pytest.raises(ValueError, match=f"image size must be at least 1x1 pixel, got {width}x{height}"):
+            CameraModel(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=width, height=height)
+
     def test_rejects_principal_point_outside(self):
         with pytest.raises(ValueError, match="principal"):
             CameraModel(fx=1.0, fy=1.0, cx=5.0, cy=1.0, width=4, height=4)

@@ -362,6 +362,16 @@ def test_an_empty_validity_mask_names_the_median_depth_and_each_translation(scen
         step_loss(model, scene, 1)
 
 
+def test_a_non_finite_depth_ends_as_training_diverged(scene):
+    # a NaN disparity logit makes every depth NaN: the warp marks every sample
+    # invalid, and the step raises TrainingDiverged rather than a ValueError
+    model = ModelBundle(TrainConfig(**SMALL), (16, 16))
+    head = model.depth.decoder.head
+    head.bias.assign(np.full_like(head.bias.data, np.nan))
+    with pytest.raises(TrainingDiverged, match="empty validity mask: median predicted depth nan, "):
+        step_loss(model, scene, 1)
+
+
 def test_inference_without_a_graph_matches_grad_mode_bit_for_bit(scene):
     model = ModelBundle(TrainConfig(**SMALL), (16, 16))
     frame, other = Tensor(scene.frames[1]), Tensor(scene.frames[2])
