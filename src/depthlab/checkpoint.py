@@ -7,10 +7,10 @@ order. The header serialization is canonical (sorted keys, no whitespace),
 so save -> load -> save is byte-identical.
 
 Save and load stream: a save writes the header, then one payload at a time;
-a load reads the header, then each payload into a fresh array. Loading into
-a module (``load_module``) checks the header against the module's
-parameters before any payload is read and assigns each tensor as it
-arrives, so it never holds a second copy of the model.
+a load reads the header, then each payload in turn. Loading into a module
+(``load_module``) checks the header against the module's parameters before
+any payload is read, then reads each payload straight into the module's own
+parameter array, so it holds no copy of any tensor.
 
 A save is atomic: it writes ``<path>.tmp`` and moves it onto ``path`` only
 once it is complete, so a save that fails partway leaves the previous file
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -110,21 +111,25 @@ def _header_config(header: dict) -> TrainConfig:
     return config_from_pairs({k: str(v) for k, v in cfg_dict.items()})
 
 
-def _read_payloads(fh, entries):
-    """Yield (name, array) per header entry, reading each payload straight
-    into a fresh array: one tensor is read at a time."""
-    for entry in entries:
-        value = np.empty(tuple(entry["shape"]), dtype="<f8")
-        if fh.readinto(value.reshape(-1).view(np.uint8)) != value.nbytes:
-            raise ValueError(f"checkpoint truncated while reading '{entry['name']}'")
-        yield entry["name"], value
+def _read_payload(fh, name: str, out: np.ndarray) -> None:
+    """Read the next payload into ``out``, a float64 array of the payload's
+    shape, in place. ``readinto`` refuses an array that is not a writable
+    C-contiguous buffer; on a big-endian host the file's little-endian
+    bytes are then swapped in place."""
+    if fh.readinto(out) != out.nbytes:
+        raise ValueError(f"checkpoint truncated while reading '{name}'")
+    if sys.byteorder == "big":
+        out.byteswap(inplace=True)
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         version, header = _read_header(fh)
         entries = header["tensors"]
-        tensors = dict(_read_payloads(fh, entries))
+        tensors = {}
+        for entry in entries:
+            tensors[entry["name"]] = np.empty(tuple(entry["shape"]))
+            _read_payload(fh, entry["name"], tensors[entry["name"]])
     return Checkpoint(
         version=version,
         step=int(header["step"]),
@@ -155,13 +160,13 @@ def _check_entries(entries, params: dict[str, Tensor]) -> None:
 def load_module(path, build):
     """Read a checkpoint's header, build the module it describes with
     ``build(config)``, check the header against the module's parameters,
-    then read each payload and assign it to its parameter. Returns (module,
-    step). Beyond the module, at most one tensor is held at a time."""
+    then read each payload into its parameter's own array. Returns (module,
+    step). Beyond the module, no tensor is held."""
     with open(path, "rb") as fh:
         _, header = _read_header(fh)
         module = build(_header_config(header))
         params = dict(module.named_parameters())
         _check_entries(header["tensors"], params)
-        for name, value in _read_payloads(fh, header["tensors"]):
-            params[name].assign(value)
+        for entry in header["tensors"]:
+            _read_payload(fh, entry["name"], params[entry["name"]].data)
     return module, int(header["step"])

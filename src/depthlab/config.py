@@ -39,7 +39,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("epochs", "batch_size", "triplet_stride", "embed_dim", "depth_blocks"):
+        for name in ("epochs", "batch_size", "rank", "triplet_stride", "embed_dim", "depth_blocks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("lr", "lr_decay"):

@@ -117,10 +117,11 @@ def write_pgm(path, labels: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """(H, W) uint8 surface ids: a read-only view of the file's 8-bit raster."""
     with open(path, "rb") as fh:
         w, h = _read_netpbm_header(fh, b"P5")
         data = np.frombuffer(fh.read(w * h), dtype=np.uint8)
-    return data.reshape(h, w).astype(np.int64)
+    return data.reshape(h, w)
 
 
 # -- trajectories ----------------------------------------------------------------------

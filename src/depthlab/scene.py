@@ -41,7 +41,7 @@ class Scene:
     trajectory: Trajectory  # camera-to-world, indexed by frame id
     frames: tuple[np.ndarray, ...]  # (3, H, W) in [0, 1]
     depths: tuple[np.ndarray, ...] | None  # (H, W) camera-frame Z
-    labels: tuple[np.ndarray, ...] | None  # (H, W) int surface ids
+    labels: tuple[np.ndarray, ...] | None  # (H, W) uint8 surface ids
     reflectance: tuple[np.ndarray, ...] | None = None  # (3, H, W) albedo component
     shading: tuple[np.ndarray, ...] | None = None  # (H, W) shading component
 
@@ -77,8 +77,11 @@ class _NoiseField:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         """points: (3, ...) -> values (channels, ...)."""
         flat = points.reshape(3, -1)
-        phase = np.einsum("cwk,kn->cwn", self.freqs, flat) + self.phases[:, :, None]
-        vals = np.sum(self.amps[:, :, None] * np.cos(phase), axis=1)
+        phase = np.einsum("cwk,kn->cwn", self.freqs, flat)
+        phase += self.phases[:, :, None]
+        np.cos(phase, out=phase)
+        phase *= self.amps[:, :, None]
+        vals = np.sum(phase, axis=1)
         return vals.reshape((self.freqs.shape[0],) + points.shape[1:])
 
 
@@ -190,12 +193,13 @@ def generate_scene(kind: str, n_frames: int, seed: int, cam: CameraModel) -> Sce
         origins = np.repeat(pose.translation[:, None], rays_cam.shape[1], axis=1)
         dirs = pose.rotation @ rays_cam
         best = np.full(rays_cam.shape[1], np.inf)
-        label = np.full(rays_cam.shape[1], -1, dtype=np.int64)
+        # every hit ray takes its nearest surface's label; an unhit one raises below
+        label = np.zeros(rays_cam.shape[1], dtype=np.uint8)
         for lab, intersect in surfaces:
             lam = intersect(origins, dirs)
             closer = lam < best
             best = np.where(closer, lam, best)
-            label = np.where(closer, lab, label)
+            label[closer] = lab
         if not np.all(np.isfinite(best)):
             raise RuntimeError(f"scene '{kind}' leaves rays unhit; background must cover the view")
         points = origins + best * dirs

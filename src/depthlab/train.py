@@ -310,8 +310,8 @@ def save_model(path, model: ModelBundle, config: TrainConfig, step: int) -> None
 
 def load_model(path, image_hw: tuple[int, int]) -> tuple[ModelBundle, int]:
     """Rebuild the model a checkpoint holds; the checkpoint does not record
-    the image size, so the caller passes it. Parameters are read one tensor
-    at a time into the freshly built model."""
+    the image size, so the caller passes it. Each payload is read straight
+    into the freshly built model's own parameter array."""
     return load_module(path, lambda config: ModelBundle(config, image_hw))
 
 

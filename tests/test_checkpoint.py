@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -118,6 +119,7 @@ class TestConfig:
             ("embed_dim", 0),
             ("depth_blocks", 0),
             ("depth_blocks", -3),
+            ("rank", 0),
             ("lr_decay_epoch", -3),
             ("w_synthesis", float("nan")),
             ("w_smoothness", float("inf")),
@@ -331,6 +333,31 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
+    def test_a_model_cut_short_is_refused_naming_its_last_tensor(self, tmp_path):
+        config = TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2)
+        model = ModelBundle(config, (16, 16))
+        path = tmp_path / "model.ckpt"
+        save_model(path, model, config, 3)
+        path.write_bytes(path.read_bytes()[:-8])
+        last = list(model.named_parameters())[-1][0]
+        with pytest.raises(ValueError, match=f"checkpoint truncated while reading '{last}'"):
+            load_model(path, (16, 16))
+
+    def test_a_big_endian_host_holds_the_values_in_its_own_byte_order(self, tmp_path, monkeypatch):
+        # the payloads are little-endian on disk; a big-endian host must hold
+        # each value's big-endian bytes, which on this host read as swapped
+        config = TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2)
+        model = ModelBundle(config, (16, 16))
+        path = tmp_path / "model.ckpt"
+        save_model(path, model, config, 0)
+        monkeypatch.setattr(checkpoint, "sys", SimpleNamespace(byteorder="big"))
+        swapped, _ = load_model(path, (16, 16))
+        ck = load_checkpoint(path)
+        for name, p in model.named_parameters():
+            big_endian = p.data.astype(">f8").tobytes()
+            assert dict(swapped.named_parameters())[name].data.tobytes() == big_endian
+            assert ck.tensors[name].tobytes() == big_endian
+
     @staticmethod
     def _peak(fn):
         tracemalloc.start()
@@ -341,15 +368,23 @@ class TestCheckpoint:
             tracemalloc.stop()
 
     def test_save_and_load_stream_one_tensor_at_a_time(self, tmp_path):
-        # the default model: about 20 MB of parameters, none over 2 MB
+        # the default model: about 20 MB of parameters, the largest 1.6 MB
         config = TrainConfig()
         model = ModelBundle(config, (16, 16))
         param_bytes = sum(p.data.nbytes for _, p in model.named_parameters())
         path = tmp_path / "model.ckpt"
         save_peak = self._peak(lambda: save_model(path, model, config, 0))
         del model
-        load_peak = self._peak(lambda: load_model(path, (16, 16)))
-        # a save holds no copy of the payloads; a load holds the model it
-        # builds plus the tensor being read (a whole second copy would be 2x)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_model(path, (16, 16))
+            model_bytes, load_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a save holds no copy of the payloads; a load reads each payload
+        # into the model's own arrays, so beyond the model it returns (its
+        # parameters and their Python objects) it holds no tensor at any time
         assert save_peak < 0.2 * param_bytes
-        assert load_peak < 1.2 * param_bytes
+        assert sum(p.data.nbytes for _, p in loaded.named_parameters()) == param_bytes
+        assert param_bytes <= model_bytes < 1.01 * param_bytes
+        assert load_peak <= model_bytes + 64 * 1024

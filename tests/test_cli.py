@@ -95,6 +95,11 @@ def test_params_rejects_an_image_smaller_than_one_patch(capsys, size):
     assert f"image {size}x{size} is smaller than one 8x8 patch" in capsys.readouterr().err
 
 
+def test_params_names_a_rank_below_one_even_without_adapters(capsys):
+    assert cli.main(["params", "--size", "16", "--set", "rank=-1", "--set", "adapter=none"]) == 2
+    assert "rank must be >= 1, got -1" in capsys.readouterr().err
+
+
 def test_params_names_a_negative_seed(capsys):
     assert cli.main(["params", "--size", "16", "--set", "seed=-1"]) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err

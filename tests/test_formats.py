@@ -78,7 +78,9 @@ class TestPPMAndPGM:
         labels = np.random.default_rng(3).integers(0, 5, size=(6, 4))
         path = tmp_path / "labels.pgm"
         write_pgm(path, labels)
-        np.testing.assert_array_equal(read_pgm(path), labels)
+        back = read_pgm(path)
+        assert back.dtype == np.uint8
+        np.testing.assert_array_equal(back, labels)
 
     def test_pgm_rejects_wide_labels(self, tmp_path):
         with pytest.raises(ValueError, match="byte"):
@@ -153,6 +155,19 @@ class TestSceneDirectory:
         assert got.indices == want.indices
         np.testing.assert_allclose(got.poses[2].rotation, want.poses[2].rotation, atol=1e-9)
         np.testing.assert_allclose(got.poses[2].translation, want.poses[2].translation, atol=1e-9)
+
+    def test_labels_stay_uint8_from_render_to_disk_and_back(self, tmp_path):
+        cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
+        scene = generate_scene("two_spheres", 3, seed=4, cam=cam)
+        directory = tmp_path / "scene"
+        write_scene(directory, scene)
+        loaded = SceneOnDisk(directory)
+        for k, frame_id in enumerate(scene.trajectory.indices):
+            from_file = read_pgm(directory / f"labels_{frame_id:03d}.pgm")
+            for labels in (scene.labels[k], loaded.labels[k], from_file):
+                assert labels.dtype == np.uint8
+                np.testing.assert_array_equal(labels, scene.labels[k])
+        assert set(np.unique(np.stack(scene.labels))) == {0, 1, 2}
 
     @pytest.mark.parametrize("missing", ["depth_002.pfm", "labels_002.pgm"])
     def test_partial_rasters_rejected_by_name(self, tmp_path, missing):
