@@ -1,20 +1,23 @@
-"""Binary checkpoints: a named-tensor table with frozen flags, the config
-snapshot, and the step counter.
+"""Binary checkpoints: a module's parameters with their frozen flags, the
+config snapshot, and the step counter.
+
+One writer and one reader, both speaking a module. ``save_checkpoint``
+writes ``module.named_parameters()`` in order, each flagged frozen when it
+takes no gradient. ``load_module`` builds the module the header's config
+describes, checks the header against the module's parameters before any
+payload is read, then reads each payload straight into its parameter's own
+array, so it holds no copy of any tensor. Every check on a file read from
+outside (magic, version, header keys, unique names, names, shapes and
+frozen flags, payload length) is the reader's.
 
 Layout: magic, format version (u32 LE), header length (u64 LE), JSON
 header, then the raw float64 little-endian payloads concatenated in header
 order. The header serialization is canonical (sorted keys, no whitespace),
 so save -> load -> save is byte-identical.
 
-Save and load stream: a save writes the header, then one payload at a time;
-a load reads the header, then each payload in turn. Loading into a module
-(``load_module``) checks the header against the module's parameters before
-any payload is read, then reads each payload straight into the module's own
-parameter array, so it holds no copy of any tensor.
-
-A save is atomic: it writes ``<path>.tmp`` and moves it onto ``path`` only
-once it is complete, so a save that fails partway leaves the previous file
-as it was.
+A save streams, writing the header and then one payload at a time, and is
+atomic: it writes ``<path>.tmp`` and moves it onto ``path`` only once it is
+complete, so a save that fails partway leaves the previous file as it was.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -33,38 +36,12 @@ MAGIC = b"DLABCKPT"
 FORMAT_VERSION = 1
 
 
-@dataclass
-class Checkpoint:
-    version: int
-    step: int
-    config: TrainConfig
-    names: list[str]
-    tensors: dict[str, np.ndarray]
-    frozen: dict[str, bool]
-
-
-def _check_unique(names) -> None:
-    """A checkpoint names each tensor once: the writer and every loader
-    refuse a repeated name with this message."""
-    seen = set()
-    for name in names:
-        if name in seen:
-            raise ValueError(f"checkpoint names tensor '{name}' twice")
-        seen.add(name)
-
-
-def save_checkpoint(path, named_tensors, config: TrainConfig, step: int) -> None:
-    """named_tensors: iterable of (name, Tensor|array, frozen_flag). A
-    repeated name is refused before any file is opened."""
-    named = [
-        (name, tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor, dtype=np.float64), bool(frozen))
-        for name, tensor, frozen in named_tensors
-    ]
-    _check_unique(name for name, _, _ in named)
+def save_checkpoint(path, module, config: TrainConfig, step: int) -> None:
+    params = list(module.named_parameters())
     header = {
         "config": asdict(config),
         "step": int(step),
-        "tensors": [{"name": name, "shape": list(data.shape), "frozen": frozen} for name, data, frozen in named],
+        "tensors": [{"name": name, "shape": list(p.shape), "frozen": not p.requires_grad} for name, p in params],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     tmp = f"{path}.tmp"
@@ -74,8 +51,8 @@ def save_checkpoint(path, named_tensors, config: TrainConfig, step: int) -> None
             fh.write(FORMAT_VERSION.to_bytes(4, "little"))
             fh.write(len(blob).to_bytes(8, "little"))
             fh.write(blob)
-            for _, data, _ in named:
-                fh.write(np.ascontiguousarray(data, dtype="<f8").tobytes())
+            for _, p in params:
+                fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -83,11 +60,10 @@ def save_checkpoint(path, named_tensors, config: TrainConfig, step: int) -> None
         raise
 
 
-def _read_header(fh) -> tuple[int, dict]:
+def _read_header(fh) -> dict:
     """Check the magic, the format version, that the header is an object
     holding config, step and tensors, and that no tensor is named twice;
-    return the version and the parsed JSON header, leaving the file at the
-    first payload."""
+    return the parsed JSON header, leaving the file at the first payload."""
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise ValueError(f"not a checkpoint file: magic {magic!r}")
@@ -101,8 +77,12 @@ def _read_header(fh) -> tuple[int, dict]:
     for key in ("config", "step", "tensors"):
         if key not in header:
             raise ValueError(f"checkpoint header lacks '{key}'")
-    _check_unique(entry["name"] for entry in header["tensors"])
-    return version, header
+    seen = set()
+    for entry in header["tensors"]:
+        if entry["name"] in seen:
+            raise ValueError(f"checkpoint names tensor '{entry['name']}' twice")
+        seen.add(entry["name"])
+    return header
 
 
 def _header_config(header: dict) -> TrainConfig:
@@ -120,24 +100,6 @@ def _read_payload(fh, name: str, out: np.ndarray) -> None:
         raise ValueError(f"checkpoint truncated while reading '{name}'")
     if sys.byteorder == "big":
         out.byteswap(inplace=True)
-
-
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        version, header = _read_header(fh)
-        entries = header["tensors"]
-        tensors = {}
-        for entry in entries:
-            tensors[entry["name"]] = np.empty(tuple(entry["shape"]))
-            _read_payload(fh, entry["name"], tensors[entry["name"]])
-    return Checkpoint(
-        version=version,
-        step=int(header["step"]),
-        config=_header_config(header),
-        names=[entry["name"] for entry in entries],
-        tensors=tensors,
-        frozen={entry["name"]: bool(entry["frozen"]) for entry in entries},
-    )
 
 
 def _check_entries(entries, params: dict[str, Tensor]) -> None:
@@ -163,7 +125,7 @@ def load_module(path, build):
     then read each payload into its parameter's own array. Returns (module,
     step). Beyond the module, no tensor is held."""
     with open(path, "rb") as fh:
-        _, header = _read_header(fh)
+        header = _read_header(fh)
         module = build(_header_config(header))
         params = dict(module.named_parameters())
         _check_entries(header["tensors"], params)

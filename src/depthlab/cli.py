@@ -17,6 +17,7 @@ import json
 import sys
 
 from .config import TrainConfig, config_to_text, load_config, parse_config_text
+from .evalmetrics import DEPTH_METRICS
 from .formats import SceneOnDisk, write_scene
 from .geometry import CameraModel
 from .nn import trainable_param_count
@@ -96,15 +97,11 @@ def _cmd_eval_depth(args) -> int:
         raise ValueError(f"scene directory {args.scene} has no depth rasters")
     model, _ = load_model(args.checkpoint, image_hw=(scene.cam.height, scene.cam.width))
     reports, aggregate, (ate_mean, _) = evaluate_scene(model, scene)
-    header = ["frame", "abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3", "f_scale"]
-    print("\t".join(header))
+    print("\t".join(["frame", *DEPTH_METRICS, "f_scale"]))
     for frame_id, rep in zip(scene.trajectory.indices, reports):
-        row = [str(frame_id)] + [
-            f"{getattr(rep, key):.6f}"
-            for key in ("abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3", "f_scale")
-        ]
+        row = [str(frame_id)] + [f"{getattr(rep, key):.6f}" for key in (*DEPTH_METRICS, "f_scale")]
         print("\t".join(row))
-    mean_row = ["mean"] + [f"{aggregate[key]:.6f}" for key in header[1:-1]] + ["-"]
+    mean_row = ["mean"] + [f"{aggregate[key]:.6f}" for key in DEPTH_METRICS] + ["-"]
     print("\t".join(mean_row))
     print("ate_5frame\t-" if ate_mean is None else f"ate_5frame\t{ate_mean:.6f}")
     return 0

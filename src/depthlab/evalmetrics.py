@@ -18,6 +18,8 @@ from .geometry import PoseSE3
 
 DEPTH_CAP = 150.0
 DELTA_THRESHOLDS = (1.25, 1.25**2, 1.25**3)
+# the seven metrics a DepthEvalReport holds, in the order they are printed
+DEPTH_METRICS = ("abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3")
 
 
 def lower_median(values: np.ndarray) -> float:

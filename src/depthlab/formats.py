@@ -25,6 +25,15 @@ from .geometry import CameraModel, PoseSE3, quaternion_to_rotation, rotation_to_
 from .scene import Scene
 
 
+def _read_exact(fh, path, count: int) -> bytes:
+    """The next `count` bytes of a raster's payload; a short file is refused
+    by name."""
+    data = fh.read(count)
+    if len(data) != count:
+        raise ValueError(f"{path} truncated: expected {count} bytes, got {len(data)}")
+    return data
+
+
 # -- PFM ----------------------------------------------------------------------------
 
 
@@ -46,11 +55,13 @@ def read_pfm(path) -> np.ndarray:
         if magic != b"Pf":
             raise ValueError(f"not a grayscale PFM file: magic {magic!r}")
         dims = fh.readline().decode("ascii").split()
+        if len(dims) != 2:
+            raise ValueError(f"{path}: PFM size line must hold width and height, got {dims}")
         w, h = int(dims[0]), int(dims[1])
         scale = float(fh.readline().decode("ascii").strip())
         count = w * h
         dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(fh.read(count * 4), dtype=dtype, count=count)
+        data = np.frombuffer(_read_exact(fh, path, count * 4), dtype=dtype)
     return np.flipud(data.reshape(h, w)).astype(np.float64)
 
 
@@ -99,7 +110,7 @@ def write_ppm(path, image: np.ndarray) -> None:
 def read_ppm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         w, h = _read_netpbm_header(fh, b"P6")
-        data = np.frombuffer(fh.read(w * h * 3), dtype=np.uint8)
+        data = np.frombuffer(_read_exact(fh, path, w * h * 3), dtype=np.uint8)
     return data.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
@@ -120,7 +131,7 @@ def read_pgm(path) -> np.ndarray:
     """(H, W) uint8 surface ids: a read-only view of the file's 8-bit raster."""
     with open(path, "rb") as fh:
         w, h = _read_netpbm_header(fh, b"P5")
-        data = np.frombuffer(fh.read(w * h), dtype=np.uint8)
+        data = np.frombuffer(_read_exact(fh, path, w * h), dtype=np.uint8)
     return data.reshape(h, w)
 
 
@@ -151,6 +162,9 @@ def read_trajectory(path) -> Trajectory:
                 raise ValueError(f"trajectory line {lineno}: expected 8 fields, got {len(parts)}")
             idx = int(parts[0])
             tx, ty, tz, qw, qx, qy, qz = (float(v) for v in parts[1:])
+            norm = np.linalg.norm([qw, qx, qy, qz])
+            if not 0 < norm < np.inf:
+                raise ValueError(f"trajectory line {lineno}: quaternion norm {norm} is not a positive finite number")
             indices.append(idx)
             poses.append(PoseSE3(quaternion_to_rotation([qw, qx, qy, qz]), [tx, ty, tz]))
     return Trajectory(tuple(indices), tuple(poses))

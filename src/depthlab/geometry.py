@@ -72,10 +72,13 @@ class PoseSE3:
         t = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
-        if np.max(np.abs(r.T @ r - np.eye(3))) > _ORTHO_TOL:
+        # written so that a NaN, for which every comparison is False, fails
+        if not np.max(np.abs(r.T @ r - np.eye(3))) <= _ORTHO_TOL:
             raise ValueError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(r) - 1.0) > _ORTHO_TOL:
+        if not abs(np.linalg.det(r) - 1.0) <= _ORTHO_TOL:
             raise ValueError("rotation determinant is not 1 within 1e-9")
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"translation must be finite, got {t}")
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 

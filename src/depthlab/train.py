@@ -32,7 +32,7 @@ from .autodiff import Tensor, TrainingDiverged
 from .blocks import DecompositionNet, PoseNet, ToyDepthNet, disparity_to_depth
 from .checkpoint import load_module, save_checkpoint
 from .config import TrainConfig
-from .evalmetrics import DepthEvalReport, Trajectory, anchored_trajectory, ate_5frame, evaluate_depth, lower_median
+from .evalmetrics import DEPTH_METRICS, DepthEvalReport, Trajectory, anchored_trajectory, ate_5frame, evaluate_depth, lower_median
 from .geometry import PoseSE3, warp_frame
 # bench/spans.py wraps these names in this module, ssim included though unused here
 from .losses import SemanticMaskSet, masked_smoothness_loss, reconstruction_loss, ssim, total_loss
@@ -304,8 +304,7 @@ def _optimizer_step(model, scene, batch, opt, step, checkpoint_path) -> list[dic
 
 
 def save_model(path, model: ModelBundle, config: TrainConfig, step: int) -> None:
-    named = [(name, p, not p.requires_grad) for name, p in model.named_parameters()]
-    save_checkpoint(path, named, config, step)
+    save_checkpoint(path, model, config, step)
 
 
 def load_model(path, image_hw: tuple[int, int]) -> tuple[ModelBundle, int]:
@@ -320,10 +319,7 @@ def evaluate_scene(model: ModelBundle, scene):
     (mean, segments); a scene of fewer than 5 frames has no ATE window and
     gets (None, [])."""
     reports = _depth_reports(model, scene, range(len(scene)))
-    aggregate = {
-        key: float(np.mean([getattr(r, key) for r in reports]))
-        for key in ("abs_rel", "sq_rel", "rmse", "rmse_log", "delta1", "delta2", "delta3")
-    }
+    aggregate = {key: float(np.mean([getattr(r, key) for r in reports])) for key in DEPTH_METRICS}
     ate = evaluate_pose(model, scene) if len(scene) >= 5 else (None, [])
     return reports, aggregate, ate
 

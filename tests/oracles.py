@@ -7,7 +7,7 @@ under test, except two groups. The composed layers are the forms the
 package's fused layer ops replaced, built from its smaller autodiff ops,
 so a test can require the fused op to give the same bits, values and
 gradients. The helpers at the end are test-only drivers of package code:
-a checkpoint re-save, a checkpoint header edit, a scene directory's frame
+a checkpoint header edit, a scene directory's frame
 renumbering, the ground-truth relative pose of a frame pair and a
 ground-truth co-visibility raster. Finite differences are central, step
 1e-6 unless stated.
@@ -20,7 +20,6 @@ import numpy as np
 import scipy.linalg
 
 from depthlab import autodiff as ad
-from depthlab.checkpoint import load_checkpoint, save_checkpoint
 
 FD_EPS = 1e-6
 
@@ -343,13 +342,6 @@ def ate_grid_search(pred_positions, gt_positions):
     return float(np.mean(segments)), segments
 
 
-def resave_checkpoint(path_in, path_out) -> None:
-    """Load and save again; used to verify the byte-identical round trip."""
-    ck = load_checkpoint(path_in)
-    named = [(name, ck.tensors[name], ck.frozen[name]) for name in ck.names]
-    save_checkpoint(path_out, named, ck.config, ck.step)
-
-
 def _edit_checkpoint(path_in, path_out, edit) -> None:
     """Copy a checkpoint with its parsed header handed to `edit(header)`,
     which changes it in place and returns bytes to append to the payload,
@@ -380,8 +372,8 @@ def with_header_config(path_in, path_out, **entries) -> None:
 def with_second_entry(path_in, path_out, name: str, value) -> None:
     """Copy a checkpoint with a second entry for tensor `name` (its frozen
     flag, `value`'s shape) appended to the header and `value` to the
-    payload: a file that names one tensor twice, which the writer refuses
-    to produce."""
+    payload: a file that names one tensor twice, which no module's
+    parameters produce."""
 
     def edit(header):
         (frozen,) = [entry["frozen"] for entry in header["tensors"] if entry["name"] == name]

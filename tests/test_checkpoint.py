@@ -12,7 +12,7 @@ import pytest
 from depthlab import checkpoint
 from depthlab.autodiff import Tensor
 from depthlab.blocks import D_MAX, D_MIN, HEADS, PATCH
-from depthlab.checkpoint import load_checkpoint, save_checkpoint
+from depthlab.checkpoint import load_module, save_checkpoint
 from depthlab.config import (
     RETIRED,
     TrainConfig,
@@ -22,10 +22,11 @@ from depthlab.config import (
     parse_config_text,
 )
 from depthlab.losses import ALPHA, FIXED_WEIGHTS
+from depthlab.nn import Module
 from depthlab.optim import BETA1, BETA2, EPS
 from depthlab.train import ModelBundle, load_model, save_model
 
-from oracles import resave_checkpoint, with_header_config
+from oracles import with_header_config
 
 # the retired keys at the values fixed in code, as a header written before
 # they left TrainConfig carries them (loss_scales=1 only where it was set)
@@ -182,59 +183,58 @@ class TestConfig:
         assert (cfg.seed, cfg.epochs, cfg.source_aggregation) == (3, 4, "min")
 
 
-class TestCheckpoint:
-    def _named(self, rng):
-        return [
-            ("encoder.weight", Tensor(rng.standard_normal((4, 3)), requires_grad=False), True),
-            ("adapter.down", Tensor(rng.standard_normal((2, 3)), requires_grad=True), False),
-            ("adapter.up", Tensor(np.zeros((4, 2)), requires_grad=True), False),
-        ]
+class _Params(Module):
+    """A module holding the given tensors as its parameters, in order."""
 
+    def __init__(self, **tensors):
+        vars(self).update(tensors)
+
+
+def _tiny(draw=0, **fields):
+    """A small model, its config given `fields`, whose every parameter is
+    moved off its initial value by noise from seed `draw`, so a load that
+    left one as built would differ from it."""
+    config = TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2, **fields)
+    model = ModelBundle(config, (16, 16))
+    rng = np.random.default_rng(draw)
+    for _, p in model.named_parameters():
+        p.data += rng.standard_normal(p.shape)
+    return config, model
+
+
+def _assert_same_parameters(model, loaded):
+    for (name, p), (other, q) in zip(model.named_parameters(), loaded.named_parameters(), strict=True):
+        assert name == other and p.requires_grad == q.requires_grad
+        np.testing.assert_array_equal(p.data, q.data)
+
+
+class TestCheckpoint:
     def test_save_load_restores_everything(self, tmp_path):
-        rng = np.random.default_rng(1)
-        named = self._named(rng)
-        cfg = TrainConfig(seed=5, epochs=7)
+        config, model = _tiny(1, seed=5, epochs=7)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, named, cfg, step=123)
-        ck = load_checkpoint(path)
-        assert ck.step == 123
-        assert ck.config == cfg
-        assert ck.names == [n for n, _, _ in named]
-        for name, tensor, frozen in named:
-            np.testing.assert_array_equal(ck.tensors[name], tensor.data)
-            assert ck.frozen[name] == frozen
+        save_model(path, model, config, step=123)
+        loaded, step = load_model(path, (16, 16))
+        assert step == 123
+        assert loaded.config == config
+        _assert_same_parameters(model, loaded)
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
-        rng = np.random.default_rng(2)
+        config, model = _tiny(2)
         path1 = tmp_path / "a.ckpt"
         path2 = tmp_path / "b.ckpt"
-        save_checkpoint(path1, self._named(rng), TrainConfig(), step=9)
-        resave_checkpoint(path1, path2)
+        save_model(path1, model, config, step=9)
+        loaded, step = load_model(path1, (16, 16))
+        save_model(path2, loaded, loaded.config, step)
         assert path1.read_bytes() == path2.read_bytes()
 
     def test_a_header_with_the_retired_keys_loads(self, tmp_path):
-        named = self._named(np.random.default_rng(4))
-        cfg = TrainConfig(seed=5, adapter="plain")
-        save_checkpoint(tmp_path / "new.ckpt", named, cfg, step=3)
+        # a header written while these were fields: same tensors, same depth
+        config, model = _tiny(4, seed=5, adapter="plain")
+        save_model(tmp_path / "new.ckpt", model, config, 3)
         with_header_config(tmp_path / "new.ckpt", tmp_path / "old.ckpt", **OLD_HEADER_KEYS)
-        ck = load_checkpoint(tmp_path / "old.ckpt")
-        assert ck.config == cfg and ck.step == 3
-        for name, tensor, _ in named:
-            np.testing.assert_array_equal(ck.tensors[name], tensor.data)
-
-    def test_a_model_whose_header_carries_the_depth_range_heads_and_weights_loads(self, tmp_path):
-        # a header written while these six were fields: same tensors, same depth
-        config = TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2, seed=4)
-        model = ModelBundle(config, (16, 16))
-        save_model(tmp_path / "new.ckpt", model, config, 5)
-        keys = ("heads", "d_min", "d_max", "w_reconstruction", "w_reflectance", "w_synthesis")
-        six = {key: OLD_HEADER_KEYS[key] for key in keys}
-        with_header_config(tmp_path / "new.ckpt", tmp_path / "old.ckpt", **six)
         loaded, step = load_model(tmp_path / "old.ckpt", (16, 16))
-        assert loaded.config == config and step == 5
-        for (name, p), (other, q) in zip(model.named_parameters(), loaded.named_parameters(), strict=True):
-            assert name == other
-            np.testing.assert_array_equal(p.data, q.data)
+        assert loaded.config == config and step == 3
+        _assert_same_parameters(model, loaded)
         image = Tensor(np.random.default_rng(8).uniform(0, 1, (3, 16, 16)))
         np.testing.assert_array_equal(loaded.predict_depth(image).data, model.predict_depth(image).data)
 
@@ -252,17 +252,20 @@ class TestCheckpoint:
         ],
     )
     def test_a_header_with_a_retired_key_at_another_value_is_rejected(self, tmp_path, key, value):
-        save_checkpoint(tmp_path / "new.ckpt", self._named(np.random.default_rng(5)), TrainConfig(), step=1)
+        config, model = _tiny(5)
+        save_model(tmp_path / "new.ckpt", model, config, 1)
         with_header_config(tmp_path / "new.ckpt", tmp_path / "old.ckpt", **{**OLD_HEADER_KEYS, key: value})
         with pytest.raises(ValueError, match=f"{key} is fixed at {RETIRED[key]},"):
-            load_checkpoint(tmp_path / "old.ckpt")
+            load_model(tmp_path / "old.ckpt", (16, 16))
 
     def test_a_save_that_fails_partway_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, self._named(np.random.default_rng(6)), TrainConfig(), step=1)
+        rng = np.random.default_rng(6)
+        module = _Params(a=Tensor(rng.standard_normal((4, 3))), b=Tensor(rng.standard_normal((2, 3)), requires_grad=True))
+        save_checkpoint(path, module, TrainConfig(), step=1)
         before = path.read_bytes()
-        named = self._named(np.random.default_rng(7))
-        second_payload = named[1][1].data.astype("<f8").tobytes()
+        module.b.data += 1.0
+        second_payload = module.b.data.astype("<f8").tobytes()
 
         class DiskFullAtSecondPayload:
             def __init__(self, fh):
@@ -281,40 +284,41 @@ class TestCheckpoint:
 
         monkeypatch.setattr(checkpoint, "open", lambda *args: DiskFullAtSecondPayload(open(*args)), raising=False)
         with pytest.raises(OSError, match="No space left"):
-            save_checkpoint(path, named, TrainConfig(), step=2)
+            save_checkpoint(path, module, TrainConfig(), step=2)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
         monkeypatch.undo()
-        save_checkpoint(path, named, TrainConfig(), step=2)
-        assert load_checkpoint(path).step == 2
+        save_checkpoint(path, module, TrainConfig(), step=2)
+        empty = _Params(a=Tensor(np.empty((4, 3))), b=Tensor(np.empty((2, 3)), requires_grad=True))
+        loaded, step = load_module(path, lambda config: empty)
+        assert step == 2
+        _assert_same_parameters(module, loaded)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
-    def test_a_save_naming_a_tensor_twice_is_refused_before_any_file_is_written(self, tmp_path):
-        named = self._named(np.random.default_rng(8))
-        named.append(("adapter.down", np.ones((2, 3)), False))
-        with pytest.raises(ValueError, match="checkpoint names tensor 'adapter.down' twice"):
-            save_checkpoint(tmp_path / "model.ckpt", named, TrainConfig(), step=1)
-        assert list(tmp_path.iterdir()) == []
-
     def test_scalar_empty_and_strided_tensors_round_trip(self, tmp_path):
-        named = [
-            ("scale", np.array(3.5), False),
-            ("empty", np.zeros((0, 3)), True),
-            ("strided", np.arange(6.0).reshape(2, 3).T, False),
-        ]
+        def build(scale, strided):
+            return _Params(
+                scale=Tensor(scale, requires_grad=True),
+                empty=Tensor(np.zeros((0, 3))),
+                strided=Tensor(strided, requires_grad=True),
+            )
+
+        module = build(np.array(3.5), np.arange(6.0).reshape(2, 3).T)
+        config = TrainConfig(seed=2)
         path = tmp_path / "odd.ckpt"
-        save_checkpoint(path, named, TrainConfig(), step=2)
-        ck = load_checkpoint(path)
-        for name, value, frozen in named:
-            assert ck.tensors[name].shape == value.shape and ck.frozen[name] == frozen
-            np.testing.assert_array_equal(ck.tensors[name], value)
+        save_checkpoint(path, module, config, step=2)
+        loaded, step = load_module(path, lambda config: build(np.zeros(()), np.zeros((3, 2))))
+        assert step == 2
+        for (name, p), (other, q) in zip(module.named_parameters(), loaded.named_parameters(), strict=True):
+            assert name == other and p.shape == q.shape and p.requires_grad == q.requires_grad
+            np.testing.assert_array_equal(p.data, q.data)
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
-            load_checkpoint(path)
+            load_model(path, (16, 16))
 
     def test_rejects_a_header_that_is_not_an_object(self, tmp_path):
         path = tmp_path / "list.ckpt"
@@ -322,20 +326,22 @@ class TestCheckpoint:
         prefix = checkpoint.MAGIC + checkpoint.FORMAT_VERSION.to_bytes(4, "little") + len(text).to_bytes(8, "little")
         path.write_bytes(prefix + text)
         with pytest.raises(ValueError, match="checkpoint header is not a JSON object"):
-            load_checkpoint(path)
+            load_model(path, (16, 16))
 
     def test_rejects_truncation(self, tmp_path):
-        rng = np.random.default_rng(3)
+        # a file cut inside its first payload names that tensor
+        config, model = _tiny(3)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, self._named(rng), TrainConfig(), step=1)
-        clipped = path.read_bytes()[:-8]
-        path.write_bytes(clipped)
-        with pytest.raises(ValueError, match="truncated"):
-            load_checkpoint(path)
+        save_model(path, model, config, 1)
+        blob = path.read_bytes()
+        header_end = 20 + int.from_bytes(blob[12:20], "little")
+        path.write_bytes(blob[: header_end + 8])
+        first = next(model.named_parameters())[0]
+        with pytest.raises(ValueError, match=f"checkpoint truncated while reading '{first}'"):
+            load_model(path, (16, 16))
 
     def test_a_model_cut_short_is_refused_naming_its_last_tensor(self, tmp_path):
-        config = TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2)
-        model = ModelBundle(config, (16, 16))
+        config, model = _tiny()
         path = tmp_path / "model.ckpt"
         save_model(path, model, config, 3)
         path.write_bytes(path.read_bytes()[:-8])
@@ -346,17 +352,13 @@ class TestCheckpoint:
     def test_a_big_endian_host_holds_the_values_in_its_own_byte_order(self, tmp_path, monkeypatch):
         # the payloads are little-endian on disk; a big-endian host must hold
         # each value's big-endian bytes, which on this host read as swapped
-        config = TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2)
-        model = ModelBundle(config, (16, 16))
+        config, model = _tiny()
         path = tmp_path / "model.ckpt"
         save_model(path, model, config, 0)
         monkeypatch.setattr(checkpoint, "sys", SimpleNamespace(byteorder="big"))
         swapped, _ = load_model(path, (16, 16))
-        ck = load_checkpoint(path)
-        for name, p in model.named_parameters():
-            big_endian = p.data.astype(">f8").tobytes()
-            assert dict(swapped.named_parameters())[name].data.tobytes() == big_endian
-            assert ck.tensors[name].tobytes() == big_endian
+        for (name, p), (_, q) in zip(model.named_parameters(), swapped.named_parameters(), strict=True):
+            assert q.data.tobytes() == p.data.astype(">f8").tobytes(), name
 
     @staticmethod
     def _peak(fn):

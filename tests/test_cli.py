@@ -10,14 +10,13 @@ import pytest
 
 import depthlab
 from depthlab import cli
-from depthlab.checkpoint import load_checkpoint, save_checkpoint
 from depthlab.config import RETIRED, TrainConfig
 from depthlab.formats import SceneOnDisk, write_scene
 from depthlab.geometry import CameraModel
 from depthlab.scene import generate_scene
-from depthlab.train import ModelBundle, load_model
+from depthlab.train import ModelBundle, load_model, save_model
 
-from oracles import shift_frame_ids, with_header_config, with_second_entry, without_header_key
+from oracles import _edit_checkpoint, shift_frame_ids, with_header_config, with_second_entry, without_header_key
 
 
 def test_package_and_cli_import_numpy_but_no_scipy():
@@ -156,13 +155,14 @@ def _scene_dir(tmp_path):
     return scene_dir
 
 
-def _untrained_checkpoint(tmp_path, edit=lambda named: named):
-    """A small untrained model's checkpoint; `edit` may rewrite its
-    (name, tensor, frozen) list before it is saved."""
+def _untrained_checkpoint(tmp_path, edit=None):
+    """A small untrained model's checkpoint; `edit`, if given, rewrites its
+    header as `oracles._edit_checkpoint` hands it over."""
     config = TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2)
-    named = [(name, p, not p.requires_grad) for name, p in ModelBundle(config, (16, 16)).named_parameters()]
     checkpoint = tmp_path / "model.npz"
-    save_checkpoint(checkpoint, edit(named), config, 0)
+    save_model(checkpoint, ModelBundle(config, (16, 16)), config, 0)
+    if edit is not None:
+        _edit_checkpoint(checkpoint, checkpoint, edit)
     return checkpoint
 
 
@@ -347,15 +347,47 @@ def test_a_four_frame_scene_gets_depth_rows_without_an_ate(tmp_path, capsys):
     assert "need at least 5 poses, got 4" in capsys.readouterr().err
 
 
+def test_eval_depth_names_a_label_raster_cut_short(tmp_path, capsys):
+    scene_dir = _scene_dir(tmp_path)
+    labels = scene_dir / "labels_002.pgm"
+    labels.write_bytes(labels.read_bytes()[:-5])
+    argv = ["eval-depth", "--checkpoint", str(_untrained_checkpoint(tmp_path)), "--scene", str(scene_dir)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {labels} truncated: expected 256 bytes, got 251\n"
+    assert captured.out == ""
+
+
+def test_eval_pose_names_a_trajectory_line_with_a_zero_quaternion(tmp_path, capsys):
+    scene_dir = _scene_dir(tmp_path)
+    trajectory = scene_dir / "trajectory.txt"
+    lines = trajectory.read_text().splitlines()
+    trajectory.write_text("".join(line + "\n" for line in ["0 0 0 0 0 0 0 0", *lines[1:]]))
+    argv = ["eval-pose", "--checkpoint", str(_untrained_checkpoint(tmp_path)), "--scene", str(scene_dir)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: trajectory line 1: quaternion norm 0.0 is not a positive finite number\n"
+    assert captured.out == ""
+
+
 def test_eval_depth_rejects_a_checkpoint_whose_frozen_flags_disagree(tmp_path, capsys):
-    checkpoint = _untrained_checkpoint(tmp_path, lambda named: [(n, p, not frozen) for n, p, frozen in named])
+    def flip(header):
+        for entry in header["tensors"]:
+            entry["frozen"] = not entry["frozen"]
+        return b""
+
+    checkpoint = _untrained_checkpoint(tmp_path, flip)
     argv = ["eval-depth", "--checkpoint", str(checkpoint), "--scene", str(_scene_dir(tmp_path))]
     assert cli.main(argv) == 2
     assert "'depth.embed.weight' frozen flag" in capsys.readouterr().err
 
 
 def test_eval_depth_rejects_a_checkpoint_tensor_the_model_lacks(tmp_path, capsys):
-    checkpoint = _untrained_checkpoint(tmp_path, lambda named: named + [("depth.bogus", np.zeros(3), False)])
+    def add_bogus(header):
+        header["tensors"].append({"name": "depth.bogus", "shape": [3], "frozen": False})
+        return np.zeros(3).tobytes()
+
+    checkpoint = _untrained_checkpoint(tmp_path, add_bogus)
     argv = ["eval-depth", "--checkpoint", str(checkpoint), "--scene", str(_scene_dir(tmp_path))]
     assert cli.main(argv) == 2
     assert "'depth.bogus' is not in the model" in capsys.readouterr().err
@@ -365,12 +397,10 @@ def test_a_checkpoint_naming_a_tensor_twice_is_refused(tmp_path, capsys):
     # a second copy, unlike the first, must not silently win
     saved = _untrained_checkpoint(tmp_path)
     checkpoint = tmp_path / "twice.npz"
-    first = load_checkpoint(saved).tensors["depth.embed.weight"]
+    first = dict(load_model(saved, (16, 16))[0].named_parameters())["depth.embed.weight"].data
     with_second_entry(saved, checkpoint, "depth.embed.weight", first + 1.0)
     with pytest.raises(ValueError, match="checkpoint names tensor 'depth.embed.weight' twice"):
         load_model(checkpoint, (16, 16))
-    with pytest.raises(ValueError, match="checkpoint names tensor 'depth.embed.weight' twice"):
-        load_checkpoint(checkpoint)
     argv = ["eval-depth", "--checkpoint", str(checkpoint), "--scene", str(_scene_dir(tmp_path))]
     assert cli.main(argv) == 2
     assert "'depth.embed.weight' twice" in capsys.readouterr().err

@@ -58,6 +58,12 @@ class TestPFM:
         with pytest.raises(ValueError, match="grayscale"):
             read_pfm(path)
 
+    def test_a_size_line_of_one_number_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n16\n-1.0\n" + b"\x00" * 64)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: PFM size line must hold width and height, got ['16']")):
+            read_pfm(path)
+
 
 class TestPPMAndPGM:
     def test_ppm_roundtrip_within_quantization(self, tmp_path):
@@ -87,6 +93,23 @@ class TestPPMAndPGM:
             write_pgm(tmp_path / "bad.pgm", np.full((2, 2), 300))
 
 
+@pytest.mark.parametrize(
+    "write, read, value, payload",
+    [
+        (write_pfm, read_pfm, np.ones((16, 16)), 16 * 16 * 4),
+        (write_ppm, read_ppm, np.ones((3, 16, 16)), 16 * 16 * 3),
+        (write_pgm, read_pgm, np.ones((16, 16), dtype=np.uint8), 16 * 16),
+    ],
+    ids=["pfm", "ppm", "pgm"],
+)
+def test_a_raster_cut_short_is_refused_by_name(tmp_path, write, read, value, payload):
+    path = tmp_path / "raster"
+    write(path, value)
+    path.write_bytes(path.read_bytes()[:-5])
+    with pytest.raises(ValueError, match=re.escape(f"{path} truncated: expected {payload} bytes, got {payload - 5}")):
+        read(path)
+
+
 class TestTrajectory:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -114,6 +137,13 @@ class TestTrajectory:
         path = tmp_path / "traj.txt"
         path.write_text("0 1 2 3\n")
         with pytest.raises(ValueError, match="8 fields"):
+            read_trajectory(path)
+
+    @pytest.mark.parametrize("quaternion, norm", [("0 0 0 0", "0.0"), ("nan 1 0 0", "nan"), ("inf 0 0 0", "inf")])
+    def test_rejects_a_quaternion_without_a_direction_naming_the_line(self, tmp_path, quaternion, norm):
+        path = tmp_path / "traj.txt"
+        path.write_text(f"0 0 0 0 1 0 0 0\n1 0 0 0 {quaternion}\n")
+        with pytest.raises(ValueError, match=f"trajectory line 2: quaternion norm {norm} is not a positive finite number"):
             read_trajectory(path)
 
 

@@ -131,6 +131,18 @@ class TestPose:
         with pytest.raises(ValueError, match="orthonormal"):
             PoseSE3(np.eye(3) * 1.1, np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "rotation, translation, message",
+        [
+            (np.full((3, 3), np.nan), np.zeros(3), "orthonormal"),
+            (np.eye(3), [0.0, np.nan, 0.0], "translation must be finite"),
+            (np.eye(3), [np.inf, 0.0, 0.0], "translation must be finite"),
+        ],
+    )
+    def test_constructor_rejects_a_non_finite_pose(self, rotation, translation, message):
+        with pytest.raises(ValueError, match=message):
+            PoseSE3(rotation, translation)
+
     def test_constructor_rejects_reflection(self):
         r = np.diag([1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="determinant"):

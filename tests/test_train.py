@@ -247,6 +247,38 @@ def test_a_batch_step_has_the_gradients_of_one_backward_over_the_mean(scene8, ag
             assert np.abs(recorder.grads[name] - grad).max() <= 1e-14 * np.abs(grad).max(), name
 
 
+@pytest.mark.parametrize("aggregation, bypass", list(INITIAL_PARTS))
+def test_the_step_gradient_is_the_derivative_of_the_logged_loss(scene8, aggregation, bypass):
+    # through the warp, the aggregation, the cache's release and the pose
+    # head: the gradients a batch step hands Adam against central
+    # differences of the batch's mean logged loss along fixed unit directions
+    config = TrainConfig(**SMALL, adapter="scaled", source_aggregation=aggregation, bypass_decomposition=bypass)
+    model = ModelBundle(config, (16, 16))
+    rng = np.random.default_rng(17)
+    for name, p in model.named_parameters():
+        if ".adapter" in name and name.endswith(".up"):  # each adapter's B, so its path is live
+            p.data[...] = rng.normal(0.0, 1e-2, p.shape)
+    batch = [1, 2]
+    recorder = _GradRecorder(model)
+    train_module._optimizer_step(model, scene8, batch, recorder, 0, None)
+    start = [p.data.copy() for _, p in recorder.params]
+
+    def logged_loss(directions, h):
+        for (_, p), p0, d in zip(recorder.params, start, directions):
+            p.data[...] = p0 + h * d
+        with ad.no_grad():
+            return np.mean([step_loss(model, scene8, t)[1]["loss"] for t in batch])
+
+    h = 1e-5
+    for _ in range(3):
+        directions = [rng.standard_normal(p.shape) for _, p in recorder.params]
+        norm = math.sqrt(sum(np.sum(d * d) for d in directions))
+        directions = [d / norm for d in directions]
+        autodiff = sum(np.sum(recorder.grads.get(n, 0.0) * d) for (n, _), d in zip(recorder.params, directions))
+        central = (logged_loss(directions, h) - logged_loss(directions, -h)) / (2 * h)
+        assert abs(central - autodiff) <= 1e-6 * abs(autodiff)
+
+
 def _step_peak(scene, config, batch):
     model = ModelBundle(config, (scene.cam.height, scene.cam.width))
     opt = Adam([(n, p) for n, p in model.named_parameters() if p.requires_grad], lr=config.lr)
