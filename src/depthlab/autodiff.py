@@ -219,9 +219,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     @property
     def T(self):
         if self.ndim != 2:

@@ -143,9 +143,9 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
     return config_from_pairs(pairs, base)
 
 
-def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
+def load_config(path) -> TrainConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base)
+        return parse_config_text(fh.read())
 
 
 def config_to_text(cfg: TrainConfig) -> str:

@@ -40,7 +40,6 @@ class DepthEvalReport:
     delta2: float
     delta3: float
     f_scale: float
-    n_pixels: int
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,6 @@ def depth_metrics(pred, gt, f_scale: float = 1.0) -> DepthEvalReport:
         delta2=float(np.mean(ratio < DELTA_THRESHOLDS[1])),
         delta3=float(np.mean(ratio < DELTA_THRESHOLDS[2])),
         f_scale=float(f_scale),
-        n_pixels=int(d.size),
     )
 
 

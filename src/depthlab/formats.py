@@ -11,12 +11,16 @@ frame_{k:03d}.ppm with optional depth_{k:03d}.pfm and labels_{k:03d}.pgm.
 trajectory.txt is the scene's `trajectory`, camera-to-world as in memory:
 its indices are the frame ids, and a scene keeps them when it is read and
 written back, so a sequence numbered from 1 stays numbered from 1.
+
+Every reader's refusal of a malformed file names the file, and a text
+file's line.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,13 +29,25 @@ from .geometry import CameraModel, PoseSE3, quaternion_to_rotation, rotation_to_
 from .scene import Scene
 
 
-def _read_exact(fh, path, count: int) -> bytes:
-    """The next `count` bytes of a raster's payload; a short file is refused
-    by name."""
+def _read_exact(fh, path, w: int, h: int, pixel_bytes: int) -> bytes:
+    """The w x h x pixel_bytes bytes of a raster's payload; a size below
+    1 x 1 or a short file is refused by name."""
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: raster size must be at least 1 x 1, got {w} x {h}")
+    count = w * h * pixel_bytes
     data = fh.read(count)
     if len(data) != count:
         raise ValueError(f"{path} truncated: expected {count} bytes, got {len(data)}")
     return data
+
+
+@contextmanager
+def _named(where):
+    """Prefix a ValueError raised inside with `where`, a file or file and line."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 # -- PFM ----------------------------------------------------------------------------
@@ -43,56 +59,53 @@ def write_pfm(path, values: np.ndarray) -> None:
         raise ValueError(f"PFM writer needs a 2-d raster, got shape {values.shape}")
     h, w = values.shape
     with open(path, "wb") as fh:
-        fh.write(b"Pf\n")
-        fh.write(f"{w} {h}\n".encode("ascii"))
-        fh.write(b"-1.0\n")
+        fh.write(f"Pf\n{w} {h}\n-1.0\n".encode("ascii"))
         fh.write(np.flipud(values).astype("<f4").tobytes())
 
 
 def read_pfm(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"Pf":
-            raise ValueError(f"not a grayscale PFM file: magic {magic!r}")
-        dims = fh.readline().decode("ascii").split()
-        if len(dims) != 2:
-            raise ValueError(f"{path}: PFM size line must hold width and height, got {dims}")
-        w, h = int(dims[0]), int(dims[1])
-        scale = float(fh.readline().decode("ascii").strip())
-        count = w * h
-        dtype = "<f4" if scale < 0 else ">f4"
-        data = np.frombuffer(_read_exact(fh, path, count * 4), dtype=dtype)
+        with _named(path):
+            magic = fh.readline().strip()
+            if magic != b"Pf":
+                raise ValueError(f"not a grayscale PFM file: magic {magic!r}")
+            dims = fh.readline().decode("latin-1").split()
+            if len(dims) != 2:
+                raise ValueError(f"PFM size line must hold width and height, got {dims}")
+            w, h = int(dims[0]), int(dims[1])
+            scale = float(fh.readline())
+        data = np.frombuffer(_read_exact(fh, path, w, h, 4), dtype="<f4" if scale < 0 else ">f4")
     return np.flipud(data.reshape(h, w)).astype(np.float64)
 
 
 # -- PPM / PGM -----------------------------------------------------------------------
 
 
-def _read_netpbm_header(fh, magic: bytes) -> tuple[int, int]:
+def _read_netpbm(path, magic: bytes, channels: int) -> np.ndarray:
+    """An 8-bit netpbm raster: a read-only (H, W, channels) view of the
+    file's payload. Header tokens are whitespace-separated; '#' comments out
+    the rest of its line."""
     def token():
         tok = b""
-        while True:
-            ch = fh.read(1)
-            if ch == b"#":
-                fh.readline()
-                continue
-            if ch.isspace():
-                if tok:
-                    return tok
-                continue
+        while not (ch := fh.read(1)).isspace() or not tok:
             if not ch:
                 raise ValueError("truncated netpbm header")
-            tok += ch
+            if ch == b"#":
+                fh.readline()
+            elif not ch.isspace():
+                tok += ch
+        return tok
 
-    got = token()
-    if got != magic:
-        raise ValueError(f"expected {magic!r}, got {got!r}")
-    w = int(token())
-    h = int(token())
-    maxval = int(token())
-    if maxval != 255:
-        raise ValueError(f"only 8-bit rasters supported, got maxval {maxval}")
-    return w, h
+    with open(path, "rb") as fh:
+        with _named(path):
+            got = token()
+            if got != magic:
+                raise ValueError(f"expected {magic!r}, got {got!r}")
+            w, h, maxval = (int(token()) for _ in range(3))
+            if maxval != 255:
+                raise ValueError(f"only 8-bit rasters supported, got maxval {maxval}")
+        data = np.frombuffer(_read_exact(fh, path, w, h, channels), dtype=np.uint8)
+    return data.reshape(h, w, channels)
 
 
 def write_ppm(path, image: np.ndarray) -> None:
@@ -108,10 +121,7 @@ def write_ppm(path, image: np.ndarray) -> None:
 
 
 def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        w, h = _read_netpbm_header(fh, b"P6")
-        data = np.frombuffer(_read_exact(fh, path, w * h * 3), dtype=np.uint8)
-    return data.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
+    return _read_netpbm(path, b"P6", 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
 def write_pgm(path, labels: np.ndarray) -> None:
@@ -129,10 +139,7 @@ def write_pgm(path, labels: np.ndarray) -> None:
 
 def read_pgm(path) -> np.ndarray:
     """(H, W) uint8 surface ids: a read-only view of the file's 8-bit raster."""
-    with open(path, "rb") as fh:
-        w, h = _read_netpbm_header(fh, b"P5")
-        data = np.frombuffer(_read_exact(fh, path, w * h), dtype=np.uint8)
-    return data.reshape(h, w)
+    return _read_netpbm(path, b"P5", 1)[:, :, 0]
 
 
 # -- trajectories ----------------------------------------------------------------------
@@ -149,25 +156,30 @@ def write_trajectory(path, traj: Trajectory) -> None:
             )
 
 
+def _fields(line: str, types) -> list:
+    """A text line's whitespace-separated fields, converted one for one by `types`."""
+    fields = line.split()
+    if len(fields) != len(types):
+        raise ValueError(f"expected {len(types)} fields, got {len(fields)}")
+    return [convert(field) for convert, field in zip(types, fields)]
+
+
 def read_trajectory(path) -> Trajectory:
-    indices = []
-    poses = []
-    with open(path, "r", encoding="utf-8") as fh:
+    indices, poses = [], []
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            parts = stripped.split()
-            if len(parts) != 8:
-                raise ValueError(f"trajectory line {lineno}: expected 8 fields, got {len(parts)}")
-            idx = int(parts[0])
-            tx, ty, tz, qw, qx, qy, qz = (float(v) for v in parts[1:])
-            norm = np.linalg.norm([qw, qx, qy, qz])
-            if not 0 < norm < np.inf:
-                raise ValueError(f"trajectory line {lineno}: quaternion norm {norm} is not a positive finite number")
+            with _named(f"{path} line {lineno}"):
+                idx, tx, ty, tz, *q = _fields(stripped, (int,) + (float,) * 7)
+                norm = np.linalg.norm(q)
+                if not 0 < norm < np.inf:
+                    raise ValueError(f"quaternion norm {norm} is not a positive finite number")
+                poses.append(PoseSE3(quaternion_to_rotation(q), [tx, ty, tz]))
             indices.append(idx)
-            poses.append(PoseSE3(quaternion_to_rotation([qw, qx, qy, qz]), [tx, ty, tz]))
-    return Trajectory(tuple(indices), tuple(poses))
+    with _named(path):
+        return Trajectory(tuple(indices), tuple(poses))
 
 
 # -- intrinsics ---------------------------------------------------------------------------
@@ -180,13 +192,14 @@ def write_intrinsics(path, cam: CameraModel) -> None:
 
 
 def read_intrinsics(path) -> CameraModel:
+    """'fx fy cx cy' on line 1, 'width height' on line 2."""
+    values = []
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().split()
-        second = fh.readline().split()
-    if len(first) != 4 or len(second) != 2:
-        raise ValueError("intrinsics file must hold 'fx fy cx cy' then 'width height'")
-    fx, fy, cx, cy = (float(v) for v in first)
-    return CameraModel(fx=fx, fy=fy, cx=cx, cy=cy, width=int(second[0]), height=int(second[1]))
+        for lineno, types in enumerate([(float,) * 4, (int,) * 2], start=1):
+            with _named(f"{path} line {lineno}"):
+                values += _fields(fh.readline(), types)
+    with _named(path):
+        return CameraModel(*values)
 
 
 # -- scene directories -----------------------------------------------------------------------

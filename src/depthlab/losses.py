@@ -4,14 +4,13 @@ depth smoothness, and their weighted total.
 
 All terms are differentiable tensor expressions. SSIM and the photometric
 mix are (H, W) maps; a scalar term is a ``masked_pixel_mean`` of a map over
-a bool validity mask from the warp, or over all pixels. Masks and semantic
-label rasters enter as constants. Each loss is zero on its fixed point:
-identical inputs, or depth constant within every label.
+a bool validity mask from the warp, or over all pixels. Masks and integer
+label rasters enter as constants; only neighbour equality of labels is
+read. Each loss is zero on its fixed point: identical inputs, or depth
+constant within every label.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,27 +27,10 @@ LOSS_TERMS = ("reconstruction", "reflectance", "synthesis", "smoothness")
 FIXED_WEIGHTS = {"reconstruction": 0.2, "reflectance": 0.2, "synthesis": 1.0}
 
 
-@dataclass(frozen=True)
-class SemanticMaskSet:
-    """Integer label raster; every pixel belongs to exactly one mask."""
-
-    labels: np.ndarray
-
-    def __post_init__(self):
-        lab = np.asarray(self.labels)
-        if lab.ndim != 2 or not np.issubdtype(lab.dtype, np.integer):
-            raise ValueError("labels must be a 2-d integer raster")
-        if lab.min() < 0:
-            raise ValueError("labels must be nonnegative")
-        object.__setattr__(self, "labels", lab)
-
-
 def _as_image(x) -> Tensor:
     t = ad.as_tensor(x)
-    if t.ndim == 2:
-        t = ad.reshape(t, (1,) + t.shape)
     if t.ndim != 3:
-        raise ValueError(f"image must be (C, H, W) or (H, W), got {t.shape}")
+        raise ValueError(f"image must be (C, H, W), got {t.shape}")
     return t
 
 
@@ -179,10 +161,11 @@ def reconstruction_loss(image_hat, image) -> Tensor:
 synthesis_loss = photometric
 
 
-def masked_smoothness_loss(depth, image, masks: SemanticMaskSet) -> Tensor:
+def masked_smoothness_loss(depth, image, labels: np.ndarray) -> Tensor:
     """Edge-aware depth smoothness, restricted to neighbor pairs that share a
     semantic label.
 
+    labels: an integer raster the shape of depth, read only for neighbour equality.
     Forward differences; a pixel's x-term counts only when its right
     neighbor carries the same label (y analogous). The image gradient
     magnitude is averaged over color channels. The result is the mean over
@@ -192,7 +175,8 @@ def masked_smoothness_loss(depth, image, masks: SemanticMaskSet) -> Tensor:
     if d.ndim != 2:
         raise ValueError(f"depth must be 2-d, got {d.shape}")
     img = _as_image(image)
-    labels = masks.labels
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be an integer raster, got {labels.dtype}")
     if labels.shape != d.shape or img.shape[1:] != d.shape:
         raise ValueError(f"shape mismatch: depth {d.shape}, image {img.shape}, labels {labels.shape}")
     h, w = d.shape

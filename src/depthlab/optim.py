@@ -26,7 +26,7 @@ def adam_update(value, grad, m, v, t, lr):
 
 
 class Adam:
-    def __init__(self, params, lr=1e-4):
+    def __init__(self, params, lr):
         """params: (name, tensor) pairs; the name identifies the tensor in errors."""
         named = []
         for name, tensor in params:

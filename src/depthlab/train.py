@@ -35,7 +35,7 @@ from .config import TrainConfig
 from .evalmetrics import DEPTH_METRICS, DepthEvalReport, Trajectory, anchored_trajectory, ate_5frame, evaluate_depth, lower_median
 from .geometry import PoseSE3, warp_frame
 # bench/spans.py wraps these names in this module, ssim included though unused here
-from .losses import SemanticMaskSet, masked_smoothness_loss, reconstruction_loss, ssim, total_loss
+from .losses import masked_smoothness_loss, reconstruction_loss, ssim, total_loss
 from .nn import Module, frozen_checksums
 from .optim import Adam
 
@@ -171,7 +171,7 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
             else Tensor(0.0)
         ),
         "synthesis": _synthesis(cfg.source_aggregation, frames, img_t),
-        "smoothness": masked_smoothness_loss(depth, img_t, SemanticMaskSet(scene.labels[t])),
+        "smoothness": masked_smoothness_loss(depth, img_t, scene.labels[t]),
     }
     total = total_loss(terms, cfg.loss_weights())
     parts = {name: float(term.data) for name, term in terms.items()}

@@ -294,4 +294,4 @@ class TestAdamBasics:
 
     def test_frozen_parameter_refused(self):
         with pytest.raises(ValueError, match="frozen"):
-            Adam([("p", Tensor(1.0, requires_grad=False))])
+            Adam([("p", Tensor(1.0, requires_grad=False))], lr=0.1)

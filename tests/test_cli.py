@@ -366,7 +366,7 @@ def test_eval_pose_names_a_trajectory_line_with_a_zero_quaternion(tmp_path, caps
     argv = ["eval-pose", "--checkpoint", str(_untrained_checkpoint(tmp_path)), "--scene", str(scene_dir)]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: trajectory line 1: quaternion norm 0.0 is not a positive finite number\n"
+    assert captured.err == f"error: {trajectory} line 1: quaternion norm 0.0 is not a positive finite number\n"
     assert captured.out == ""
 
 

@@ -124,11 +124,15 @@ class TestDepthMetrics:
         assert rep.delta1 == 0.0  # ratio exactly 1.25 fails the strict <
 
     def test_valid_mask_default_skips_holes(self):
-        pred = np.full((2, 2), 2.0)
+        # one exact and one 2x pixel around a zero and a NaN hole: every mean
+        # is over the two valid pixels, and a hole counted would make it non-finite
+        pred = np.array([[2.0, 5.0], [7.0, 4.0]])
         gt = np.array([[2.0, 0.0], [np.nan, 2.0]])
         rep = depth_metrics(pred, gt)
-        assert rep.n_pixels == 2
-        assert rep.abs_rel == 0.0
+        assert rep.abs_rel == 0.5
+        assert rep.sq_rel == 1.0
+        assert rep.rmse == np.sqrt(2.0)
+        assert rep.delta1 == 0.5
 
     def test_evaluate_depth_two_x_ground_truth(self):
         rng = np.random.default_rng(8)

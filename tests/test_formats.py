@@ -110,6 +110,28 @@ def test_a_raster_cut_short_is_refused_by_name(tmp_path, write, read, value, pay
         read(path)
 
 
+@pytest.mark.parametrize(
+    "read, raw, message",
+    [
+        (read_pfm, b"Pf\n16 x\n-1.0\n", "invalid literal for int() with base 10: 'x'"),
+        (read_pfm, b"Pf\n-16 -16\n-1.0\n", "raster size must be at least 1 x 1, got -16 x -16"),
+        (read_pfm, b"Pf\n16 16\nscale\n", "could not convert string to float: b'scale\\n'"),
+        (read_ppm, b"P6\n16 y\n255\n", "invalid literal for int() with base 10: b'y'"),
+        (read_pgm, b"P5\n0 16\n255\n", "raster size must be at least 1 x 1, got 0 x 16"),
+        (read_pgm, b"P5\n16", "truncated netpbm header"),
+        (read_pgm, b"P5\n16 16\n65535\n", "only 8-bit rasters supported, got maxval 65535"),
+        (read_pgm, b"P6\n16 16\n255\n", "expected b'P5', got b'P6'"),
+    ],
+    ids=["pfm_size", "pfm_negative", "pfm_scale", "ppm_size", "pgm_zero", "pgm_cut_header", "pgm_maxval", "pgm_magic"],
+)
+def test_a_malformed_raster_header_is_refused_by_name(tmp_path, read, raw, message):
+    # a payload long enough for any size tried, so only the header can fail
+    path = tmp_path / "raster"
+    path.write_bytes(raw + b"\x00" * (16 * 16 * 4))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        read(path)
+
+
 class TestTrajectory:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -143,11 +165,45 @@ class TestTrajectory:
     def test_rejects_a_quaternion_without_a_direction_naming_the_line(self, tmp_path, quaternion, norm):
         path = tmp_path / "traj.txt"
         path.write_text(f"0 0 0 0 1 0 0 0\n1 0 0 0 {quaternion}\n")
-        with pytest.raises(ValueError, match=f"trajectory line 2: quaternion norm {norm} is not a positive finite number"):
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 2: quaternion norm {norm} is not a positive finite number")):
+            read_trajectory(path)
+
+
+    @pytest.mark.parametrize(
+        "first, message",
+        [
+            ("0 nan 0 0 1 0 0 0", " line 1: translation must be finite"),
+            ("0 x 0 0 1 0 0 0", " line 1: could not convert string to float: 'x'"),
+            ("0 \udcff 0 0 1 0 0 0", " line 1: could not convert string to float: '\ufffd'"),
+            ("0.5 0 0 0 1 0 0 0", " line 1: invalid literal for int() with base 10: '0.5'"),
+            ("1 0 0 0 1 0 0 0", ": frame indices must be strictly increasing"),
+        ],
+        ids=["nan_translation", "bad_float", "not_utf8", "bad_index", "order"],
+    )
+    def test_a_bad_value_is_refused_naming_the_file_and_line(self, tmp_path, first, message):
+        path = tmp_path / "traj.txt"
+        path.write_bytes(f"{first}\n1 0 0 0 1 0 0 0\n".encode("utf-8", "surrogateescape"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
             read_trajectory(path)
 
 
 class TestIntrinsics:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("16 16 a 7.5\n16 16\n", " line 1: could not convert string to float: 'a'"),
+            ("16 16 7.5\n16 16\n", " line 1: expected 4 fields, got 3"),
+            ("16 16 7.5 7.5\n16\n", " line 2: expected 2 fields, got 1"),
+            ("16 16 7.5 7.5\n16 0\n", ": image size must be at least 1x1 pixel, got 16x0"),
+        ],
+        ids=["bad_float", "short_line_1", "short_line_2", "camera"],
+    )
+    def test_a_bad_value_is_refused_naming_the_file(self, tmp_path, text, message):
+        path = tmp_path / "intrinsics.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}{message}")):
+            read_intrinsics(path)
+
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(deadline=None, max_examples=30)
     def test_roundtrip(self, seed):

@@ -11,7 +11,6 @@ from depthlab import autodiff as ad
 from depthlab import losses as L
 from depthlab.autodiff import Tensor
 from depthlab.config import TrainConfig, config_from_pairs
-from depthlab.losses import SemanticMaskSet
 
 from oracles import (
     fd_gradient,
@@ -180,8 +179,8 @@ class TestSmoothnessLoss:
     def test_constant_depth_is_zero(self):
         rng = np.random.default_rng(13)
         img = rand_image(rng)
-        masks = SemanticMaskSet(np.zeros((8, 8), dtype=np.int64))
-        got = L.masked_smoothness_loss(Tensor(np.full((8, 8), 4.0)), Tensor(img), masks)
+        labels = np.zeros((8, 8), dtype=np.int64)
+        got = L.masked_smoothness_loss(Tensor(np.full((8, 8), 4.0)), Tensor(img), labels)
         assert got.item() == 0.0
 
     def test_piecewise_constant_per_mask_is_zero(self):
@@ -191,7 +190,7 @@ class TestSmoothnessLoss:
         labels[5:, :] = 2
         depth = np.where(labels == 0, 3.0, np.where(labels == 1, 7.0, 11.0))
         img = rand_image(rng)
-        got = L.masked_smoothness_loss(Tensor(depth), Tensor(img), SemanticMaskSet(labels))
+        got = L.masked_smoothness_loss(Tensor(depth), Tensor(img), labels)
         assert got.item() == 0.0
 
     def test_matches_loop_oracle(self):
@@ -200,15 +199,15 @@ class TestSmoothnessLoss:
             depth = rng.uniform(1.0, 9.0, size=(8, 8))
             img = rand_image(rng)
             labels = rng.integers(0, 3, size=(8, 8))
-            got = L.masked_smoothness_loss(Tensor(depth), Tensor(img), SemanticMaskSet(labels)).item()
+            got = L.masked_smoothness_loss(Tensor(depth), Tensor(img), labels).item()
             assert abs(got - smoothness_loss_loops(depth, img, labels)) <= 1e-12
 
     def test_single_mask_degenerates_to_plain_smoothness(self):
         rng = np.random.default_rng(16)
         depth = rng.uniform(1.0, 9.0, size=(8, 8))
         img = rand_image(rng)
-        ones_label = SemanticMaskSet(np.zeros((8, 8), dtype=np.int64))
-        got = L.masked_smoothness_loss(Tensor(depth), Tensor(img), ones_label).item()
+        one_label = np.zeros((8, 8), dtype=np.int64)
+        got = L.masked_smoothness_loss(Tensor(depth), Tensor(img), one_label).item()
         # plain edge-aware smoothness: every neighbor pair contributes
         assert abs(got - smoothness_loss_loops(depth, img, np.zeros((8, 8), dtype=int))) <= 1e-15
 
@@ -217,12 +216,30 @@ class TestSmoothnessLoss:
         depth = rng.uniform(1.0, 9.0, size=(8, 8))
         img = rand_image(rng)
         labels = rng.integers(0, 2, size=(8, 8))
-        masks = SemanticMaskSet(labels)
-        base = L.masked_smoothness_loss(Tensor(depth), Tensor(img), masks).item()
-        doubled = L.masked_smoothness_loss(Tensor(2.0 * depth), Tensor(img), masks).item()
+        base = L.masked_smoothness_loss(Tensor(depth), Tensor(img), labels).item()
+        doubled = L.masked_smoothness_loss(Tensor(2.0 * depth), Tensor(img), labels).item()
         assert doubled == 2.0 * base  # exact for a power-of-two factor
-        scaled = L.masked_smoothness_loss(Tensor(3.7 * depth), Tensor(img), masks).item()
+        scaled = L.masked_smoothness_loss(Tensor(3.7 * depth), Tensor(img), labels).item()
         assert abs(scaled - 3.7 * base) <= 1e-12 * max(1.0, abs(base))
+
+    def test_only_label_equality_is_read(self):
+        # a raster shifted to hold negative labels marks the same neighbour
+        # pairs equal, so the loss is bit-identical
+        rng = np.random.default_rng(18)
+        depth = rng.uniform(1.0, 9.0, size=(8, 8))
+        img = rand_image(rng)
+        labels = rng.integers(0, 3, size=(8, 8))
+        got = L.masked_smoothness_loss(Tensor(depth), Tensor(img), labels - 1).item()
+        assert got == L.masked_smoothness_loss(Tensor(depth), Tensor(img), labels).item()
+
+    @pytest.mark.parametrize(
+        "labels", [np.zeros((8, 8)), np.zeros((8, 7), dtype=np.uint8), np.zeros((1, 8, 8), dtype=np.uint8)],
+        ids=["float", "misshaped", "3d"],
+    )
+    def test_a_float_or_misshaped_raster_is_refused(self, labels):
+        rng = np.random.default_rng(19)
+        with pytest.raises(ValueError, match="labels"):
+            L.masked_smoothness_loss(Tensor(np.ones((8, 8))), Tensor(rand_image(rng)), labels)
 
 
 class TestTotalLoss:
@@ -249,8 +266,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(18)
         d = Tensor(rng.uniform(1, 5, size=(8, 8)), requires_grad=True)
         img = Tensor(rand_image(rng))
-        masks = SemanticMaskSet(np.zeros((8, 8), dtype=np.int64))
-        smooth = L.masked_smoothness_loss(d, img, masks)
+        smooth = L.masked_smoothness_loss(d, img, np.zeros((8, 8), dtype=np.int64))
         zero = Tensor(0.0)
         total = L.total_loss(self.terms(zero, zero, zero, smooth), TrainConfig().loss_weights())
         total.backward()
@@ -273,7 +289,7 @@ class TestDeterminismAndPositivity:
         depth = rng.uniform(0.5, 4.0, size=(6, 6))
         assert L.reflectance_consistency_loss(Tensor(a), Tensor(b)).item() >= 0.0
         assert L.synthesis_loss(Tensor(a), Tensor(b)).data.min() >= 0.0
-        assert L.masked_smoothness_loss(Tensor(depth), Tensor(a), SemanticMaskSet(labels)).item() >= 0.0
+        assert L.masked_smoothness_loss(Tensor(depth), Tensor(a), labels).item() >= 0.0
         assert L.reconstruction_loss(Tensor(a), Tensor(b)).item() >= 0.0
 
     def test_bit_identical_reruns(self):
