@@ -6,8 +6,14 @@ frozen m x n base weight W0:
 * plain: h = W0 x + B A x, with trainable A (r x n) and B (m x r);
 * scaled: h = W0 x + diag(b) B diag(a) A x, where a (r,) and b (m,) are
   random scaling vectors drawn once and frozen for the whole run. A plain
-  adapter is the same class with both scales left out (None), so it keeps
-  exactly the parameters A and B.
+  adapter has no scales (both None), so it keeps exactly the parameters
+  A and B.
+
+An adapter draws its own factors: ``LowRankAdapter(scaled, m, n, rank,
+seed)`` is the one constructor, and ``make_adapter(mode, m, n, rank,
+seed)`` maps a config's mode onto it. The seed draws A, then a, then b,
+each kaiming-uniform (fan-in n, r and m), so it pins every value, and a
+plain adapter's A equals the scaled one's.
 
 B starts at zero, so a freshly made adapter leaves the base layer's
 output bit-identical on the first forward pass. The low-rank branch is
@@ -34,37 +40,18 @@ def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: i
     return rng.uniform(-bound, bound, size=shape)
 
 
-def _check_rank(m: int, n: int, r: int) -> None:
-    if not (1 <= r <= min(m, n)):
-        raise ValueError(f"rank {r} must satisfy 1 <= r <= min({m}, {n})")
-
-
 class LowRankAdapter(Module):
     """Trainable rank-r update delta = diag(b) B diag(a) A for an m x n base
-    weight, or B A when the frozen scales a (r,) and b (m,) are left out."""
+    weight, or B A for a plain adapter; B starts at zero."""
 
-    def __init__(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        scale_down: np.ndarray | None = None,
-        scale_up: np.ndarray | None = None,
-    ):
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[1]:
-            raise ValueError(f"incompatible low-rank factors A {a.shape}, B {b.shape}")
-        _check_rank(b.shape[0], a.shape[1], a.shape[0])
-        if (scale_down is None) != (scale_up is None):
-            raise ValueError("give both frozen scales (scale_down, scale_up) or neither")
-        self.down = Tensor(a, requires_grad=True)  # A: (r, n)
-        self.up = Tensor(b, requires_grad=True)  # B: (m, r)
-        self.scale_down = None if scale_down is None else Tensor(scale_down, requires_grad=False)  # a: (r,)
-        self.scale_up = None if scale_up is None else Tensor(scale_up, requires_grad=False)  # b: (m,)
-        if self.scale_down is not None and self.scale_down.shape != (a.shape[0],):
-            raise ValueError(f"scale_down shape {self.scale_down.shape} does not match rank {a.shape[0]}")
-        if self.scale_up is not None and self.scale_up.shape != (b.shape[0],):
-            raise ValueError(f"scale_up shape {self.scale_up.shape} does not match output dim {b.shape[0]}")
+    def __init__(self, scaled: bool, m: int, n: int, rank: int, seed: int):
+        if not (1 <= rank <= min(m, n)):
+            raise ValueError(f"rank {rank} must satisfy 1 <= r <= min({m}, {n})")
+        rng = np.random.default_rng(seed)
+        self.down = Tensor(_kaiming_uniform(rng, (rank, n), fan_in=n), requires_grad=True)  # A: (r, n)
+        self.up = Tensor(np.zeros((m, rank)), requires_grad=True)  # B: (m, r)
+        self.scale_down = Tensor(_kaiming_uniform(rng, (rank,), fan_in=rank)) if scaled else None  # a: (r,)
+        self.scale_up = Tensor(_kaiming_uniform(rng, (m,), fan_in=m)) if scaled else None  # b: (m,)
 
     def __call__(self, rows: Tensor) -> Tensor:
         """The low-rank branch for (rows, n) inputs; gradients reach only A and B."""
@@ -78,23 +65,8 @@ class LowRankAdapter(Module):
 
 
 def make_adapter(mode: str, m: int, n: int, rank: int, seed: int) -> LowRankAdapter | None:
-    """Adapter for an m x n weight: None for "none", else A kaiming-uniform
-    and B zero, plus frozen kaiming-uniform scales a and b for "scaled".
-
-    Draw order is fixed (A, then a, then b) so the seed pins every value; a
-    plain adapter takes only the first draw, so its A equals the scaled
-    one's. Fan-in: n for A, r for the rank-sized scale, m for the
-    output-sized one.
-    """
+    """The adapter of one of ADAPTER_MODES for an m x n weight: None for
+    "none", else a LowRankAdapter, scaled for "scaled"."""
     if mode not in ADAPTER_MODES:
         raise ValueError(f"unknown adapter mode '{mode}' (expected {', '.join(ADAPTER_MODES)})")
-    if mode == "none":
-        return None
-    _check_rank(m, n, rank)
-    rng = np.random.default_rng(seed)
-    a = _kaiming_uniform(rng, (rank, n), fan_in=n)
-    if mode == "plain":
-        return LowRankAdapter(a, np.zeros((m, rank)))
-    scale_down = _kaiming_uniform(rng, (rank,), fan_in=rank)
-    scale_up = _kaiming_uniform(rng, (m,), fan_in=m)
-    return LowRankAdapter(a, np.zeros((m, rank)), scale_down, scale_up)
+    return None if mode == "none" else LowRankAdapter(mode == "scaled", m, n, rank, seed)

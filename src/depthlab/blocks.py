@@ -82,8 +82,6 @@ class SeparableResidualBlock(Module):
         self.spatial_attention = SpatialAttention(rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 3 or x.shape[0] != self.reduce.weight.shape[1]:
-            raise ValueError(f"expected ({self.reduce.weight.shape[1]}, H, W) input, got {x.shape}")
         c = x.shape[0]
         branch = ad.relu(self.reduce(x))
         branch = ad.relu(self.depthwise(branch))

@@ -28,8 +28,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield from item.named_parameters(prefix=f"{name}.{i}.")
-                    elif isinstance(item, Tensor):
-                        yield f"{name}.{i}", item
 
 
 def trainable_param_count(module: Module) -> tuple[int, int]:
@@ -59,7 +57,10 @@ class Linear(Module):
     A frozen layer's weight and bias never receive updates. An adapter
     (``adapters.LowRankAdapter``), when given, adds its low-rank branch
     before the bias, so an adapted layer sums in the same order as
-    W0 x + delta x + b.
+    W0 x + delta x + b. An adapter that does not fit the weight is refused
+    by the ops themselves: ``matmul`` on the input side ("matmul inner
+    extents differ") and ``affine`` on the output side ("affine branch
+    shape").
     """
 
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, frozen: bool = False):
@@ -71,10 +72,6 @@ class Linear(Module):
         x = ad.as_tensor(x)
         single = x.ndim == 1
         rows = ad.reshape(x, (1, x.shape[0])) if single else x
-        if adapter is not None and (adapter.up.shape[0], adapter.down.shape[1]) != self.weight.shape:
-            raise ValueError(
-                f"adapter (A {adapter.down.shape}, B {adapter.up.shape}) does not fit layer weight {self.weight.shape}"
-            )
         y = ad.affine(rows, self.weight, self.bias, None if adapter is None else adapter(rows))
         return ad.reshape(y, (y.shape[1],)) if single else y
 

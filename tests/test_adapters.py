@@ -1,4 +1,5 @@
-"""Adapter algebra: forward equivalences, initialization, freezing, merging."""
+"""Adapter algebra: forward equivalences, initialization, freezing, merging,
+and the checkpoint bytes of models built with each adapter mode."""
 
 import hashlib
 
@@ -6,17 +7,29 @@ import numpy as np
 import pytest
 
 from depthlab import autodiff as ad
-from depthlab.adapters import LowRankAdapter, make_adapter
+from depthlab.adapters import make_adapter
 from depthlab.autodiff import Tensor
+from depthlab.config import TrainConfig
 from depthlab.nn import Linear, frozen_checksums, trainable_param_count
 from depthlab.optim import Adam
+from depthlab.train import ModelBundle, save_model
 
 from oracles import fd_gradient, rel_err
 
 
+def with_factors(mode, down, up, *scales):
+    """make_adapter's adapter for the factors' shapes, holding the given
+    factors A and B (and, for "scaled", the scales a and b)."""
+    adapter = make_adapter(mode, up.shape[0], down.shape[1], down.shape[0], 0)
+    for tensor, value in zip((adapter.down, adapter.up, adapter.scale_down, adapter.scale_up), (down, up, *scales)):
+        tensor.assign(value)
+    return adapter
+
+
 def random_setup(rng, m=6, n=5, r=3):
     layer = Linear(n, m, rng, frozen=True)
-    adapter = LowRankAdapter(
+    adapter = with_factors(
+        "scaled",
         rng.standard_normal((r, n)),
         rng.standard_normal((m, r)),
         rng.standard_normal(r),
@@ -29,22 +42,29 @@ class TestPlainForward:
     def test_zero_up_matrix_reduces_to_base(self):
         rng = np.random.default_rng(1)
         layer = Linear(3, 4, rng, frozen=True)
-        adapter = LowRankAdapter(rng.standard_normal((2, 3)), np.zeros((4, 2)))
+        adapter = with_factors("plain", rng.standard_normal((2, 3)), np.zeros((4, 2)))
         x = rng.standard_normal(3)
         np.testing.assert_array_equal(layer(Tensor(x), adapter).data, layer(Tensor(x)).data)
 
-    @pytest.mark.parametrize("m, n", [(5, 3), (4, 2)])
-    def test_adapter_for_another_weight_shape_is_refused(self, m, n):
+    @pytest.mark.parametrize(
+        "m, n, message",
+        [
+            (5, 3, "affine branch shape (1, 5) != output shape (1, 4)"),  # output side
+            (4, 2, "matmul inner extents differ: (1, 3) vs (2, 2)"),  # input side
+        ],
+    )
+    def test_adapter_for_another_weight_shape_is_refused(self, m, n, message):
         layer = Linear(3, 4, np.random.default_rng(0), frozen=True)
-        with pytest.raises(ValueError, match="does not fit layer weight"):
+        with pytest.raises(ValueError) as refused:
             layer(Tensor(np.ones(3)), make_adapter("plain", m, n, 2, 0))
+        assert str(refused.value) == message
 
     def test_identity_factors_pass_input_through(self):
         n = 4
         layer = Linear(n, n, np.random.default_rng(0), frozen=True)
         layer.weight.assign(np.zeros((n, n)))
         layer.bias.assign(np.zeros(n))
-        adapter = LowRankAdapter(np.eye(n), np.eye(n))
+        adapter = with_factors("plain", np.eye(n), np.eye(n))
         x = np.arange(1.0, n + 1.0)
         np.testing.assert_array_equal(layer(Tensor(x), adapter).data, x)
 
@@ -52,7 +72,7 @@ class TestPlainForward:
         rng = np.random.default_rng(2)
         for _ in range(20):
             layer = Linear(5, 6, rng, frozen=True)
-            adapter = LowRankAdapter(rng.standard_normal((3, 5)), rng.standard_normal((6, 3)))
+            adapter = with_factors("plain", rng.standard_normal((3, 5)), rng.standard_normal((6, 3)))
             x = rng.standard_normal(5)
             dense = (layer.weight.data + adapter.up.data @ adapter.down.data) @ x + layer.bias.data
             got = layer(Tensor(x), adapter).data
@@ -73,8 +93,8 @@ class TestScaledForward:
         layer = Linear(5, 6, rng, frozen=True)
         a = rng.standard_normal((3, 5))
         b = rng.standard_normal((6, 3))
-        plain = LowRankAdapter(a, b)
-        scaled = LowRankAdapter(a, b, np.ones(3), np.ones(6))
+        plain = with_factors("plain", a, b)
+        scaled = with_factors("scaled", a, b, np.ones(3), np.ones(6))
         x = rng.standard_normal(5)
         np.testing.assert_allclose(
             layer(Tensor(x), scaled).data,
@@ -184,13 +204,27 @@ class TestInit:
         with pytest.raises(ValueError, match="adapter mode"):
             make_adapter("giant", 4, 3, 2, 0)
 
-    def test_scales_given_both_or_neither(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((2, 3)), rng.standard_normal((4, 2))
-        with pytest.raises(ValueError, match="both"):
-            LowRankAdapter(a, b, scale_down=np.ones(2))
-        with pytest.raises(ValueError, match="both"):
-            LowRankAdapter(a, b, scale_up=np.ones(4))
+
+class TestDrawPins:
+    """A model's checkpoint bytes pin every adapter draw: its values, their
+    order, and the order of the adapter's parameters."""
+
+    SMALL = dict(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2, seed=3)
+
+    @pytest.mark.parametrize(
+        "fields, digest",
+        [
+            ({}, "75e726300ed386242947f119b1a916bad874c5859317a9ce43aecebe18e989db"),
+            ({**SMALL, "adapter": "none"}, "1b3c8ee69ae5253fee8924632a381bf401f31cd268ca50ba085e40999c065365"),
+            ({**SMALL, "adapter": "plain"}, "fb9298e32fd64c3469234100ac73937000e75218f52c05ebc96a297661e5cd88"),
+            ({**SMALL, "adapter": "scaled"}, "849f437c6bedd73624da51ba50a3b5183ed1d4d07a6f195562d573dcc3e17918"),
+        ],
+    )
+    def test_saved_model_bytes(self, tmp_path, fields, digest):
+        config = TrainConfig(**fields)
+        path = tmp_path / "model.ckpt"
+        save_model(path, ModelBundle(config, (16, 16)), config, step=7)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestParamCounts:

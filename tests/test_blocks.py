@@ -73,6 +73,11 @@ class TestSeparableResidualBlock:
         with pytest.raises(ValueError, match="divisible"):
             SeparableResidualBlock(6, rng())
 
+    def test_a_grid_with_another_channel_count_is_refused_by_its_first_conv(self):
+        block = SeparableResidualBlock(8, rng())
+        with pytest.raises(ValueError, match=r"^conv2d channel mismatch: input \(4, 5, 5\) vs kernel \(2, 8, 1, 1\)$"):
+            block(Tensor(np.zeros((4, 5, 5))))
+
     def test_gradcheck_through_block(self):
         block = SeparableResidualBlock(4, rng())
         x0 = np.random.default_rng(3).uniform(-1, 1, (4, 5, 5))
