@@ -1,7 +1,7 @@
 """Toy networks: a frozen transformer encoder adapted through low-rank
 adapters, residual separable-convolution blocks with channel/spatial
-attention, a disparity decoder emitting one full-resolution map, a pose
-head, and a reflectance/shading decomposition head.
+attention, a depth decoder emitting one full-resolution depth map on
+[D_MIN, D_MAX], a pose head, and a reflectance/shading decomposition head.
 
 The encoder stands in for a large pretrained backbone: its patch
 embedding, attention projections, MLP weights, layer norms, and sinusoidal
@@ -25,7 +25,7 @@ from .nn import Conv2d, DepthwiseConv2d, LayerNorm, Linear, Module
 
 PATCH = 8  # token side in pixels: the depth decoder's three 2x stages upsample by 8
 HEADS = 4  # attention heads per encoder block: embed_dim must be a multiple of it
-D_MIN, D_MAX = 0.1, 100.0  # the depth range a disparity in (0, 1) maps onto
+D_MIN, D_MAX = 0.1, 100.0  # the depth range a sigmoid disparity in [0, 1] maps onto
 
 
 def sinusoidal_positions(n_tokens: int, dim: int) -> np.ndarray:
@@ -125,15 +125,16 @@ def _avgpool_image(image: np.ndarray, factor: int) -> np.ndarray:
 
 
 class DepthDecoder(Module):
-    """Upsampling conv decoder emitting one sigmoid disparity map at full
-    image resolution.
+    """Upsampling conv decoder emitting one depth map on [D_MIN, D_MAX] at
+    full image resolution.
 
     It reads only the encoder's token grid: a 1x1 projection, then three
     stages of nearest 2x upsampling and a 3x3 conv, then one 3x3 disparity
-    head, mapped onto the fixed depth range 0.1..100 (D_MIN..D_MAX). The
-    head's bias starts at initial_disparity_logit so the initial prediction
-    sits near the geometric middle of that range, not at the harmonic
-    extreme that a zero-logit sigmoid would give."""
+    head whose sigmoid ``disparity_to_depth`` maps onto the fixed depth
+    range 0.1..100 (D_MIN..D_MAX). The head's bias starts at
+    initial_disparity_logit so the initial prediction sits near the
+    geometric middle of that range, not at the harmonic extreme that a
+    zero-logit sigmoid would give."""
 
     def __init__(self, in_dim: int, rng: np.random.Generator):
         w0, w1, w2, w3 = 28, 22, 18, 14
@@ -149,19 +150,14 @@ class DepthDecoder(Module):
         x = ad.relu(self.proj(feat))
         for conv in (self.conv1, self.conv2, self.conv3):
             x = ad.relu(conv(ad.upsample_nearest2x(x)))
-        # sigmoid saturates to exactly 0.0/1.0 in float64 around |x|~37 where
-        # its gradient is already exactly zero; nudge those values back inside
-        # the open interval the decoder promises.
         disp = ad.sigmoid(self.head(x))
-        disp = ad.mask_fill(disp, disp.data <= 0.0, 1e-12)
-        disp = ad.mask_fill(disp, disp.data >= 1.0, 1.0 - 1e-12)
-        return ad.reshape(disp, disp.shape[1:])
+        return disparity_to_depth(ad.reshape(disp, disp.shape[1:]))
 
 
 class ToyDepthNet(Module):
     """Patch-embedding transformer encoder with inserted residual mixer
-    blocks, plus the disparity decoder. The output is one (H, W) disparity
-    map in (0, 1) at the image's resolution."""
+    blocks, plus the depth decoder. The output is one (H, W) depth map on
+    [D_MIN, D_MAX] at the image's resolution."""
 
     def __init__(self, config: TrainConfig, image_hw: tuple[int, int], rng: np.random.Generator):
         h, w = image_hw
@@ -226,11 +222,9 @@ def initial_disparity_logit() -> float:
 
 
 def disparity_to_depth(disp: Tensor) -> Tensor:
-    """Monotone map from sigmoid disparity in (0, 1) to depth in [D_MIN, D_MAX]:
-    depth = 1 / (1/D_MAX + (1/D_MIN - 1/D_MAX) * disp)."""
-    disp = ad.as_tensor(disp)
-    if np.any(disp.data <= 0.0) or np.any(disp.data >= 1.0):
-        raise ValueError("disparity must lie strictly inside (0, 1)")
+    """Monotone map from sigmoid disparity in [0, 1] to depth in [D_MIN, D_MAX]:
+    depth = 1 / (1/D_MAX + (1/D_MIN - 1/D_MAX) * disp), so 0 gives D_MAX and
+    1 gives D_MIN."""
     return 1.0 / (1.0 / D_MAX + (1.0 / D_MIN - 1.0 / D_MAX) * disp)
 
 
@@ -341,8 +335,6 @@ class DecompositionNet(Module):
         self.shading_head = Conv2d(width, 1, 3, rng, padding=1)
 
     def __call__(self, image: Tensor) -> tuple[Tensor, Tensor]:
-        if image.ndim != 3 or image.shape[0] != 3:
-            raise ValueError(f"expected a (3, H, W) image, got {image.shape}")
         shallow = ad.relu(self.trunk1(image))
         feat = ad.relu(self.trunk2(shallow))
         reflectance = ad.sigmoid(self.reflectance_head(feat))

@@ -3,11 +3,12 @@
 Subcommands: gen-scene, train, eval-depth, eval-pose, params, report.
 gen-scene renders a square scene whose camera has fx = fy = --size and its
 principal point at the image centre; report prints a tab-separated table.
-Exit codes: 0 success, 2 validation failure (bad arguments, malformed
-config, shape mismatches), 1 runtime error. A diverged training run is a
-runtime error: it exits 1 and leaves the last good state in
-``<checkpoint>.last_good``. The train and params configs layer the
---config file, then --set overrides: a --set beats a file line.
+Exit codes: 0 success, 2 validation failure (bad arguments, a missing
+path or one of the wrong kind, malformed config, shape mismatches), 1
+runtime error. A diverged training run is a runtime error: it exits 1
+and leaves the last good state in ``<checkpoint>.last_good``. The train
+and params configs layer the --config file, then --set overrides: a
+--set beats a file line.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

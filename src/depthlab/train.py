@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .autodiff import Tensor, TrainingDiverged
-from .blocks import DecompositionNet, PoseNet, ToyDepthNet, disparity_to_depth
+from .blocks import DecompositionNet, PoseNet, ToyDepthNet
 from .checkpoint import load_module, save_checkpoint
 from .config import TrainConfig
 from .evalmetrics import DEPTH_METRICS, DepthEvalReport, Trajectory, anchored_trajectory, ate_5frame, evaluate_depth, lower_median
@@ -51,10 +51,6 @@ class ModelBundle(Module):
         self.pose = PoseNet(rng)
         self.decomp = DecompositionNet(rng)
         self.config = config
-
-    def predict_depth(self, image: Tensor) -> Tensor:
-        """Full-resolution depth from the decoder's one disparity map."""
-        return disparity_to_depth(self.depth(image))
 
 
 @dataclass
@@ -118,7 +114,7 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     """Assemble the full objective for one target frame, weighted by the
     model config's loss weights; returns the total and its parts as floats.
 
-    The depth is ``model.predict_depth``'s, the map evaluation scores. Per
+    The depth is ``model.depth``'s, the map evaluation scores. Per
     source: pose it once, build what gets warped (the frame or the
     [reconstruction, reflectance] stack) plus its reconstruction term, and
     warp it once. One aggregation over the sources gives the synthesis
@@ -134,7 +130,7 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     cache = cache or _FrameCache(model, scene, [t])
     decompose = not cfg.bypass_decomposition
     img_t = Tensor(scene.frames[t])
-    depth = model.predict_depth(img_t)
+    depth = model.depth(img_t)
     if decompose:
         r_t, s_t = cache.decomp(t)
         recon_t = reconstruction_loss(r_t * s_t, img_t)
@@ -198,7 +194,7 @@ def _depth_reports(model: ModelBundle, scene, frames) -> list[DepthEvalReport]:
     reports = []
     with ad.no_grad():
         for k in frames:
-            depth = model.predict_depth(Tensor(scene.frames[k]))
+            depth = model.depth(Tensor(scene.frames[k]))
             reports.append(evaluate_depth(depth.data, scene.depths[k]))
     return reports
 
@@ -219,11 +215,14 @@ def _validation_frames(targets: list[int]) -> list[int]:
 def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
     """Run the full loop; returns (model, records). Divergence aborts with
     the last good checkpoint written next to the requested path, so a path
-    in a missing directory is refused before the log is opened."""
+    in a missing directory, or one that is a directory, is refused before
+    the log is opened."""
     if checkpoint_path:
         directory = os.path.dirname(os.path.abspath(checkpoint_path))
         if not os.path.isdir(directory):
             raise ValueError(f"checkpoint directory {directory} does not exist")
+        if os.path.isdir(checkpoint_path):
+            raise ValueError(f"checkpoint path {checkpoint_path} is a directory")
     hw = (scene.cam.height, scene.cam.width)
     model = ModelBundle(config, hw)
     trainables = [(n, p) for n, p in model.named_parameters() if p.requires_grad]

@@ -139,19 +139,19 @@ class TestAttention:
 class TestToyDepthNet:
     def test_one_full_resolution_map(self):
         net = ToyDepthNet(TrainConfig(embed_dim=64, depth_blocks=2, mixer_after=(1,)), (32, 32), rng())
-        disp = net(Tensor(np.random.default_rng(1).uniform(0, 1, (3, 32, 32))))
-        assert disp.shape == (32, 32)
+        depth = net(Tensor(np.random.default_rng(1).uniform(0, 1, (3, 32, 32))))
+        assert depth.shape == (32, 32)
 
     def test_non_square_image_keeps_its_aspect(self):
         net = ToyDepthNet(TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,)), (16, 32), rng())
-        disp = net(Tensor(np.random.default_rng(1).uniform(0, 1, (3, 16, 32))))
-        assert disp.shape == (16, 32)
+        depth = net(Tensor(np.random.default_rng(1).uniform(0, 1, (3, 16, 32))))
+        assert depth.shape == (16, 32)
 
-    def test_outputs_strictly_inside_unit_interval(self):
+    def test_outputs_depth_inside_the_range(self):
         net = ToyDepthNet(TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,)), (16, 16), rng())
-        disp = net(Tensor(np.random.default_rng(2).uniform(0, 1, (3, 16, 16))))
-        assert disp.shape == (16, 16)
-        assert np.all(disp.data > 0.0) and np.all(disp.data < 1.0)
+        depth = net(Tensor(np.random.default_rng(2).uniform(0, 1, (3, 16, 16))))
+        assert depth.shape == (16, 16)
+        assert np.all(depth.data >= D_MIN) and np.all(depth.data <= D_MAX)
 
     @pytest.mark.parametrize("mode", ["plain", "scaled"])
     def test_fresh_adapters_leave_output_bit_identical(self, mode):
@@ -197,8 +197,19 @@ class TestDepthDecoder:
 
     def test_reads_the_token_grid_alone(self):
         decoder = DepthDecoder(16, rng())
-        disp = decoder(Tensor(np.random.default_rng(5).standard_normal((16, 2, 3))))
-        assert disp.shape == (16, 24)
+        depth = decoder(Tensor(np.random.default_rng(5).standard_normal((16, 2, 3))))
+        assert depth.shape == (16, 24)
+
+    @pytest.mark.parametrize("bias, depth", [(1000.0, D_MIN), (-1000.0, D_MAX)])
+    def test_a_saturated_head_gives_the_range_end_and_finite_gradients(self, bias, depth):
+        # the sigmoid is exactly 1.0 (0.0) here, where its gradient is exactly 0
+        decoder = DepthDecoder(16, rng())
+        decoder.head.bias.assign(np.full_like(decoder.head.bias.data, bias))
+        out = decoder(Tensor(np.random.default_rng(5).standard_normal((16, 2, 3))))
+        np.testing.assert_array_equal(out.data, np.full((16, 24), depth))
+        ad.tsum(out).backward()
+        for name, p in decoder.named_parameters():
+            assert p.grad is not None and np.all(np.isfinite(p.grad)), name
 
 
 class TestDisparityToDepth:
@@ -223,9 +234,9 @@ class TestDisparityToDepth:
         if b - a > 1e-9:
             assert da > db
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="disparity"):
-            disparity_to_depth(Tensor(np.array([1.5])))
+    def test_the_interval_ends_map_exactly_onto_the_range_ends(self):
+        depth = disparity_to_depth(Tensor(np.array([0.0, 1.0])))
+        assert depth.data.tolist() == [D_MAX, D_MIN]
 
     def test_initial_logit_hits_geometric_mean(self):
         logit = initial_disparity_logit()
@@ -239,6 +250,11 @@ class TestDecomposition:
         r = np.random.default_rng(5).uniform(0.1, 0.9, (3, 6, 6))
         out = Tensor(r) * Tensor(np.ones((1, 6, 6)))  # shading as the head returns it
         np.testing.assert_array_equal(out.data, r)
+
+    def test_an_image_with_another_channel_count_is_refused_by_the_first_conv(self):
+        net = DecompositionNet(rng())
+        with pytest.raises(ValueError, match=r"^conv2d channel mismatch: input \(1, 8, 8\) vs kernel \(8, 3, 3, 3\)$"):
+            net(Tensor(np.zeros((1, 8, 8))))
 
     def test_outputs_in_unit_interval(self):
         net = DecompositionNet(rng())

@@ -236,7 +236,7 @@ class TestCheckpoint:
         assert loaded.config == config and step == 3
         _assert_same_parameters(model, loaded)
         image = Tensor(np.random.default_rng(8).uniform(0, 1, (3, 16, 16)))
-        np.testing.assert_array_equal(loaded.predict_depth(image).data, model.predict_depth(image).data)
+        np.testing.assert_array_equal(loaded.depth(image).data, model.depth(image).data)
 
     @pytest.mark.parametrize(
         "key, value",

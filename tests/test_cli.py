@@ -296,6 +296,29 @@ def test_train_rejects_a_bad_optimizer_setting_before_any_step(tmp_path, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["scene"]
 
 
+@pytest.mark.parametrize(
+    "argv, wrong",
+    [
+        (["train", "--scene", "scene", "--checkpoint", "wrong", "--log", "train.log"], "directory"),
+        (["train", "--scene", "scene", "--checkpoint", "m.ckpt", "--log", "wrong"], "directory"),
+        (["eval-depth", "--checkpoint", "wrong", "--scene", "scene"], "directory"),
+        (["eval-depth", "--checkpoint", "model.npz", "--scene", "wrong"], "file"),
+        (["report", "--log", "wrong"], "directory"),
+    ],
+    ids=["train-checkpoint", "train-log", "eval-depth-checkpoint", "eval-depth-scene", "report-log"],
+)
+def test_a_path_of_the_wrong_kind_is_a_validation_failure(tmp_path, monkeypatch, capsys, argv, wrong):
+    _scene_dir(tmp_path)
+    _untrained_checkpoint(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    Path("wrong").mkdir() if wrong == "directory" else Path("wrong").write_text("")
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "wrong" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz", "scene", "wrong"]
+
+
 def test_report_on_an_empty_log_is_a_validation_failure(tmp_path, capsys):
     log = tmp_path / "train.log"
     log.write_text("")

@@ -6,6 +6,8 @@ per-target backward (its gradients and its memory), and the divergence
 path."""
 
 import dataclasses
+import gc
+import hashlib
 import json
 import math
 import re
@@ -20,7 +22,7 @@ from depthlab import train as train_module
 from depthlab.autodiff import Tensor, TrainingDiverged
 from depthlab.config import TrainConfig
 from depthlab.evalmetrics import Trajectory
-from depthlab.formats import write_scene
+from depthlab.formats import SceneOnDisk, write_scene
 from depthlab.geometry import CameraModel
 from depthlab.optim import Adam
 from depthlab.scene import generate_scene
@@ -65,6 +67,41 @@ def test_records_finite_and_reruns_bit_identical(scene, tmp_path):
     _assert_finite(records)
     assert records == again
     assert checkpoint == checkpoint_again
+
+
+@pytest.fixture(scope="module")
+def scene_on_disk(tmp_path_factory):
+    """Six 16x16 frames of seed 3, read back from their directory as the CLI reads them."""
+    scene_dir = tmp_path_factory.mktemp("pins") / "scene"
+    write_scene(scene_dir, generate_scene("two_spheres", 6, 3, CameraModel(16.0, 16.0, 7.5, 7.5, 16, 16)))
+    return SceneOnDisk(scene_dir)
+
+
+@pytest.mark.parametrize(
+    "adapter, aggregation, bypass, digest",
+    [
+        ("none", "mean", False, "e539dffbfa56073cfec1cfedca672903c54b63a4b61dfe21c30634a5210e7237"),
+        ("none", "mean", True, "5c2b8251a429c4865d1762cc7e30a92cf4db288d2d66928e479596386b2e5775"),
+        ("none", "min", False, "2cbd81a83e232a6da0b005782946ccb3eeefeecbcfdaee41b634e46b440bde0f"),
+        ("none", "min", True, "724058bccb10336d30be7cbe0c1cd5a3566eedea7bb5db4fc4a8b3ff9b1b7d5d"),
+        ("plain", "mean", False, "b73e35dc70de0a29a5b210acdd16caf63f7f6c4356a1428a99cd074fd990b174"),
+        ("plain", "mean", True, "a92760aed6325a8bab8f31eecd9367301438df9d8ec75c419d368d715de8c49a"),
+        ("plain", "min", False, "8994e47e3634e6d90814aab7b731f84b1c430756b5a24985881566f8a1316144"),
+        ("plain", "min", True, "c3451b1bdef698ae3117eb553dd72f2516ccbc5773fa8cbcae273078ae10fd89"),
+        ("scaled", "mean", False, "cc93cfa1871a0a19e9a8774adf5247599ec39303d42a36ea7336c452cdfcc46c"),
+        ("scaled", "mean", True, "e809c916135fd81e3fd9df52d668fe44733c0314b0fdb62adf64ba879c11923a"),
+        ("scaled", "min", False, "d044ea5ce4ded27af10183865f526738a8146204c3f1350f430e9177c55ef959"),
+        ("scaled", "min", True, "10cd79b74e5711456b6cb4c17f3082be13eb4f6628252db6aacb6733e13f837a"),
+    ],
+)
+def test_trained_checkpoint_bytes_are_pinned(scene_on_disk, tmp_path, adapter, aggregation, bypass, digest):
+    # the default model, two epochs at batch 2: every forward, loss, backward
+    # and Adam update of a short run ends up in these bytes
+    config = TrainConfig(
+        adapter=adapter, source_aggregation=aggregation, bypass_decomposition=bypass, epochs=2, batch_size=2
+    )
+    train(scene_on_disk, config, checkpoint_path=tmp_path / "model.npz")
+    assert hashlib.sha256((tmp_path / "model.npz").read_bytes()).hexdigest() == digest
 
 
 def test_lr_decays_once_after_a_third_of_the_epochs(scene):
@@ -181,11 +218,11 @@ def test_reconstruction_part_scores_each_frame_once(scene):
 
 
 def test_smoothness_part_scores_the_depth_evaluation_scores(scene):
-    # the objective trains the one full-resolution map predict_depth returns
+    # the objective trains the one full-resolution map model.depth returns
     model = ModelBundle(TrainConfig(**SMALL), (16, 16))
     _, parts = step_loss(model, scene, 1)
     with ad.no_grad():
-        depth = model.predict_depth(Tensor(scene.frames[1])).data
+        depth = model.depth(Tensor(scene.frames[1])).data
     assert depth.shape == (16, 16)
     assert abs(parts["smoothness"] - smoothness_loss_loops(depth, scene.frames[1], scene.labels[1])) <= 1e-12
 
@@ -282,6 +319,9 @@ def test_the_step_gradient_is_the_derivative_of_the_logged_loss(scene8, aggregat
 def _step_peak(scene, config, batch):
     model = ModelBundle(config, (scene.cam.height, scene.cam.width))
     opt = Adam([(n, p) for n, p in model.named_parameters() if p.requires_grad], lr=config.lr)
+    # a full collection empties the interpreter's free lists, so each peak
+    # starts from the same state whatever ran before it in this process
+    gc.collect()
     tracemalloc.start()
     try:
         train_module._optimizer_step(model, scene, batch, opt, 0, None)
@@ -332,6 +372,17 @@ def test_a_checkpoint_path_in_a_missing_directory_is_refused_before_any_step(sce
         train(scene, TrainConfig(**SMALL), log_path=log, checkpoint_path=missing / "model.npz")
     assert not log.exists()
     assert not missing.exists()
+
+
+def test_a_checkpoint_path_that_is_a_directory_is_refused_before_any_step(scene, tmp_path):
+    # saving over a directory would fail only after the last epoch, losing the run
+    log = tmp_path / "train.log"
+    directory = tmp_path / "model.npz"
+    directory.mkdir()
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint path {directory} is a directory")):
+        train(scene, TrainConfig(**SMALL), log_path=log, checkpoint_path=directory)
+    assert not log.exists()
+    assert list(directory.iterdir()) == []
 
 
 def test_divergence_leaves_the_state_after_the_last_good_step(scene, tmp_path, nan_synthesis_at_step_2):
@@ -388,7 +439,7 @@ def test_an_empty_validity_mask_names_the_median_depth_and_each_translation(scen
     # a sideways move of 100 units carries every target point out of a 16-pixel view
     monkeypatch.setattr(model, "pose", lambda img_t, img_s: (Tensor(np.eye(3)), Tensor([100.0, 0.0, 0.0])))
     with ad.no_grad():
-        median = lower_median_loops(model.predict_depth(Tensor(scene.frames[1])).data.ravel())
+        median = lower_median_loops(model.depth(Tensor(scene.frames[1])).data.ravel())
     message = f"empty validity mask: median predicted depth {median:.4g}, source 0 |t| 100, source 2 |t| 100"
     with pytest.raises(TrainingDiverged, match=re.escape(message) + "$"):
         step_loss(model, scene, 1)
@@ -407,9 +458,9 @@ def test_a_non_finite_depth_ends_as_training_diverged(scene):
 def test_inference_without_a_graph_matches_grad_mode_bit_for_bit(scene):
     model = ModelBundle(TrainConfig(**SMALL), (16, 16))
     frame, other = Tensor(scene.frames[1]), Tensor(scene.frames[2])
-    graph = (model.predict_depth(frame), *model.pose(frame, other))
+    graph = (model.depth(frame), *model.pose(frame, other))
     with ad.no_grad():
-        plain = (model.predict_depth(frame), *model.pose(frame, other))
+        plain = (model.depth(frame), *model.pose(frame, other))
     assert len(graph) == len(plain) == 3  # the depth, the pose's rotation and translation
     for g, p in zip(graph, plain):
         assert g.requires_grad and g._node is not None
@@ -426,9 +477,9 @@ def test_inference_without_a_graph_peaks_lower():
         try:
             if no_grad:
                 with ad.no_grad():
-                    model.predict_depth(image)
+                    model.depth(image)
             else:
-                model.predict_depth(image)
+                model.depth(image)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
