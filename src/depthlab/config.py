@@ -1,12 +1,11 @@
 """Flat training configuration: dataclass defaults and key=value text.
 
-Every field is addressable as a "name=value" line of a config file or a
---set override; unknown keys, and a key that a file or the --set items
-name twice, are rejected.
+The keys are exactly ``TrainConfig``'s fields, each addressable as a
+"name=value" line of a config file, a --set override or a checkpoint
+header; any other key, and a key that a file or the --set items name
+twice, are rejected.
 The command line applies the --config file, then --set, so an explicit
---set beats a file line. A retired key (``RETIRED``: a former field now
-fixed in code, still written by older checkpoint headers) is accepted
-only at its one value.
+--set beats a file line.
 """
 
 from __future__ import annotations
@@ -62,28 +61,6 @@ class TrainConfig:
         return max(1, self.epochs // 3)
 
 
-# Former fields, each fixed in code at its one value (adapters._kaiming_uniform,
-# blocks.PATCH, the optim constants, losses.ALPHA, TrainConfig.decay_epoch,
-# the decoder's one full-resolution map; heads, d_min and d_max as blocks.HEADS,
-# D_MIN and D_MAX; the w_* keys as losses.FIXED_WEIGHTS).
-RETIRED = {
-    "init": "kaiming_uniform",
-    "patch": 8,
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.999,
-    "adam_eps": 1e-8,
-    "alpha": 0.85,
-    "lr_decay_epoch": 0,
-    "loss_scales": 1,
-    "heads": 4,
-    "d_min": 0.1,
-    "d_max": 100.0,
-    "w_reconstruction": 0.2,
-    "w_reflectance": 0.2,
-    "w_synthesis": 1.0,
-}
-
-
 def _parse_value(field, raw: str):
     raw = raw.strip()
     if field.type in ("int", int):
@@ -104,23 +81,11 @@ def _parse_value(field, raw: str):
     return raw
 
 
-def _is_retired_value(key: str, raw: str) -> bool:
-    sole = RETIRED[key]
-    try:
-        return type(sole)(raw.strip()) == sole
-    except ValueError:
-        return False
-
-
 def config_from_pairs(pairs: dict[str, str], base: TrainConfig | None = None) -> TrainConfig:
     base = base or TrainConfig()
     by_name = {f.name: f for f in fields(TrainConfig)}
     updates = {}
     for key, raw in pairs.items():
-        if key in RETIRED:
-            if not _is_retired_value(key, raw):
-                raise ValueError(f"{key} is fixed at {RETIRED[key]}, got '{raw.strip()}'")
-            continue
         if key not in by_name:
             raise ValueError(f"unknown config key '{key}'")
         updates[key] = _parse_value(by_name[key], raw)

@@ -253,6 +253,8 @@ def SceneOnDisk(directory) -> Scene:
     """Read a scene directory written by write_scene (or any matching
     external data), keeping its frame ids, which must equal trajectory.txt's
     indices."""
+    if not os.path.isdir(directory):
+        raise ValueError(f"scene path {directory} is not a directory")
     cam = read_intrinsics(os.path.join(directory, "intrinsics.txt"))
     names = [name for name in os.listdir(directory) if name.startswith("frame_") and name.endswith(".ppm")]
     ids = tuple(sorted(_frame_id(directory, name) for name in names))

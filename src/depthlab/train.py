@@ -215,14 +215,16 @@ def _validation_frames(targets: list[int]) -> list[int]:
 def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
     """Run the full loop; returns (model, records). Divergence aborts with
     the last good checkpoint written next to the requested path, so a path
-    in a missing directory, or one that is a directory, is refused before
-    the log is opened."""
+    in a missing directory is refused before the log is opened, and so is
+    one where the checkpoint, the rescue ``<checkpoint>.last_good`` or the
+    ``.tmp`` file either is saved through would land on a directory."""
     if checkpoint_path:
         directory = os.path.dirname(os.path.abspath(checkpoint_path))
         if not os.path.isdir(directory):
             raise ValueError(f"checkpoint directory {directory} does not exist")
-        if os.path.isdir(checkpoint_path):
-            raise ValueError(f"checkpoint path {checkpoint_path} is a directory")
+        for suffix in ("", ".tmp", ".last_good", ".last_good.tmp"):
+            if os.path.isdir(f"{checkpoint_path}{suffix}"):
+                raise ValueError(f"checkpoint path {checkpoint_path}{suffix} is a directory")
     hw = (scene.cam.height, scene.cam.width)
     model = ModelBundle(config, hw)
     trainables = [(n, p) for n, p in model.named_parameters() if p.requires_grad]

@@ -1,8 +1,6 @@
 """Config parsing, validation, and checkpoint round trips."""
 
-import dataclasses
 import errno
-import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -13,39 +11,11 @@ from depthlab import checkpoint
 from depthlab.autodiff import Tensor
 from depthlab.blocks import D_MAX, D_MIN, HEADS, PATCH
 from depthlab.checkpoint import load_module, save_checkpoint
-from depthlab.config import (
-    RETIRED,
-    TrainConfig,
-    config_from_pairs,
-    config_to_text,
-    load_config,
-    parse_config_text,
-)
+from depthlab.config import TrainConfig, config_from_pairs, config_to_text, load_config, parse_config_text
 from depthlab.losses import ALPHA, FIXED_WEIGHTS
 from depthlab.nn import Module
 from depthlab.optim import BETA1, BETA2, EPS
 from depthlab.train import ModelBundle, load_model, save_model
-
-from oracles import with_header_config
-
-# the retired keys at the values fixed in code, as a header written before
-# they left TrainConfig carries them (loss_scales=1 only where it was set)
-OLD_HEADER_KEYS = {
-    "adam_beta1": 0.9,
-    "adam_beta2": 0.999,
-    "adam_eps": 1e-08,
-    "alpha": 0.85,
-    "init": "kaiming_uniform",
-    "lr_decay_epoch": 0,
-    "loss_scales": 1,
-    "patch": 8,
-    "heads": 4,
-    "d_min": 0.1,
-    "d_max": 100.0,
-    "w_reconstruction": 0.2,
-    "w_reflectance": 0.2,
-    "w_synthesis": 1.0,
-}
 
 
 class TestConfig:
@@ -56,8 +26,9 @@ class TestConfig:
         assert cfg.lr == 1e-4
         assert cfg.lr_decay == 0.1
         assert ALPHA == 0.85
-        weights = {"reconstruction": 0.2, "reflectance": 0.2, "synthesis": 1.0, "smoothness": 0.003}
-        assert cfg.loss_weights() == weights
+        assert (PATCH, HEADS, D_MIN, D_MAX) == (8, 4, 0.1, 100.0)
+        assert FIXED_WEIGHTS == {"reconstruction": 0.2, "reflectance": 0.2, "synthesis": 1.0}
+        assert cfg.loss_weights() == {**FIXED_WEIGHTS, "smoothness": 0.003}
 
     def test_decay_epoch_defaults_to_one_third(self):
         assert TrainConfig(epochs=30).decay_epoch() == 10
@@ -84,23 +55,13 @@ class TestConfig:
     def test_a_key_named_twice_is_rejected_with_both_lines(self):
         with pytest.raises(ValueError, match="'seed' is set on both line 1 and line 3"):
             parse_config_text("seed=1\nepochs=2\n seed = 2\n")
-        # a retired key too, even at its one value
-        with pytest.raises(ValueError, match="'d_min' is set on both line 2 and line 4"):
-            parse_config_text("seed=1\nd_min=0.1\n\nd_min=0.1\n")
+        # at the same value too
+        with pytest.raises(ValueError, match="'rank' is set on both line 2 and line 4"):
+            parse_config_text("seed=1\nrank=4\n\nrank=4\n")
 
     def test_validation(self):
         with pytest.raises(ValueError, match="adapter"):
             TrainConfig(adapter="giant")
-        # the depth range is retired: no longer fields, and fixed at 0.1..100 as text
-        with pytest.raises(TypeError, match="d_min"):
-            TrainConfig(d_min=5.0, d_max=1.0)
-        with pytest.raises(ValueError, match="d_min is fixed at 0.1, got '5.0'"):
-            parse_config_text("d_min=5.0\nd_max=1.0\n")
-        # loss_scales is retired: no longer a field, and fixed at 1 as text
-        with pytest.raises(TypeError, match="loss_scales"):
-            TrainConfig(loss_scales=9)
-        with pytest.raises(ValueError, match="loss_scales is fixed at 1"):
-            parse_config_text("loss_scales=9\n")
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
     def test_rejects_a_non_finite_or_non_positive_lr(self, lr):
@@ -112,69 +73,17 @@ class TestConfig:
         [
             ("lr_decay", float("nan")),
             ("lr_decay", -1.0),
-            ("adam_eps", 0.0),
-            ("adam_eps", float("inf")),
-            ("adam_beta1", 1.0),
-            ("adam_beta1", -0.1),
-            ("adam_beta2", float("nan")),
             ("embed_dim", 0),
             ("depth_blocks", 0),
             ("depth_blocks", -3),
             ("rank", 0),
-            ("lr_decay_epoch", -3),
-            ("w_synthesis", float("nan")),
             ("w_smoothness", float("inf")),
-            ("d_max", math.inf),
-            ("d_min", 1e-310),  # subnormal: 1/d_min overflows to inf
-            # the initial depth is sqrt(d_min * d_max): the product underflows to 0, or overflows to inf
-            pytest.param("d_min", {"d_min": 1e-200, "d_max": 1e-199}, id="d_min*d_max-underflow"),
-            pytest.param("d_min", {"d_min": 1e300, "d_max": 1e308}, id="d_min*d_max-overflow"),
         ],
     )
     def test_rejects_a_value_that_would_fail_only_in_training(self, field, value):
-        # as key=value text, the form a --set, a config file or a checkpoint
-        # header takes; a retired key (the adam_* keys, lr_decay_epoch, the
-        # depth range, w_synthesis) is refused at any value but its own
-        pairs = value if isinstance(value, dict) else {field: value}
-        message = f"{field} is fixed at {RETIRED[field]}, got" if field in RETIRED else field
-        with pytest.raises(ValueError, match=message):
-            config_from_pairs({key: str(v) for key, v in pairs.items()})
-
-    def test_retired_keys_hold_the_values_fixed_in_code(self):
-        assert RETIRED == OLD_HEADER_KEYS
-        keys = ("patch", "adam_beta1", "adam_beta2", "adam_eps", "alpha", "heads", "d_min", "d_max")
-        assert [RETIRED[k] for k in keys] == [PATCH, BETA1, BETA2, EPS, ALPHA, HEADS, D_MIN, D_MAX]
-        assert {name: RETIRED[f"w_{name}"] for name in FIXED_WEIGHTS} == FIXED_WEIGHTS
-        names = {f.name for f in dataclasses.fields(TrainConfig)}
-        assert len(names) == 14 and not set(RETIRED) & names
-
-    def test_a_retired_key_at_its_value_changes_nothing(self):
-        assert parse_config_text("".join(f"{k}={v}\n" for k, v in OLD_HEADER_KEYS.items())) == TrainConfig()
-
-    @pytest.mark.parametrize(
-        "pair",
-        [
-            "init=uniform",
-            "init=kaiming_normal",
-            "patch=4",
-            "patch=8.5",
-            "adam_eps=1e-6",
-            "alpha=0.5",
-            "lr_decay_epoch=7",
-            "loss_scales=4",
-            "heads=2",
-            "heads=4.0",
-            "d_min=0.5",
-            "d_max=50",
-            "w_reconstruction=0",
-            "w_reflectance=0.1",
-            "w_synthesis=2",
-        ],
-    )
-    def test_a_retired_key_at_another_value_is_rejected(self, pair):
-        key = pair.split("=")[0]
-        with pytest.raises(ValueError, match=f"{key} is fixed at {RETIRED[key]}"):
-            parse_config_text(pair)
+        # as key=value text, the form a --set, a config file or a checkpoint header takes
+        with pytest.raises(ValueError, match=field):
+            config_from_pairs({field: str(value)})
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -226,37 +135,6 @@ class TestCheckpoint:
         loaded, step = load_model(path1, (16, 16))
         save_model(path2, loaded, loaded.config, step)
         assert path1.read_bytes() == path2.read_bytes()
-
-    def test_a_header_with_the_retired_keys_loads(self, tmp_path):
-        # a header written while these were fields: same tensors, same depth
-        config, model = _tiny(4, seed=5, adapter="plain")
-        save_model(tmp_path / "new.ckpt", model, config, 3)
-        with_header_config(tmp_path / "new.ckpt", tmp_path / "old.ckpt", **OLD_HEADER_KEYS)
-        loaded, step = load_model(tmp_path / "old.ckpt", (16, 16))
-        assert loaded.config == config and step == 3
-        _assert_same_parameters(model, loaded)
-        image = Tensor(np.random.default_rng(8).uniform(0, 1, (3, 16, 16)))
-        np.testing.assert_array_equal(loaded.depth(image).data, model.depth(image).data)
-
-    @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("init", "uniform"),
-            ("patch", 4),
-            ("alpha", 0.5),
-            ("lr_decay_epoch", 3),
-            ("loss_scales", 4),
-            ("heads", 2),
-            ("d_max", 50.0),
-            ("w_synthesis", 0.5),
-        ],
-    )
-    def test_a_header_with_a_retired_key_at_another_value_is_rejected(self, tmp_path, key, value):
-        config, model = _tiny(5)
-        save_model(tmp_path / "new.ckpt", model, config, 1)
-        with_header_config(tmp_path / "new.ckpt", tmp_path / "old.ckpt", **{**OLD_HEADER_KEYS, key: value})
-        with pytest.raises(ValueError, match=f"{key} is fixed at {RETIRED[key]},"):
-            load_model(tmp_path / "old.ckpt", (16, 16))
 
     def test_a_save_that_fails_partway_keeps_the_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"

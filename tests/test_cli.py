@@ -10,7 +10,7 @@ import pytest
 
 import depthlab
 from depthlab import cli
-from depthlab.config import RETIRED, TrainConfig
+from depthlab.config import TrainConfig
 from depthlab.formats import SceneOnDisk, write_scene
 from depthlab.geometry import CameraModel
 from depthlab.scene import generate_scene
@@ -47,34 +47,6 @@ def test_params_counts_adapter_parameters(capsys):
 def test_params_rejects_a_repeated_mixer_position(capsys):
     assert cli.main(["params", "--size", "64", "--set", "mixer_after=2,2"]) == 2
     assert "repeat" in capsys.readouterr().err
-
-
-def test_params_rejects_a_patch_the_decoder_cannot_restore(capsys):
-    assert cli.main(["params", "--size", "64", "--set", "patch=4"]) == 2
-    assert "patch is fixed at 8" in capsys.readouterr().err
-
-
-def test_params_rejects_an_init_other_than_kaiming_uniform(capsys):
-    assert cli.main(["params", "--size", "16", "--set", "init=uniform"]) == 2
-    assert "init is fixed at kaiming_uniform" in capsys.readouterr().err
-
-
-# the depth range is fixed at 0.1..100: a value that once failed only in
-# training is now refused as a retired key at another value
-def test_params_rejects_an_infinite_d_max(capsys):
-    assert cli.main(["params", "--size", "16", "--set", "d_max=inf"]) == 2
-    assert "d_max is fixed at 100.0, got 'inf'" in capsys.readouterr().err
-
-
-def test_params_rejects_a_d_min_whose_reciprocal_overflows(capsys):
-    assert cli.main(["params", "--size", "16", "--set", "d_min=1e-310"]) == 2
-    assert "d_min is fixed at 0.1, got '1e-310'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("d_min, d_max", [("1e-200", "1e-199"), ("1e300", "1e308")])
-def test_params_rejects_a_depth_range_whose_product_underflows_or_overflows(capsys, d_min, d_max):
-    assert cli.main(["params", "--size", "16", "--set", f"d_min={d_min}", "--set", f"d_max={d_max}"]) == 2
-    assert f"d_min is fixed at 0.1, got '{d_min}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("depth_blocks", ["0", "-3"])
@@ -141,13 +113,6 @@ def test_gen_scene_rejects_a_size_or_frame_count_below_its_minimum(tmp_path, cap
     assert not out.exists()
 
 
-@pytest.mark.parametrize("heads", ["0", "-4"])
-def test_params_rejects_heads_below_one(capsys, heads):
-    # heads is fixed at 4, so any other count is refused
-    assert cli.main(["params", "--size", "16", "--set", f"heads={heads}"]) == 2
-    assert f"heads is fixed at 4, got '{heads}'" in capsys.readouterr().err
-
-
 def _scene_dir(tmp_path):
     cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
     scene_dir = tmp_path / "scene"
@@ -179,6 +144,18 @@ def test_eval_pose_rejects_a_scene_trajectory_on_other_frames(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_eval_pose_reports_a_non_finite_pose_as_a_runtime_failure(tmp_path, capsys):
+    config = TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,), rank=2)
+    model = ModelBundle(config, (16, 16))
+    model.pose.head.bias.assign(np.full_like(model.pose.head.bias.data, np.nan))
+    checkpoint = tmp_path / "nan_pose.npz"
+    save_model(checkpoint, model, config, 0)
+    assert cli.main(["eval-pose", "--checkpoint", str(checkpoint), "--scene", str(_scene_dir(tmp_path))]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "runtime error: pose head produced non-finite output\n"
+    assert captured.out == ""
+
+
 def test_a_scene_numbered_from_one_keeps_its_ids(tmp_path, capsys):
     scene_dir = _scene_dir(tmp_path)
     checkpoint = str(_untrained_checkpoint(tmp_path))
@@ -202,52 +179,45 @@ def test_a_scene_numbered_from_one_keeps_its_ids(tmp_path, capsys):
     assert [line.split()[0] for line in (out / "trajectory.txt").read_text().splitlines()] == ["1", "2", "3", "4", "5", "6"]
 
 
-def test_eval_depth_reads_a_header_with_the_retired_keys(tmp_path, capsys):
-    scene_dir = _scene_dir(tmp_path)
-    checkpoint = _untrained_checkpoint(tmp_path)
-    old = tmp_path / "old.npz"
-    with_header_config(checkpoint, old, **RETIRED)
-
-    assert cli.main(["eval-depth", "--checkpoint", str(checkpoint), "--scene", str(scene_dir)]) == 0
-    expected = capsys.readouterr().out
-    assert cli.main(["eval-depth", "--checkpoint", str(old), "--scene", str(scene_dir)]) == 0
-    assert capsys.readouterr().out == expected
-
-    with_header_config(checkpoint, old, **{**RETIRED, "init": "uniform"})
-    assert cli.main(["eval-depth", "--checkpoint", str(old), "--scene", str(scene_dir)]) == 2
-    assert "init is fixed at kaiming_uniform" in capsys.readouterr().err
-
-
-def test_a_header_with_four_loss_scales_is_refused(tmp_path, capsys):
-    # the decoder emits one map, so loss_scales is retired at 1: a header
-    # written while it was a field (default 4) names the key
-    scene_dir = _scene_dir(tmp_path)
-    old = tmp_path / "old.npz"
-    with_header_config(_untrained_checkpoint(tmp_path), old, loss_scales=4)
-    with pytest.raises(ValueError, match="loss_scales"):
-        load_model(old, (16, 16))
-    assert cli.main(["eval-depth", "--checkpoint", str(old), "--scene", str(scene_dir)]) == 2
-    assert "loss_scales is fixed at 1" in capsys.readouterr().err
-
-    assert cli.main(["params", "--size", "16", "--set", "loss_scales=1"]) == 0
-    assert cli.main(["params", "--size", "16", "--set", "loss_scales=2"]) == 2
-    assert "loss_scales is fixed at 1" in capsys.readouterr().err
+# settings that were once TrainConfig fields and are now fixed in code, each
+# at the one value it is fixed at: naming one is naming no field, even at that value
+FORMER_KEYS = {
+    "init": "kaiming_uniform",
+    "patch": 8,
+    "adam_beta1": 0.9,
+    "adam_beta2": 0.999,
+    "adam_eps": 1e-08,
+    "alpha": 0.85,
+    "lr_decay_epoch": 0,
+    "loss_scales": 1,
+    "heads": 4,
+    "d_min": 0.1,
+    "d_max": 100.0,
+    "w_reconstruction": 0.2,
+    "w_reflectance": 0.2,
+    "w_synthesis": 1.0,
+}
 
 
-@pytest.mark.parametrize("key, value, fixed", [("d_max", 50.0, "100.0"), ("heads", 2, "4")])
-def test_a_retired_depth_range_or_head_count_is_refused(tmp_path, capsys, key, value, fixed):
-    scene_dir = _scene_dir(tmp_path)
-    old = tmp_path / "old.npz"
-    with_header_config(_untrained_checkpoint(tmp_path), old, **{key: value})
-    with pytest.raises(ValueError, match=f"{key} is fixed at {fixed}, got '{value}'"):
-        load_model(old, (16, 16))
-    assert cli.main(["eval-depth", "--checkpoint", str(old), "--scene", str(scene_dir)]) == 2
-    assert f"{key} is fixed at {fixed}, got '{value}'" in capsys.readouterr().err
-
-    assert cli.main(["params", "--size", "16", "--set", f"{key}={fixed}"]) == 0
-    capsys.readouterr()
-    assert cli.main(["params", "--size", "16", "--set", f"{key}={value}"]) == 2
-    assert f"{key} is fixed at {fixed}, got '{value}'" in capsys.readouterr().err
+@pytest.mark.parametrize("source", ["set", "config-file", "header"])
+@pytest.mark.parametrize("key", FORMER_KEYS)
+def test_a_former_config_key_is_unknown_wherever_it_comes_in(tmp_path, capsys, key, source):
+    unknown = f"unknown config key '{key}'"
+    if source == "header":
+        old = tmp_path / "old.npz"
+        with_header_config(_untrained_checkpoint(tmp_path), old, **{key: FORMER_KEYS[key]})
+        with pytest.raises(ValueError, match=unknown):
+            load_model(old, (16, 16))
+        return
+    pair = f"{key}={FORMER_KEYS[key]}"
+    if source == "config-file":
+        (tmp_path / "run.cfg").write_text(pair + "\n")
+        args = ["--config", str(tmp_path / "run.cfg")]
+    else:
+        args = ["--set", pair]
+    assert cli.main(["params", "--size", "16", *args]) == 2
+    captured = capsys.readouterr()
+    assert unknown in captured.err and captured.out == ""
 
 
 def test_set_beats_a_config_file_line(tmp_path, capsys):
@@ -314,9 +284,24 @@ def test_a_path_of_the_wrong_kind_is_a_validation_failure(tmp_path, monkeypatch,
     Path("wrong").mkdir() if wrong == "directory" else Path("wrong").write_text("")
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "wrong" in captured.err
+    # the path given, not a file inside it
+    assert captured.err.startswith("error: ") and "wrong" in captured.err and "intrinsics.txt" not in captured.err
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz", "scene", "wrong"]
+
+
+@pytest.mark.parametrize("suffix", [".tmp", ".last_good", ".last_good.tmp"], ids=["tmp", "last_good", "last_good-tmp"])
+def test_train_refuses_a_directory_at_a_temporary_or_rescue_path(tmp_path, monkeypatch, capsys, suffix):
+    # the save goes through m.ckpt.tmp and the divergence rescue through
+    # m.ckpt.last_good(.tmp): a directory there is refused before any step
+    _scene_dir(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    Path(f"m.ckpt{suffix}").mkdir()
+    assert cli.main(["train", "--scene", "scene", "--checkpoint", "m.ckpt", "--log", "train.log"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: checkpoint path m.ckpt{suffix} is a directory\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([f"m.ckpt{suffix}", "scene"])
 
 
 def test_report_on_an_empty_log_is_a_validation_failure(tmp_path, capsys):

@@ -299,5 +299,5 @@ class TestSceneDirectory:
         assert not list((tmp_path / "copy").glob("labels_*"))
 
     def test_missing_directory_rejected(self, tmp_path):
-        with pytest.raises((ValueError, FileNotFoundError)):
+        with pytest.raises(ValueError, match=re.escape(f"scene path {tmp_path / 'nope'} is not a directory")):
             SceneOnDisk(tmp_path / "nope")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from depthlab import autodiff as ad
 from depthlab import losses as L
 from depthlab.autodiff import Tensor
-from depthlab.config import TrainConfig, config_from_pairs
+from depthlab.config import TrainConfig
 
 from oracles import (
     fd_gradient,
@@ -273,8 +273,6 @@ class TestTotalLoss:
         assert d.grad is not None and np.any(d.grad != 0.0)
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError, match="alpha is fixed at 0.85"):
-            config_from_pairs({"alpha": "1.5"})
         with pytest.raises(ValueError, match="nonnegative"):
             TrainConfig(w_smoothness=-0.1)
 

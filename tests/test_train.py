@@ -374,15 +374,20 @@ def test_a_checkpoint_path_in_a_missing_directory_is_refused_before_any_step(sce
     assert not missing.exists()
 
 
-def test_a_checkpoint_path_that_is_a_directory_is_refused_before_any_step(scene, tmp_path):
-    # saving over a directory would fail only after the last epoch, losing the run
+@pytest.mark.parametrize("suffix", ["", ".tmp", ".last_good", ".last_good.tmp"], ids=["checkpoint", "tmp", "last_good", "last_good-tmp"])
+def test_a_checkpoint_path_that_is_a_directory_is_refused_before_any_step(scene, tmp_path, suffix):
+    # the checkpoint, the divergence rescue, or the temporary file either is
+    # written through: saving over a directory would fail only after the
+    # last epoch, losing the run, or in place of reporting the divergence
     log = tmp_path / "train.log"
-    directory = tmp_path / "model.npz"
+    checkpoint = tmp_path / "model.npz"
+    directory = tmp_path / f"model.npz{suffix}"
     directory.mkdir()
     with pytest.raises(ValueError, match=re.escape(f"checkpoint path {directory} is a directory")):
-        train(scene, TrainConfig(**SMALL), log_path=log, checkpoint_path=directory)
+        train(scene, TrainConfig(**SMALL), log_path=log, checkpoint_path=checkpoint)
     assert not log.exists()
     assert list(directory.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == [directory.name]
 
 
 def test_divergence_leaves_the_state_after_the_last_good_step(scene, tmp_path, nan_synthesis_at_step_2):
@@ -445,13 +450,21 @@ def test_an_empty_validity_mask_names_the_median_depth_and_each_translation(scen
         step_loss(model, scene, 1)
 
 
-def test_a_non_finite_depth_ends_as_training_diverged(scene):
-    # a NaN disparity logit makes every depth NaN: the warp marks every sample
-    # invalid, and the step raises TrainingDiverged rather than a ValueError
+@pytest.mark.parametrize(
+    "bias, message",
+    [
+        # a NaN disparity logit makes every depth NaN: the warp marks every sample
+        # invalid, and the step raises TrainingDiverged rather than a ValueError
+        ("depth.decoder.head.bias", "empty validity mask: median predicted depth nan, "),
+        ("pose.head.bias", "^pose head produced non-finite output$"),
+    ],
+    ids=["depth", "pose"],
+)
+def test_a_non_finite_depth_or_pose_ends_as_training_diverged(scene, bias, message):
     model = ModelBundle(TrainConfig(**SMALL), (16, 16))
-    head = model.depth.decoder.head
-    head.bias.assign(np.full_like(head.bias.data, np.nan))
-    with pytest.raises(TrainingDiverged, match="empty validity mask: median predicted depth nan, "):
+    param = dict(model.named_parameters())[bias]
+    param.assign(np.full_like(param.data, np.nan))
+    with pytest.raises(TrainingDiverged, match=message):
         step_loss(model, scene, 1)
 
 
