@@ -60,10 +60,39 @@ def save_checkpoint(path, module, config: TrainConfig, step: int) -> None:
         raise
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+# each key a header or tensor entry must hold: what its value must be, and a test of it
+_HEADER_FIELDS = {
+    "config": ("a JSON object", lambda value: isinstance(value, dict)),
+    "step": ("a non-negative integer", _is_count),
+    "tensors": ("a JSON list", lambda value: isinstance(value, list)),
+}
+_ENTRY_FIELDS = {
+    "name": ("a string", lambda value: isinstance(value, str)),
+    "shape": ("a list of non-negative integers", lambda value: isinstance(value, list) and all(map(_is_count, value))),
+    "frozen": ("a boolean", lambda value: isinstance(value, bool)),
+}
+
+
+def _check_fields(where: str, obj: dict, fields) -> None:
+    """Refuse, naming the key, a JSON object that lacks one of `fields` or
+    holds one that fails its test."""
+    for key, (kind, test) in fields.items():
+        if key not in obj:
+            raise ValueError(f"{where} lacks '{key}'")
+        if not test(obj[key]):
+            raise ValueError(f"{where} '{key}' is not {kind}")
+
+
 def _read_header(fh) -> dict:
     """Check the magic, the format version, that the header is an object
-    holding config, step and tensors, and that no tensor is named twice;
-    return the parsed JSON header, leaving the file at the first payload."""
+    holding a config object, a step and a tensors list, and that every
+    tensor entry gives a name no other entry gives, a shape and a frozen
+    flag, each of its JSON type; return the parsed JSON header, leaving the
+    file at the first payload."""
     magic = fh.read(len(MAGIC))
     if magic != MAGIC:
         raise ValueError(f"not a checkpoint file: magic {magic!r}")
@@ -74,11 +103,12 @@ def _read_header(fh) -> dict:
     header = json.loads(fh.read(header_len).decode("utf-8"))
     if not isinstance(header, dict):
         raise ValueError("checkpoint header is not a JSON object")
-    for key in ("config", "step", "tensors"):
-        if key not in header:
-            raise ValueError(f"checkpoint header lacks '{key}'")
+    _check_fields("checkpoint header", header, _HEADER_FIELDS)
     seen = set()
-    for entry in header["tensors"]:
+    for number, entry in enumerate(header["tensors"]):
+        if not isinstance(entry, dict):
+            raise ValueError(f"checkpoint tensor entry {number} is not a JSON object")
+        _check_fields(f"checkpoint tensor entry {number}", entry, _ENTRY_FIELDS)
         if entry["name"] in seen:
             raise ValueError(f"checkpoint names tensor '{entry['name']}' twice")
         seen.add(entry["name"])
@@ -112,7 +142,7 @@ def _check_entries(entries, params: dict[str, Tensor]) -> None:
     for name, tensor in params.items():
         if name not in by_name:
             raise ValueError(f"checkpoint is missing tensor '{name}'")
-        shape, frozen = tuple(by_name[name]["shape"]), bool(by_name[name]["frozen"])
+        shape, frozen = tuple(by_name[name]["shape"]), by_name[name]["frozen"]
         if shape != tensor.shape:
             raise ValueError(f"tensor '{name}' shape {shape} does not match model {tensor.shape}")
         if frozen == tensor.requires_grad:

@@ -4,11 +4,11 @@ Subcommands: gen-scene, train, eval-depth, eval-pose, params, report.
 gen-scene renders a square scene whose camera has fx = fy = --size and its
 principal point at the image centre; report prints a tab-separated table.
 Exit codes: 0 success, 2 validation failure (bad arguments, a missing
-path or one of the wrong kind, malformed config, shape mismatches), 1
-runtime error. A diverged training run is a runtime error: it exits 1
-and leaves the last good state in ``<checkpoint>.last_good``. The train
-and params configs layer the --config file, then --set overrides: a
---set beats a file line.
+path or one of the wrong kind, a malformed config, scene or checkpoint
+file, shape mismatches), 1 runtime error. A diverged training run is a
+runtime error: it exits 1 and leaves the last good state in
+``<checkpoint>.last_good``. The train and params configs layer the
+--config file, then --set overrides: a --set beats a file line.
 """
 
 from __future__ import annotations
@@ -81,8 +81,6 @@ def _cmd_gen_scene(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_cli_config(args)
     scene = SceneOnDisk(args.scene)
-    if scene.depths is None or scene.labels is None:
-        raise ValueError(f"scene directory {args.scene} is missing depth or label rasters")
     model, records = train(scene, cfg, log_path=args.log, checkpoint_path=args.checkpoint)
     last = records[-1]
     print(f"trained {last.step} steps over {last.epoch} epochs; final val abs_rel {last.val_abs_rel:.4f}")
@@ -94,8 +92,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval_depth(args) -> int:
     scene = SceneOnDisk(args.scene)
-    if scene.depths is None:
-        raise ValueError(f"scene directory {args.scene} has no depth rasters")
     model, _ = load_model(args.checkpoint, image_hw=(scene.cam.height, scene.cam.width))
     reports, aggregate, (ate_mean, _) = evaluate_scene(model, scene)
     print("\t".join(["frame", *DEPTH_METRICS, "f_scale"]))

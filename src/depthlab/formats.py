@@ -226,9 +226,10 @@ def write_scene(directory, scene: Scene) -> None:
             write_pgm(os.path.join(directory, f"labels_{frame_id:03d}.pgm"), scene.labels[k])
 
 
-def _all_or_none(directory, names: list[str], read):
+def _all_or_none(directory, names: list[str], read, cam: CameraModel):
     """Every named raster read in order, or None when none exists; a partial
-    set would pair frames with other frames' rasters, so it is rejected."""
+    set would pair frames with other frames' rasters, so it is rejected, and
+    so is, by name, a raster whose (H, W) is not the camera's."""
     paths = [os.path.join(directory, name) for name in names]
     present = [os.path.exists(path) for path in paths]
     if not any(present):
@@ -236,7 +237,12 @@ def _all_or_none(directory, names: list[str], read):
     if not all(present):
         missing = names[present.index(False)]
         raise ValueError(f"scene directory {directory} has some rasters of this kind but lacks {missing}")
-    return tuple(read(path) for path in paths)
+    rasters = tuple(read(path) for path in paths)
+    for path, raster in zip(paths, rasters):
+        h, w = raster.shape[-2:]
+        if (h, w) != (cam.height, cam.width):
+            raise ValueError(f"{path}: raster is {w} x {h}, but intrinsics.txt gives {cam.width} x {cam.height}")
+    return rasters
 
 
 def _frame_id(directory, name: str) -> int:
@@ -252,7 +258,7 @@ def _frame_id(directory, name: str) -> int:
 def SceneOnDisk(directory) -> Scene:
     """Read a scene directory written by write_scene (or any matching
     external data), keeping its frame ids, which must equal trajectory.txt's
-    indices."""
+    indices; every raster must be intrinsics.txt's width x height."""
     if not os.path.isdir(directory):
         raise ValueError(f"scene path {directory} is not a directory")
     cam = read_intrinsics(os.path.join(directory, "intrinsics.txt"))
@@ -266,7 +272,7 @@ def SceneOnDisk(directory) -> Scene:
     return Scene(
         cam=cam,
         trajectory=traj,
-        frames=tuple(read_ppm(os.path.join(directory, f"frame_{k:03d}.ppm")) for k in ids),
-        depths=_all_or_none(directory, [f"depth_{k:03d}.pfm" for k in ids], read_pfm),
-        labels=_all_or_none(directory, [f"labels_{k:03d}.pgm" for k in ids], read_pgm),
+        frames=_all_or_none(directory, [f"frame_{k:03d}.ppm" for k in ids], read_ppm, cam),
+        depths=_all_or_none(directory, [f"depth_{k:03d}.pfm" for k in ids], read_pfm, cam),
+        labels=_all_or_none(directory, [f"labels_{k:03d}.pgm" for k in ids], read_pgm, cam),
     )

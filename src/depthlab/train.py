@@ -213,11 +213,21 @@ def _validation_frames(targets: list[int]) -> list[int]:
 
 
 def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
-    """Run the full loop; returns (model, records). Divergence aborts with
-    the last good checkpoint written next to the requested path, so a path
-    in a missing directory is refused before the log is opened, and so is
-    one where the checkpoint, the rescue ``<checkpoint>.last_good`` or the
-    ``.tmp`` file either is saved through would land on a directory."""
+    """Run the full loop; returns (model, records). The scene must carry
+    depths (the per-epoch validation scores against them) and labels (the
+    smoothness term reads them), and at least one target: 2 * stride + 1
+    frames. Divergence aborts with the last good checkpoint written next to
+    the requested path, so a path in a missing directory is refused before
+    the log is opened, and so is one where the checkpoint, the rescue
+    ``<checkpoint>.last_good`` or the ``.tmp`` file either is saved through
+    would land on a directory. Each refusal comes before the model is built."""
+    missing = [name for name in ("depths", "labels") if getattr(scene, name) is None]
+    if missing:
+        raise ValueError(f"scene has no {' or '.join(missing)}: training reads depth and label rasters")
+    stride = config.triplet_stride
+    targets = list(range(stride, len(scene) - stride))
+    if not targets:
+        raise ValueError(f"scene with {len(scene)} frames leaves no target at stride {stride}")
     if checkpoint_path:
         directory = os.path.dirname(os.path.abspath(checkpoint_path))
         if not os.path.isdir(directory):
@@ -230,11 +240,6 @@ def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
     trainables = [(n, p) for n, p in model.named_parameters() if p.requires_grad]
     opt = Adam(trainables, lr=config.lr)
     frozen_before = frozen_checksums(model)
-
-    stride = config.triplet_stride
-    targets = list(range(stride, len(scene) - stride))
-    if not targets:
-        raise ValueError(f"scene with {len(scene)} frames leaves no target at stride {stride}")
 
     records: list[EpochRecord] = []
     log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
@@ -318,7 +323,9 @@ def load_model(path, image_hw: tuple[int, int]) -> tuple[ModelBundle, int]:
 def evaluate_scene(model: ModelBundle, scene):
     """Per-frame depth reports plus mean aggregates and the 5-frame ATE as
     (mean, segments); a scene of fewer than 5 frames has no ATE window and
-    gets (None, [])."""
+    gets (None, []). The scene must carry depths."""
+    if scene.depths is None:
+        raise ValueError("scene has no depths: evaluation scores against depth rasters")
     reports = _depth_reports(model, scene, range(len(scene)))
     aggregate = {key: float(np.mean([getattr(r, key) for r in reports])) for key in DEPTH_METRICS}
     ate = evaluate_pose(model, scene) if len(scene) >= 5 else (None, [])

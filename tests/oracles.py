@@ -13,7 +13,9 @@ ground-truth co-visibility raster. Finite differences are central, step
 1e-6 unless stated.
 """
 
+import functools
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -358,15 +360,24 @@ def _edit_checkpoint(path_in, path_out, edit) -> None:
         fh.write(blob[:12] + len(text).to_bytes(8, "little") + text + blob[start + length :] + extra)
 
 
-def with_header_config(path_in, path_out, **entries) -> None:
-    """Copy a checkpoint with `entries` merged into its header config: a
-    file as a writer with other config fields would have left it."""
+_DELETE = object()
+
+
+def header_edit(*keys, value=_DELETE):
+    """An edit for `_edit_checkpoint` that sets the header value at the path
+    `keys` (object keys and list indices) to `value`, or deletes it when no
+    value is given: a file no writer of this format leaves."""
 
     def edit(header):
-        header["config"].update(entries)
+        *path, last = keys
+        target = functools.reduce(operator.getitem, path, header)
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
         return b""
 
-    _edit_checkpoint(path_in, path_out, edit)
+    return edit
 
 
 def with_second_entry(path_in, path_out, name: str, value) -> None:
@@ -380,17 +391,6 @@ def with_second_entry(path_in, path_out, name: str, value) -> None:
         value_f8 = np.ascontiguousarray(value, dtype="<f8")
         header["tensors"].append({"name": name, "shape": list(value_f8.shape), "frozen": frozen})
         return value_f8.tobytes()
-
-    _edit_checkpoint(path_in, path_out, edit)
-
-
-def without_header_key(path_in, path_out, key: str) -> None:
-    """Copy a checkpoint with `key` dropped from its header: a file no
-    writer of this format leaves."""
-
-    def edit(header):
-        del header[key]
-        return b""
 
     _edit_checkpoint(path_in, path_out, edit)
 

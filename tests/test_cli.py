@@ -16,7 +16,7 @@ from depthlab.geometry import CameraModel
 from depthlab.scene import generate_scene
 from depthlab.train import ModelBundle, load_model, save_model
 
-from oracles import _edit_checkpoint, shift_frame_ids, with_header_config, with_second_entry, without_header_key
+from oracles import _edit_checkpoint, header_edit, shift_frame_ids, with_second_entry
 
 
 def test_package_and_cli_import_numpy_but_no_scipy():
@@ -131,6 +131,11 @@ def _untrained_checkpoint(tmp_path, edit=None):
     return checkpoint
 
 
+def _small(*pairs: str) -> list[str]:
+    """--set arguments for the small model `_untrained_checkpoint` builds, then `pairs`."""
+    return [arg for pair in ["embed_dim=32", "depth_blocks=1", "mixer_after=1", "rank=2", *pairs] for arg in ("--set", pair)]
+
+
 def test_eval_pose_rejects_a_scene_trajectory_on_other_frames(tmp_path, capsys):
     scene_dir = _scene_dir(tmp_path)
     trajectory = scene_dir / "trajectory.txt"
@@ -204,8 +209,7 @@ FORMER_KEYS = {
 def test_a_former_config_key_is_unknown_wherever_it_comes_in(tmp_path, capsys, key, source):
     unknown = f"unknown config key '{key}'"
     if source == "header":
-        old = tmp_path / "old.npz"
-        with_header_config(_untrained_checkpoint(tmp_path), old, **{key: FORMER_KEYS[key]})
+        old = _untrained_checkpoint(tmp_path, header_edit("config", key, value=FORMER_KEYS[key]))
         with pytest.raises(ValueError, match=unknown):
             load_model(old, (16, 16))
         return
@@ -267,27 +271,31 @@ def test_train_rejects_a_bad_optimizer_setting_before_any_step(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
-    "argv, wrong",
+    "argv, wrong, message",
     [
-        (["train", "--scene", "scene", "--checkpoint", "wrong", "--log", "train.log"], "directory"),
-        (["train", "--scene", "scene", "--checkpoint", "m.ckpt", "--log", "wrong"], "directory"),
-        (["eval-depth", "--checkpoint", "wrong", "--scene", "scene"], "directory"),
-        (["eval-depth", "--checkpoint", "model.npz", "--scene", "wrong"], "file"),
-        (["report", "--log", "wrong"], "directory"),
+        ("train --scene scene --checkpoint wrong --log train.log", "directory", "checkpoint path wrong is a directory"),
+        ("train --scene scene --checkpoint m.ckpt --log wrong", "directory", "Is a directory: 'wrong'"),
+        ("train --scene scene --checkpoint wrong/m.ckpt --log train.log", None, "wrong does not exist"),
+        ("eval-depth --checkpoint wrong --scene scene", "directory", "Is a directory: 'wrong'"),
+        ("eval-depth --checkpoint model.npz --scene wrong", "file", "scene path wrong is not a directory"),
+        ("report --log wrong", "directory", "Is a directory: 'wrong'"),
     ],
-    ids=["train-checkpoint", "train-log", "eval-depth-checkpoint", "eval-depth-scene", "report-log"],
+    ids=["train-checkpoint", "train-log", "train-checkpoint-nodir", "eval-depth-checkpoint", "eval-depth-scene", "report-log"],
 )
-def test_a_path_of_the_wrong_kind_is_a_validation_failure(tmp_path, monkeypatch, capsys, argv, wrong):
+def test_a_path_of_the_wrong_kind_is_a_validation_failure(tmp_path, monkeypatch, capsys, argv, wrong, message):
     _scene_dir(tmp_path)
     _untrained_checkpoint(tmp_path)
     monkeypatch.chdir(tmp_path)
-    Path("wrong").mkdir() if wrong == "directory" else Path("wrong").write_text("")
-    assert cli.main(argv) == 2
+    if wrong == "directory":
+        Path("wrong").mkdir()
+    elif wrong == "file":
+        Path("wrong").write_text("")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert cli.main(argv.split()) == 2
     captured = capsys.readouterr()
-    # the path given, not a file inside it
-    assert captured.err.startswith("error: ") and "wrong" in captured.err and "intrinsics.txt" not in captured.err
+    assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n")
     assert captured.out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz", "scene", "wrong"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # nothing written, no log either
 
 
 @pytest.mark.parametrize("suffix", [".tmp", ".last_good", ".last_good.tmp"], ids=["tmp", "last_good", "last_good-tmp"])
@@ -314,9 +322,8 @@ def test_report_on_an_empty_log_is_a_validation_failure(tmp_path, capsys):
 def test_train_log_then_report_prints_one_row_per_epoch(tmp_path, capsys):
     scene_dir = _scene_dir(tmp_path)
     log = tmp_path / "train.log"
-    small = ["embed_dim=32", "depth_blocks=1", "mixer_after=1", "rank=2", "epochs=2"]
     argv = ["train", "--scene", str(scene_dir), "--checkpoint", str(tmp_path / "m.ckpt"), "--log", str(log)]
-    assert cli.main(argv + [arg for item in small for arg in ("--set", item)]) == 0
+    assert cli.main(argv + _small("epochs=2")) == 0
     capsys.readouterr()
 
     assert cli.main(["report", "--log", str(log)]) == 0
@@ -325,6 +332,27 @@ def test_train_log_then_report_prints_one_row_per_epoch(tmp_path, capsys):
         "epoch", "step", "lr", "loss", "reconstruction", "reflectance", "synthesis", "smoothness", "val_abs_rel"
     ]
     assert [row.split("\t")[:2] for row in rows] == [["1", "4"], ["2", "8"]]  # 4 targets per epoch, batch 1
+
+
+@pytest.mark.parametrize(
+    "variant, steps",
+    [
+        (["batch_size=4", "source_aggregation=min"], 1),  # targets 1-4 in one step
+        (["batch_size=2", "triplet_stride=2"], 1),  # targets 2 and 3 share no frame
+        (["bypass_decomposition=True"], 4),
+        (["adapter=plain"], 4),
+    ],
+    ids=["batch-4-min", "batch-2-stride-2", "bypass", "plain-adapter"],
+)
+def test_a_training_variant_trains_then_evaluates(tmp_path, capsys, variant, steps):
+    scene_dir, checkpoint = str(_scene_dir(tmp_path)), str(tmp_path / "m.ckpt")
+    assert cli.main(["train", "--scene", scene_dir, "--checkpoint", checkpoint, *_small("epochs=1", *variant)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"trained {steps} steps over 1 epochs")
+    assert all(f"\n{pair}\n" in out for pair in variant)  # the config used, as printed
+    for command in ("eval-depth", "eval-pose"):
+        assert cli.main([command, "--checkpoint", checkpoint, "--scene", scene_dir]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_eval_depth_prints_frames_mean_and_ate(tmp_path, capsys):
@@ -340,9 +368,7 @@ def test_eval_depth_prints_frames_mean_and_ate(tmp_path, capsys):
 def test_a_four_frame_scene_gets_depth_rows_without_an_ate(tmp_path, capsys):
     scene_dir, checkpoint = tmp_path / "scene", str(tmp_path / "m.ckpt")
     assert cli.main(["gen-scene", "--size", "16", "--frames", "4", "--out", str(scene_dir)]) == 0
-    small = ["embed_dim=32", "depth_blocks=1", "mixer_after=1", "rank=2", "epochs=1"]
-    argv = ["train", "--scene", str(scene_dir), "--checkpoint", checkpoint]
-    assert cli.main(argv + [arg for item in small for arg in ("--set", item)]) == 0
+    assert cli.main(["train", "--scene", str(scene_dir), "--checkpoint", checkpoint, *_small("epochs=1")]) == 0
     capsys.readouterr()
 
     assert cli.main(["eval-depth", "--checkpoint", checkpoint, "--scene", str(scene_dir)]) == 0
@@ -355,26 +381,33 @@ def test_a_four_frame_scene_gets_depth_rows_without_an_ate(tmp_path, capsys):
     assert "need at least 5 poses, got 4" in capsys.readouterr().err
 
 
-def test_eval_depth_names_a_label_raster_cut_short(tmp_path, capsys):
-    scene_dir = _scene_dir(tmp_path)
-    labels = scene_dir / "labels_002.pgm"
-    labels.write_bytes(labels.read_bytes()[:-5])
-    argv = ["eval-depth", "--checkpoint", str(_untrained_checkpoint(tmp_path)), "--scene", str(scene_dir)]
-    assert cli.main(argv) == 2
+@pytest.mark.parametrize(
+    "command, name, damage, message",
+    [
+        ("eval-depth", "model.npz", lambda b: b[:-8], "checkpoint truncated while reading 'decomp.shading_head.bias'"),
+        ("eval-depth", "scene/labels_002.pgm", lambda b: b[:-5], "{path} truncated: expected 256 bytes, got 251"),
+        ("eval-depth", "scene/depth_000.pfm", lambda b: b"Pf\n16 x" + b[8:], "{path}: invalid literal for int() with base 10: 'x'"),
+        (
+            "eval-pose",
+            "scene/trajectory.txt",
+            lambda b: b"0 0 0 0 0 0 0 0" + b[b.index(b"\n") :],
+            "{path} line 1: quaternion norm 0.0 is not a positive finite number",
+        ),
+        (
+            "eval-pose",
+            "scene/trajectory.txt",
+            lambda b: b"0 nan 0 0 1 0 0 0" + b[b.index(b"\n") :],
+            "{path} line 1: translation must be finite, got [nan  0.  0.]",
+        ),
+    ],
+    ids=["checkpoint-cut", "labels-cut", "depth-size-line", "zero-quaternion", "nan-translation"],
+)
+def test_a_malformed_scene_or_checkpoint_file_is_refused_by_name(tmp_path, capsys, command, name, damage, message):
+    scene_dir, checkpoint, path = _scene_dir(tmp_path), _untrained_checkpoint(tmp_path), tmp_path / name
+    path.write_bytes(damage(path.read_bytes()))
+    assert cli.main([command, "--checkpoint", str(checkpoint), "--scene", str(scene_dir)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {labels} truncated: expected 256 bytes, got 251\n"
-    assert captured.out == ""
-
-
-def test_eval_pose_names_a_trajectory_line_with_a_zero_quaternion(tmp_path, capsys):
-    scene_dir = _scene_dir(tmp_path)
-    trajectory = scene_dir / "trajectory.txt"
-    lines = trajectory.read_text().splitlines()
-    trajectory.write_text("".join(line + "\n" for line in ["0 0 0 0 0 0 0 0", *lines[1:]]))
-    argv = ["eval-pose", "--checkpoint", str(_untrained_checkpoint(tmp_path)), "--scene", str(scene_dir)]
-    assert cli.main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {trajectory} line 1: quaternion norm 0.0 is not a positive finite number\n"
+    assert captured.err == f"error: {message.format(path=path)}\n"
     assert captured.out == ""
 
 
@@ -416,11 +449,36 @@ def test_a_checkpoint_naming_a_tensor_twice_is_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["config", "step", "tensors"])
 def test_a_checkpoint_header_lacking_a_key_is_refused(tmp_path, capsys, key):
-    checkpoint = tmp_path / "lacking.npz"
-    without_header_key(_untrained_checkpoint(tmp_path), checkpoint, key)
-    argv = ["eval-depth", "--checkpoint", str(checkpoint), "--scene", str(_scene_dir(tmp_path))]
+    argv = ["eval-depth", "--checkpoint", str(_untrained_checkpoint(tmp_path, header_edit(key))), "--scene", str(_scene_dir(tmp_path))]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: checkpoint header lacks '{key}'\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (header_edit("config", value=[]), "checkpoint header 'config' is not a JSON object"),
+        (header_edit("step", value="0"), "checkpoint header 'step' is not a non-negative integer"),
+        (header_edit("tensors", value={}), "checkpoint header 'tensors' is not a JSON list"),
+        (header_edit("tensors", 0, value="depth.embed.weight"), "checkpoint tensor entry 0 is not a JSON object"),
+        (header_edit("tensors", 1, "name"), "checkpoint tensor entry 1 lacks 'name'"),
+        (header_edit("tensors", 1, "shape"), "checkpoint tensor entry 1 lacks 'shape'"),
+        (header_edit("tensors", 1, "frozen"), "checkpoint tensor entry 1 lacks 'frozen'"),
+        (header_edit("tensors", 1, "name", value=7), "checkpoint tensor entry 1 'name' is not a string"),
+        (header_edit("tensors", 1, "shape", value="3"), "checkpoint tensor entry 1 'shape' is not a list of non-negative integers"),
+        (header_edit("tensors", 1, "shape", value=[-1]), "checkpoint tensor entry 1 'shape' is not a list of non-negative integers"),
+        (header_edit("tensors", 1, "shape", value=[True]), "checkpoint tensor entry 1 'shape' is not a list of non-negative integers"),
+        (header_edit("tensors", 1, "frozen", value=0), "checkpoint tensor entry 1 'frozen' is not a boolean"),
+    ],
+    ids=[
+        "config-list", "step-string", "tensors-object", "entry-string", "entry-lacks-name", "entry-lacks-shape",
+        "entry-lacks-frozen", "name-number", "shape-string", "shape-negative", "shape-boolean", "frozen-number",
+    ],
+)
+def test_a_checkpoint_header_value_of_a_wrong_type_is_refused(tmp_path, capsys, edit, message):
+    argv = ["eval-depth", "--checkpoint", str(_untrained_checkpoint(tmp_path, edit)), "--scene", str(_scene_dir(tmp_path))]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_report_on_a_malformed_line_is_a_validation_failure(tmp_path, capsys):

@@ -298,6 +298,24 @@ class TestSceneDirectory:
         assert copy.labels is None and len(copy.depths) == 6
         assert not list((tmp_path / "copy").glob("labels_*"))
 
+    @pytest.mark.parametrize(
+        "name, write, value",
+        [
+            ("frame_001.ppm", write_ppm, np.zeros((3, 8, 8))),
+            ("depth_001.pfm", write_pfm, np.ones((8, 8))),
+            ("labels_001.pgm", write_pgm, np.zeros((8, 8), dtype=np.uint8)),
+        ],
+        ids=["frame", "depth", "labels"],
+    )
+    def test_a_raster_of_another_size_is_rejected_by_name(self, tmp_path, name, write, value):
+        cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
+        directory = tmp_path / "scene"
+        write_scene(directory, generate_scene("two_spheres", 3, seed=5, cam=cam))
+        write(directory / name, value)
+        message = f"{directory / name}: raster is 8 x 8, but intrinsics.txt gives 16 x 16"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SceneOnDisk(directory)
+
     def test_missing_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match=re.escape(f"scene path {tmp_path / 'nope'} is not a directory")):
             SceneOnDisk(tmp_path / "nope")

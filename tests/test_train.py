@@ -364,6 +364,19 @@ def _parameters(path):
     return {name: p.data for name, p in model.named_parameters()}, step
 
 
+@pytest.mark.parametrize("missing", ["labels", "depths"])
+def test_a_scene_without_depths_or_labels_is_refused_before_anything_is_built(scene, tmp_path, monkeypatch, missing):
+    lacking = dataclasses.replace(scene, **{missing: None})
+    model = ModelBundle(TrainConfig(**SMALL), (16, 16))
+    monkeypatch.setattr(train_module, "ModelBundle", None)  # building one fails
+    with pytest.raises(ValueError, match=f"scene has no {missing}: training reads depth and label rasters"):
+        train(lacking, TrainConfig(**SMALL), log_path=tmp_path / "train.log", checkpoint_path=tmp_path / "model.npz")
+    assert list(tmp_path.iterdir()) == []  # no log, no checkpoint
+    if missing == "depths":
+        with pytest.raises(ValueError, match="scene has no depths: evaluation scores against depth rasters"):
+            evaluate_scene(model, lacking)
+
+
 def test_a_checkpoint_path_in_a_missing_directory_is_refused_before_any_step(scene, tmp_path):
     # the checkpoint and the divergence rescue would both be written there
     log = tmp_path / "train.log"
