@@ -660,38 +660,22 @@ def softmax(a) -> Tensor:
     return Tensor._from_op(out_data, (a,), bw)
 
 
-def layer_norm(x, gain, bias) -> Tensor:
-    """Normalize over the last axis (variance plus 1e-5), then scale and
-    shift.
-
-    gain and bias are 1-d with the size of the last axis.
-    """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ValueError(f"layer_norm gain/bias must have shape ({d},), got {gain.shape} and {bias.shape}")
+def layer_norm(x) -> Tensor:
+    """Normalize over the last axis: subtract the mean and divide by the
+    square root of the variance plus 1e-5. There is no gain or bias: a
+    pretrained pair would fold into the linears that read the output."""
+    x = as_tensor(x)
     xhat = x.data - np.mean(x.data, axis=-1, keepdims=True)
     var = np.mean(np.square(xhat), axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv_std
-    out_data = xhat * gain.data
-    out_data += bias.data
-    gain_grad, bias_grad = gain.requires_grad, bias.requires_grad
-    gd = gain.data if x.requires_grad else None  # only the input's gradient reads the gain
 
     def bw(g):
-        lead_axes = tuple(range(g.ndim - 1))
-        ggain = np.sum(g * xhat, axis=lead_axes) if gain_grad else None
-        gbias = np.sum(g, axis=lead_axes) if bias_grad else None
-        gx = None
-        if gd is not None:
-            gxhat = g * gd
-            m1 = np.mean(gxhat, axis=-1, keepdims=True)
-            m2 = np.mean(gxhat * xhat, axis=-1, keepdims=True)
-            gx = inv_std * (gxhat - m1 - xhat * m2)
-        return (gx, ggain, gbias)
+        m1 = np.mean(g, axis=-1, keepdims=True)
+        m2 = np.mean(g * xhat, axis=-1, keepdims=True)
+        return (inv_std * (g - m1 - xhat * m2),)
 
-    return Tensor._from_op(out_data, (x, gain, bias), bw)
+    return Tensor._from_op(xhat, (x,), bw)
 
 
 # -- structural ops --------------------------------------------------------------------------

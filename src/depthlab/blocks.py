@@ -4,10 +4,12 @@ attention, a depth decoder emitting one full-resolution depth map on
 [D_MIN, D_MAX], a pose head, and a reflectance/shading decomposition head.
 
 The encoder stands in for a large pretrained backbone: its patch
-embedding, attention projections, MLP weights, layer norms, and sinusoidal
-position table are all frozen; learning reaches it only through the
-adapters on the two MLP linears of each block (plus the inserted residual
-mixer blocks and the decoder, which are trainable like a depth head).
+embedding, attention projections and MLP weights are all frozen; learning
+reaches it only through the adapters on the two MLP linears of each block
+(plus the inserted residual mixer blocks and the decoder, which are
+trainable like a depth head). Its layer norms have no affine and its
+sinusoidal position table is a read-only constant, so neither is a
+parameter.
 The decoder sees no pixels: depth reaches it only through the encoder's
 token grid. Depth spans the fixed range 0.1..100 (D_MIN..D_MAX).
 """
@@ -21,7 +23,7 @@ from .adapters import make_adapter
 from .autodiff import Tensor
 from .config import TrainConfig
 from .geometry import rotation_from_axis_angle
-from .nn import Conv2d, DepthwiseConv2d, LayerNorm, Linear, Module
+from .nn import Conv2d, DepthwiseConv2d, Linear, Module
 
 PATCH = 8  # token side in pixels: the depth decoder's three 2x stages upsample by 8
 HEADS = 4  # attention heads per encoder block: embed_dim must be a multiple of it
@@ -98,12 +100,10 @@ class TransformerBlock(Module):
     linears carry the (optional) adapters, drawn from seed and seed + 1."""
 
     def __init__(self, dim: int, rng: np.random.Generator, adapter_mode: str, rank: int, seed: int):
-        self.norm1 = LayerNorm(dim)
         self.wq = Linear(dim, dim, rng, frozen=True)
         self.wk = Linear(dim, dim, rng, frozen=True)
         self.wv = Linear(dim, dim, rng, frozen=True)
         self.wo = Linear(dim, dim, rng, frozen=True)
-        self.norm2 = LayerNorm(dim)
         hidden = 4 * dim
         self.fc1 = Linear(dim, hidden, rng, frozen=True)
         self.fc2 = Linear(hidden, dim, rng, frozen=True)
@@ -111,9 +111,9 @@ class TransformerBlock(Module):
         self.adapter2 = make_adapter(adapter_mode, dim, hidden, rank, seed + 1)
 
     def __call__(self, x: Tensor) -> Tensor:
-        a = self.norm1(x)
+        a = ad.layer_norm(x)
         x = x + self.wo(ad.attention(self.wq(a), self.wk(a), self.wv(a), HEADS))
-        h = self.fc1(self.norm2(x), self.adapter1)
+        h = self.fc1(ad.layer_norm(x), self.adapter1)
         h = ad.gelu(h)
         h = self.fc2(h, self.adapter2)
         return x + h
@@ -176,7 +176,8 @@ class ToyDepthNet(Module):
         self.embed_dim = dim
         n_tokens = self.grid_hw[0] * self.grid_hw[1]
         self.embed = Linear(3 * PATCH * PATCH, dim, rng, frozen=True)
-        self.positions = Tensor(sinusoidal_positions(n_tokens, dim))
+        self.positions = sinusoidal_positions(n_tokens, dim)  # a constant of the grid, not a parameter
+        self.positions.flags.writeable = False  # guards it as a frozen checksum guards a weight
         self.blocks = [
             TransformerBlock(dim, rng, config.adapter, config.rank, config.seed + 10 * i)
             for i in range(1, n_blocks + 1)

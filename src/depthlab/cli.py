@@ -2,7 +2,9 @@
 
 Subcommands: gen-scene, train, eval-depth, eval-pose, params, report.
 gen-scene renders a square scene whose camera has fx = fy = --size and its
-principal point at the image centre; report prints a tab-separated table.
+principal point at the image centre; params prints the trainable and
+total counts, which no image size changes; report prints a tab-separated
+table.
 Exit codes: 0 success, 2 validation failure (bad arguments, a missing
 path or one of the wrong kind, a malformed config, scene or checkpoint
 file, shape mismatches), 1 runtime error. A diverged training run is a
@@ -17,6 +19,7 @@ import argparse
 import json
 import sys
 
+from .blocks import PATCH
 from .config import TrainConfig, config_to_text, load_config, parse_config_text
 from .evalmetrics import DEPTH_METRICS
 from .formats import SceneOnDisk, write_scene
@@ -52,10 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scene", required=True)
 
-    p = sub.add_parser("params", help="trainable/total parameter counts of the model")
+    p = sub.add_parser("params", help="trainable/total parameter counts of the model, the same at every image size")
     p.add_argument("--config", default=None)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p.add_argument("--size", type=int, default=64)
 
     p = sub.add_parser("report", help="aggregate a training log into a tab-separated table")
     p.add_argument("--log", required=True)
@@ -117,7 +119,7 @@ def _cmd_eval_pose(args) -> int:
 
 def _cmd_params(args) -> int:
     cfg = _load_cli_config(args)
-    model = ModelBundle(cfg, (args.size, args.size))
+    model = ModelBundle(cfg, (PATCH, PATCH))  # no parameter depends on the image size
     for name, module in [("depth_net", model.depth), ("pose_net", model.pose), ("decomposition", model.decomp), ("full_model", model)]:
         trainable, total = trainable_param_count(module)
         ratio = trainable / total if total else 0.0

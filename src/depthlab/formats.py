@@ -210,7 +210,9 @@ def write_scene(directory, scene: Scene) -> None:
     trajectory and intrinsics text files; depth and label rasters only when
     the scene has them. A directory holding a frame_*.ppm this scene lacks
     is refused before anything is written: no reader could pair it with the
-    new trajectory."""
+    new trajectory. So is a path that exists but is not a directory."""
+    if os.path.exists(directory) and not os.path.isdir(directory):
+        raise ValueError(f"scene path {directory} is not a directory")
     names = {f"frame_{frame_id:03d}.ppm" for frame_id in scene.trajectory.indices}
     for name in sorted(os.listdir(directory)) if os.path.isdir(directory) else ():
         if name.startswith("frame_") and name.endswith(".ppm") and name not in names:

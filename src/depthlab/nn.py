@@ -111,14 +111,3 @@ class DepthwiseConv2d(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return ad.depthwise_conv2d(x, self.weight, self.bias, padding=self.padding)
 
-
-class LayerNorm(Module):
-    """Frozen layer norm over the last axis: unit gain and zero bias, as in
-    the frozen encoder it belongs to."""
-
-    def __init__(self, dim: int):
-        self.gain = Tensor(np.ones(dim))
-        self.bias = Tensor(np.zeros(dim))
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gain, self.bias)

@@ -217,10 +217,11 @@ def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
     depths (the per-epoch validation scores against them) and labels (the
     smoothness term reads them), and at least one target: 2 * stride + 1
     frames. Divergence aborts with the last good checkpoint written next to
-    the requested path, so a path in a missing directory is refused before
-    the log is opened, and so is one where the checkpoint, the rescue
-    ``<checkpoint>.last_good`` or the ``.tmp`` file either is saved through
-    would land on a directory. Each refusal comes before the model is built."""
+    the requested path, so a path in a missing directory or under a file is
+    refused before the log is opened, and so is one where the checkpoint,
+    the rescue ``<checkpoint>.last_good`` or the ``.tmp`` file either is
+    saved through would land on a directory. Each refusal comes before the
+    model is built."""
     missing = [name for name in ("depths", "labels") if getattr(scene, name) is None]
     if missing:
         raise ValueError(f"scene has no {' or '.join(missing)}: training reads depth and label rasters")
@@ -231,7 +232,8 @@ def train(scene, config: TrainConfig, log_path=None, checkpoint_path=None):
     if checkpoint_path:
         directory = os.path.dirname(os.path.abspath(checkpoint_path))
         if not os.path.isdir(directory):
-            raise ValueError(f"checkpoint directory {directory} does not exist")
+            kind = "is not a directory" if os.path.exists(directory) else "does not exist"
+            raise ValueError(f"checkpoint directory {directory} {kind}")
         for suffix in ("", ".tmp", ".last_good", ".last_good.tmp"):
             if os.path.isdir(f"{checkpoint_path}{suffix}"):
                 raise ValueError(f"checkpoint path {checkpoint_path}{suffix} is a directory")
@@ -314,9 +316,11 @@ def save_model(path, model: ModelBundle, config: TrainConfig, step: int) -> None
 
 
 def load_model(path, image_hw: tuple[int, int]) -> tuple[ModelBundle, int]:
-    """Rebuild the model a checkpoint holds; the checkpoint does not record
-    the image size, so the caller passes it. Each payload is read straight
-    into the freshly built model's own parameter array."""
+    """Rebuild the model a checkpoint holds at the image size the caller
+    passes. No parameter depends on the image size, so a checkpoint loads at
+    any size the patch grid fits, whatever size it was trained at. Each
+    payload is read straight into the freshly built model's own parameter
+    array."""
     return load_module(path, lambda config: ModelBundle(config, image_hw))
 
 

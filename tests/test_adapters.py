@@ -214,10 +214,10 @@ class TestDrawPins:
     @pytest.mark.parametrize(
         "fields, digest",
         [
-            ({}, "75e726300ed386242947f119b1a916bad874c5859317a9ce43aecebe18e989db"),
-            ({**SMALL, "adapter": "none"}, "1b3c8ee69ae5253fee8924632a381bf401f31cd268ca50ba085e40999c065365"),
-            ({**SMALL, "adapter": "plain"}, "fb9298e32fd64c3469234100ac73937000e75218f52c05ebc96a297661e5cd88"),
-            ({**SMALL, "adapter": "scaled"}, "849f437c6bedd73624da51ba50a3b5183ed1d4d07a6f195562d573dcc3e17918"),
+            ({}, "946adda00ce81c8ca225b41f74eb9a4a5599d4859aed672924f9caee8610ba76"),
+            ({**SMALL, "adapter": "none"}, "218d9b7eae637001f38c30d36f46ebd510e9b3a0e845d20d6bf2bf305a57454b"),
+            ({**SMALL, "adapter": "plain"}, "ea389db8b06690d2e89106b90c77b211d94cc8af60212578e2dc7185f4fdb2f3"),
+            ({**SMALL, "adapter": "scaled"}, "4d3d3b87840719b5a338186752abbd268c044e86ba2cc0b6d2d80611b78932a0"),
         ],
     )
     def test_saved_model_bytes(self, tmp_path, fields, digest):

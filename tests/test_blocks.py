@@ -179,6 +179,12 @@ class TestToyDepthNet:
         adapter.down.assign(a0)
         assert rel_err(analytic, numeric) <= 1e-4
 
+    def test_the_position_table_is_a_read_only_constant(self):
+        net = ToyDepthNet(TrainConfig(embed_dim=32, depth_blocks=1, mixer_after=(1,)), (16, 16), rng())
+        assert "positions" not in {name for name, _ in net.named_parameters()}
+        with pytest.raises(ValueError, match="read-only"):
+            net.positions[0, 0] = 1.0
+
     def test_rejects_bad_patch_geometry(self):
         with pytest.raises(ValueError, match="divisible"):
             ToyDepthNet(TrainConfig(), (30, 30), rng())

@@ -127,6 +127,16 @@ class TestCheckpoint:
         assert loaded.config == config
         _assert_same_parameters(model, loaded)
 
+    def test_a_checkpoint_loads_at_another_image_size(self, tmp_path):
+        # no parameter depends on the image size: a 16x16 model runs at 32x48
+        config, model = _tiny(3)
+        path = tmp_path / "model.ckpt"
+        save_model(path, model, config, step=1)
+        loaded, _ = load_model(path, (32, 48))
+        _assert_same_parameters(model, loaded)
+        image = np.random.default_rng(4).uniform(0, 1, (3, 32, 48))
+        assert loaded.depth(Tensor(image)).shape == (32, 48)
+
     def test_save_load_save_is_byte_identical(self, tmp_path):
         config, model = _tiny(2)
         path1 = tmp_path / "a.ckpt"

@@ -29,7 +29,7 @@ def test_package_and_cli_import_numpy_but_no_scipy():
 
 
 def _full_model_counts(capsys, *args: str) -> tuple[int, int]:
-    assert cli.main(["params", "--size", "16", *args]) == 0
+    assert cli.main(["params", *args]) == 0
     (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("full_model")]
     fields = dict(field.split("=") for field in line.split("\t")[1:])
     return int(fields["trainable"]), int(fields["total"])
@@ -45,34 +45,28 @@ def test_params_counts_adapter_parameters(capsys):
 
 
 def test_params_rejects_a_repeated_mixer_position(capsys):
-    assert cli.main(["params", "--size", "64", "--set", "mixer_after=2,2"]) == 2
+    assert cli.main(["params", "--set", "mixer_after=2,2"]) == 2
     assert "repeat" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("depth_blocks", ["0", "-3"])
 def test_params_rejects_depth_blocks_below_one(capsys, depth_blocks):
-    assert cli.main(["params", "--size", "16", "--set", f"depth_blocks={depth_blocks}", "--set", "mixer_after="]) == 2
+    assert cli.main(["params", "--set", f"depth_blocks={depth_blocks}", "--set", "mixer_after="]) == 2
     assert f"depth_blocks must be >= 1, got {depth_blocks}" in capsys.readouterr().err
 
 
 def test_params_names_embed_dim_when_the_heads_do_not_divide_it(capsys):
-    assert cli.main(["params", "--size", "16", "--set", "embed_dim=30", "--set", "mixer_after="]) == 2
+    assert cli.main(["params", "--set", "embed_dim=30", "--set", "mixer_after="]) == 2
     assert "embed_dim must be a multiple of 4, the head count, got 30" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("size", ["0", "-8"])
-def test_params_rejects_an_image_smaller_than_one_patch(capsys, size):
-    assert cli.main(["params", "--size", size]) == 2
-    assert f"image {size}x{size} is smaller than one 8x8 patch" in capsys.readouterr().err
-
-
 def test_params_names_a_rank_below_one_even_without_adapters(capsys):
-    assert cli.main(["params", "--size", "16", "--set", "rank=-1", "--set", "adapter=none"]) == 2
+    assert cli.main(["params", "--set", "rank=-1", "--set", "adapter=none"]) == 2
     assert "rank must be >= 1, got -1" in capsys.readouterr().err
 
 
 def test_params_names_a_negative_seed(capsys):
-    assert cli.main(["params", "--size", "16", "--set", "seed=-1"]) == 2
+    assert cli.main(["params", "--set", "seed=-1"]) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
@@ -219,7 +213,7 @@ def test_a_former_config_key_is_unknown_wherever_it_comes_in(tmp_path, capsys, k
         args = ["--config", str(tmp_path / "run.cfg")]
     else:
         args = ["--set", pair]
-    assert cli.main(["params", "--size", "16", *args]) == 2
+    assert cli.main(["params", *args]) == 2
     captured = capsys.readouterr()
     assert unknown in captured.err and captured.out == ""
 
@@ -235,15 +229,15 @@ def test_set_beats_a_config_file_line(tmp_path, capsys):
 
 
 def test_a_key_set_twice_on_the_command_line_is_refused(capsys):
-    assert cli.main(["params", "--size", "16", "--set", "adapter=none", "--set", "adapter=plain"]) == 2
+    assert cli.main(["params", "--set", "adapter=none", "--set", "adapter=plain"]) == 2
     assert "config key 'adapter' is set on both" in capsys.readouterr().err
 
 
 def test_an_environment_variable_leaves_the_config_alone(capsys, monkeypatch):
-    assert cli.main(["params", "--size", "16"]) == 0
+    assert cli.main(["params"]) == 0
     default = capsys.readouterr().out
     monkeypatch.setenv("DEPTHLAB_ADAPTER", "none")
-    assert cli.main(["params", "--size", "16"]) == 0
+    assert cli.main(["params"]) == 0
     assert capsys.readouterr().out == default
 
 
@@ -273,14 +267,19 @@ def test_train_rejects_a_bad_optimizer_setting_before_any_step(tmp_path, capsys,
 @pytest.mark.parametrize(
     "argv, wrong, message",
     [
+        ("gen-scene --size 16 --frames 3 --out wrong", "file", "scene path wrong is not a directory"),
         ("train --scene scene --checkpoint wrong --log train.log", "directory", "checkpoint path wrong is a directory"),
         ("train --scene scene --checkpoint m.ckpt --log wrong", "directory", "Is a directory: 'wrong'"),
         ("train --scene scene --checkpoint wrong/m.ckpt --log train.log", None, "wrong does not exist"),
+        ("train --scene scene --checkpoint wrong/m.ckpt --log train.log", "file", "wrong is not a directory"),
         ("eval-depth --checkpoint wrong --scene scene", "directory", "Is a directory: 'wrong'"),
         ("eval-depth --checkpoint model.npz --scene wrong", "file", "scene path wrong is not a directory"),
         ("report --log wrong", "directory", "Is a directory: 'wrong'"),
     ],
-    ids=["train-checkpoint", "train-log", "train-checkpoint-nodir", "eval-depth-checkpoint", "eval-depth-scene", "report-log"],
+    ids=[
+        "gen-scene-out", "train-checkpoint", "train-log", "train-checkpoint-nodir", "train-checkpoint-filedir",
+        "eval-depth-checkpoint", "eval-depth-scene", "report-log",
+    ],
 )
 def test_a_path_of_the_wrong_kind_is_a_validation_failure(tmp_path, monkeypatch, capsys, argv, wrong, message):
     _scene_dir(tmp_path)
@@ -296,6 +295,22 @@ def test_a_path_of_the_wrong_kind_is_a_validation_failure(tmp_path, monkeypatch,
     assert captured.err.startswith("error: ") and captured.err.endswith(f"{message}\n")
     assert captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == before  # nothing written, no log either
+
+
+@pytest.mark.parametrize(
+    "size, message",
+    [("4", "image 4x4 is smaller than one 8x8 patch"), ("12", "image 12x12 not divisible by patch 8")],
+    ids=["4x4", "12x12"],
+)
+def test_train_refuses_a_scene_the_patch_grid_does_not_fit(tmp_path, monkeypatch, capsys, size, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen-scene", "--size", size, "--frames", "3", "--out", "scene"]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--scene", "scene", "--checkpoint", "m.ckpt", "--log", "train.log"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["scene"]
 
 
 @pytest.mark.parametrize("suffix", [".tmp", ".last_good", ".last_good.tmp"], ids=["tmp", "last_good", "last_good-tmp"])

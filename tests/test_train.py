@@ -80,18 +80,18 @@ def scene_on_disk(tmp_path_factory):
 @pytest.mark.parametrize(
     "adapter, aggregation, bypass, digest",
     [
-        ("none", "mean", False, "e539dffbfa56073cfec1cfedca672903c54b63a4b61dfe21c30634a5210e7237"),
-        ("none", "mean", True, "5c2b8251a429c4865d1762cc7e30a92cf4db288d2d66928e479596386b2e5775"),
-        ("none", "min", False, "2cbd81a83e232a6da0b005782946ccb3eeefeecbcfdaee41b634e46b440bde0f"),
-        ("none", "min", True, "724058bccb10336d30be7cbe0c1cd5a3566eedea7bb5db4fc4a8b3ff9b1b7d5d"),
-        ("plain", "mean", False, "b73e35dc70de0a29a5b210acdd16caf63f7f6c4356a1428a99cd074fd990b174"),
-        ("plain", "mean", True, "a92760aed6325a8bab8f31eecd9367301438df9d8ec75c419d368d715de8c49a"),
-        ("plain", "min", False, "8994e47e3634e6d90814aab7b731f84b1c430756b5a24985881566f8a1316144"),
-        ("plain", "min", True, "c3451b1bdef698ae3117eb553dd72f2516ccbc5773fa8cbcae273078ae10fd89"),
-        ("scaled", "mean", False, "cc93cfa1871a0a19e9a8774adf5247599ec39303d42a36ea7336c452cdfcc46c"),
-        ("scaled", "mean", True, "e809c916135fd81e3fd9df52d668fe44733c0314b0fdb62adf64ba879c11923a"),
-        ("scaled", "min", False, "d044ea5ce4ded27af10183865f526738a8146204c3f1350f430e9177c55ef959"),
-        ("scaled", "min", True, "10cd79b74e5711456b6cb4c17f3082be13eb4f6628252db6aacb6733e13f837a"),
+        ("none", "mean", False, "fc48e2b60f7408edc248234765a776e3091783ec44845cea12d35cb085835d4f"),
+        ("none", "mean", True, "b1d0c865891d1c4b2d0e64394e5e14e13fd7680b55754dfb4f38f7b896759953"),
+        ("none", "min", False, "81edaf5209e08390a16c104e86e10951fdeccf642a58c1575c5d8ff90dac57ee"),
+        ("none", "min", True, "b6e637a67b8cf3e957ca3006c93d6a562016cc87af5502355630dc38957f57ef"),
+        ("plain", "mean", False, "33511e04db0aa97d6c68db21b182e546c11c576d5ba563bd7c74114425eefbb5"),
+        ("plain", "mean", True, "40d88ad5feba61677b4e62d6f09cad8d979340db3cff7da49df4b0eae18c5086"),
+        ("plain", "min", False, "11be9ccabc653c3c39e5eff4cb5707082af2d2365ed0251cb46ab52733adfcfb"),
+        ("plain", "min", True, "ffd0cd39636f0bbb0da3b0c03ebee0ef73a2bace39f9f543705b8d5995851a4d"),
+        ("scaled", "mean", False, "6f18dfae0ac4798b01fad9d7a13d820880d76144df9ed05e613040aeb1414d15"),
+        ("scaled", "mean", True, "6c2be7c789d9b01255b004aecfd8c10490ee5fee5c3573c09048a5bcdd412f1a"),
+        ("scaled", "min", False, "eca6be7fa502190c068e67ba4615410093d9cdf01ee5733ce74429d0cd31cf9e"),
+        ("scaled", "min", True, "1d512d372521bf414826c2b598a505f38ccf580eab2e505791afed62f10a10a9"),
     ],
 )
 def test_trained_checkpoint_bytes_are_pinned(scene_on_disk, tmp_path, adapter, aggregation, bypass, digest):
