@@ -189,6 +189,11 @@ class TestToyDepthNet:
         with pytest.raises(ValueError, match="divisible"):
             ToyDepthNet(TrainConfig(), (30, 30), rng())
 
+    @pytest.mark.parametrize("size", [0, -8])
+    def test_rejects_an_image_smaller_than_one_patch(self, size):
+        with pytest.raises(ValueError, match=f"^image {size}x{size} is smaller than one 8x8 patch$"):
+            ToyDepthNet(TrainConfig(), (size, size), rng())
+
 
 class TestDepthDecoder:
     def test_trainable_count_is_the_projection_three_convs_and_one_head(self):
