@@ -52,7 +52,7 @@ def save_checkpoint(path, module, config: TrainConfig, step: int) -> None:
             fh.write(len(blob).to_bytes(8, "little"))
             fh.write(blob)
             for _, p in params:
-                fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

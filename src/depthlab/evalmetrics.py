@@ -1,11 +1,12 @@
 """Depth and trajectory evaluation protocol.
 
-Median scaling resolves the unknown monocular scale (scale factor =
-median ground truth / median prediction, lower-middle median for even
-counts), the scaled prediction is capped, and seven standard metrics are
-computed over the valid set. Trajectories are scored by absolute
-trajectory error over overlapping 5-frame segments with per-segment
-origin translation and a single closed-form scale fit.
+One scorer, ``evaluate_depth``, rates a depth map: median scaling resolves
+the unknown monocular scale (scale factor = median ground truth / median
+prediction over the valid set, lower-middle median for even counts), the
+scaled prediction is capped, and seven standard metrics are computed over
+the valid set. Trajectories are scored by absolute trajectory error over
+overlapping 5-frame segments with per-segment origin translation and a
+single closed-form scale fit.
 """
 
 from __future__ import annotations
@@ -62,41 +63,28 @@ class Trajectory:
         return np.stack([p.translation for p in self.poses])
 
 
-def _valid_pixels(gt: np.ndarray) -> np.ndarray:
-    """Pixels with positive, finite ground truth (rasters contain holes)."""
-    return np.isfinite(gt) & (gt > 0)
+def evaluate_depth(pred, gt) -> DepthEvalReport:
+    """Score one predicted depth map against its ground truth.
 
-
-def median_scale(pred, gt):
-    """Scale the prediction by median(gt)/median(pred) over valid pixels,
-    then cap it at DEPTH_CAP. Returns (scaled_array, f_scale)."""
+    Over the valid set (positive, finite ground truth) the prediction is
+    scaled by f_scale = median(gt) / median(pred), lower-middle medians,
+    and capped at DEPTH_CAP; the report holds the seven metrics of the
+    scaled prediction and f_scale. The delta comparisons are strict
+    less-than against 1.25, 1.25^2, 1.25^3. An empty valid set and a zero
+    predicted median are refused."""
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
     if p.shape != g.shape:
         raise ValueError(f"prediction {p.shape} and ground truth {g.shape} differ in shape")
-    mask = _valid_pixels(g)
+    mask = np.isfinite(g) & (g > 0)  # ground-truth rasters contain holes
     if not mask.any():
-        raise ValueError("median_scale: empty valid set")
-    med_pred = lower_median(p[mask])
+        raise ValueError("evaluate_depth: empty valid set")
+    d, dstar = p[mask], g[mask]
+    med_pred = lower_median(d)
     if med_pred == 0.0:
-        raise ValueError("median_scale: predicted median is zero")
-    f_scale = lower_median(g[mask]) / med_pred
-    scaled = np.minimum(p * f_scale, DEPTH_CAP)
-    return scaled, f_scale
-
-
-def depth_metrics(pred, gt, f_scale: float = 1.0) -> DepthEvalReport:
-    """Seven-metric report over the valid set; the delta comparisons are
-    strict less-than against 1.25, 1.25^2, 1.25^3."""
-    p = np.asarray(pred, dtype=np.float64)
-    g = np.asarray(gt, dtype=np.float64)
-    if p.shape != g.shape:
-        raise ValueError(f"prediction {p.shape} and ground truth {g.shape} differ in shape")
-    mask = _valid_pixels(g)
-    if not mask.any():
-        raise ValueError("depth_metrics: empty valid set")
-    d = p[mask]
-    dstar = g[mask]
+        raise ValueError("evaluate_depth: predicted median is zero")
+    f_scale = lower_median(dstar) / med_pred
+    d = np.minimum(d * f_scale, DEPTH_CAP)
     err = d - dstar
     ratio = np.maximum(d / dstar, dstar / d)
     return DepthEvalReport(
@@ -109,12 +97,6 @@ def depth_metrics(pred, gt, f_scale: float = 1.0) -> DepthEvalReport:
         delta3=float(np.mean(ratio < DELTA_THRESHOLDS[2])),
         f_scale=float(f_scale),
     )
-
-
-def evaluate_depth(pred, gt) -> DepthEvalReport:
-    """Median scaling, cap, then metrics, in one call."""
-    scaled, f_scale = median_scale(pred, gt)
-    return depth_metrics(scaled, gt, f_scale=f_scale)
 
 
 def anchored_trajectory(traj: Trajectory) -> Trajectory:

@@ -130,9 +130,10 @@ def masked_pixel_mean(pixel_map: Tensor, mask: np.ndarray | None = None) -> Tens
     return ad.tsum(ad.mask_fill(pixel_map, ~mask, 0.0)) / count
 
 
-def reflectance_consistency_loss(r_t, r_warped, mask: np.ndarray | None = None) -> Tensor:
+def reflectance_consistency_loss(r_t, r_warped, mask: np.ndarray) -> Tensor:
     """Mean absolute reflectance difference between the target frame and the
-    warped source frame, over the pixels the mask marks valid."""
+    warped source frame, over the pixels the required bool (H, W) mask, the
+    warp's validity, marks valid."""
     r_t = _as_image(r_t)
     r_warped = _as_image(r_warped)
     if r_t.shape != r_warped.shape:

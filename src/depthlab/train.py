@@ -110,7 +110,7 @@ class _FrameCache:
             (ad.tsum(r * Tensor(r_leaf.grad)) + ad.tsum(s * Tensor(s_leaf.grad))).backward()
 
 
-def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = None):
+def step_loss(model: ModelBundle, scene, t: int, cache: _FrameCache):
     """Assemble the full objective for one target frame, weighted by the
     model config's loss weights; returns the total and its parts as floats.
 
@@ -123,11 +123,12 @@ def step_loss(model: ModelBundle, scene, t: int, cache: "_FrameCache | None" = N
     sources' mean. With the decomposition bypassed the reconstruction and
     reflectance terms are 0.
 
-    The total's graph stops at the cache's decomposition leaves: a backward
-    of it reaches the decomposition head only through ``cache.release``.
+    The caller owns ``cache``, a ``_FrameCache`` whose batch holds t, and
+    its release: the total's graph stops at the cache's decomposition
+    leaves, so a backward of it reaches the decomposition head only through
+    ``cache.release(t)``.
     """
     cfg = model.config
-    cache = cache or _FrameCache(model, scene, [t])
     decompose = not cfg.bypass_decomposition
     img_t = Tensor(scene.frames[t])
     depth = model.depth(img_t)

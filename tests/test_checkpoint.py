@@ -166,7 +166,7 @@ class TestCheckpoint:
                 return self.fh.__exit__(*exc)
 
             def write(self, data):
-                if data == second_payload:
+                if bytes(data) == second_payload:
                     raise OSError(errno.ENOSPC, "No space left on device")
                 return self.fh.write(data)
 

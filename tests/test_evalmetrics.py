@@ -1,17 +1,11 @@
-"""Evaluation protocol tests: median scaling, seven metrics, segment ATE."""
+"""Evaluation protocol tests: evaluate_depth's median scaling and seven metrics, segment ATE."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthlab.evalmetrics import (
-    Trajectory,
-    ate_5frame,
-    depth_metrics,
-    evaluate_depth,
-    median_scale,
-)
+from depthlab.evalmetrics import Trajectory, ate_5frame, evaluate_depth
 from depthlab.geometry import PoseSE3
 
 from oracles import ate_grid_search, depth_metrics_loops, lower_median_loops, median_scale_loops, rotation_expm
@@ -26,109 +20,115 @@ def random_trajectory(rng, n=9, scale=1.0):
 
 
 class TestMedianScale:
-    def test_double_prediction_halves(self):
-        rng = np.random.default_rng(1)
-        gt = rng.uniform(1.0, 10.0, size=(8, 8))
-        scaled, f = median_scale(2.0 * gt, gt)
-        assert f == 0.5
-        np.testing.assert_allclose(scaled, gt, atol=1e-12)
+    """The scale step of evaluate_depth: f_scale = median(gt)/median(pred),
+    lower-middle medians over the valid set, then the cap."""
 
     def test_identity(self):
+        # the same values in another order: equal medians leave the prediction unscaled
         rng = np.random.default_rng(2)
         gt = rng.uniform(1.0, 10.0, size=(8, 8))
-        _, f = median_scale(gt, gt)
-        assert f == 1.0
+        rep = evaluate_depth(rng.permutation(gt.ravel()).reshape(gt.shape), gt)
+        assert rep.f_scale == 1.0
+        assert rep.abs_rel > 0.0
 
     def test_median_preserved_pre_cap(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             gt = rng.uniform(1.0, 20.0, size=(8, 8))
             pred = rng.uniform(0.1, 3.0, size=(8, 8))
-            scaled, _ = median_scale(pred, gt)
-            assert abs(lower_median_loops(scaled) - lower_median_loops(gt)) <= 1e-12
+            f = evaluate_depth(pred, gt).f_scale
+            assert abs(lower_median_loops(pred * f) - lower_median_loops(gt)) <= 1e-12
 
     def test_idempotent_below_the_cap(self):
         rng = np.random.default_rng(4)
         gt = rng.uniform(1.0, 10.0, size=(8, 8))
         pred = rng.uniform(0.5, 2.0, size=(8, 8))
-        scaled, _ = median_scale(pred, gt)
-        _, f2 = median_scale(scaled, gt)
-        assert abs(f2 - 1.0) <= 1e-12
+        scaled = pred * evaluate_depth(pred, gt).f_scale
+        assert abs(evaluate_depth(scaled, gt).f_scale - 1.0) <= 1e-12
 
     def test_cap_applies_to_prediction(self):
         gt = np.full((4, 4), 100.0)
         pred = np.full((4, 4), 1.0)
         pred[0, 0] = 10.0  # scales to 1000, must cap at 150
-        scaled, _ = median_scale(pred, gt)
-        assert scaled.max() == 150.0
+        rep = evaluate_depth(pred, gt)
+        assert rep.f_scale == 100.0
+        assert rep.abs_rel == 0.5 / 16  # uncapped: 9.0 / 16
+        assert rep.rmse == 12.5
 
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(5)
-        pred = rng.uniform(0.2, 5.0, size=(8, 8))
-        gt = rng.uniform(1.0, 160.0, size=(8, 8))
-        scaled, f = median_scale(pred, gt)
-        ref_scaled, ref_f = median_scale_loops(pred, gt)
-        assert abs(f - ref_f) <= 1e-12
-        np.testing.assert_allclose(scaled, ref_scaled, atol=1e-12)
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"prediction \(2, 2\) and ground truth \(2, 3\) differ in shape"):
+            evaluate_depth(np.ones((2, 2)), np.ones((2, 3)))
 
     def test_empty_valid_set_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            median_scale(np.ones((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="empty valid set"):
+            evaluate_depth(np.ones((2, 2)), np.zeros((2, 2)))
 
     def test_zero_median_rejected(self):
         gt = np.ones((2, 2))
-        with pytest.raises(ValueError, match="median"):
-            median_scale(np.zeros((2, 2)), gt)
+        with pytest.raises(ValueError, match="predicted median is zero"):
+            evaluate_depth(np.zeros((2, 2)), gt)
 
 
 class TestDepthMetrics:
+    """Hand cases pick a prediction whose lower median equals the ground
+    truth's, so f_scale is 1 and the metrics read the prediction as given."""
+
     def test_perfect_prediction(self):
         rng = np.random.default_rng(6)
         gt = rng.uniform(1.0, 10.0, size=(8, 8))
-        rep = depth_metrics(gt, gt)
+        rep = evaluate_depth(gt, gt)
         assert (rep.abs_rel, rep.sq_rel, rep.rmse, rep.rmse_log) == (0.0, 0.0, 0.0, 0.0)
         assert (rep.delta1, rep.delta2, rep.delta3) == (1.0, 1.0, 1.0)
 
     def test_hand_case(self):
-        pred = np.array([[2.0, 4.0]])
+        pred = np.array([[1.0, 8.0]])
         gt = np.array([[1.0, 4.0]])
-        rep = depth_metrics(pred, gt)
+        rep = evaluate_depth(pred, gt)
+        assert rep.f_scale == 1.0
         assert rep.abs_rel == 0.5
-        assert rep.sq_rel == 0.5
-        assert rep.rmse == np.sqrt(0.5)
+        assert rep.sq_rel == 2.0
+        assert rep.rmse == np.sqrt(8.0)
         assert (rep.delta1, rep.delta2, rep.delta3) == (0.5, 0.5, 0.5)
 
     def test_matches_loop_oracle_on_random_instances(self):
         rng = np.random.default_rng(7)
+        capped = 0
         for _ in range(30):
-            pred = rng.uniform(0.5, 12.0, size=(8, 8))
-            gt = rng.uniform(1.0, 10.0, size=(8, 8))
-            rep = depth_metrics(pred, gt)
-            ref = depth_metrics_loops(pred, gt)
+            pred = rng.uniform(0.2, 5.0, size=(8, 8))
+            gt = rng.uniform(1.0, 160.0, size=(8, 8))
+            rep = evaluate_depth(pred, gt)
+            scaled, ref_f = median_scale_loops(pred, gt)
+            ref = depth_metrics_loops(scaled, gt)
+            assert rep.f_scale == ref_f
             for key, want in ref.items():
                 assert abs(getattr(rep, key) - want) <= 1e-12, key
+            capped += bool((pred * ref_f > 150.0).any())
+        assert capped > 0  # some instances reach the cap
 
     def test_delta_symmetric_error_metrics_not(self):
-        pred = np.array([[2.0, 6.0, 3.0]])
-        gt = np.array([[1.0, 5.0, 4.0]])
-        fwd = depth_metrics(pred, gt)
-        rev = depth_metrics(gt, pred)
+        pred = np.array([[2.0, 4.0, 6.0]])
+        gt = np.array([[1.0, 4.0, 5.0]])
+        fwd = evaluate_depth(pred, gt)
+        rev = evaluate_depth(gt, pred)
+        assert fwd.f_scale == rev.f_scale == 1.0
         assert (fwd.delta1, fwd.delta2, fwd.delta3) == (rev.delta1, rev.delta2, rev.delta3)
         assert fwd.abs_rel != rev.abs_rel
         assert fwd.sq_rel != rev.sq_rel
 
     def test_delta_comparison_is_strict(self):
-        pred = np.array([[1.25]])
-        gt = np.array([[1.0]])
-        rep = depth_metrics(pred, gt)
-        assert rep.delta1 == 0.0  # ratio exactly 1.25 fails the strict <
+        pred = np.array([[1.0, 1.25]])
+        gt = np.array([[1.0, 1.0]])
+        rep = evaluate_depth(pred, gt)
+        assert rep.f_scale == 1.0
+        assert rep.delta1 == 0.5  # the ratio of exactly 1.25 fails the strict <
 
     def test_valid_mask_default_skips_holes(self):
         # one exact and one 2x pixel around a zero and a NaN hole: every mean
         # is over the two valid pixels, and a hole counted would make it non-finite
         pred = np.array([[2.0, 5.0], [7.0, 4.0]])
         gt = np.array([[2.0, 0.0], [np.nan, 2.0]])
-        rep = depth_metrics(pred, gt)
+        rep = evaluate_depth(pred, gt)
+        assert rep.f_scale == 1.0
         assert rep.abs_rel == 0.5
         assert rep.sq_rel == 1.0
         assert rep.rmse == np.sqrt(2.0)
@@ -138,8 +138,8 @@ class TestDepthMetrics:
         rng = np.random.default_rng(8)
         gt = rng.uniform(1.0, 10.0, size=(8, 8))
         rep = evaluate_depth(2.0 * gt, gt)
-        assert rep.abs_rel <= 1e-12
         assert rep.f_scale == 0.5
+        assert rep.abs_rel <= 1e-12
         assert rep.delta1 == 1.0
 
 

@@ -94,7 +94,7 @@ class TestReflectanceLoss:
     def test_identical_is_zero(self):
         rng = np.random.default_rng(4)
         r = rand_image(rng)
-        assert L.reflectance_consistency_loss(Tensor(r), Tensor(r)).item() == 0.0
+        assert L.reflectance_consistency_loss(Tensor(r), Tensor(r), np.ones((8, 8), dtype=bool)).item() == 0.0
 
     def test_constant_offset(self):
         r_t = np.full((3, 8, 8), 0.5)
@@ -285,7 +285,7 @@ class TestDeterminismAndPositivity:
         a, b = rand_image(rng, h=6, w=6), rand_image(rng, h=6, w=6)
         labels = rng.integers(0, 3, size=(6, 6))
         depth = rng.uniform(0.5, 4.0, size=(6, 6))
-        assert L.reflectance_consistency_loss(Tensor(a), Tensor(b)).item() >= 0.0
+        assert L.reflectance_consistency_loss(Tensor(a), Tensor(b), np.ones((6, 6), dtype=bool)).item() >= 0.0
         assert L.synthesis_loss(Tensor(a), Tensor(b)).data.min() >= 0.0
         assert L.masked_smoothness_loss(Tensor(depth), Tensor(a), labels).item() >= 0.0
         assert L.reconstruction_loss(Tensor(a), Tensor(b)).item() >= 0.0

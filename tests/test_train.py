@@ -2,8 +2,8 @@
 reruns down to the checkpoint bytes, the batched min-reprojection path, the
 objective's exact value in every aggregation/decomposition combination on
 the one full-resolution depth map evaluation scores, a batch step's
-per-target backward (its gradients and its memory), and the divergence
-path."""
+per-target backward (its gradients and its memory), the divergence path
+and the frozen-weight check."""
 
 import dataclasses
 import gc
@@ -144,7 +144,7 @@ def test_batched_min_reprojection_runs(scene, tmp_path):
     # the first epoch's one step evaluates both targets before any update, so
     # its record is the mean of each target's parts at the initial weights
     initial = ModelBundle(config, (16, 16))
-    parts = [step_loss(initial, scene, t)[1] for t in (1, 2)]
+    parts = [step_loss(initial, scene, t, train_module._FrameCache(initial, scene, [t]))[1] for t in (1, 2)]
     for key in parts[0]:
         assert getattr(records[0], key) == (parts[0][key] + parts[1][key]) / 2, key
 
@@ -186,7 +186,8 @@ INITIAL_PARTS = {
 @pytest.mark.parametrize("aggregation, bypass", list(INITIAL_PARTS))
 def test_step_loss_parts_are_pinned(scene, aggregation, bypass):
     config = TrainConfig(**SMALL, source_aggregation=aggregation, bypass_decomposition=bypass)
-    _, parts = step_loss(ModelBundle(config, (16, 16)), scene, 1)
+    model = ModelBundle(config, (16, 16))
+    _, parts = step_loss(model, scene, 1, train_module._FrameCache(model, scene, [1]))
     assert parts == INITIAL_PARTS[aggregation, bypass]
 
 
@@ -201,7 +202,8 @@ def test_every_synthesis_term_goes_through_synthesis_loss(scene, monkeypatch, ag
 
     monkeypatch.setattr(losses, "synthesis_loss", synthesis_loss)
     config = TrainConfig(**SMALL, source_aggregation=aggregation)
-    _, parts = step_loss(ModelBundle(config, (16, 16)), scene, 1)
+    model = ModelBundle(config, (16, 16))
+    _, parts = step_loss(model, scene, 1, train_module._FrameCache(model, scene, [1]))
     assert len(calls) == 2  # one per source
     assert parts["synthesis"] == 0.0  # nothing but synthesis_loss's maps reaches the term
 
@@ -209,7 +211,7 @@ def test_every_synthesis_term_goes_through_synthesis_loss(scene, monkeypatch, ag
 def test_reconstruction_part_scores_each_frame_once(scene):
     # the target's photometric mean plus the mean of its two sources', P_t + mean_s P_s
     model = ModelBundle(TrainConfig(**SMALL), (16, 16))
-    _, parts = step_loss(model, scene, 1)
+    _, parts = step_loss(model, scene, 1, train_module._FrameCache(model, scene, [1]))
     with ad.no_grad():
         decomps = {k: model.decomp(Tensor(scene.frames[k])) for k in (0, 1, 2)}
     hats = {k: r.data * s.data for k, (r, s) in decomps.items()}
@@ -220,7 +222,7 @@ def test_reconstruction_part_scores_each_frame_once(scene):
 def test_smoothness_part_scores_the_depth_evaluation_scores(scene):
     # the objective trains the one full-resolution map model.depth returns
     model = ModelBundle(TrainConfig(**SMALL), (16, 16))
-    _, parts = step_loss(model, scene, 1)
+    _, parts = step_loss(model, scene, 1, train_module._FrameCache(model, scene, [1]))
     with ad.no_grad():
         depth = model.depth(Tensor(scene.frames[1])).data
     assert depth.shape == (16, 16)
@@ -304,7 +306,9 @@ def test_the_step_gradient_is_the_derivative_of_the_logged_loss(scene8, aggregat
         for (_, p), p0, d in zip(recorder.params, start, directions):
             p.data[...] = p0 + h * d
         with ad.no_grad():
-            return np.mean([step_loss(model, scene8, t)[1]["loss"] for t in batch])
+            return np.mean(
+                [step_loss(model, scene8, t, train_module._FrameCache(model, scene8, [t]))[1]["loss"] for t in batch]
+            )
 
     h = 1e-5
     for _ in range(3):
@@ -452,6 +456,20 @@ def test_cli_reports_divergence_as_a_runtime_failure(scene, tmp_path, capsys, na
     assert load_model(f"{checkpoint}.last_good", (16, 16))[1] == 1
 
 
+def test_a_frozen_tensor_changed_during_an_epoch_is_named(scene, monkeypatch):
+    original = train_module._optimizer_step
+
+    def optimizer_step(model, *args):
+        parts = original(model, *args)
+        dict(model.named_parameters())["depth.embed.weight"].data += 1.0
+        return parts
+
+    monkeypatch.setattr(train_module, "_optimizer_step", optimizer_step)
+    message = "frozen parameters mutated during epoch 1: ['depth.embed.weight']"
+    with pytest.raises(RuntimeError, match=re.escape(message) + "$"):
+        train(scene, TrainConfig(**SMALL))
+
+
 def test_an_empty_validity_mask_names_the_median_depth_and_each_translation(scene, monkeypatch):
     model = ModelBundle(TrainConfig(**SMALL), (16, 16))
     # a sideways move of 100 units carries every target point out of a 16-pixel view
@@ -460,7 +478,7 @@ def test_an_empty_validity_mask_names_the_median_depth_and_each_translation(scen
         median = lower_median_loops(model.depth(Tensor(scene.frames[1])).data.ravel())
     message = f"empty validity mask: median predicted depth {median:.4g}, source 0 |t| 100, source 2 |t| 100"
     with pytest.raises(TrainingDiverged, match=re.escape(message) + "$"):
-        step_loss(model, scene, 1)
+        step_loss(model, scene, 1, train_module._FrameCache(model, scene, [1]))
 
 
 @pytest.mark.parametrize(
@@ -478,7 +496,7 @@ def test_a_non_finite_depth_or_pose_ends_as_training_diverged(scene, bias, messa
     param = dict(model.named_parameters())[bias]
     param.assign(np.full_like(param.data, np.nan))
     with pytest.raises(TrainingDiverged, match=message):
-        step_loss(model, scene, 1)
+        step_loss(model, scene, 1, train_module._FrameCache(model, scene, [1]))
 
 
 def test_inference_without_a_graph_matches_grad_mode_bit_for_bit(scene):
