@@ -23,6 +23,17 @@ class TestMedianScale:
     """The scale step of evaluate_depth: f_scale = median(gt)/median(pred),
     lower-middle medians over the valid set, then the cap."""
 
+    def test_double_prediction_halves(self):
+        # the halved prediction is the ground truth, so every error reads zero
+        rng = np.random.default_rng(1)
+        gt = rng.uniform(1.0, 10.0, size=(8, 8))
+        rep = evaluate_depth(2.0 * gt, gt)
+        assert rep.f_scale == 0.5
+        assert rep.abs_rel <= 1e-12
+        assert rep.sq_rel <= 1e-12
+        assert rep.rmse <= 1e-12
+        assert rep.rmse_log <= 1e-12
+
     def test_identity(self):
         # the same values in another order: equal medians leave the prediction unscaled
         rng = np.random.default_rng(2)
@@ -54,6 +65,17 @@ class TestMedianScale:
         assert rep.f_scale == 100.0
         assert rep.abs_rel == 0.5 / 16  # uncapped: 9.0 / 16
         assert rep.rmse == 12.5
+
+    def test_matches_loop_oracle(self):
+        # the report scores the oracle's scaled and capped prediction
+        rng = np.random.default_rng(5)
+        pred = rng.uniform(0.2, 5.0, size=(8, 8))
+        gt = rng.uniform(1.0, 160.0, size=(8, 8))
+        rep = evaluate_depth(pred, gt)
+        ref_scaled, ref_f = median_scale_loops(pred, gt)
+        assert abs(rep.f_scale - ref_f) <= 1e-12
+        for key, want in depth_metrics_loops(ref_scaled, gt).items():
+            assert abs(getattr(rep, key) - want) <= 1e-12, key
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"prediction \(2, 2\) and ground truth \(2, 3\) differ in shape"):
