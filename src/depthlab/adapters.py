@@ -11,9 +11,9 @@ frozen m x n base weight W0:
 
 An adapter draws its own factors: ``LowRankAdapter(scaled, m, n, rank,
 seed)`` is the one constructor, and ``make_adapter(mode, m, n, rank,
-seed)`` maps a config's mode onto it. The seed draws A, then a, then b,
-each kaiming-uniform (fan-in n, r and m), so it pins every value, and a
-plain adapter's A equals the scaled one's.
+seed)`` maps a mode of ``config.ADAPTER_MODES`` onto it. The seed draws
+A, then a, then b, each kaiming-uniform (fan-in n, r and m), so it pins
+every value, and a plain adapter's A equals the scaled one's.
 
 B starts at zero, so a freshly made adapter leaves the base layer's
 output bit-identical on the first forward pass. The low-rank branch is
@@ -29,10 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import ADAPTER_MODES
 from .nn import Module
-
-
-ADAPTER_MODES = ("none", "plain", "scaled")
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -65,8 +63,8 @@ class LowRankAdapter(Module):
 
 
 def make_adapter(mode: str, m: int, n: int, rank: int, seed: int) -> LowRankAdapter | None:
-    """The adapter of one of ADAPTER_MODES for an m x n weight: None for
-    "none", else a LowRankAdapter, scaled for "scaled"."""
+    """The adapter of a mode in config.ADAPTER_MODES for an m x n weight: None
+    for "none", else a LowRankAdapter, scaled for "scaled"; any other mode is refused."""
     if mode not in ADAPTER_MODES:
         raise ValueError(f"unknown adapter mode '{mode}' (expected {', '.join(ADAPTER_MODES)})")
     return None if mode == "none" else LowRankAdapter(mode == "scaled", m, n, rank, seed)

@@ -384,12 +384,8 @@ def tabs(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     def fwd(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
+        e = np.exp(-np.abs(x))  # <= 1: 1/(1+e) for x >= 0, e/(1+e) below, and no exp overflows
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
     return _unary(a, fwd, lambda y: y * (1.0 - y), of_output=True)
 

@@ -30,7 +30,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .autodiff import Tensor
-from .config import TrainConfig, config_from_pairs
+from .config import TrainConfig, config_from_values
 
 MAGIC = b"DLABCKPT"
 FORMAT_VERSION = 1
@@ -115,12 +115,6 @@ def _read_header(fh) -> dict:
     return header
 
 
-def _header_config(header: dict) -> TrainConfig:
-    cfg_dict = dict(header["config"])
-    cfg_dict["mixer_after"] = ",".join(str(v) for v in cfg_dict.get("mixer_after", []))
-    return config_from_pairs({k: str(v) for k, v in cfg_dict.items()})
-
-
 def _read_payload(fh, name: str, out: np.ndarray) -> None:
     """Read the next payload into ``out``, a float64 array of the payload's
     shape, in place. ``readinto`` refuses an array that is not a writable
@@ -156,7 +150,7 @@ def load_module(path, build):
     step). Beyond the module, no tensor is held."""
     with open(path, "rb") as fh:
         header = _read_header(fh)
-        module = build(_header_config(header))
+        module = build(config_from_values(header["config"]))
         params = dict(module.named_parameters())
         _check_entries(header["tensors"], params)
         for entry in header["tensors"]:

@@ -1,11 +1,13 @@
-"""Flat training configuration: dataclass defaults and key=value text.
+"""Flat training configuration: its vocabulary, defaults and text form.
 
-The keys are exactly ``TrainConfig``'s fields, each addressable as a
-"name=value" line of a config file, a --set override or a checkpoint
-header; any other key, and a key that a file or the --set items name
-twice, are rejected.
-The command line applies the --config file, then --set, so an explicit
---set beats a file line.
+The keys are exactly ``TrainConfig``'s fields. Each value has one text
+form, a "name=value" line's value: ``config_to_text`` writes it, and one
+parser reads it from a config file, a --set item or a checkpoint header
+(``config_from_values``). An unknown key, a key that a file or the --set
+items name twice, and a malformed value are refused naming the key, and in
+a file or the --set items the line. The command line applies the --config
+file, then --set, so an explicit --set beats a file line.
+This module imports nothing from depthlab.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import dataclasses
 import math
 from dataclasses import dataclass, fields
 
-from .adapters import ADAPTER_MODES
-from .losses import FIXED_WEIGHTS
+# the adapter each frozen MLP linear of the depth encoder gets (adapters.make_adapter)
+ADAPTER_MODES = ("none", "plain", "scaled")
 
 
 @dataclass(frozen=True)
@@ -26,7 +28,7 @@ class TrainConfig:
     lr: float = 1e-4
     lr_decay: float = 0.1
     rank: int = 4
-    adapter: str = "scaled"  # one of adapters.ADAPTER_MODES
+    adapter: str = "scaled"  # one of ADAPTER_MODES
     mixer_after: tuple[int, ...] = (2, 4)
     embed_dim: int = 224
     depth_blocks: int = 4
@@ -52,49 +54,59 @@ class TrainConfig:
         if not (math.isfinite(self.w_smoothness) and self.w_smoothness >= 0):
             raise ValueError(f"w_smoothness must be finite and nonnegative, got {self.w_smoothness}")
 
-    def loss_weights(self) -> dict[str, float]:
-        """The weight of each of ``losses.LOSS_TERMS``: the fixed ones and w_smoothness."""
-        return {**FIXED_WEIGHTS, "smoothness": self.w_smoothness}
-
     def decay_epoch(self) -> int:
         """Epoch after which the lr is multiplied by lr_decay: a third of the epochs, at least 1."""
         return max(1, self.epochs // 3)
 
 
-def _parse_value(field, raw: str):
-    raw = raw.strip()
-    if field.type in ("int", int):
-        return int(raw)
-    if field.type in ("float", float):
-        return float(raw)
-    if field.type in ("bool", bool):
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean from '{raw}'")
-    if field.name == "mixer_after":
-        if raw == "":
-            return ()
-        return tuple(int(v) for v in raw.split(","))
-    return raw
+_TYPES = {f.name: f.type for f in fields(TrainConfig)}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+# each field type's parser from text, and what the text must be; the str fields take any text
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (lambda raw: _BOOLS[raw.lower()], f"one of {', '.join(_BOOLS)}"),
+    "tuple[int, ...]": (lambda raw: tuple(int(v) for v in raw.split(",")) if raw else (), "comma-separated integers"),
+    "str": (str, "text"),
+}
+
+
+def _format_value(name: str, value) -> str:
+    """A field's value in its text form: a tuple's items comma-joined, any other value as str()."""
+    if _TYPES.get(name) != "tuple[int, ...]":
+        return str(value)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"config key '{name}' must be a list of integers, got {value!r}")
+    return ",".join(str(v) for v in value)
+
+
+def _parse_value(name: str, raw: str):
+    """A field's value from its text form, refused naming the key when the key
+    is unknown or the text is not what the field takes."""
+    if name not in _TYPES:
+        raise ValueError(f"unknown config key '{name}'")
+    parse, kind = _PARSERS[_TYPES[name]]
+    try:
+        return parse(raw.strip())
+    except (ValueError, KeyError):
+        raise ValueError(f"config key '{name}' must be {kind}, got '{raw.strip()}'") from None
 
 
 def config_from_pairs(pairs: dict[str, str], base: TrainConfig | None = None) -> TrainConfig:
-    base = base or TrainConfig()
-    by_name = {f.name: f for f in fields(TrainConfig)}
-    updates = {}
-    for key, raw in pairs.items():
-        if key not in by_name:
-            raise ValueError(f"unknown config key '{key}'")
-        updates[key] = _parse_value(by_name[key], raw)
-    return dataclasses.replace(base, **updates)
+    """``base`` (the defaults if None) with each key set to its value parsed from text."""
+    return dataclasses.replace(base or TrainConfig(), **{key: _parse_value(key, raw) for key, raw in pairs.items()})
+
+
+def config_from_values(values: dict) -> TrainConfig:
+    """A checkpoint header's config, ``asdict``'s values: each put in its text form and parsed."""
+    return config_from_pairs({key: _format_value(key, value) for key, value in values.items()})
 
 
 def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig:
-    """Parse "key=value" lines; '#' starts a comment; blank lines ignored; a repeated key is rejected."""
-    pairs, linenos = {}, {}
+    """Parse "key=value" lines over ``base``; '#' starts a comment; blank lines
+    are ignored; a repeated key is refused naming both lines, and an unknown key
+    or a malformed value naming its line."""
+    updates, linenos = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -104,8 +116,11 @@ def parse_config_text(text: str, base: TrainConfig | None = None) -> TrainConfig
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key in linenos:
             raise ValueError(f"config key '{key}' is set on both line {linenos[key]} and line {lineno}")
-        pairs[key], linenos[key] = value, lineno
-    return config_from_pairs(pairs, base)
+        try:
+            updates[key], linenos[key] = _parse_value(key, value), lineno
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
+    return dataclasses.replace(base or TrainConfig(), **updates)
 
 
 def load_config(path) -> TrainConfig:
@@ -114,10 +129,5 @@ def load_config(path) -> TrainConfig:
 
 
 def config_to_text(cfg: TrainConfig) -> str:
-    lines = []
-    for f in fields(TrainConfig):
-        value = getattr(cfg, f.name)
-        if f.name == "mixer_after":
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name}={value}")
-    return "\n".join(lines) + "\n"
+    """One "name=value" line per field, in field order: what parse_config_text reads back."""
+    return "".join(f"{f.name}={_format_value(f.name, getattr(cfg, f.name))}\n" for f in fields(TrainConfig))

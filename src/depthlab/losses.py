@@ -23,7 +23,7 @@ ALPHA = 0.85  # SSIM share of the photometric SSIM/L1 mix, as in Monodepth2
 
 # the objective's terms, in the order they are checked, summed and logged
 LOSS_TERMS = ("reconstruction", "reflectance", "synthesis", "smoothness")
-# the weights of all terms but smoothness, fixed; TrainConfig.w_smoothness sets the last
+# the weights of all terms but smoothness, fixed; total_loss is given the last, TrainConfig.w_smoothness
 FIXED_WEIGHTS = {"reconstruction": 0.2, "reflectance": 0.2, "synthesis": 1.0}
 
 
@@ -199,11 +199,13 @@ def masked_smoothness_loss(depth, image, labels: np.ndarray) -> Tensor:
     return (term_x + term_y) / n_terms
 
 
-def total_loss(terms: dict[str, Tensor], weights: dict[str, float]) -> Tensor:
-    """Weighted sum of the ``LOSS_TERMS``, left to right; a non-finite term
-    raises ``TrainingDiverged`` naming it."""
+def total_loss(terms: dict[str, Tensor], w_smoothness: float) -> Tensor:
+    """Weighted sum of the ``LOSS_TERMS``, left to right: each term by its
+    ``FIXED_WEIGHTS`` entry, smoothness by ``w_smoothness``, the config's;
+    a non-finite term raises ``TrainingDiverged`` naming it."""
     for name in LOSS_TERMS:
         if not np.isfinite(terms[name].data).all():
             raise ad.TrainingDiverged(f"loss term '{name}' is not finite")
+    weights = {**FIXED_WEIGHTS, "smoothness": w_smoothness}
     weighted = [weights[name] * terms[name] for name in LOSS_TERMS]
     return sum(weighted[1:], weighted[0])

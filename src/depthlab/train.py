@@ -170,7 +170,7 @@ def step_loss(model: ModelBundle, scene, t: int, cache: _FrameCache):
         "synthesis": _synthesis(cfg.source_aggregation, frames, img_t),
         "smoothness": masked_smoothness_loss(depth, img_t, scene.labels[t]),
     }
-    total = total_loss(terms, cfg.loss_weights())
+    total = total_loss(terms, cfg.w_smoothness)
     parts = {name: float(term.data) for name, term in terms.items()}
     parts["loss"] = total.item()
     return total, parts

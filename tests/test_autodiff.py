@@ -280,6 +280,17 @@ class TestElementwise:
     def test_sigmoid_at_zero(self):
         assert ad.sigmoid(Tensor(0.0)).item() == 0.5
 
+    def test_sigmoid_equals_its_two_branch_form_bit_for_bit(self):
+        # the reference: 1/(1+exp(-x)) where x >= 0, exp(x)/(1+exp(x)) below
+        rng = np.random.default_rng(21)
+        draws = [rng.standard_normal(4096) * scale for scale in (0.1, 1.0, 30.0, 800.0)]
+        x = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 1e-320, -1e-320, 745.0, -745.0], *draws])
+        pos = x >= 0
+        want = np.empty_like(x)
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        want[~pos] = np.exp(x[~pos]) / (1.0 + np.exp(x[~pos]))
+        np.testing.assert_array_equal(ad.sigmoid(Tensor(x)).data.view(np.int64), want.view(np.int64))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shapes"):
             ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))

@@ -28,7 +28,7 @@ class TestConfig:
         assert ALPHA == 0.85
         assert (PATCH, HEADS, D_MIN, D_MAX) == (8, 4, 0.1, 100.0)
         assert FIXED_WEIGHTS == {"reconstruction": 0.2, "reflectance": 0.2, "synthesis": 1.0}
-        assert cfg.loss_weights() == {**FIXED_WEIGHTS, "smoothness": 0.003}
+        assert cfg.w_smoothness == 0.003
 
     def test_decay_epoch_defaults_to_one_third(self):
         assert TrainConfig(epochs=30).decay_epoch() == 10

@@ -19,13 +19,23 @@ from depthlab.train import ModelBundle, load_model, save_model
 from oracles import _edit_checkpoint, header_edit, shift_frame_ids, with_second_entry
 
 
-def test_package_and_cli_import_numpy_but_no_scipy():
-    # a fresh interpreter, so no module another test imported counts
+def _modules_imported(statement: str, package: str) -> str:
+    """The sorted names of `package`'s modules loaded after `statement`, run
+    in a fresh interpreter, so no module another test imported counts."""
     src = str(Path(depthlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, depthlab, depthlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = f"import sys; {statement}; print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_package_and_cli_import_numpy_but_no_scipy():
+    assert _modules_imported("import depthlab, depthlab.cli", "scipy") == "[]"
+
+
+def test_config_imports_no_other_depthlab_module():
+    # the config owns its vocabulary: the modules that build from it import it, not it them
+    assert _modules_imported("import depthlab.config", "depthlab") == "['depthlab', 'depthlab.config']"
 
 
 def _full_model_counts(capsys, *args: str) -> tuple[int, int]:
@@ -218,6 +228,44 @@ def test_a_former_config_key_is_unknown_wherever_it_comes_in(tmp_path, capsys, k
     assert unknown in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "source, key, value, message",
+    [
+        ("set", "epochs", "abc", "config line 1: config key 'epochs' must be an integer, got 'abc'"),
+        ("set", "source_aggregation", "median", "source_aggregation must be mean or min, got 'median'"),
+        (
+            "set",
+            "bypass_decomposition",
+            "maybe",
+            "config line 1: config key 'bypass_decomposition' must be one of 1, true, yes, on, 0, false, no, off, got 'maybe'",
+        ),
+        ("set", "mixer_after", "5", "mixer positions (5,) outside 1..4"),
+        ("config-file", "lr", "fast", "config line 2: config key 'lr' must be a number, got 'fast'"),
+        ("header", "mixer_after", 5, "config key 'mixer_after' must be a list of integers, got 5"),
+        ("header", "epochs", "abc", "config key 'epochs' must be an integer, got 'abc'"),
+        ("header", "epochs", [2], "config key 'epochs' must be an integer, got '[2]'"),
+    ],
+    ids=[
+        "set-int", "set-aggregation", "set-bool", "set-mixer-position", "config-file-float",
+        "header-number-for-list", "header-string-for-int", "header-list-for-int",
+    ],
+)
+def test_a_bad_config_value_is_a_validation_failure(tmp_path, capsys, source, key, value, message):
+    # a value that does not parse is refused naming its key, and in a file or the --set items its line
+    if source == "header":
+        checkpoint = _untrained_checkpoint(tmp_path, header_edit("config", key, value=value))
+        argv = ["eval-depth", "--checkpoint", str(checkpoint), "--scene", str(_scene_dir(tmp_path))]
+    elif source == "config-file":
+        (tmp_path / "run.cfg").write_text(f"seed=1\n{key}={value}\n")
+        argv = ["params", "--config", str(tmp_path / "run.cfg")]
+    else:
+        argv = ["params", "--set", f"{key}={value}"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_set_beats_a_config_file_line(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("adapter=none\nrank=2\n")
@@ -313,6 +361,18 @@ def test_train_refuses_a_scene_the_patch_grid_does_not_fit(tmp_path, monkeypatch
     assert [p.name for p in tmp_path.iterdir()] == ["scene"]
 
 
+def test_train_refuses_a_stride_that_leaves_no_target(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["gen-scene", "--size", "16", "--frames", "4", "--out", "scene"]) == 0
+    capsys.readouterr()
+    argv = ["train", "--scene", "scene", "--checkpoint", "m.ckpt", "--log", "train.log", "--set", "triplet_stride=2"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: scene with 4 frames leaves no target at stride 2\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["scene"]
+
+
 @pytest.mark.parametrize("suffix", [".tmp", ".last_good", ".last_good.tmp"], ids=["tmp", "last_good", "last_good-tmp"])
 def test_train_refuses_a_directory_at_a_temporary_or_rescue_path(tmp_path, monkeypatch, capsys, suffix):
     # the save goes through m.ckpt.tmp and the divergence rescue through
@@ -400,6 +460,7 @@ def test_a_four_frame_scene_gets_depth_rows_without_an_ate(tmp_path, capsys):
     "command, name, damage, message",
     [
         ("eval-depth", "model.npz", lambda b: b[:-8], "checkpoint truncated while reading 'decomp.shading_head.bias'"),
+        ("eval-depth", "model.npz", lambda b: b[:8] + (2).to_bytes(4, "little") + b[12:], "unsupported checkpoint format version 2"),
         ("eval-depth", "scene/labels_002.pgm", lambda b: b[:-5], "{path} truncated: expected 256 bytes, got 251"),
         ("eval-depth", "scene/depth_000.pfm", lambda b: b"Pf\n16 x" + b[8:], "{path}: invalid literal for int() with base 10: 'x'"),
         (
@@ -415,7 +476,7 @@ def test_a_four_frame_scene_gets_depth_rows_without_an_ate(tmp_path, capsys):
             "{path} line 1: translation must be finite, got [nan  0.  0.]",
         ),
     ],
-    ids=["checkpoint-cut", "labels-cut", "depth-size-line", "zero-quaternion", "nan-translation"],
+    ids=["checkpoint-cut", "checkpoint-version-2", "labels-cut", "depth-size-line", "zero-quaternion", "nan-translation"],
 )
 def test_a_malformed_scene_or_checkpoint_file_is_refused_by_name(tmp_path, capsys, command, name, damage, message):
     scene_dir, checkpoint, path = _scene_dir(tmp_path), _untrained_checkpoint(tmp_path), tmp_path / name
@@ -423,6 +484,22 @@ def test_a_malformed_scene_or_checkpoint_file_is_refused_by_name(tmp_path, capsy
     assert cli.main([command, "--checkpoint", str(checkpoint), "--scene", str(scene_dir)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {message.format(path=path)}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (header_edit("tensors", 1), "checkpoint is missing tensor 'depth.embed.bias'"),
+        (header_edit("tensors", 1, "shape", value=[33]), "tensor 'depth.embed.bias' shape (33,) does not match model (32,)"),
+    ],
+    ids=["missing-entry", "wrong-shape"],
+)
+def test_eval_depth_rejects_a_checkpoint_entry_that_disagrees_with_the_model(tmp_path, capsys, edit, message):
+    argv = ["eval-depth", "--checkpoint", str(_untrained_checkpoint(tmp_path, edit)), "--scene", str(_scene_dir(tmp_path))]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 
@@ -527,6 +604,11 @@ def test_report_on_a_value_that_is_not_a_real_number_is_a_validation_failure(tmp
 
 def test_report_prints_every_records_keys_in_first_seen_order(tmp_path, capsys):
     log = tmp_path / "train.log"
+    table = ["a\tb\tc", "1\t2\tnan", "4\tnan\t3.5", "nan\t5\tnan"]
     log.write_text('{"a": 1, "b": 2}\n{"c": 3.5, "a": 4}\n{"b": 5}\n')
     assert cli.main(["report", "--log", str(log)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["a\tb\tc", "1\t2\tnan", "4\tnan\t3.5", "nan\t5\tnan"]
+    assert capsys.readouterr().out.splitlines() == table
+    # a blank line is no record
+    log.write_text('{"a": 1, "b": 2}\n\n{"c": 3.5, "a": 4}\n  \n{"b": 5}\n')
+    assert cli.main(["report", "--log", str(log)]) == 0
+    assert capsys.readouterr().out.splitlines() == table

@@ -80,6 +80,15 @@ class TestPPMAndPGM:
         write_ppm(path, image)
         np.testing.assert_array_equal(read_ppm(path), image)
 
+    def test_a_header_comment_reads_the_same_raster(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        write_ppm(path, np.random.default_rng(2).uniform(0, 1, size=(3, 5, 6)))
+        plain = read_ppm(path)
+        raw = path.read_bytes()
+        assert raw.startswith(b"P6\n6 5\n")
+        path.write_bytes(b"P6\n# written by hand\n6 5 # width height\n" + raw[len(b"P6\n6 5\n") :])
+        np.testing.assert_array_equal(read_ppm(path), plain)
+
     def test_pgm_labels_exact(self, tmp_path):
         labels = np.random.default_rng(3).integers(0, 5, size=(6, 4))
         path = tmp_path / "labels.pgm"
@@ -262,6 +271,29 @@ class TestSceneDirectory:
         write_scene(directory, generate_scene("two_spheres", 6, seed=5, cam=cam))
         (directory / missing).unlink()
         with pytest.raises(ValueError, match=missing):
+            SceneOnDisk(directory)
+
+    def test_comment_and_blank_trajectory_lines_read_the_same_scene(self, tmp_path):
+        cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
+        directory = tmp_path / "scene"
+        write_scene(directory, generate_scene("two_spheres", 3, seed=5, cam=cam))
+        plain = SceneOnDisk(directory).trajectory
+        path = directory / "trajectory.txt"
+        first, *rest = path.read_text().splitlines(keepends=True)
+        path.write_text("# index tx ty tz qw qx qy qz\n" + first + "\n" + "".join(rest))
+        got = SceneOnDisk(directory).trajectory
+        assert got.indices == plain.indices
+        for a, b in zip(got.poses, plain.poses, strict=True):
+            np.testing.assert_array_equal(a.rotation, b.rotation)
+            np.testing.assert_array_equal(a.translation, b.translation)
+
+    def test_a_directory_without_frames_is_rejected(self, tmp_path):
+        cam = CameraModel(fx=16.0, fy=16.0, cx=7.5, cy=7.5, width=16, height=16)
+        directory = tmp_path / "scene"
+        write_scene(directory, generate_scene("two_spheres", 3, seed=5, cam=cam))
+        for path in directory.glob("frame_*.ppm"):
+            path.unlink()
+        with pytest.raises(ValueError, match=re.escape(f"no frame_*.ppm files in {directory}")):
             SceneOnDisk(directory)
 
     @pytest.mark.parametrize("indices", [(0, 2, 4, 6, 8, 10), (0, 1, 2, 3, 4)], ids=["renumbered", "short"])

@@ -222,6 +222,14 @@ class TestSmoothnessLoss:
         scaled = L.masked_smoothness_loss(Tensor(3.7 * depth), Tensor(img), labels).item()
         assert abs(scaled - 3.7 * base) <= 1e-12 * max(1.0, abs(base))
 
+    def test_no_neighbours_sharing_a_label_is_zero(self):
+        # a checkerboard of labels: no pair of neighbours contributes a term
+        rng = np.random.default_rng(20)
+        depth = Tensor(rng.uniform(1.0, 9.0, size=(8, 8)))
+        checkerboard = np.indices((8, 8)).sum(axis=0) % 2
+        got = L.masked_smoothness_loss(depth, Tensor(rand_image(rng)), checkerboard)
+        assert got.item() == 0.0
+
     def test_only_label_equality_is_read(self):
         # a raster shifted to hold negative labels marks the same neighbour
         # pairs equal, so the loss is bit-identical
@@ -249,18 +257,18 @@ class TestTotalLoss:
 
     def test_all_zero_terms(self):
         z = Tensor(0.0)
-        got = L.total_loss(self.terms(z, z, z, z), TrainConfig().loss_weights())
+        got = L.total_loss(self.terms(z, z, z, z), TrainConfig().w_smoothness)
         assert got.item() == 0.0
 
     def test_unit_terms_with_default_weights(self):
         one = Tensor(1.0)
-        got = L.total_loss(self.terms(one, one, one, one), TrainConfig().loss_weights())
+        got = L.total_loss(self.terms(one, one, one, one), TrainConfig().w_smoothness)
         assert abs(got.item() - 1.403) <= 1e-12
 
     def test_nonfinite_term_rejected_by_name(self):
         terms = self.terms(Tensor(0.0), Tensor(0.0), Tensor(np.nan), Tensor(0.0))
         with pytest.raises(ad.TrainingDiverged, match="synthesis"):
-            L.total_loss(terms, TrainConfig().loss_weights())
+            L.total_loss(terms, TrainConfig().w_smoothness)
 
     def test_gradients_flow_through_all_terms(self):
         rng = np.random.default_rng(18)
@@ -268,7 +276,7 @@ class TestTotalLoss:
         img = Tensor(rand_image(rng))
         smooth = L.masked_smoothness_loss(d, img, np.zeros((8, 8), dtype=np.int64))
         zero = Tensor(0.0)
-        total = L.total_loss(self.terms(zero, zero, zero, smooth), TrainConfig().loss_weights())
+        total = L.total_loss(self.terms(zero, zero, zero, smooth), TrainConfig().w_smoothness)
         total.backward()
         assert d.grad is not None and np.any(d.grad != 0.0)
 

@@ -354,11 +354,11 @@ def nan_synthesis_at_step_2(monkeypatch):
     which at batch 1 is the second optimizer step."""
     calls = []
 
-    def total_loss(terms, weights):
+    def total_loss(terms, w_smoothness):
         calls.append(None)
         if len(calls) == 2:
             terms = {**terms, "synthesis": Tensor(np.nan)}
-        return losses.total_loss(terms, weights)
+        return losses.total_loss(terms, w_smoothness)
 
     monkeypatch.setattr(train_module, "total_loss", total_loss)
 
